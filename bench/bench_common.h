@@ -6,11 +6,14 @@
 // corresponding algorithm's accuracy".
 #pragma once
 
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "detect/classic_sst.h"
 #include "detect/cusum.h"
@@ -22,6 +25,14 @@
 #include "funnel/config.h"
 #include "obs/export.h"
 #include "obs/registry.h"
+
+// Set per bench target by bench/CMakeLists.txt.
+#ifndef FUNNEL_BUILD_TYPE
+#define FUNNEL_BUILD_TYPE "unknown"
+#endif
+#ifndef FUNNEL_SOURCE_DIR
+#define FUNNEL_SOURCE_DIR "."
+#endif
 
 namespace funnel::bench {
 
@@ -108,18 +119,11 @@ inline bool stats_arg(int argc, char** argv) {
   return false;
 }
 
-/// `--sst-fast` / `--no-cascade`, with the same semantics as the tools:
-/// --sst-fast switches the assessment onto the SST hot path (warm-start
-/// fast scorer + pre-filter cascade); --no-cascade keeps the fast scorer
-/// but scores every window.
+/// `--cascade`, with the same semantics as the tools: puts the pre-filter
+/// cascade in front of the warm IKA scorer (FunnelConfig::sst_cascade).
 inline void apply_sst_args(core::FunnelConfig& cfg, int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sst-fast") == 0) {
-      cfg.sst_fast = true;
-      cfg.sst_cascade = true;
-    } else if (std::strcmp(argv[i], "--no-cascade") == 0) {
-      cfg.sst_cascade = false;
-    }
+    if (std::strcmp(argv[i], "--cascade") == 0) cfg.sst_cascade = true;
   }
 }
 
@@ -146,6 +150,41 @@ inline void dump_stats(const obs::Registry& reg, bool print,
     }
     out << obs::snapshot_json(snap) << '\n';
   }
+}
+
+/// Where a committed BENCH_*.json number was measured: hardware threads,
+/// build type, and the git commit of the measured tree ("-dirty" when it
+/// carried uncommitted changes, "unknown" outside a git checkout).
+struct Provenance {
+  unsigned nproc = 0;
+  std::string build_type;
+  std::string git_sha;
+};
+
+inline Provenance provenance() {
+  Provenance p;
+  p.nproc = std::thread::hardware_concurrency();
+  p.build_type = FUNNEL_BUILD_TYPE;
+  const std::string git = std::string("git -C '") + FUNNEL_SOURCE_DIR + "' ";
+  if (FILE* f = popen((git + "rev-parse --short=12 HEAD 2>/dev/null").c_str(),
+                      "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), f) != nullptr) {
+      p.git_sha = buf;
+      while (!p.git_sha.empty() && std::isspace(static_cast<unsigned char>(
+                                       p.git_sha.back()))) {
+        p.git_sha.pop_back();
+      }
+    }
+    pclose(f);
+  }
+  if (p.git_sha.empty()) {
+    p.git_sha = "unknown";
+  } else if (std::system((git + "diff --quiet HEAD 2>/dev/null").c_str()) !=
+             0) {
+    p.git_sha += "-dirty";
+  }
+  return p;
 }
 
 inline void print_header(const std::string& title) {

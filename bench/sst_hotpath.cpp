@@ -1,22 +1,20 @@
-// SST hot-path micro-benchmark — µs/window for every tier of the fast
-// path, on the Table 2 workload (variable-class KPI, the hardest: no
+// SST hot-path micro-benchmark — µs/window for every tier of the SST
+// scorer, on the Table 2 workload (variable-class KPI, the hardest: no
 // early-outs anywhere).
 //
 // Tiers:
 //   cold      reset() before every window — the naive per-window cost a
 //             stateless deployment would pay (30 power sweeps + Lanczos)
 //   warm      the default scorer: future basis warm-started across windows
-//   fast      --sst-fast: past subspace warm-started too, deterministic
-//             restarts (IkaParams::warm_past)
-//   batch     IkaSstBatch: 8 KPI lanes scored lockstep, fused Hankel
-//             Gram applies (µs per window per KPI)
-//   cascaded  fast + pre-filter cascade (variance + raw-CUSUM gates)
+//   cascaded  warm + pre-filter cascade (variance + raw-CUSUM gates),
+//             FunnelConfig::sst_cascade / --cascade
 //
 // Alongside the table it writes a machine-readable BENCH_sst.json
 // (--json FILE, default BENCH_sst.json) with per-tier µs/window, derived
-// million-KPI core counts, the speedups vs cold, and the fast-vs-exact
-// score correlation. tests/sst_bench_smoke.cmake validates the JSON shape
-// and asserts the cascaded tier is ≥ 5x cheaper than cold.
+// million-KPI core counts, the speedups vs cold, the warm-vs-exact score
+// correlation, and the host it ran on (hardware threads, build type, git
+// commit). tests/sst_bench_smoke.cmake validates the JSON shape and
+// asserts the cascaded tier is ≥ 5x cheaper than cold.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,7 +29,6 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "detect/cascade.h"
-#include "detect/ika_batch.h"
 #include "detect/ika_sst.h"
 #include "detect/improved_sst.h"
 #include "detect/sliding.h"
@@ -42,9 +39,9 @@ using namespace funnel;
 
 namespace {
 
-std::vector<double> bench_series(std::size_t len, std::uint64_t seed) {
-  workload::VariableParams p;  // Table 2's workload class
-  workload::KpiStream s(workload::make_variable(p, Rng(seed)));
+std::vector<double> bench_series(std::size_t len) {
+  workload::VariableParams p;  // Table 2's workload class and seed
+  workload::KpiStream s(workload::make_variable(p, Rng(99)));
   return workload::render(s, 0, static_cast<MinuteTime>(len));
 }
 
@@ -76,11 +73,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
   }
-  bench::print_header("SST hot path: cold vs warm vs fast vs cascaded");
+  bench::print_header("SST hot path: cold vs warm vs cascaded");
 
   const detect::SstGeometry g{.omega = 9, .eta = 3};
   const std::size_t len = 600;
-  const std::vector<double> series = bench_series(len, 99);  // Table 2 seed
+  const std::vector<double> series = bench_series(len);
   const std::size_t w = g.window();
   const std::size_t positions = series.size() - w + 1;
   const std::size_t min_windows = quick ? 2000 : 8000;
@@ -105,39 +102,8 @@ int main(int argc, char** argv) {
     }
   });
 
-  // fast: warm-past + deterministic restarts.
-  detect::IkaParams fast_params;
-  fast_params.warm_past = true;
-  detect::IkaSst fast_scorer(g, fast_params);
-  const double us_fast = measure(positions, min_windows, [&] {
-    for (std::size_t i = 0; i < positions; ++i) {
-      volatile double s = fast_scorer.score(span.subspan(i, w));
-      (void)s;
-    }
-  });
-
-  // batch: 8 lanes in lockstep, µs per window per KPI.
-  constexpr std::size_t kLanes = 8;
-  std::vector<std::vector<double>> fleet;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    fleet.push_back(bench_series(len, 200 + k));
-  }
-  detect::IkaSstBatch batch(kLanes, g, fast_params);
-  std::vector<double> packed(kLanes * w), batch_out(kLanes);
-  const double us_batch = measure(positions * kLanes, min_windows, [&] {
-    for (std::size_t i = 0; i < positions; ++i) {
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        std::memcpy(packed.data() + k * w, fleet[k].data() + i,
-                    w * sizeof(double));
-      }
-      batch.score_all(packed, batch_out);
-      volatile double s = batch_out[0];
-      (void)s;
-    }
-  });
-
-  // cascaded: fast scorer behind the pre-filter gates.
-  detect::IkaSst casc_scorer(g, fast_params);
+  // cascaded: the warm scorer behind the pre-filter gates.
+  detect::IkaSst casc_scorer(g);
   detect::CascadeConfig cc;
   cc.sst_threshold = 0.22;  // library-default alarm threshold
   detect::CascadeCounters counters;
@@ -150,12 +116,12 @@ int main(int argc, char** argv) {
     (void)s;
   });
 
-  // Fidelity: fast-path scores vs the exact-SVD reference on this workload.
+  // Fidelity: warm scores vs the exact-SVD reference on this workload.
   detect::ImprovedSst exact(g);
-  detect::IkaSst fast_fresh(g, fast_params);
+  detect::IkaSst warm_fresh(g);
   const auto se = detect::score_series(exact, series);
-  const auto sf = detect::score_series(fast_fresh, series);
-  const double corr = correlation(se, sf);
+  const auto sw = detect::score_series(warm_fresh, series);
+  const double corr = correlation(se, sw);
 
   const double suppressed_frac =
       counters.windows == 0
@@ -172,14 +138,13 @@ int main(int argc, char** argv) {
   };
   add("cold", us_cold);
   add("warm (default)", us_warm);
-  add("fast (--sst-fast --no-cascade)", us_fast);
-  add("batch x8 (IkaSstBatch)", us_batch);
-  add("cascaded (--sst-fast)", us_casc);
+  add("cascaded (warm + --cascade)", us_casc);
   std::printf("%s\n", t.to_string().c_str());
-  std::printf("fidelity: corr(fast, exact SVD) = %.3f on the variable-class "
+  std::printf("fidelity: corr(warm, exact SVD) = %.3f on the variable-class "
               "workload; cascade suppressed %.0f%% of windows\n",
               corr, 100.0 * suppressed_frac);
 
+  const bench::Provenance host = bench::provenance();
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path);
@@ -189,34 +154,28 @@ int main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof(buf),
       "{\n"
+      "  \"host\": {\"nproc\": %u, \"build_type\": \"%s\", "
+      "\"git_sha\": \"%s\"},\n"
       "  \"workload\": {\"class\": \"variable\", \"minutes\": %zu, "
       "\"windows\": %zu},\n"
       "  \"tiers\": {\n"
       "    \"cold\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": %llu},\n"
       "    \"warm\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": %llu},\n"
-      "    \"fast\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": %llu},\n"
-      "    \"batch\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": "
-      "%llu},\n"
       "    \"cascaded\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": "
       "%llu}\n"
       "  },\n"
-      "  \"speedup\": {\"warm_vs_cold\": %.2f, \"fast_vs_cold\": %.2f, "
-      "\"batch_vs_cold\": %.2f, \"cascaded_vs_cold\": %.2f},\n"
+      "  \"speedup\": {\"warm_vs_cold\": %.2f, \"cascaded_vs_cold\": %.2f},\n"
       "  \"cascade\": {\"suppressed_fraction\": %.4f},\n"
-      "  \"fidelity\": {\"fast_vs_exact_corr\": %.4f}\n"
+      "  \"fidelity\": {\"warm_vs_exact_corr\": %.4f}\n"
       "}\n",
-      len, positions, us_cold,
+      host.nproc, host.build_type.c_str(), host.git_sha.c_str(), len,
+      positions, us_cold,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_cold)),
       us_warm,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_warm)),
-      us_fast,
-      static_cast<unsigned long long>(evalkit::cores_for_kpis(us_fast)),
-      us_batch,
-      static_cast<unsigned long long>(evalkit::cores_for_kpis(us_batch)),
       us_casc,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_casc)),
-      us_cold / us_warm, us_cold / us_fast, us_cold / us_batch,
-      us_cold / us_casc, suppressed_frac, corr);
+      us_cold / us_warm, us_cold / us_casc, suppressed_frac, corr);
   out << buf;
   std::fprintf(stderr, "# wrote %s\n", json_path);
   return 0;

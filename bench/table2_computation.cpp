@@ -60,22 +60,10 @@ void BM_FunnelIkaSst(benchmark::State& state) {
 }
 BENCHMARK(BM_FunnelIkaSst);
 
-detect::IkaParams fast_params() {
-  detect::IkaParams p;
-  p.warm_past = true;
-  return p;
-}
-
-void BM_FunnelIkaSstFast(benchmark::State& state) {
-  run_scorer<detect::IkaSst>(state, detect::SstGeometry{.omega = 9, .eta = 3},
-                             fast_params());
-}
-BENCHMARK(BM_FunnelIkaSstFast);
-
-void BM_FunnelCascadedFast(benchmark::State& state) {
+void BM_FunnelCascaded(benchmark::State& state) {
   detect::CascadeGate scorer(
       std::make_unique<detect::IkaSst>(
-          detect::SstGeometry{.omega = 9, .eta = 3}, fast_params()),
+          detect::SstGeometry{.omega = 9, .eta = 3}),
       detect::CascadeConfig{});
   const std::vector<double> series = bench_series(600);
   const std::size_t w = scorer.window_size();
@@ -87,7 +75,7 @@ void BM_FunnelCascadedFast(benchmark::State& state) {
     i = (i + 1) % positions;
   }
 }
-BENCHMARK(BM_FunnelCascadedFast);
+BENCHMARK(BM_FunnelCascaded);
 
 void BM_ImprovedSstExact(benchmark::State& state) {
   run_scorer<detect::ImprovedSst>(state,
@@ -152,18 +140,11 @@ void print_summary_table() {
                     {"-", 0.0, 0}});
   }
   {
-    detect::IkaSst s(detect::SstGeometry{.omega = 9, .eta = 3},
-                     fast_params());
-    rows.push_back({"FUNNEL fast (--sst-fast)",
-                    evalkit::mean_score_micros(s, series, 4000),
-                    {"-", 0.0, 0}});
-  }
-  {
     detect::CascadeGate s(
         std::make_unique<detect::IkaSst>(
-            detect::SstGeometry{.omega = 9, .eta = 3}, fast_params()),
+            detect::SstGeometry{.omega = 9, .eta = 3}),
         detect::CascadeConfig{});
-    rows.push_back({"FUNNEL cascaded (--sst-fast)",
+    rows.push_back({"FUNNEL warm+cascade (--cascade)",
                     evalkit::mean_score_micros(s, series, 4000),
                     {"-", 0.0, 0}});
   }

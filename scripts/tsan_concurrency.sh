@@ -9,7 +9,7 @@
 # assessor, the telemetry registry, the tracer's cross-thread span
 # propagation, the chaos fault grid (dirty feeds through both pipelines,
 # docs/ROBUSTNESS.md), and the warm-start differential suite (stateful
-# scorer lifecycle + batched Hankel kernels), the verdict journal's
+# scorer lifecycle + blocked Hankel kernel), the verdict journal's
 # MPSC writer thread plus its live triage-observer tap, the persistent
 # segment store (WAL writer thread, background compaction, crash-replay
 # recovery — docs/STORAGE.md), and the live telemetry plane (HTTP worker

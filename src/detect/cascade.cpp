@@ -26,6 +26,28 @@ const char* to_string(GateDecision d) {
   return "unknown";
 }
 
+void CascadeCounters::record(GateDecision d) {
+  ++windows;
+  switch (d) {
+    case GateDecision::kDirty:
+      ++dirty;
+      break;
+    case GateDecision::kVarianceSuppressed:
+      ++suppressed_variance;
+      break;
+    case GateDecision::kCusumSuppressed:
+      ++suppressed_cusum;
+      break;
+    case GateDecision::kForcedByWow:
+      ++wow_forced;
+      ++scored;
+      break;
+    case GateDecision::kScored:
+      ++scored;
+      break;
+  }
+}
+
 CascadeCounters& CascadeCounters::operator+=(const CascadeCounters& o) {
   windows += o.windows;
   scored += o.scored;
@@ -35,6 +57,29 @@ CascadeCounters& CascadeCounters::operator+=(const CascadeCounters& o) {
   dirty += o.dirty;
   return *this;
 }
+
+namespace {
+
+// The score a gated window gets: dirty windows score exactly what
+// IkaSst::score returns for them (NaN) without advancing its warm state
+// (IkaSst bails before touching it too), suppressed windows score 0, and
+// only the rest run the full scorer.
+double gated_score(GateDecision d, IkaSst& scorer,
+                   std::span<const double> window) {
+  switch (d) {
+    case GateDecision::kDirty:
+      return std::numeric_limits<double>::quiet_NaN();
+    case GateDecision::kVarianceSuppressed:
+    case GateDecision::kCusumSuppressed:
+      return 0.0;
+    case GateDecision::kForcedByWow:
+    case GateDecision::kScored:
+      break;
+  }
+  return scorer.score(window);
+}
+
+}  // namespace
 
 GateDecision gate_window(std::span<const double> window,
                          const SstGeometry& geometry,
@@ -90,48 +135,9 @@ std::vector<double> cascade_score_series(
         d = GateDecision::kForcedByWow;
       }
     }
-    double score;
-    switch (d) {
-      case GateDecision::kDirty:
-        // Exactly what IkaSst::score returns for this window, without
-        // advancing its warm state (IkaSst bails before touching it too).
-        score = std::numeric_limits<double>::quiet_NaN();
-        break;
-      case GateDecision::kVarianceSuppressed:
-      case GateDecision::kCusumSuppressed:
-        score = 0.0;
-        break;
-      case GateDecision::kForcedByWow:
-      case GateDecision::kScored:
-        score = scorer.score(window);
-        break;
-      default:
-        score = std::numeric_limits<double>::quiet_NaN();
-        break;
-    }
-    out.push_back(score);
+    out.push_back(gated_score(d, scorer, window));
     if (decisions) decisions->push_back(d);
-    if (counters) {
-      ++counters->windows;
-      switch (d) {
-        case GateDecision::kDirty:
-          ++counters->dirty;
-          break;
-        case GateDecision::kVarianceSuppressed:
-          ++counters->suppressed_variance;
-          break;
-        case GateDecision::kCusumSuppressed:
-          ++counters->suppressed_cusum;
-          break;
-        case GateDecision::kForcedByWow:
-          ++counters->wow_forced;
-          ++counters->scored;
-          break;
-        case GateDecision::kScored:
-          ++counters->scored;
-          break;
-      }
-    }
+    if (counters) counters->record(d);
   }
   return out;
 }
@@ -145,37 +151,8 @@ CascadeGate::CascadeGate(std::unique_ptr<IkaSst> inner, CascadeConfig config,
 double CascadeGate::score(std::span<const double> window) {
   const GateDecision d = gate_window(window, inner_->geometry(), config_);
   last_decision_ = d;
-  double score;
-  switch (d) {
-    case GateDecision::kDirty:
-      score = std::numeric_limits<double>::quiet_NaN();
-      break;
-    case GateDecision::kVarianceSuppressed:
-    case GateDecision::kCusumSuppressed:
-      score = 0.0;
-      break;
-    default:
-      score = inner_->score(window);
-      break;
-  }
-  if (counters_) {
-    ++counters_->windows;
-    switch (d) {
-      case GateDecision::kDirty:
-        ++counters_->dirty;
-        break;
-      case GateDecision::kVarianceSuppressed:
-        ++counters_->suppressed_variance;
-        break;
-      case GateDecision::kCusumSuppressed:
-        ++counters_->suppressed_cusum;
-        break;
-      default:
-        ++counters_->scored;
-        break;
-    }
-  }
-  return score;
+  if (counters_) counters_->record(d);
+  return gated_score(d, *inner_, window);
 }
 
 }  // namespace funnel::detect

@@ -79,6 +79,9 @@ struct CascadeCounters {
   std::uint64_t wow_forced = 0;
   std::uint64_t dirty = 0;
 
+  /// Count one window's decision: every decision counts a window, and
+  /// kForcedByWow counts as both wow_forced and scored.
+  void record(GateDecision d);
   CascadeCounters& operator+=(const CascadeCounters& o);
 };
 

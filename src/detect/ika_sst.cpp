@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "detect/sst_internal.h"
 #include "linalg/hankel.h"
 #include "linalg/lanczos.h"
 #include "linalg/sym_eigen.h"
@@ -14,24 +13,84 @@
 namespace funnel::detect {
 namespace {
 
-using internal::seed_basis;
+/// Orthonormalize the columns of b in place (modified Gram-Schmidt); columns
+/// that collapse to zero are replaced with canonical basis vectors so the
+/// block keeps full rank.
+void orthonormalize(linalg::Matrix& b) {
+  const std::size_t n = b.rows();
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    linalg::Vector col = b.col(j);
+    for (std::size_t k = 0; k < j; ++k) {
+      const linalg::Vector prev = b.col(k);
+      const double proj = linalg::dot(col, prev);
+      for (std::size_t i = 0; i < n; ++i) col[i] -= proj * prev[i];
+    }
+    if (linalg::normalize(col) <= 1e-12) {
+      std::fill(col.begin(), col.end(), 0.0);
+      col[j % n] = 1.0;
+      for (std::size_t k = 0; k < j; ++k) {
+        const linalg::Vector prev = b.col(k);
+        const double proj = linalg::dot(col, prev);
+        for (std::size_t i = 0; i < n; ++i) col[i] -= proj * prev[i];
+      }
+      linalg::normalize(col);
+    }
+    b.set_col(j, col);
+  }
+}
 
-// One or more block power sweeps with Rayleigh-Ritz extraction:
-// B <- orth((C B) Q) with Q the eigenvectors of T = Bᵀ C B. Returns the
-// Ritz values (estimates of C's leading eigenvalues, non-increasing). The
-// C·B product runs through the batched Hankel kernel — bit-identical to
-// column-at-a-time applies, just one strided pass. When `residual2` is
-// non-null, one extra apply against the final basis fills it with the
-// squared Ritz residual (the warm-start escalation signal); the extra
-// apply never perturbs basis or lambdas.
-struct RitzResidual {
-  double res2 = 0.0;
-  double scale = 0.0;  ///< leading Rayleigh quotient
-};
+/// Seed a cold block with lagged windows spread across the half, plus a
+/// small perturbation on the first column, then orthonormalize.
+void seed_basis(linalg::Matrix& basis, std::span<const double> half,
+                std::size_t omega, std::size_t eta) {
+  basis = linalg::Matrix(omega, eta);
+  for (std::size_t j = 0; j < eta; ++j) {
+    const std::size_t offset =
+        eta > 1 ? j * (half.size() - omega) / (eta - 1) : 0;
+    for (std::size_t i = 0; i < omega; ++i) {
+      basis(i, j) = half[offset + i] + (j == 0 ? 1e-3 : 0.0);
+    }
+  }
+  orthonormalize(basis);
+}
 
+/// One Rayleigh-Ritz step given Y = C·B: T = Bᵀ Y (eta x eta, symmetric),
+/// eigendecompose, B <- orth(Y·Q). Returns the Ritz values (non-increasing
+/// estimates of C's leading eigenvalues).
+linalg::Vector ritz_rotate(linalg::Matrix& basis, const linalg::Matrix& y) {
+  const std::size_t omega = basis.rows();
+  const std::size_t eta = basis.cols();
+  linalg::Matrix t(eta, eta);
+  for (std::size_t a = 0; a < eta; ++a) {
+    const linalg::Vector ba = basis.col(a);
+    for (std::size_t b = a; b < eta; ++b) {
+      const double v = linalg::dot(ba, y.col(b));
+      t(a, b) = v;
+      t(b, a) = v;
+    }
+  }
+  const linalg::SymEigen te = linalg::sym_eigen(t);
+  linalg::Matrix next(omega, eta);
+  for (std::size_t j = 0; j < eta; ++j) {
+    linalg::Vector col(omega, 0.0);
+    for (std::size_t a = 0; a < eta; ++a) {
+      const double q = te.vectors(a, j);
+      for (std::size_t i = 0; i < omega; ++i) col[i] += y(i, a) * q;
+    }
+    next.set_col(j, col);
+  }
+  orthonormalize(next);
+  basis = std::move(next);
+  return te.values;
+}
+
+// Block power sweeps with Rayleigh-Ritz extraction: B <- orth((C B) Q) with
+// Q the eigenvectors of T = Bᵀ C B. Returns the Ritz values (estimates of
+// C's leading eigenvalues, non-increasing). The C·B product runs through
+// the blocked Hankel kernel — bit-identical to column-at-a-time applies,
+// just one strided pass.
 linalg::Vector ritz_iterate(const linalg::HankelGramOperator& op,
-                            linalg::Matrix& basis, int iterations,
-                            RitzResidual* residual = nullptr) {
+                            linalg::Matrix& basis, int iterations) {
   const std::size_t omega = basis.rows();
   const std::size_t eta = basis.cols();
   linalg::Vector lambdas(eta, 0.0);
@@ -39,12 +98,7 @@ linalg::Vector ritz_iterate(const linalg::HankelGramOperator& op,
   for (int it = 0; it < iterations; ++it) {
     linalg::Matrix y(omega, eta);
     op.apply_block(basis.data(), y.data(), eta, scratch);
-    lambdas = internal::ritz_rotate(basis, y);
-  }
-  if (residual != nullptr) {
-    linalg::Matrix y(omega, eta);
-    op.apply_block(basis.data(), y.data(), eta, scratch);
-    residual->res2 = internal::ritz_residual2(basis, y, residual->scale);
+    lambdas = ritz_rotate(basis, y);
   }
   return lambdas;
 }
@@ -60,8 +114,6 @@ IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
                  "Krylov dimension k must not exceed omega");
   FUNNEL_REQUIRE(params_.cold_iterations >= 1 && params_.warm_iterations >= 1,
                  "iteration counts must be positive");
-  FUNNEL_REQUIRE(params_.restart_period >= 1,
-                 "restart period must be positive");
 }
 
 double IkaSst::score(std::span<const double> window) {
@@ -76,45 +128,14 @@ double IkaSst::score(std::span<const double> window) {
   const std::span<const double> past(z.data(), geo_.half());
   const std::span<const double> future(z.data() + geo_.half(), geo_.half());
 
-  // Deterministic cold restart (fast path only): rebuilding both bases from
-  // scratch every restart_period scored windows keeps warm-start drift
-  // bounded and makes a run's scores a pure function of the series.
-  if (params_.warm_past && windows_since_restart_ >= params_.restart_period) {
-    warm_ = false;
-    past_warm_ = false;
-    windows_since_restart_ = 0;
-    ++cold_restarts_;
-  }
-  if (params_.warm_past) ++windows_since_restart_;
-
-  // Eq. 11 damping factor, shared by every path. On the fast path it also
-  // gates the escalation check: when the factor is exactly zero the window
-  // scores 0 regardless of basis quality (score = x̂ · factor), so warm
-  // sweeps proceed without the residual apply and cannot contribute drift.
-  const double factor = robust_score_factor(past, future);
-
   // --- Future: eta leading eigenpairs of A·Aᵀ by warm-started block power
-  // iteration with Rayleigh-Ritz extraction. On the fast path, a warm
-  // window whose Ritz residual shows the basis lost the subspace escalates
-  // to a full cold re-seed — bit-identical to a cold restart at this
-  // window, so drift is bounded per window, not just per restart period.
+  // iteration with Rayleigh-Ritz extraction.
   const linalg::HankelGramOperator future_op(future, omega, omega);
-  const bool future_was_warm = warm_;
+  const bool was_warm = warm_;
   if (!warm_) seed_basis(future_basis_, future, omega, eta);
-  const bool check_future =
-      params_.warm_past && future_was_warm && factor > 0.0;
-  RitzResidual future_res;
-  linalg::Vector lambdas = ritz_iterate(
+  const linalg::Vector lambdas = ritz_iterate(
       future_op, future_basis_,
-      future_was_warm ? params_.warm_iterations : params_.cold_iterations,
-      check_future ? &future_res : nullptr);
-  if (check_future &&
-      internal::needs_escalation(future_res.res2, future_res.scale,
-                                 params_.warm_residual_tol)) {
-    seed_basis(future_basis_, future, omega, eta);
-    lambdas = ritz_iterate(future_op, future_basis_, params_.cold_iterations);
-    ++escalations_;
-  }
+      was_warm ? params_.warm_iterations : params_.cold_iterations);
   warm_ = true;
 
   // --- Past: phi_i per future direction. ---
@@ -122,55 +143,29 @@ double IkaSst::score(std::span<const double> window) {
 
   double weighted = 0.0;
   double total_weight = 0.0;
-  if (params_.warm_past) {
-    // Fast path: persist the past eigen-subspace the same way the future one
-    // is persisted and read φᵢ = 1 − Σⱼ (βᵢ·uⱼ)² over the positive-λ past
-    // directions uⱼ — the quantity the per-direction Lanczos runs
-    // approximate (Eq. 13), for one warm block sweep per window instead of
-    // eta cold Krylov factorizations.
-    const bool past_was_warm = past_warm_;
-    if (!past_warm_) seed_basis(past_basis_, past, omega, eta);
-    const bool check_past = past_was_warm && factor > 0.0;
-    RitzResidual past_res;
-    linalg::Vector mus = ritz_iterate(
-        past_op, past_basis_,
-        past_was_warm ? params_.warm_iterations : params_.cold_iterations,
-        check_past ? &past_res : nullptr);
-    if (check_past &&
-        internal::needs_escalation(past_res.res2, past_res.scale,
-                                   params_.warm_residual_tol)) {
-      seed_basis(past_basis_, past, omega, eta);
-      mus = ritz_iterate(past_op, past_basis_, params_.cold_iterations);
-      ++escalations_;
-    }
-    past_warm_ = true;
-    internal::accumulate_fast_score(lambdas, future_basis_, mus, past_basis_,
-                                    eta, weighted, total_weight);
-  } else {
-    for (std::size_t i = 0; i < eta; ++i) {
-      const double lambda = std::max(lambdas[i], 0.0);
-      if (lambda <= 0.0) break;
-      const linalg::Vector beta = future_basis_.col(i);
+  for (std::size_t i = 0; i < eta; ++i) {
+    const double lambda = std::max(lambdas[i], 0.0);
+    if (lambda <= 0.0) break;
+    const linalg::Vector beta = future_basis_.col(i);
 
-      const linalg::LanczosResult plr = linalg::lanczos(past_op, beta, k);
-      const linalg::SymEigen pe = linalg::tridiag_eigen(plr.t);
-      double proj2 = 0.0;
-      const std::size_t n_past = std::min<std::size_t>(eta, pe.values.size());
-      for (std::size_t j = 0; j < n_past; ++j) {
-        if (pe.values[j] <= 0.0) break;
-        const double x0 = pe.vectors(0, j);  // Eq. 13: first components
-        proj2 += x0 * x0;
-      }
-      const double phi = std::clamp(1.0 - proj2, 0.0, 1.0);
-      weighted += lambda * phi;  // Eq. 9
-      total_weight += lambda;
+    const linalg::LanczosResult plr = linalg::lanczos(past_op, beta, k);
+    const linalg::SymEigen pe = linalg::tridiag_eigen(plr.t);
+    double proj2 = 0.0;
+    const std::size_t n_past = std::min<std::size_t>(eta, pe.values.size());
+    for (std::size_t j = 0; j < n_past; ++j) {
+      if (pe.values[j] <= 0.0) break;
+      const double x0 = pe.vectors(0, j);  // Eq. 13: first components
+      proj2 += x0 * x0;
     }
+    const double phi = std::clamp(1.0 - proj2, 0.0, 1.0);
+    weighted += lambda * phi;  // Eq. 9
+    total_weight += lambda;
   }
   if (total_weight <= 0.0) return 0.0;
   const double xhat =
       std::max(weighted / total_weight, geo_.novelty_floor);
 
-  return xhat * factor;  // Eq. 11
+  return xhat * robust_score_factor(past, future);  // Eq. 11
 }
 
 }  // namespace funnel::detect

@@ -24,8 +24,6 @@
 // re-converges — just marginally slower.
 #pragma once
 
-#include <cstdint>
-
 #include "detect/scorer.h"
 #include "detect/sst_common.h"
 #include "linalg/matrix.h"
@@ -37,27 +35,6 @@ struct IkaParams {
   int cold_iterations = 30;
   /// Sweeps when warm-started from the previous window's basis.
   int warm_iterations = 3;
-  /// Fast path: also persist the *past* eigen-subspace across windows and
-  /// read each φᵢ as a projection onto it, instead of running a fresh
-  /// k-step Lanczos per future direction per window. Approximates the same
-  /// Eq. 13 quantity; fidelity vs exact SVD is guarded by
-  /// detect_sst_fidelity_test (corr ≥ 0.92). Off by default — the default
-  /// path stays bit-identical to the original scorer.
-  bool warm_past = false;
-  /// Deterministic cold-restart policy for the fast path: every
-  /// `restart_period` scored windows both warm bases are rebuilt from
-  /// scratch, so accumulated drift cannot compound and a run's scores are a
-  /// pure function of (series, params) regardless of where timing noise
-  /// lands. Ignored when warm_past is false.
-  int restart_period = 64;
-  /// Fast path, warm windows only: after the warm sweeps, the Ritz residual
-  /// ||C·B − B·diag(λ)||_F is checked against `warm_residual_tol · λ₁`;
-  /// when the warm basis failed to track the subspace (sharp dynamics
-  /// change, near-degenerate spectrum), the window escalates to a full cold
-  /// re-seed + cold_iterations — bit-identical to what a cold restart would
-  /// compute. This bounds warm-start drift per window by construction
-  /// (locked down by detect_sst_warmstart_test's differential suite).
-  double warm_residual_tol = 0.02;
 };
 
 class IkaSst final : public ChangeScorer {
@@ -72,40 +49,20 @@ class IkaSst final : public ChangeScorer {
   const SstGeometry& geometry() const { return geo_; }
   const IkaParams& params() const { return params_; }
 
-  /// Drop ALL warm-start state (both bases, warm flags, and the restart
-  /// counter) — e.g. when retargeting the scorer to a different KPI stream,
-  /// or when a ThreadPool slot reuses the scorer for the next metric. After
-  /// reset() the scorer is *scoring-state* equivalent to a freshly
-  /// constructed one: every subsequent score is byte-identical to a fresh
-  /// scorer's. The lifetime telemetry counters below deliberately survive —
-  /// they describe the scorer object, not the stream, and the per-slot
-  /// assessor scorers would lose their totals on every KPI otherwise.
+  /// Drop the warm-start basis — e.g. when retargeting the scorer to a
+  /// different KPI stream, or when a ThreadPool slot reuses the scorer for
+  /// the next metric. After reset() every subsequent score is
+  /// byte-identical to a freshly constructed scorer's.
   void reset() {
     warm_ = false;
-    past_warm_ = false;
-    windows_since_restart_ = 0;
     future_basis_ = linalg::Matrix();
-    past_basis_ = linalg::Matrix();
   }
-
-  /// Lifetime count of deterministic cold restarts taken by the fast path
-  /// (the restart_period policy firing; excludes the initial cold start of
-  /// each stream). Never reset; diff around a run to attribute.
-  std::uint64_t cold_restarts() const { return cold_restarts_; }
-  /// Lifetime count of warm windows escalated to a full cold re-seed by the
-  /// Ritz-residual check (future + past subspaces both count). Never reset.
-  std::uint64_t escalations() const { return escalations_; }
 
  private:
   SstGeometry geo_;
   IkaParams params_;
   linalg::Matrix future_basis_;  ///< omega x eta, persisted across windows
-  linalg::Matrix past_basis_;    ///< omega x eta, fast path only
   bool warm_ = false;
-  bool past_warm_ = false;
-  int windows_since_restart_ = 0;
-  std::uint64_t cold_restarts_ = 0;  ///< lifetime telemetry, survives reset()
-  std::uint64_t escalations_ = 0;    ///< lifetime telemetry, survives reset()
 };
 
 }  // namespace funnel::detect

@@ -1,7 +1,6 @@
 #include "funnel/assessor.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -255,11 +254,6 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   std::vector<detect::GateDecision> decisions;
   {
     const obs::ScopedTimer span(config_.stats, "funnel.assess.sst_us");
-    // The scorer's restart/escalation counters are lifetime totals (pool
-    // slots reuse scorers across KPIs); diff around this KPI's scoring to
-    // attribute the events to the pipeline counters.
-    const std::uint64_t restarts_before = scorer.cold_restarts();
-    const std::uint64_t escalations_before = scorer.escalations();
     if (config_.sst_cascade) {
       // The gates must respect the live alarm policy: a window they
       // suppress has to be provably (stage 0) or plausibly (stage 1) unable
@@ -292,17 +286,6 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
       }
     } else {
       scores = detect::score_series(scorer, slice);
-    }
-    if (config_.stats != nullptr) {
-      const std::uint64_t restarts = scorer.cold_restarts() - restarts_before;
-      const std::uint64_t escalations =
-          scorer.escalations() - escalations_before;
-      if (restarts > 0) {
-        config_.stats->add("funnel.sst.cold_restarts", restarts);
-      }
-      if (escalations > 0) {
-        config_.stats->add("funnel.sst.escalations", escalations);
-      }
     }
     alarms = detect::all_alarms(scores, scorer.window_size(), t0,
                                 config_.alarm);

@@ -37,27 +37,15 @@ struct FunnelConfig {
   detect::AlarmPolicy alarm{
       .threshold = 0.22, .persistence = 7, .patience = 10};
 
-  /// SST hot-path switches (docs/DESIGN.md, "SST hot path"). Both are
-  /// opt-in; with both false the detection stage is bit-identical to the
-  /// original scorer, golden reports included.
-  ///
-  /// `sst_fast` turns on IkaParams::warm_past: the past eigen-subspace is
-  /// persisted across consecutive windows like the future one already is,
-  /// with a deterministic cold restart every `sst_restart_period` scored
-  /// windows. Scores are approximations of the exact path (the fidelity
-  /// guard-rail ctest holds them at ≥ 0.92 correlation vs exact SVD).
-  bool sst_fast = false;
-  /// `sst_cascade` puts the pre-filter cascade in front of the scorer:
-  /// windows whose Eq. 11 factor already bounds the score under the alarm
-  /// threshold (sound), or whose raw max-CUSUM stays under a small floor,
-  /// score 0 without running IKA. `cascade.sst_threshold` is overwritten
-  /// with `alarm.threshold` by the assessor so the gates always respect the
-  /// live policy.
+  /// SST hot path (DESIGN.md §5e). Every window runs the warm-started IKA
+  /// scorer unless `sst_cascade` (opt-in) puts the pre-filter cascade in
+  /// front of it: windows whose Eq. 11 factor already bounds the score
+  /// under the alarm threshold (sound), or whose raw max-CUSUM stays under
+  /// a small floor, score 0 without running IKA. `cascade.sst_threshold`
+  /// is overwritten with `alarm.threshold` by the assessor so the gates
+  /// always respect the live policy.
   bool sst_cascade = false;
   detect::CascadeConfig cascade{};
-  /// Cold-restart period of the fast path (scored windows between
-  /// deterministic basis rebuilds). Ignored unless sst_fast.
-  int sst_restart_period = 64;
 
   /// Causality determination (§3.2.4-§3.2.5).
   did::DiDConfig did{};
@@ -170,12 +158,11 @@ struct FunnelConfig {
   std::size_t selfmon_tick_ms = 1000;
 };
 
-/// Scorer parameters implied by the config's SST hot-path switches.
-inline detect::IkaParams sst_params(const FunnelConfig& config) {
-  detect::IkaParams p;
-  p.warm_past = config.sst_fast;
-  p.restart_period = config.sst_restart_period;
-  return p;
+/// Scorer parameters for a config. The config carries no scorer knobs:
+/// the assessor, the online watches and the tools all run the default
+/// warm IkaSst.
+inline detect::IkaParams sst_params(const FunnelConfig& /*config*/) {
+  return {};
 }
 
 }  // namespace funnel::core

@@ -411,19 +411,6 @@ void FunnelOnline::finalize(changes::ChangeId id, bool timed_out) {
       if (journal_on) {
         journal->append(journal_event(change, mw.verdict, "online"));
       }
-      if (config_.stats != nullptr) {
-        // Per-metric scorers live exactly as long as their watch and are
-        // never reset, so lifetime totals are this watch's totals.
-        const detect::IkaSst& scorer =
-            mw.gate != nullptr ? mw.gate->inner() : *mw.scorer;
-        if (scorer.cold_restarts() > 0) {
-          config_.stats->add("funnel.sst.cold_restarts",
-                             scorer.cold_restarts());
-        }
-        if (scorer.escalations() > 0) {
-          config_.stats->add("funnel.sst.escalations", scorer.escalations());
-        }
-      }
     }
   }
   if (watch.trace.active()) {

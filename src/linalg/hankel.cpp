@@ -44,24 +44,9 @@ void HankelGramOperator::apply(std::span<const double> x,
   }
 }
 
-void HankelGramOperator::apply_block_reference(std::span<const double> x,
-                                               std::span<double> y,
-                                               std::size_t cols) const {
-  Vector xi(omega_), yi(omega_);
-  for (std::size_t b = 0; b < cols; ++b) {
-    for (std::size_t i = 0; i < omega_; ++i) xi[i] = x[i * cols + b];
-    apply(xi, yi);
-    for (std::size_t i = 0; i < omega_; ++i) y[i * cols + b] = yi[i];
-  }
-}
-
 void HankelGramOperator::apply_block(std::span<const double> x,
                                      std::span<double> y, std::size_t cols,
                                      std::span<double> scratch) const {
-#if defined(FUNNEL_SST_SCALAR_KERNELS)
-  (void)scratch;
-  apply_block_reference(x, y, cols);
-#else
   FUNNEL_REQUIRE(x.size() >= omega_ * cols && y.size() >= omega_ * cols,
                  "apply_block operand too small");
   FUNNEL_REQUIRE(scratch.size() >= count_ * cols,
@@ -86,56 +71,6 @@ void HankelGramOperator::apply_block(std::span<const double> x,
       const double w = window_[j + i];
       const double* trow = scratch.data() + j * cols;
       for (std::size_t b = 0; b < cols; ++b) yrow[b] += w * trow[b];
-    }
-  }
-#endif
-}
-
-BatchHankelGram::BatchHankelGram(std::span<const double> windows,
-                                 std::size_t kpis, std::size_t omega,
-                                 std::size_t count)
-    : kpis_(kpis),
-      omega_(omega),
-      count_(count),
-      windows_(windows.begin(), windows.end()) {
-  FUNNEL_REQUIRE(kpis >= 1 && omega >= 1 && count >= 1,
-                 "BatchHankelGram needs positive dimensions");
-  FUNNEL_REQUIRE(windows_.size() == kpis * hankel_span(omega, count),
-                 "BatchHankelGram windows length must be K*(omega+count-1)");
-}
-
-void BatchHankelGram::apply_block(std::span<const double> x,
-                                  std::span<double> y, std::size_t cols,
-                                  std::span<double> scratch) const {
-  FUNNEL_REQUIRE(
-      x.size() >= omega_ * cols * kpis_ && y.size() >= omega_ * cols * kpis_,
-      "BatchHankelGram operand too small");
-  FUNNEL_REQUIRE(scratch.size() >= count_ * cols * kpis_,
-                 "BatchHankelGram scratch too small");
-  // Same two passes as HankelGramOperator::apply_block but with a KPI lane
-  // as the innermost unit-stride dimension. Per (k,j,b) the accumulation
-  // still runs over i (then j) in ascending order, so each lane's result is
-  // bit-identical to a standalone HankelGramOperator on that lane.
-  std::fill(scratch.begin(), scratch.begin() + count_ * cols * kpis_, 0.0);
-  for (std::size_t j = 0; j < count_; ++j) {
-    for (std::size_t i = 0; i < omega_; ++i) {
-      const double* wrow = windows_.data() + (j + i) * kpis_;
-      for (std::size_t b = 0; b < cols; ++b) {
-        double* trow = scratch.data() + (j * cols + b) * kpis_;
-        const double* xrow = x.data() + (i * cols + b) * kpis_;
-        for (std::size_t k = 0; k < kpis_; ++k) trow[k] += wrow[k] * xrow[k];
-      }
-    }
-  }
-  std::fill(y.begin(), y.begin() + omega_ * cols * kpis_, 0.0);
-  for (std::size_t i = 0; i < omega_; ++i) {
-    for (std::size_t j = 0; j < count_; ++j) {
-      const double* wrow = windows_.data() + (j + i) * kpis_;
-      for (std::size_t b = 0; b < cols; ++b) {
-        double* yrow = y.data() + (i * cols + b) * kpis_;
-        const double* trow = scratch.data() + (j * cols + b) * kpis_;
-        for (std::size_t k = 0; k < kpis_; ++k) yrow[k] += wrow[k] * trow[k];
-      }
     }
   }
 }

@@ -48,18 +48,11 @@ class HankelGramOperator final : public LinearOperator {
   /// window samples for the whole block. The inner loops run unit-stride
   /// over the block columns, which is what makes the pass SIMD-friendly;
   /// each accumulator still sums the same products in the same order as a
-  /// column-at-a-time apply(), so the result is bit-identical to the scalar
-  /// reference path (asserted by linalg_lanczos_test). `scratch` must hold
-  /// at least count() * cols doubles and is fully overwritten.
+  /// column-at-a-time apply(), so the result is bit-identical to it
+  /// (asserted by detect_sst_warmstart_test). `scratch` must hold at least
+  /// count() * cols doubles and is fully overwritten.
   void apply_block(std::span<const double> x, std::span<double> y,
                    std::size_t cols, std::span<double> scratch) const;
-
-  /// Reference implementation of apply_block: column-at-a-time apply().
-  /// Compile with -DFUNNEL_SST_SCALAR_KERNELS to dispatch apply_block to
-  /// this path everywhere (bit-identical either way; the macro exists so
-  /// the batched kernel can be excluded when chasing a miscompilation).
-  void apply_block_reference(std::span<const double> x, std::span<double> y,
-                             std::size_t cols) const;
 
   std::size_t count() const { return count_; }
 
@@ -67,36 +60,6 @@ class HankelGramOperator final : public LinearOperator {
   std::size_t omega_;
   std::size_t count_;
   Vector window_;
-};
-
-/// K independent Hankel Gram operators applied in lockstep: operator k is
-/// defined by windows[k * span .. (k+1) * span) and is applied to its own
-/// block of `cols` vectors. Storage is KPI-interleaved (sample-major):
-/// windows[i * kpis + k] is sample i of KPI k, x[(i * cols + b) * kpis + k]
-/// is X_k(i, b) — so the innermost loop of the combined pass runs
-/// unit-stride across the KPI lane, turning K tiny mat-vecs into one
-/// cache-friendly strided sweep. Bit-identical to applying each operator
-/// separately (same per-accumulator summation order).
-class BatchHankelGram {
- public:
-  /// `windows` holds kpis * hankel_span(omega, count) samples, interleaved
-  /// as described above.
-  BatchHankelGram(std::span<const double> windows, std::size_t kpis,
-                  std::size_t omega, std::size_t count);
-
-  std::size_t kpis() const { return kpis_; }
-  std::size_t dim() const { return omega_; }
-
-  /// y[(i * cols + b) * kpis + k] = (C_k X_k)(i, b) for every KPI lane k.
-  /// `scratch` must hold at least count * cols * kpis doubles.
-  void apply_block(std::span<const double> x, std::span<double> y,
-                   std::size_t cols, std::span<double> scratch) const;
-
- private:
-  std::size_t kpis_;
-  std::size_t omega_;
-  std::size_t count_;
-  Vector windows_;  ///< interleaved copy
 };
 
 }  // namespace funnel::linalg

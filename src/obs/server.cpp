@@ -441,7 +441,12 @@ bool HttpServer::start() {
 
 void HttpServer::stop() {
   if (!impl_->running.load()) return;
-  impl_->stopping.store(true);
+  {
+    // Under the mutex, so a worker between its predicate check and its
+    // wait cannot miss the flag (a lost wakeup would hang the join below).
+    std::lock_guard lock(impl_->mutex);
+    impl_->stopping.store(true);
+  }
   impl_->cv.notify_all();
   if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   for (auto& w : impl_->workers) {

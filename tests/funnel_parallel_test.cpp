@@ -37,12 +37,11 @@ class ParallelEquivalence : public ::testing::Test {
     ds_ = nullptr;
   }
 
-  static core::FunnelConfig config(std::size_t threads, bool fast = false,
+  static core::FunnelConfig config(std::size_t threads,
                                    bool cascade = false) {
     core::FunnelConfig cfg;
     cfg.baseline_days = 3;  // the short history has no 30-day baseline
     cfg.num_threads = threads;
-    cfg.sst_fast = fast;
     cfg.sst_cascade = cascade;
     return cfg;
   }
@@ -55,9 +54,9 @@ class ParallelEquivalence : public ::testing::Test {
 
   /// The full window's reports, serialized — the byte-level artifact the
   /// operations team (and this test) compares.
-  static std::string rendered_reports(std::size_t threads, bool fast = false,
+  static std::string rendered_reports(std::size_t threads,
                                       bool cascade = false) {
-    const core::Funnel funnel(config(threads, fast, cascade), ds_->topo,
+    const core::Funnel funnel(config(threads, cascade), ds_->topo,
                               ds_->log, ds_->store);
     std::string out;
     for (const core::AssessmentReport& r :
@@ -87,29 +86,16 @@ TEST_F(ParallelEquivalence, RepeatedParallelRunsAreStable) {
   EXPECT_EQ(rendered_reports(8), rendered_reports(8));
 }
 
-// The fast path is the one with warm-start state to leak: each slot's
-// scorer persists both eigen-bases, its warm flags, and the restart
-// counter across KPI streams, so byte-identity across thread counts is
-// exactly the per-slot reset() contract under load. Which KPIs land on
-// which slot varies with the thread count — only a complete reset makes
-// that invisible.
-TEST_F(ParallelEquivalence, FastPathIsByteIdenticalAcrossThreadCounts) {
-  const std::string serial = rendered_reports(1, /*fast=*/true);
+// With the pre-filter cascade in front of the warm scorer: gate decisions
+// are window-local and the scorer only runs on surviving windows, so its
+// warm basis skips suppressed windows — the per-slot reset() contract
+// must still make the reports byte-identical regardless of scheduling.
+TEST_F(ParallelEquivalence, CascadedPathIsByteIdenticalAcrossThreadCounts) {
+  const std::string serial = rendered_reports(1, /*cascade=*/true);
   ASSERT_FALSE(serial.empty());
   EXPECT_NE(serial.find("\"change_has_impact\":true"), std::string::npos);
   EXPECT_EQ(serial, rendered_reports(2, true)) << "2 threads diverged";
   EXPECT_EQ(serial, rendered_reports(8, true)) << "8 threads diverged";
-}
-
-// Same, with the pre-filter cascade in front: gate decisions are
-// window-local and the scorer only runs on surviving windows, so the
-// reports must still be byte-identical regardless of scheduling.
-TEST_F(ParallelEquivalence, CascadedFastPathIsByteIdenticalAcrossThreadCounts) {
-  const std::string serial =
-      rendered_reports(1, /*fast=*/true, /*cascade=*/true);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, rendered_reports(2, true, true)) << "2 threads diverged";
-  EXPECT_EQ(serial, rendered_reports(8, true, true)) << "8 threads diverged";
 }
 
 TEST_F(ParallelEquivalence, SingleChangeAssessMatchesAcrossThreadCounts) {

@@ -230,32 +230,32 @@ TEST_P(CascadeSoundness, GatesNeverSuppressAlarmingWindows) {
     series.assign(dv.begin(), dv.end());
   }
 
-  // Full IKA path: the exact per-direction scorer and the warm fast path
-  // both count as "the full path" — the gates sit in front of either.
-  detect::IkaSst exact(geom);
-  detect::IkaParams fast_params;
-  fast_params.warm_past = true;
-  detect::IkaSst fast(geom, fast_params);
-  const auto se = detect::score_series(exact, series);
-  const auto sf = detect::score_series(fast, series);
+  // The full path is the production warm IKA scorer on every window; the
+  // cascaded run is that same scorer behind the gates (warm + cascade).
+  detect::IkaSst full(geom);
+  const auto scores = detect::score_series(full, series);
+  detect::IkaSst gated(geom);
+  std::vector<detect::GateDecision> decisions;
+  const auto cascaded = detect::cascade_score_series(gated, series, config,
+                                                     nullptr, &decisions);
+  ASSERT_EQ(cascaded.size(), scores.size());
+  ASSERT_EQ(decisions.size(), scores.size());
 
-  const std::size_t w = geom.window();
-  const std::span<const double> sp(series);
   std::size_t alarming = 0;
-  for (std::size_t i = 0; i + w <= series.size(); ++i) {
-    const auto decision = detect::gate_window(sp.subspan(i, w), geom, config);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    const detect::GateDecision decision = decisions[i];
 
-    // Dirty windows are exactly the NaN-scoring ones.
-    ASSERT_EQ(decision == detect::GateDecision::kDirty, std::isnan(se[i]))
+    // Dirty windows are exactly the NaN-scoring ones, on both paths.
+    ASSERT_EQ(decision == detect::GateDecision::kDirty, std::isnan(scores[i]))
         << "window " << i;
-    if (std::isnan(se[i])) continue;
+    ASSERT_EQ(std::isnan(cascaded[i]), std::isnan(scores[i]))
+        << "window " << i;
+    if (std::isnan(scores[i])) continue;
 
-    const bool exceeds = se[i] > config.sst_threshold ||
-                         sf[i] > config.sst_threshold;
-    if (exceeds) {
+    if (scores[i] > config.sst_threshold) {
       ++alarming;
       EXPECT_EQ(decision, detect::GateDecision::kScored)
-          << "window " << i << " scores " << se[i] << "/" << sf[i]
+          << "window " << i << " scores " << scores[i]
           << " but the cascade suppressed it";
     }
   }

@@ -5,7 +5,7 @@
 //                     [--method ika|improved|classic|cusum|mrls]
 //                     [--threshold X] [--persistence N] [--patience N]
 //                     [--omega N] [--scores] [--threads N]
-//                     [--sst-fast] [--no-cascade]
+//                     [--cascade]
 //                     [--change-minute T] [--shards N] [--ingest-queue N]
 //                     [--data-dir DIR]
 //                     [--stats] [--stats-json FILE] [--trace FILE]
@@ -13,12 +13,11 @@
 //                     [--http-port P|auto] [--port-file FILE] [--selfmon]
 //                     [--selfmon-tick-ms N] [--serve] [--serve-seconds S]
 //
-// --sst-fast (--method ika only) switches the scorer to the SST hot path:
-// warm-started past subspace with deterministic cold restarts, plus the
-// pre-filter cascade (variance + raw-CUSUM gates) in front of the full
-// score. --no-cascade keeps the fast scorer but disables the gates. Scores
-// are approximations of the exact path (fidelity ≥ 0.92 correlation,
-// guarded by ctest); omit both flags for the original bit-exact behavior.
+// --cascade (--method ika only) puts the pre-filter cascade (variance +
+// raw-CUSUM gates) in front of the warm IKA scorer: windows the gates
+// suppress score 0 without running IKA. The variance gate is provably
+// sound; the CUSUM gate is checked by ctest never to drop an alarming
+// window. Omit it to score every window.
 //
 // Input: `minute,value` rows (one sample per minute; empty value = gap).
 // Output: alarm episodes (minute, peak score) on stdout; with --scores the
@@ -141,7 +140,7 @@ void usage(const char* argv0) {
       "          [--method ika|improved|classic|cusum|mrls]\n"
       "          [--threshold X] [--persistence N] [--patience N]\n"
       "          [--omega N] [--scores] [--threads N]\n"
-      "          [--sst-fast] [--no-cascade]\n"
+      "          [--cascade]\n"
       "          [--change-minute T] [--shards N] [--ingest-queue N]\n"
       "          [--data-dir DIR]\n"
       "          [--stats] [--stats-json FILE] [--trace FILE]\n"
@@ -161,8 +160,7 @@ struct Options {
   std::size_t omega = 9;
   std::size_t threads = 0;  // 0 = hardware concurrency
   bool print_scores = false;
-  bool sst_fast = false;    // warm-past IKA + cascade (ika only)
-  bool no_cascade = false;  // keep the fast scorer, drop the gates
+  bool cascade = false;  // pre-filter gates in front of IKA (ika only)
   MinuteTime change_minute = -1;  // >= 0 switches to the pipeline mode
   std::size_t shards = 4;         // store hash-shard count (pipeline mode)
   std::size_t ingest_queue = 1024;  // async ingest capacity; 0 = sync
@@ -245,10 +243,8 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.serve = true;
     } else if (a == "--serve-seconds") {
       if (!next(nullptr, &opt.serve_seconds)) return false;
-    } else if (a == "--sst-fast") {
-      opt.sst_fast = true;
-    } else if (a == "--no-cascade") {
-      opt.no_cascade = true;
+    } else if (a == "--cascade") {
+      opt.cascade = true;
     } else if (a == "--scores") {
       opt.print_scores = true;
     } else if (!a.empty() && a[0] == '-') {
@@ -266,9 +262,7 @@ std::unique_ptr<detect::ChangeScorer> make_scorer(const Options& opt,
   const detect::SstGeometry g{.omega = opt.omega, .eta = 3};
   if (opt.method == "ika") {
     *default_thr = 0.35;
-    detect::IkaParams p;
-    p.warm_past = opt.sst_fast;
-    return std::make_unique<detect::IkaSst>(g, p);
+    return std::make_unique<detect::IkaSst>(g);
   }
   if (opt.method == "improved") {
     *default_thr = 0.4;
@@ -312,7 +306,7 @@ FileResult score_file(const std::string& path, const Options& opt) {
   const double threshold = opt.threshold_set ? opt.threshold : default_thr;
 
   std::vector<double> scores;
-  if (opt.sst_fast && !opt.no_cascade) {
+  if (opt.cascade) {
     // Gate windows against the live threshold before the full score runs.
     auto* ika = dynamic_cast<detect::IkaSst*>(scorer.get());
     detect::CascadeConfig cc;
@@ -449,8 +443,7 @@ FileResult assess_file(const std::string& path, const Options& opt,
   cfg.num_shards = opt.shards;
   cfg.ingest_queue_capacity = opt.ingest_queue;
   cfg.num_threads = 1;
-  cfg.sst_fast = opt.sst_fast;
-  cfg.sst_cascade = opt.sst_fast && !opt.no_cascade;
+  cfg.sst_cascade = opt.cascade;
   cfg.stats = stats;
   cfg.tracer = tracer;
   cfg.journal = journal;
@@ -543,8 +536,7 @@ void declare_core_keys(const obs::Registry& reg) {
         "csv.files_failed", "funnel.cascade.windows",
         "funnel.cascade.scored", "funnel.cascade.suppressed_variance",
         "funnel.cascade.suppressed_cusum", "funnel.cascade.wow_forced",
-        "funnel.cascade.dirty", "funnel.sst.cold_restarts",
-        "funnel.sst.escalations", "funnel.journal.events",
+        "funnel.cascade.dirty", "funnel.journal.events",
         "funnel.journal.bytes", "funnel.journal.dropped",
         "funnel.wal.records", "funnel.wal.bytes", "funnel.wal.batches",
         "funnel.persist.segments_written", "funnel.persist.segment_bytes",
@@ -601,8 +593,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (opt.sst_fast && opt.method != "ika") {
-    std::fprintf(stderr, "--sst-fast applies to --method ika only\n");
+  if (opt.cascade && opt.method != "ika") {
+    std::fprintf(stderr, "--cascade applies to --method ika only\n");
     return 2;
   }
   if (!opt.data_dir.empty() &&

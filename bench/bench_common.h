@@ -119,14 +119,6 @@ inline bool stats_arg(int argc, char** argv) {
   return false;
 }
 
-/// `--cascade`, with the same semantics as the tools: puts the pre-filter
-/// cascade in front of the warm IKA scorer (FunnelConfig::sst_cascade).
-inline void apply_sst_args(core::FunnelConfig& cfg, int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--cascade") == 0) cfg.sst_cascade = true;
-  }
-}
-
 /// `--stats-json FILE`: write the telemetry snapshot as JSON.
 inline const char* stats_json_arg(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {

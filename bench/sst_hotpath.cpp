@@ -5,9 +5,11 @@
 // Tiers:
 //   cold      reset() before every window — the naive per-window cost a
 //             stateless deployment would pay (30 power sweeps + Lanczos)
-//   warm      the default scorer: future basis warm-started across windows
-//   cascaded  warm + pre-filter cascade (variance + raw-CUSUM gates),
-//             FunnelConfig::sst_cascade / --cascade
+//   warm      IkaSst::score: future basis warm-started across windows, every
+//             window scored in full (the reference the cascade must match)
+//   cascaded  the production path (FunnelConfig::sst_cascade, the default):
+//             warm + the exact pre-filter cascade, which skips the past side
+//             of windows whose Eq. 11 factor cannot exceed the threshold
 //
 // Alongside the table it writes a machine-readable BENCH_sst.json
 // (--json FILE, default BENCH_sst.json) with per-tier µs/window, derived
@@ -102,7 +104,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  // cascaded: the warm scorer behind the pre-filter gates.
+  // cascaded: the warm scorer through the cascade's threshold-aware entry.
   detect::IkaSst casc_scorer(g);
   detect::CascadeConfig cc;
   cc.sst_threshold = 0.22;  // library-default alarm threshold
@@ -137,8 +139,8 @@ int main(int argc, char** argv) {
                format_fixed(us_cold / us, 2) + "x"});
   };
   add("cold", us_cold);
-  add("warm (default)", us_warm);
-  add("cascaded (warm + --cascade)", us_casc);
+  add("warm (every window)", us_warm);
+  add("cascaded (production)", us_casc);
   std::printf("%s\n", t.to_string().c_str());
   std::printf("fidelity: corr(warm, exact SVD) = %.3f on the variable-class "
               "workload; cascade suppressed %.0f%% of windows\n",

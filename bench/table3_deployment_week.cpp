@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   core::FunnelConfig cfg = bench::funnel_config();
   cfg.did.alpha_threshold = 1.0;
   cfg.num_threads = threads;
-  bench::apply_sst_args(cfg, argc, argv);  // --cascade
   const obs::Registry reg;
   if (stats || stats_json != nullptr) cfg.stats = &reg;
   const core::Funnel funnel(cfg, ds->topo, ds->log, ds->store);

@@ -117,8 +117,14 @@ IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
 }
 
 double IkaSst::score(std::span<const double> window) {
+  return score(window, -std::numeric_limits<double>::infinity(), nullptr);
+}
+
+double IkaSst::score(std::span<const double> window, double threshold,
+                     bool* suppressed) {
   FUNNEL_REQUIRE(window.size() == geo_.window(),
                  "IkaSst window size mismatch");
+  if (suppressed != nullptr) *suppressed = false;
   const std::vector<double> z = standardize_window(window, geo_.half());
   if (z.empty()) return std::numeric_limits<double>::quiet_NaN();
 
@@ -129,7 +135,8 @@ double IkaSst::score(std::span<const double> window) {
   const std::span<const double> future(z.data() + geo_.half(), geo_.half());
 
   // --- Future: eta leading eigenpairs of A·Aᵀ by warm-started block power
-  // iteration with Rayleigh-Ritz extraction.
+  // iteration with Rayleigh-Ritz extraction. Runs on every window, gated or
+  // not: the next window warm-starts from this basis.
   const linalg::HankelGramOperator future_op(future, omega, omega);
   const bool was_warm = warm_;
   if (!warm_) seed_basis(future_basis_, future, omega, eta);
@@ -137,6 +144,14 @@ double IkaSst::score(std::span<const double> window) {
       future_op, future_basis_,
       was_warm ? params_.warm_iterations : params_.cold_iterations);
   warm_ = true;
+
+  // Eq. 11 factor: the score is x̂ · factor with x̂ ≤ 1, so a factor at or
+  // under the threshold settles the window without the past side.
+  const double factor = robust_score_factor(past, future);
+  if (factor <= threshold) {
+    if (suppressed != nullptr) *suppressed = true;
+    return 0.0;
+  }
 
   // --- Past: phi_i per future direction. ---
   const linalg::HankelGramOperator past_op(past, omega, omega);
@@ -165,7 +180,7 @@ double IkaSst::score(std::span<const double> window) {
   const double xhat =
       std::max(weighted / total_weight, geo_.novelty_floor);
 
-  return xhat * robust_score_factor(past, future);  // Eq. 11
+  return xhat * factor;  // Eq. 11
 }
 
 }  // namespace funnel::detect

@@ -46,6 +46,16 @@ class IkaSst final : public ChangeScorer {
   double score(std::span<const double> window) override;
   const char* name() const override { return "funnel-ika-sst"; }
 
+  /// Threshold-aware score. Standardizes the window and runs the warm
+  /// future sweep exactly as score() does, so the basis evolves the same
+  /// whatever the threshold, then computes the Eq. 11 factor. Since
+  /// x̂ ≤ 1 the factor bounds the score: when it is ≤ `threshold` the
+  /// window cannot exceed it, so this returns 0 and sets `*suppressed`
+  /// without the past-side Lanczos/QL work. Otherwise it returns exactly
+  /// what score() returns. `suppressed` may be null.
+  double score(std::span<const double> window, double threshold,
+               bool* suppressed);
+
   const SstGeometry& geometry() const { return geo_; }
   const IkaParams& params() const { return params_; }
 

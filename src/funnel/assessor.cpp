@@ -56,17 +56,14 @@ double peak_damp_factor(const detect::SstGeometry& geometry,
 }
 
 // Append the batch-path journal event for one determination. The damp
-// factor and the cascade gate decision exist only inside
-// assess_metric_with, so they ride in as extras on top of the shared
-// journal_event builder.
+// factor exists only inside assess_metric_with, so it rides in as an extra
+// on top of the shared journal_event builder.
 void emit_batch_event(const obs::Journal* journal,
                       const changes::SoftwareChange& change,
                       const ItemVerdict& verdict,
-                      std::optional<double> damp_factor,
-                      std::string_view gate_decision) {
+                      std::optional<double> damp_factor) {
   obs::JournalEvent event = journal_event(change, verdict, "batch");
   event.sst_damp_factor = damp_factor;
-  event.gate_decision = std::string(gate_decision);
   journal->append(std::move(event));
 }
 
@@ -242,7 +239,7 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
       trace_span.attr("kpi.inconclusive_reason",
                       to_string(verdict.inconclusive_reason));
     }
-    if (journal_on) emit_batch_event(journal, change, verdict, std::nullopt, {});
+    if (journal_on) emit_batch_event(journal, change, verdict, std::nullopt);
     return verdict;
   }
 
@@ -251,27 +248,21 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   // span covers scoring + alarm scan only; determination has its own span.
   std::vector<double> scores;
   std::vector<detect::Alarm> alarms;
-  std::vector<detect::GateDecision> decisions;
   {
     const obs::ScopedTimer span(config_.stats, "funnel.assess.sst_us");
     if (config_.sst_cascade) {
-      // The gates must respect the live alarm policy: a window they
-      // suppress has to be provably (stage 0) or plausibly (stage 1) unable
-      // to exceed exactly this threshold.
+      // The gate must respect the live alarm policy: a window it suppresses
+      // has to be provably unable to exceed exactly this threshold.
       detect::CascadeConfig cc = config_.cascade;
       cc.sst_threshold = config_.alarm.threshold;
       detect::CascadeCounters counters;
-      scores = detect::cascade_score_series(
-          scorer, slice, cc, &counters,
-          (trace_span.active() || journal_on) ? &decisions : nullptr);
+      scores = detect::cascade_score_series(scorer, slice, cc, &counters,
+                                            nullptr);
       if (config_.stats != nullptr) {
         config_.stats->add("funnel.cascade.windows", counters.windows);
         config_.stats->add("funnel.cascade.scored", counters.scored);
         config_.stats->add("funnel.cascade.suppressed_variance",
                            counters.suppressed_variance);
-        config_.stats->add("funnel.cascade.suppressed_cusum",
-                           counters.suppressed_cusum);
-        config_.stats->add("funnel.cascade.wow_forced", counters.wow_forced);
         config_.stats->add("funnel.cascade.dirty", counters.dirty);
       }
       if (trace_span.active()) {
@@ -279,9 +270,6 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
         trace_span.attr("cascade.scored", counters.scored);
         trace_span.attr("cascade.suppressed_variance",
                         counters.suppressed_variance);
-        trace_span.attr("cascade.suppressed_cusum",
-                        counters.suppressed_cusum);
-        trace_span.attr("cascade.wow_forced", counters.wow_forced);
         trace_span.attr("cascade.dirty", counters.dirty);
       }
     } else {
@@ -312,7 +300,7 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
                         to_string(verdict.inconclusive_reason));
       }
     }
-    if (journal_on) emit_batch_event(journal, change, verdict, std::nullopt, {});
+    if (journal_on) emit_batch_event(journal, change, verdict, std::nullopt);
     return verdict;
   }
 
@@ -320,11 +308,6 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   verdict.alarm = *it;
   if (trace_span.active()) {
     trace_sst_provenance(trace_span, *it, slice, scores, t0);
-    if (it->first_window < decisions.size()) {
-      trace_span.attr(
-          "cascade.alarm_window_decision",
-          std::string_view(detect::to_string(decisions[it->first_window])));
-    }
   }
   determine_cause(change, set, metric, config_.did_window, verdict);
   if (trace_span.active()) {
@@ -335,13 +318,8 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
     }
   }
   if (journal_on) {
-    std::string_view gate;
-    if (config_.sst_cascade && it->first_window < decisions.size()) {
-      gate = detect::to_string(decisions[it->first_window]);
-    }
     emit_batch_event(journal, change, verdict,
-                     peak_damp_factor(config_.geometry, *it, slice, scores),
-                     gate);
+                     peak_damp_factor(config_.geometry, *it, slice, scores));
   }
   return verdict;
 }

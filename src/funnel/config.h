@@ -38,13 +38,14 @@ struct FunnelConfig {
       .threshold = 0.22, .persistence = 7, .patience = 10};
 
   /// SST hot path (DESIGN.md §5e). Every window runs the warm-started IKA
-  /// scorer unless `sst_cascade` (opt-in) puts the pre-filter cascade in
-  /// front of it: windows whose Eq. 11 factor already bounds the score
-  /// under the alarm threshold (sound), or whose raw max-CUSUM stays under
-  /// a small floor, score 0 without running IKA. `cascade.sst_threshold`
-  /// is overwritten with `alarm.threshold` by the assessor so the gates
-  /// always respect the live policy.
-  bool sst_cascade = false;
+  /// scorer's future sweep; with `sst_cascade` (the default) a window whose
+  /// Eq. 11 factor already bounds the score under the alarm threshold
+  /// scores 0 without the past side. The cascade is exact: reports,
+  /// journals and verdicts are byte-identical with it off, which is kept
+  /// only as the reference path tests compare against.
+  /// `cascade.sst_threshold` is overwritten with `alarm.threshold` by the
+  /// assessor so the gate always respects the live policy.
+  bool sst_cascade = true;
   detect::CascadeConfig cascade{};
 
   /// Causality determination (§3.2.4-§3.2.5).

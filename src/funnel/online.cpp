@@ -181,19 +181,16 @@ FunnelOnline::MetricWatch FunnelOnline::make_metric_watch(
   MetricWatch mw;
   mw.metric = metric;
   mw.verdict.metric = metric;
-  auto scorer = std::make_unique<detect::IkaSst>(config_.geometry,
-                                                 sst_params(config_));
-  detect::ChangeScorer* active = nullptr;
+  auto ika = std::make_unique<detect::IkaSst>(config_.geometry,
+                                              sst_params(config_));
   if (config_.sst_cascade) {
     detect::CascadeConfig cc = config_.cascade;
     cc.sst_threshold = config_.alarm.threshold;
-    mw.gate = std::make_unique<detect::CascadeGate>(std::move(scorer), cc);
-    active = mw.gate.get();
+    mw.scorer = std::make_unique<detect::CascadeGate>(std::move(ika), cc);
   } else {
-    mw.scorer = std::move(scorer);
-    active = mw.scorer.get();
+    mw.scorer = std::move(ika);
   }
-  mw.detector = std::make_unique<detect::OnlineDetector>(*active,
+  mw.detector = std::make_unique<detect::OnlineDetector>(*mw.scorer,
                                                          config_.alarm, start);
   mw.quality.start = start;
   mw.fed_start = start;
@@ -406,8 +403,8 @@ void FunnelOnline::finalize(changes::ChangeId id, bool timed_out) {
       report.items.push_back(mw.verdict);
       // Journal the finalized determination. Online events carry the
       // determined_at stamp and time-to-verdict (the paper's rapidity
-      // metric); the batch-only extras (damp factor, gate decision) stay
-      // absent — the streaming detector never materializes them.
+      // metric); the batch-only extra (damp factor) stays absent — the
+      // streaming detector never materializes it.
       if (journal_on) {
         journal->append(journal_event(change, mw.verdict, "online"));
       }

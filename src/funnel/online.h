@@ -126,12 +126,9 @@ class FunnelOnline {
 
   struct MetricWatch {
     tsdb::MetricId metric;
-    /// Exactly one of `scorer` / `gate` is set: with sst_cascade the
-    /// CascadeGate owns the IKA scorer and the detector feeds through it
-    /// (window-local gates only — a W-sample window carries no season of
-    /// WoW history).
-    std::unique_ptr<detect::IkaSst> scorer;
-    std::unique_ptr<detect::CascadeGate> gate;
+    /// The IKA scorer, behind a CascadeGate when sst_cascade (the default)
+    /// is on; the detector feeds through it.
+    std::unique_ptr<detect::ChangeScorer> scorer;
     std::unique_ptr<detect::OnlineDetector> detector;
     ItemVerdict verdict;
     FeedQuality quality;
@@ -141,7 +138,7 @@ class FunnelOnline {
     /// Every value the detector consumed, in order (primed history, live
     /// samples and NaN gap fills alike). Recorded only against a persistent
     /// store; replaying it through a fresh detector reproduces the scorer /
-    /// gate / quality state bit-for-bit, which is what snapshot_state()
+    /// quality state bit-for-bit, which is what snapshot_state()
     /// persists instead of the detectors' internal matrices.
     std::vector<double> fed;
   };
@@ -161,7 +158,7 @@ class FunnelOnline {
   /// watch() minus the WAL marker: registers the watch and primes its
   /// detectors from current store history.
   void watch_impl(changes::ChangeId id);
-  /// Build an armed MetricWatch (scorer/gate/detector) whose detector clock
+  /// Build an armed MetricWatch (scorer/detector) whose detector clock
   /// starts at `start`. Shared by priming and snapshot restore.
   MetricWatch make_metric_watch(const tsdb::MetricId& metric,
                                 MinuteTime start);

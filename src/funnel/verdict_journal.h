@@ -6,8 +6,8 @@
 // serves both emitters — Funnel::assess (source "batch") and
 // FunnelOnline::finalize (source "online") — so the event schema cannot
 // drift between the two paths. Fields only one path can know (the batch
-// damp factor and cascade gate, the online determined_at) are left for the
-// caller to fill in on the returned event.
+// damp factor, the online determined_at) are left for the caller to fill
+// in on the returned event.
 #pragma once
 
 #include <string_view>

@@ -280,7 +280,6 @@ std::string to_jsonl(const JournalEvent& e) {
             [](std::string& o, std::string_view k, std::int64_t v) {
               int_field(o, k, v);
             });
-  if (!e.gate_decision.empty()) str_field(out, "gate_decision", e.gate_decision);
   opt_field(out, "determined_at", e.determined_at,
             [](std::string& o, std::string_view k, MinuteTime v) {
               int_field(o, k, v);
@@ -389,8 +388,6 @@ bool parse_jsonl(std::string_view line, JournalEvent& event) {
       want_int(e.longest_gap_run);
     } else if (key == "longest_flat_run") {
       want_int(e.longest_flat_run);
-    } else if (key == "gate_decision") {
-      e.gate_decision = sval;
     } else if (key == "determined_at") {
       want_int(e.determined_at);
     } else if (key == "time_to_verdict") {

@@ -9,8 +9,8 @@
 // Funnel::assess / assess_window / FunnelOnline becomes one schema-versioned
 // JournalEvent carrying its full decision provenance (change metadata, KPI,
 // verdict + cause, SST peak/damping, DiD fit + control kind, telemetry
-// quality, cascade gate, time-to-verdict), serialized as one JSON line of an
-// append-only JSONL file. The triage layer (src/triage) consumes the stream
+// quality, time-to-verdict), serialized as one JSON line of an append-only
+// JSONL file. The triage layer (src/triage) consumes the stream
 // — live or replayed from disk — to build scorecards, blame rankings and
 // mined rules (docs/TRIAGE.md).
 //
@@ -100,9 +100,6 @@ struct JournalEvent {
   std::optional<std::int64_t> clean_samples;
   std::optional<std::int64_t> longest_gap_run;
   std::optional<std::int64_t> longest_flat_run;
-
-  // Cascade gate decision on the alarm window (batch, cascade on).
-  std::string gate_decision;
 
   // Rapidity (online path only).
   std::optional<MinuteTime> determined_at;

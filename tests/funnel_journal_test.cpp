@@ -79,7 +79,6 @@ obs::JournalEvent full_event() {
   e.clean_samples = 117;
   e.longest_gap_run = 2;
   e.longest_flat_run = 1;
-  e.gate_decision = "escalated-full-score";
   e.determined_at = 6073;
   e.time_to_verdict = 13;
   return e;
@@ -152,6 +151,15 @@ TEST(JournalCodec, ToleratesUnknownKeysFromNewerWriters) {
   obs::JournalEvent parsed;
   ASSERT_TRUE(parse_jsonl(line, parsed));
   EXPECT_EQ(parsed, minimal_event());
+
+  // Retired keys take the same path: v1 batch journals written while the
+  // cascade was opt-in carry "gate_decision" on alarm events.
+  std::string old = to_jsonl(full_event());
+  const auto at = old.find(",\"determined_at\":");
+  ASSERT_NE(at, std::string::npos);
+  old.insert(at, ",\"gate_decision\":\"scored\"");
+  ASSERT_TRUE(parse_jsonl(old, parsed)) << old;
+  EXPECT_EQ(parsed, full_event());
 }
 
 TEST(JournalCodec, ReadJournalRecoversFromTruncatedTrailingLine) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "funnel/report_json.h"
 #include "workload/generators.h"
 #include "workload/stream.h"
 
@@ -130,6 +131,41 @@ TEST(FunnelOnline, AgreesWithBatchAssessment) {
   ASSERT_EQ(reports[0].items.size(), batch.items.size());
   std::size_t online_caused = reports[0].kpi_changes_caused();
   EXPECT_EQ(online_caused, batch.kpi_changes_caused());
+}
+
+// Every verdict callback and the final report of one streamed scenario,
+// serialized in delivery order.
+std::string streamed_verdicts(double effect, bool cascade) {
+  OnlineScenario sc(effect);
+  FunnelConfig cfg = test_config();
+  cfg.sst_cascade = cascade;
+  FunnelOnline online(cfg, sc.topo, sc.log, sc.store);
+  std::string out;
+  online.on_verdict([&](changes::ChangeId id, const ItemVerdict& v) {
+    out += "verdict " + std::to_string(id) + " " + to_json(v) + "\n";
+  });
+  online.on_report([&](const AssessmentReport& r) {
+    out += "report " + to_json(r) + "\n";
+  });
+  online.watch(sc.change_id);
+  sc.stream_minutes(sc.tc, sc.tc + 61);
+  return out;
+}
+
+TEST(FunnelOnline, CascadeOnAndOffDeliverIdenticalVerdicts) {
+  // The exact cascade (the default) must leave the stream's verdicts — the
+  // alarm minutes and peak scores included — byte-identical to the
+  // uncascaded reference, on a loud shift, a subtle one and a quiet change.
+  ASSERT_TRUE(test_config().sst_cascade);
+  for (const double effect : {8.0, 3.0, 0.0}) {
+    const std::string reference = streamed_verdicts(effect, false);
+    ASSERT_NE(reference.find("report "), std::string::npos) << effect;
+    // Not vacuous: the loud shift pages before the report.
+    if (effect == 8.0) {
+      EXPECT_NE(reference.find("verdict "), std::string::npos);
+    }
+    EXPECT_EQ(reference, streamed_verdicts(effect, true)) << effect;
+  }
 }
 
 TEST(FunnelOnline, PrimingWithExistingPostChangeData) {

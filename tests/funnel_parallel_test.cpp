@@ -1,9 +1,11 @@
 // Deterministic equivalence of the parallel batch assessment engine: over a
 // seeded multi-service workload, assess_window must produce byte-identical
 // serialized reports for num_threads 1 (today's serial path), 2 and 8 —
-// scheduling must never show in the output. Also pins down the engine-level
-// guarantees the equivalence rests on: per-slot scorers are reset between
-// KPI streams, and single-change assess matches the public assess_metric.
+// scheduling must never show in the output — and for the SST cascade on
+// (the default) or off (the reference path). Also pins down the
+// engine-level guarantees the equivalence rests on: per-slot scorers are
+// reset between KPI streams, and single-change assess matches the public
+// assess_metric.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,8 +39,8 @@ class ParallelEquivalence : public ::testing::Test {
     ds_ = nullptr;
   }
 
-  static core::FunnelConfig config(std::size_t threads,
-                                   bool cascade = false) {
+  static core::FunnelConfig config(
+      std::size_t threads, bool cascade = core::FunnelConfig{}.sst_cascade) {
     core::FunnelConfig cfg;
     cfg.baseline_days = 3;  // the short history has no 30-day baseline
     cfg.num_threads = threads;
@@ -54,8 +56,8 @@ class ParallelEquivalence : public ::testing::Test {
 
   /// The full window's reports, serialized — the byte-level artifact the
   /// operations team (and this test) compares.
-  static std::string rendered_reports(std::size_t threads,
-                                      bool cascade = false) {
+  static std::string rendered_reports(
+      std::size_t threads, bool cascade = core::FunnelConfig{}.sst_cascade) {
     const core::Funnel funnel(config(threads, cascade), ds_->topo,
                               ds_->log, ds_->store);
     std::string out;
@@ -73,6 +75,7 @@ class ParallelEquivalence : public ::testing::Test {
 evalkit::EvalDataset* ParallelEquivalence::ds_ = nullptr;
 
 TEST_F(ParallelEquivalence, AssessWindowIsByteIdenticalAcrossThreadCounts) {
+  ASSERT_TRUE(core::FunnelConfig{}.sst_cascade);  // the production default
   const std::string serial = rendered_reports(1);
   ASSERT_FALSE(serial.empty());
   // A real workload, not a degenerate one: some change must carry impact.
@@ -86,16 +89,17 @@ TEST_F(ParallelEquivalence, RepeatedParallelRunsAreStable) {
   EXPECT_EQ(rendered_reports(8), rendered_reports(8));
 }
 
-// With the pre-filter cascade in front of the warm scorer: gate decisions
-// are window-local and the scorer only runs on surviving windows, so its
-// warm basis skips suppressed windows — the per-slot reset() contract
-// must still make the reports byte-identical regardless of scheduling.
-TEST_F(ParallelEquivalence, CascadedPathIsByteIdenticalAcrossThreadCounts) {
-  const std::string serial = rendered_reports(1, /*cascade=*/true);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_NE(serial.find("\"change_has_impact\":true"), std::string::npos);
-  EXPECT_EQ(serial, rendered_reports(2, true)) << "2 threads diverged";
-  EXPECT_EQ(serial, rendered_reports(8, true)) << "8 threads diverged";
+// The cascade is exact: suppressed windows still advance the warm basis,
+// scored windows match the uncascaded scorer bit for bit, and suppressed
+// ones cannot exceed the threshold — so every report, peak score included,
+// is byte-identical to the uncascaded reference, serial or parallel.
+TEST_F(ParallelEquivalence, CascadeOnAndOffRenderIdenticalReports) {
+  const std::string reference = rendered_reports(1, /*cascade=*/false);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_NE(reference.find("\"change_has_impact\":true"), std::string::npos);
+  EXPECT_EQ(reference, rendered_reports(1, true)) << "serial cascade diverged";
+  EXPECT_EQ(reference, rendered_reports(4, true))
+      << "parallel cascade diverged";
 }
 
 TEST_F(ParallelEquivalence, SingleChangeAssessMatchesAcrossThreadCounts) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <span>
 #include <vector>
@@ -193,16 +194,14 @@ TEST_P(DidProperties, EstimatorInvariances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DidProperties, ::testing::Range(1, 16));
 
-// ---- Cascade soundness over workload classes × fault specs. ----
+// ---- Cascade exactness over workload classes × fault specs. ----
 //
-// The pre-filter gates in front of IKA-SST may only *skip* work, never
-// drop alarms: a window the full IKA path scores above the alarm threshold
-// must never be suppressed by the window-local gates. The variance gate is
-// sound by construction (the Eq. 11 factor upper-bounds the score); the
-// CUSUM gate is empirical — this sweep is what keeps it conservative as
-// its floor or the workload generators evolve. gate_window is
-// state-independent, so per-window checking covers every access pattern
-// (batch, online, and the WoW force gate, which only ever adds work).
+// The pre-filter cascade is the production SST path and must agree with
+// the uncascaded warm scorer on every window: a scored window bit for bit,
+// a suppressed one with 0 where the full score is ≤ the threshold (the
+// Eq. 11 factor bounds the score, so only such windows may be suppressed).
+// The gate sits after the warm future sweep, so the basis evolves the same
+// either way; this sweep is what would catch a gate that skipped it.
 
 struct CascadeCase {
   tsdb::KpiClass cls;
@@ -211,10 +210,10 @@ struct CascadeCase {
 
 class CascadeSoundness : public ::testing::TestWithParam<CascadeCase> {};
 
-TEST_P(CascadeSoundness, GatesNeverSuppressAlarmingWindows) {
+TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
   const CascadeCase c = GetParam();
   constexpr detect::SstGeometry geom{.omega = 9, .eta = 3};
-  const detect::CascadeConfig config;  // threshold 0.22, default floors
+  const detect::CascadeConfig config;  // threshold 0.22
 
   // An 8-sigma shift plus a ramp back guarantees genuinely alarming
   // windows in every class; faults then chew holes in the telemetry.
@@ -230,8 +229,8 @@ TEST_P(CascadeSoundness, GatesNeverSuppressAlarmingWindows) {
     series.assign(dv.begin(), dv.end());
   }
 
-  // The full path is the production warm IKA scorer on every window; the
-  // cascaded run is that same scorer behind the gates (warm + cascade).
+  // The reference is the warm IKA scorer on every window; the cascaded run
+  // is a second one through the cascade.
   detect::IkaSst full(geom);
   const auto scores = detect::score_series(full, series);
   detect::IkaSst gated(geom);
@@ -242,6 +241,7 @@ TEST_P(CascadeSoundness, GatesNeverSuppressAlarmingWindows) {
   ASSERT_EQ(decisions.size(), scores.size());
 
   std::size_t alarming = 0;
+  std::size_t suppressed = 0;
   for (std::size_t i = 0; i < scores.size(); ++i) {
     const detect::GateDecision decision = decisions[i];
 
@@ -252,15 +252,22 @@ TEST_P(CascadeSoundness, GatesNeverSuppressAlarmingWindows) {
         << "window " << i;
     if (std::isnan(scores[i])) continue;
 
-    if (scores[i] > config.sst_threshold) {
-      ++alarming;
-      EXPECT_EQ(decision, detect::GateDecision::kScored)
+    if (scores[i] > config.sst_threshold) ++alarming;
+    if (decision == detect::GateDecision::kVarianceSuppressed) {
+      ++suppressed;
+      EXPECT_EQ(cascaded[i], 0.0) << "window " << i;
+      EXPECT_LE(scores[i], config.sst_threshold)
           << "window " << i << " scores " << scores[i]
           << " but the cascade suppressed it";
+    } else {
+      EXPECT_EQ(std::memcmp(&cascaded[i], &scores[i], sizeof(double)), 0)
+          << "window " << i << ": cascaded " << cascaded[i] << " vs full "
+          << scores[i];
     }
   }
-  // The sweep is vacuous unless the workload actually alarms.
+  // The sweep is vacuous unless the workload both alarms and suppresses.
   EXPECT_GT(alarming, 0u);
+  EXPECT_GT(suppressed, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

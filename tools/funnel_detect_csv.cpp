@@ -5,7 +5,6 @@
 //                     [--method ika|improved|classic|cusum|mrls]
 //                     [--threshold X] [--persistence N] [--patience N]
 //                     [--omega N] [--scores] [--threads N]
-//                     [--cascade]
 //                     [--change-minute T] [--shards N] [--ingest-queue N]
 //                     [--data-dir DIR]
 //                     [--stats] [--stats-json FILE] [--trace FILE]
@@ -13,15 +12,16 @@
 //                     [--http-port P|auto] [--port-file FILE] [--selfmon]
 //                     [--selfmon-tick-ms N] [--serve] [--serve-seconds S]
 //
-// --cascade (--method ika only) puts the pre-filter cascade (variance +
-// raw-CUSUM gates) in front of the warm IKA scorer: windows the gates
-// suppress score 0 without running IKA. The variance gate is provably
-// sound; the CUSUM gate is checked by ctest never to drop an alarming
-// window. Omit it to score every window.
-//
 // Input: `minute,value` rows (one sample per minute; empty value = gap).
 // Output: alarm episodes (minute, peak score) on stdout; with --scores the
 // full per-window score series is printed instead (gnuplot-ready).
+//
+// --method ika (the default) scores episodes and the --change-minute
+// pipeline through the pre-filter cascade, like every FUNNEL deployment:
+// windows whose Eq. 11 factor cannot exceed the threshold skip the
+// past-side IKA work. The cascade is exact, so the episodes are the ones
+// the full scorer finds. --scores prints the full scorer's value for every
+// window.
 //
 // With --change-minute T each CSV is treated as the KPI of a service that
 // deployed a software change at minute T: history before T primes the
@@ -140,7 +140,6 @@ void usage(const char* argv0) {
       "          [--method ika|improved|classic|cusum|mrls]\n"
       "          [--threshold X] [--persistence N] [--patience N]\n"
       "          [--omega N] [--scores] [--threads N]\n"
-      "          [--cascade]\n"
       "          [--change-minute T] [--shards N] [--ingest-queue N]\n"
       "          [--data-dir DIR]\n"
       "          [--stats] [--stats-json FILE] [--trace FILE]\n"
@@ -160,7 +159,6 @@ struct Options {
   std::size_t omega = 9;
   std::size_t threads = 0;  // 0 = hardware concurrency
   bool print_scores = false;
-  bool cascade = false;  // pre-filter gates in front of IKA (ika only)
   MinuteTime change_minute = -1;  // >= 0 switches to the pipeline mode
   std::size_t shards = 4;         // store hash-shard count (pipeline mode)
   std::size_t ingest_queue = 1024;  // async ingest capacity; 0 = sync
@@ -243,8 +241,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.serve = true;
     } else if (a == "--serve-seconds") {
       if (!next(nullptr, &opt.serve_seconds)) return false;
-    } else if (a == "--cascade") {
-      opt.cascade = true;
     } else if (a == "--scores") {
       opt.print_scores = true;
     } else if (!a.empty() && a[0] == '-') {
@@ -305,15 +301,14 @@ FileResult score_file(const std::string& path, const Options& opt) {
   const auto scorer = make_scorer(opt, &default_thr);
   const double threshold = opt.threshold_set ? opt.threshold : default_thr;
 
+  // Episodes only need to know which windows exceed the threshold, so IKA
+  // runs behind the exact cascade; --scores prints every window's value.
   std::vector<double> scores;
-  if (opt.cascade) {
-    // Gate windows against the live threshold before the full score runs.
-    auto* ika = dynamic_cast<detect::IkaSst*>(scorer.get());
-    detect::CascadeConfig cc;
-    cc.sst_threshold = threshold;
-    scores =
-        detect::cascade_score_series(*ika, series.values(), cc, nullptr,
-                                     nullptr);
+  auto* ika = dynamic_cast<detect::IkaSst*>(scorer.get());
+  if (ika != nullptr && !opt.print_scores) {
+    const detect::CascadeConfig cc{.sst_threshold = threshold};
+    scores = detect::cascade_score_series(*ika, series.values(), cc, nullptr,
+                                          nullptr);
   } else {
     scores = detect::score_series(*scorer, series.values());
   }
@@ -443,7 +438,6 @@ FileResult assess_file(const std::string& path, const Options& opt,
   cfg.num_shards = opt.shards;
   cfg.ingest_queue_capacity = opt.ingest_queue;
   cfg.num_threads = 1;
-  cfg.sst_cascade = opt.cascade;
   cfg.stats = stats;
   cfg.tracer = tracer;
   cfg.journal = journal;
@@ -535,7 +529,6 @@ void declare_core_keys(const obs::Registry& reg) {
         "tsdb.store.too_old_dropped", "csv.files_processed",
         "csv.files_failed", "funnel.cascade.windows",
         "funnel.cascade.scored", "funnel.cascade.suppressed_variance",
-        "funnel.cascade.suppressed_cusum", "funnel.cascade.wow_forced",
         "funnel.cascade.dirty", "funnel.journal.events",
         "funnel.journal.bytes", "funnel.journal.dropped",
         "funnel.wal.records", "funnel.wal.bytes", "funnel.wal.batches",
@@ -557,9 +550,9 @@ void declare_core_keys(const obs::Registry& reg) {
   }
 }
 
-// Derived gauge: fraction of scored-candidate windows the PR 6 cascade
-// suppressed without running the full IKA score. Computed from the
-// counters at dump time — suppression is a property of the whole run.
+// Derived gauge: fraction of candidate windows the cascade suppressed
+// without the past-side IKA work. Computed from the counters at dump time —
+// suppression is a property of the whole run.
 void set_suppression_ratio(const obs::Registry& reg) {
   const obs::Snapshot snap = reg.snapshot();
   if (!snap.enabled) return;
@@ -568,8 +561,7 @@ void set_suppression_ratio(const obs::Registry& reg) {
     return it == snap.counters.end() ? 0.0 : static_cast<double>(it->second);
   };
   const double windows = counter("funnel.cascade.windows");
-  const double suppressed = counter("funnel.cascade.suppressed_variance") +
-                            counter("funnel.cascade.suppressed_cusum");
+  const double suppressed = counter("funnel.cascade.suppressed_variance");
   reg.set("funnel.cascade.suppression_ratio",
           windows > 0.0 ? suppressed / windows : 0.0);
 }
@@ -592,10 +584,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown method: %s\n", opt.method.c_str());
       return 2;
     }
-  }
-  if (opt.cascade && opt.method != "ika") {
-    std::fprintf(stderr, "--cascade applies to --method ika only\n");
-    return 2;
   }
   if (!opt.data_dir.empty() &&
       (opt.change_minute < 0 || opt.paths.size() != 1)) {

@@ -43,7 +43,7 @@ Cell run_cell(std::size_t shards, std::size_t producers, std::size_t queue,
   Cell cell{shards, producers, queue};
   tsdb::MetricStore store({.num_shards = shards,
                            .ingest_queue_capacity = queue,
-                           .backpressure = tsdb::Backpressure::kBlock});
+                           .backpressure = common::Backpressure::kBlock});
   // One always-on subscriber, like the deployed online assessor: the sync
   // path pays the callback inline, the async path pays queue + dispatcher.
   std::atomic<std::uint64_t> consumed{0};

@@ -12,9 +12,11 @@
 // an isolated scheduler burst skews one pair, not the median — and the
 // µs/verdict numbers are the per-side minima (the quiet-machine cost).
 //
-// Writes BENCH_journal.json (--json FILE to relocate): off/on µs/verdict,
-// the overhead ratio, and the journal's own accounting (events, bytes,
-// drops — drops must be 0 under the default lossless policy).
+// Writes BENCH_journal.json (--json FILE to relocate): the host it ran on
+// (hardware threads, build type, git commit), off/on µs/verdict, the
+// overhead ratio, and the journal's own accounting (events, bytes, drops —
+// appended minus written after a final flush, which the lossless writer
+// keeps at 0).
 // tests/journal_bench_smoke.cmake runs --quick and enforces the < 2%
 // acceptance bar from docs/TRIAGE.md.
 #include <algorithm>
@@ -117,9 +119,12 @@ int main(int argc, char** argv) {
                        : std::min(on_us, on.us_per_verdict);
       verdicts = off.verdicts;
     }
+    // The writer is lossless: after a final flush every appended event is
+    // written, so a non-zero difference means the journal lost events.
+    journal.flush();
     events = journal.written();
     bytes = 0;  // filled from the file below; written() counts events
-    dropped = journal.dropped();
+    dropped = journal.appended() - journal.written();
   }
   {
     std::ifstream in(journal_path, std::ios::binary | std::ios::ate);
@@ -141,12 +146,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bytes),
               static_cast<unsigned long long>(dropped));
 
+  const bench::Provenance host = bench::provenance();
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path);
     return 1;
   }
-  out << "{\"workload\":{\"quick\":" << (quick ? "true" : "false")
+  out << "{\"host\":{\"nproc\":" << host.nproc << ",\"build_type\":\""
+      << host.build_type << "\",\"git_sha\":\"" << host.git_sha
+      << "\"},\"workload\":{\"quick\":" << (quick ? "true" : "false")
       << ",\"verdicts_per_run\":" << verdicts << ",\"reps\":" << reps
       << "},\"off_us_per_verdict\":" << off_us
       << ",\"on_us_per_verdict\":" << on_us

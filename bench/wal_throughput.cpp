@@ -15,9 +15,10 @@
 // deterministic function of (metric, minute) so runs are comparable.
 //
 // Writes BENCH_persist.json (--json FILE to relocate; --dir DIR for the
-// scratch store). tests/persist_bench_smoke.cmake runs --quick and
-// validates the JSON shape plus sanity bars (positive rates, every WAL
-// record accounted for).
+// scratch store) with the host it ran on (hardware threads, build type, git
+// commit). tests/persist_bench_smoke.cmake runs --quick and validates the
+// JSON shape plus sanity bars (positive rates, every WAL record accounted
+// for).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "tsdb/store.h"
 
@@ -164,12 +166,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const bench::Provenance host = bench::provenance();
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path);
     return 1;
   }
-  out << "{\"workload\":{\"quick\":" << (quick ? "true" : "false")
+  out << "{\"host\":{\"nproc\":" << host.nproc << ",\"build_type\":\""
+      << host.build_type << "\",\"git_sha\":\"" << host.git_sha
+      << "\"},\"workload\":{\"quick\":" << (quick ? "true" : "false")
       << ",\"metrics\":" << n_metrics << ",\"minutes\":" << minutes
       << ",\"records\":" << records << "},\"wal\":{\"records_written\":"
       << wal_records << ",\"bytes\":" << wal_bytes

@@ -3,14 +3,15 @@
 #
 # This is the FUNNEL_SANITIZE=thread ctest job: it configures a dedicated
 # build tree with -DFUNNEL_SANITIZE=thread and runs the tests that exercise
-# shared state across threads — the sharded store + ingest dispatcher, the
+# shared state across threads — the group-commit queue behind the ingest
+# dispatcher, the WAL writer and the journal writer, the sharded store, the
 # thread pool, the parallel assessment engine (including the SST hot path:
 # per-slot warm-started scorers reset between KPI streams), the online
 # assessor, the telemetry registry, the tracer's cross-thread span
 # propagation, the chaos fault grid (dirty feeds through both pipelines,
 # docs/ROBUSTNESS.md), and the warm-start differential suite (stateful
 # scorer lifecycle + blocked Hankel kernel), the verdict journal's
-# MPSC writer thread plus its live triage-observer tap, the persistent
+# writer thread plus its live triage-observer tap, the persistent
 # segment store (WAL writer thread, background compaction, crash-replay
 # recovery — docs/STORAGE.md), and the live telemetry plane (HTTP worker
 # pool serving Registry snapshots while hot-path recorders run, the selfmon
@@ -27,6 +28,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
 TARGETS=(
+  common_group_commit_queue_test
   tsdb_sharded_store_test
   common_thread_pool_test
   funnel_parallel_test

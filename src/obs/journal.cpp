@@ -3,16 +3,14 @@
 #include <cerrno>
 #include <charconv>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <thread>
 #include <utility>
+
+#include "common/group_commit_queue.h"
 
 namespace funnel::obs {
 
@@ -461,160 +459,80 @@ Journal::Journal(std::string path, JournalOptions options)
 
 #else  // FUNNEL_OBS_OFF
 
-// Writer-side state. Mirrors tsdb::IngestDispatcher: one mutex, three
-// condition variables, a deque, monotonic submitted/settled counters so
-// flush() can wait for "everything appended before me" exactly.
+namespace {
+
+struct CloseFile {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+}  // namespace
+
+// Writer-side state: the queue's consumer serializes and commits each
+// drained batch.
 struct Journal::Impl {
-  explicit Impl(std::size_t capacity, JournalBackpressure policy)
-      : capacity(capacity == 0 ? 1 : capacity), policy(policy) {}
+  Impl(std::FILE* f, std::size_t capacity)
+      : file(f),
+        queue(capacity, common::Backpressure::kBlock,
+              [this](std::vector<JournalEvent>& batch) { commit(batch); }) {}
 
-  const std::size_t capacity;
-  const JournalBackpressure policy;
+  void commit(const std::vector<JournalEvent>& batch) {
+    // Group commit: under steady load the writer outruns the producers and
+    // a batch is one event (a crash loses at most the line in flight);
+    // under bursts the batch amortizes the fwrite + fflush so the queue
+    // never backs up.
+    buf.clear();
+    for (const JournalEvent& event : batch) {
+      buf += to_jsonl(event);
+      buf += '\n';
+    }
+    std::fwrite(buf.data(), 1, buf.size(), file.get());
+    // One fflush per batch: the crash-tolerance story is "lose at most
+    // the batch being written", not "lose a stdio buffer full".
+    std::fflush(file.get());
 
-  std::FILE* file = nullptr;
+    if (observer) {
+      for (const JournalEvent& event : batch) observer(event);
+    }
 
-  mutable std::mutex mutex;
-  std::condition_variable space_cv;    ///< producers waiting for room
-  std::condition_variable arrival_cv;  ///< writer waiting for work
-  std::condition_variable settled_cv;  ///< flush waiters
-  std::deque<JournalEvent> queue;
-  std::uint64_t submitted = 0;  ///< accepted into the queue
-  std::uint64_t settled = 0;    ///< written + dropped
-  std::uint64_t written = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t bytes = 0;
-  bool stop = false;
-
-  std::function<void(const JournalEvent&)> observer;
-  std::atomic<const Registry*> stats{nullptr};
-
-  std::thread thread;  ///< last started, first joined
-
-  void run() {
-    std::string buf;
-    std::vector<JournalEvent> batch;
-    for (;;) {
-      batch.clear();
-      {
-        std::unique_lock lock(mutex);
-        arrival_cv.wait(lock, [&] { return stop || !queue.empty(); });
-        if (queue.empty()) return;  // stop && drained
-        // Group commit: take everything queued in one go. Under steady
-        // load the writer outruns the producers and a batch is one event
-        // (a crash loses at most the line in flight); under bursts the
-        // batch amortizes the fwrite + fflush so the queue never backs up.
-        while (!queue.empty()) {
-          batch.push_back(std::move(queue.front()));
-          queue.pop_front();
-        }
-        space_cv.notify_all();
-      }
-
-      buf.clear();
-      for (const JournalEvent& event : batch) {
-        buf += to_jsonl(event);
-        buf += '\n';
-      }
-      std::fwrite(buf.data(), 1, buf.size(), file);
-      // One fflush per batch: the crash-tolerance story is "lose at most
-      // the batch being written", not "lose a stdio buffer full".
-      std::fflush(file);
-
-      if (observer) {
-        for (const JournalEvent& event : batch) observer(event);
-      }
-
-      if (const Registry* reg = stats.load(std::memory_order_relaxed)) {
-        reg->add("funnel.journal.events", batch.size());
-        reg->add("funnel.journal.bytes", buf.size());
-      }
-
-      {
-        std::lock_guard lock(mutex);
-        settled += batch.size();
-        written += batch.size();
-        bytes += buf.size();
-        if (const Registry* reg = stats.load(std::memory_order_relaxed)) {
-          reg->set("funnel.journal.queue_depth",
-                   static_cast<double>(queue.size()));
-        }
-        settled_cv.notify_all();
-      }
+    if (const Registry* reg = stats.load(std::memory_order_relaxed)) {
+      reg->add("funnel.journal.events", batch.size());
+      reg->add("funnel.journal.bytes", buf.size());
+      reg->set("funnel.journal.queue_depth",
+               static_cast<double>(queue.depth()));
     }
   }
+
+  std::unique_ptr<std::FILE, CloseFile> file;
+  std::string buf;  ///< writer thread only
+  std::function<void(const JournalEvent&)> observer;
+  std::atomic<const Registry*> stats{nullptr};
+  /// Last member: destroyed first, so it drains into an open file.
+  common::GroupCommitQueue<JournalEvent> queue;
 };
 
 Journal::Journal(std::string path, JournalOptions options)
-    : path_(std::move(path)),
-      impl_(std::make_unique<Impl>(options.queue_capacity, options.policy)) {
-  impl_->file = std::fopen(path_.c_str(), options.truncate ? "wb" : "ab");
-  ok_ = (impl_->file != nullptr);
-  if (!ok_) return;
-  impl_->thread = std::thread([impl = impl_.get()] { impl->run(); });
+    : path_(std::move(path)) {
+  std::FILE* file = std::fopen(path_.c_str(), options.truncate ? "wb" : "ab");
+  ok_ = (file != nullptr);
+  if (ok_) impl_ = std::make_unique<Impl>(file, options.queue_capacity);
 }
 
-Journal::~Journal() {
-  if (!ok_) return;
-  {
-    std::lock_guard lock(impl_->mutex);
-    impl_->stop = true;
-    impl_->arrival_cv.notify_all();
-  }
-  impl_->thread.join();
-  std::fclose(impl_->file);
-}
+Journal::~Journal() = default;
 
 void Journal::append(JournalEvent event) const {
-  if (!ok_) return;
-  Impl& im = *impl_;
-  std::unique_lock lock(im.mutex);
-  if (im.queue.size() >= im.capacity) {
-    if (im.policy == JournalBackpressure::kBlock) {
-      im.space_cv.wait(lock, [&] { return im.queue.size() < im.capacity; });
-    } else {
-      im.queue.pop_front();
-      ++im.settled;
-      ++im.dropped;
-      if (const Registry* reg = im.stats.load(std::memory_order_relaxed)) {
-        reg->add("funnel.journal.dropped");
-      }
-      im.settled_cv.notify_all();
-    }
-  }
-  // The writer only ever waits on an empty queue, so only the
-  // empty -> non-empty transition needs a wakeup; skipping the futex
-  // syscall on every other append keeps the hot path's cost at one
-  // lock + push.
-  const bool was_empty = im.queue.empty();
-  im.queue.push_back(std::move(event));
-  ++im.submitted;
-  if (was_empty) im.arrival_cv.notify_one();
+  if (ok_) impl_->queue.push(std::move(event));
 }
 
 void Journal::flush() const {
-  if (!ok_) return;
-  Impl& im = *impl_;
-  std::unique_lock lock(im.mutex);
-  const std::uint64_t target = im.submitted;
-  im.settled_cv.wait(lock, [&] { return im.settled >= target; });
+  if (ok_) impl_->queue.flush();
 }
 
 std::uint64_t Journal::appended() const {
-  if (!ok_) return 0;
-  std::lock_guard lock(impl_->mutex);
-  return impl_->submitted;
+  return ok_ ? impl_->queue.pushed() : 0;
 }
 
 std::uint64_t Journal::written() const {
-  if (!ok_) return 0;
-  std::lock_guard lock(impl_->mutex);
-  return impl_->written;
-}
-
-std::uint64_t Journal::dropped() const {
-  if (!ok_) return 0;
-  std::lock_guard lock(impl_->mutex);
-  return impl_->dropped;
+  return ok_ ? impl_->queue.consumed() : 0;
 }
 
 void Journal::set_stats(const Registry* stats) const {
@@ -622,11 +540,10 @@ void Journal::set_stats(const Registry* stats) const {
   impl_->stats.store(stats, std::memory_order_relaxed);
   if (stats != nullptr) {
     stats->set("funnel.journal.queue_capacity",
-               static_cast<double>(impl_->capacity));
+               static_cast<double>(impl_->queue.capacity()));
     stats->declare_gauge("funnel.journal.queue_depth");
     stats->declare_counter("funnel.journal.events");
     stats->declare_counter("funnel.journal.bytes");
-    stats->declare_counter("funnel.journal.dropped");
   }
 }
 

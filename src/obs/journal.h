@@ -16,11 +16,10 @@
 //
 // Design:
 //   * The hot path never blocks on disk. append() enqueues the event on a
-//     bounded MPSC queue (same backpressure pattern as tsdb::IngestDispatcher)
-//     and a single writer thread serializes + writes. The default policy is
-//     kBlock — lossless, the journal is an audit record — but kDropOldest is
-//     available for deployments that prefer shedding to stalling; drops are
-//     counted exactly.
+//     common::GroupCommitQueue (the one the metric store's dispatcher and
+//     the WAL writer run on) and its writer thread serializes + writes. A
+//     full queue blocks the producer: the journal is an audit record, so
+//     it never sheds.
 //   * One event = one '\n'-terminated line, written by the single writer,
 //     which group-commits: each wakeup drains everything queued and does one
 //     fwrite + fflush. Under steady load a batch is one event, so a crash
@@ -137,16 +136,8 @@ std::vector<JournalEvent> read_journal(const std::string& path,
 std::uint64_t repair_journal(const std::string& path,
                              std::uint64_t keep_events);
 
-/// What Journal::append does when the queue is full (mirrors
-/// tsdb::Backpressure; duplicated here so obs stays dependency-free).
-enum class JournalBackpressure {
-  kBlock,      ///< producer waits for space — lossless (default)
-  kDropOldest  ///< shed the oldest queued event — bounded-latency, lossy
-};
-
 struct JournalOptions {
   std::size_t queue_capacity = 4096;  ///< clamped to >= 1
-  JournalBackpressure policy = JournalBackpressure::kBlock;
   /// false = open in append mode instead of truncating — the crash-restart
   /// path, after repair_journal() has rewound the file to the checkpoint.
   bool truncate = true;
@@ -173,7 +164,6 @@ class Journal {
   void flush() const {}
   std::uint64_t appended() const { return 0; }
   std::uint64_t written() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
   void set_stats(const Registry*) const {}
   void set_observer(std::function<void(const JournalEvent&)>) {}
 
@@ -184,12 +174,12 @@ class Journal {
 
 #else  // FUNNEL_OBS_OFF
 
-/// Append-only JSONL journal with a bounded MPSC queue and one writer
-/// thread. Recording goes through a `const Journal*` (a journal is a sink,
-/// like the registry and tracer); the journal must outlive every component
-/// holding it. flush() is the quiesce barrier: it returns only after every
-/// event appended before the call is serialized, handed to the OS and
-/// fflush()-ed (or dropped, under kDropOldest).
+/// Append-only JSONL journal with a bounded queue and one writer thread.
+/// Recording goes through a `const Journal*` (a journal is a sink, like the
+/// registry and tracer); the journal must outlive every component holding
+/// it. flush() is the quiesce barrier: it returns only after every event
+/// appended before the call is serialized, handed to the OS and
+/// fflush()-ed.
 class Journal {
  public:
   /// Opens (truncates) `path` and starts the writer thread. ok() reports
@@ -208,23 +198,21 @@ class Journal {
   bool active() const { return ok_; }
   const std::string& path() const { return path_; }
 
-  /// Enqueue one event (any thread). Blocks or sheds per the policy; never
+  /// Enqueue one event (any thread). Blocks while the queue is full; never
   /// touches the disk on the calling thread. No-op when !ok().
   void append(JournalEvent event) const;
 
   /// Barrier: returns once every event appended before the call has been
-  /// written + fflush()-ed or dropped. No-op when !ok().
+  /// written + fflush()-ed. No-op when !ok().
   void flush() const;
 
-  /// Events accepted by append() (excludes shed ones under kDropOldest).
+  /// Events accepted by append().
   std::uint64_t appended() const;
   /// Events serialized and written to the file so far.
   std::uint64_t written() const;
-  /// Events shed by kDropOldest so far.
-  std::uint64_t dropped() const;
 
   /// Attach a telemetry registry (null detaches): `funnel.journal.events`,
-  /// `funnel.journal.bytes`, `funnel.journal.dropped` counters and
+  /// `funnel.journal.bytes` counters and
   /// `funnel.journal.queue_depth` / `funnel.journal.queue_capacity` gauges
   /// (the pair behind the /healthz journal-writer backlog check). The
   /// registry must outlive this journal.

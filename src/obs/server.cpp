@@ -474,6 +474,13 @@ std::uint64_t HttpServer::requests_served() const {
 
 void HttpServer::set_stats(const Registry* stats) {
   impl_->stats.store(stats, std::memory_order_release);
+  // Declared up front: a request is accounted after its response is sent,
+  // so a client's next request can reach /metrics before the first count.
+  if (stats != nullptr) {
+    stats->declare_counter("obs.server.requests");
+    stats->declare_counter("obs.server.http_errors");
+    stats->declare_histogram("obs.server.request_us");
+  }
 }
 
 }  // namespace funnel::obs

@@ -20,9 +20,9 @@
 //   * Causality propagates through an ambient thread-local SpanContext.
 //     Span installs itself as the ambient context for its scope;
 //     ThreadPool::parallel_for captures the initiator's context and
-//     re-installs it around every task, and tsdb::IngestDispatcher stamps
-//     the producer's context onto each queued sample and re-installs it
-//     around the subscriber callback. Deep layers (did/groups) can open
+//     re-installs it around every task, and an async tsdb::MetricStore
+//     stamps the producer's context onto each queued sample and its
+//     dispatcher re-installs it around the subscriber callbacks. Deep layers (did/groups) can open
 //     child spans without any plumbing. Cross-thread parents can also be
 //     passed explicitly (the online assessor parents determination spans
 //     under the watch's root span this way).

@@ -53,7 +53,7 @@ struct TenantOptions {
   /// (0 = synchronous dispatch on the ingesting thread).
   std::size_t num_shards = 2;
   std::size_t ingest_queue_capacity = 256;
-  tsdb::Backpressure backpressure = tsdb::Backpressure::kBlock;
+  common::Backpressure backpressure = common::Backpressure::kBlock;
 
   QuotaConfig quota;
 

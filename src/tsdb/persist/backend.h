@@ -144,7 +144,6 @@ class PersistBackend {
 
   std::uint64_t wal_records_written() const { return wal_->records_written(); }
   std::uint64_t wal_bytes_written() const { return wal_->bytes_written(); }
-  std::uint64_t wal_batches() const { return wal_->batches(); }
   std::size_t segment_count() const;
   std::uint64_t compactions() const;
   const std::string& dir() const { return dir_; }

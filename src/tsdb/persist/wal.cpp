@@ -1,14 +1,11 @@
 #include "tsdb/persist/wal.h"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <mutex>
-#include <thread>
 #include <utility>
+
+#include "common/group_commit_queue.h"
 
 #ifdef __unix__
 #include <unistd.h>
@@ -114,217 +111,125 @@ WalReadResult read_wal(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Writer. Same skeleton as obs::Journal's Impl: one mutex, three condition
-// variables, monotonic submitted/settled counters so flush() waits for
-// exactly "everything logged before me".
+// Writer: the queue's consumer encodes each drained batch and commits it.
+
+namespace {
+
+struct CloseFile {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+}  // namespace
 
 struct WalWriter::Impl {
-  Impl(std::size_t capacity, WalDurability durability, std::uint64_t next_seq)
-      : capacity(capacity == 0 ? 1 : capacity),
-        durability(durability),
-        next_seq(next_seq) {}
+  Impl(std::FILE* f, const WalWriterOptions& options, std::uint64_t first_seq)
+      : file(f),
+        durability(options.durability),
+        first_seq(first_seq),
+        queue(options.queue_capacity, common::Backpressure::kBlock,
+              [this](std::vector<WalRecord>& batch) { commit(batch); }) {}
 
-  const std::size_t capacity;
-  const WalDurability durability;
-
-  std::FILE* file = nullptr;
-
-  mutable std::mutex mutex;
-  std::condition_variable space_cv;    ///< producers waiting for room
-  std::condition_variable arrival_cv;  ///< writer waiting for work
-  std::condition_variable settled_cv;  ///< flush waiters
-  std::deque<WalRecord> queue;
-  std::uint64_t next_seq;       ///< seq the next log() assigns
-  std::uint64_t submitted = 0;  ///< accepted into the queue
-  std::uint64_t settled = 0;    ///< written to the file
-  std::uint64_t records = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t batch_count = 0;
-  bool stop = false;
-  bool crashed = false;
-
-  std::atomic<const obs::Registry*> stats{nullptr};
-
-  std::thread thread;  ///< last started, first joined
-
-  void run() {
-    std::string buf;
-    std::vector<WalRecord> batch;
-    for (;;) {
-      batch.clear();
-      std::FILE* out;
-      {
-        std::unique_lock lock(mutex);
-        arrival_cv.wait(lock, [&] { return stop || !queue.empty(); });
-        if (crashed) return;  // abandon the queue: simulated kill
-        if (queue.empty()) return;
-        // Group commit: drain everything queued into one fwrite + fflush.
-        while (!queue.empty()) {
-          batch.push_back(std::move(queue.front()));
-          queue.pop_front();
-        }
-        out = file;
-        space_cv.notify_all();
-      }
-
-      buf.clear();
-      for (const WalRecord& rec : batch) buf += encode_wal_record(rec);
-      const auto commit_start = std::chrono::steady_clock::now();
-      std::fwrite(buf.data(), 1, buf.size(), out);
-      std::fflush(out);
+  void commit(const std::vector<WalRecord>& batch) {
+    buf.clear();
+    for (const WalRecord& rec : batch) buf += encode_wal_record(rec);
+    const auto commit_start = std::chrono::steady_clock::now();
+    std::fwrite(buf.data(), 1, buf.size(), file.get());
+    std::fflush(file.get());
 #ifdef __unix__
-      if (durability == WalDurability::kFsync) ::fsync(::fileno(out));
+    if (durability == WalDurability::kFsync) ::fsync(::fileno(file.get()));
 #endif
+    bytes.fetch_add(buf.size(), std::memory_order_relaxed);
 
-      if (const obs::Registry* reg = stats.load(std::memory_order_relaxed)) {
-        reg->add("funnel.wal.records", batch.size());
-        reg->add("funnel.wal.bytes", buf.size());
-        reg->add("funnel.wal.batches");
-        // One observation per group commit (fwrite + fflush [+ fsync]) —
-        // the "WAL fsync latency" KPI the selfmon loop watches for a
-        // degrading disk.
-        reg->observe("funnel.wal.commit_us",
-                     std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - commit_start)
-                         .count());
-      }
-
-      {
-        std::lock_guard lock(mutex);
-        if (crashed) return;
-        settled += batch.size();
-        records += batch.size();
-        bytes += buf.size();
-        ++batch_count;
-        if (const obs::Registry* reg = stats.load(std::memory_order_relaxed)) {
-          reg->set("funnel.wal.queue_depth",
-                   static_cast<double>(queue.size()));
-        }
-        settled_cv.notify_all();
-      }
+    if (const obs::Registry* reg = stats.load(std::memory_order_relaxed)) {
+      reg->add("funnel.wal.records", batch.size());
+      reg->add("funnel.wal.bytes", buf.size());
+      reg->add("funnel.wal.batches");
+      // One observation per group commit (fwrite + fflush [+ fsync]) —
+      // the "WAL fsync latency" KPI the selfmon loop watches for a
+      // degrading disk.
+      reg->observe("funnel.wal.commit_us",
+                   std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - commit_start)
+                       .count());
+      reg->set("funnel.wal.queue_depth", static_cast<double>(queue.depth()));
     }
   }
+
+  /// Used by the writer thread. rotate() and crash_for_testing() swap it
+  /// only while that thread is idle (after a flush) or gone (abandoned).
+  std::unique_ptr<std::FILE, CloseFile> file;
+  const WalDurability durability;
+  const std::uint64_t first_seq;  ///< seq of queue ticket 0
+  std::string buf;                ///< writer thread only
+  std::atomic<std::uint64_t> bytes{0};
+  std::atomic<const obs::Registry*> stats{nullptr};
+  /// Last member: destroyed first, so it drains into an open file.
+  common::GroupCommitQueue<WalRecord> queue;
 };
 
 WalWriter::WalWriter(std::string path, std::uint64_t next_seq,
                      WalWriterOptions options)
-    : path_(std::move(path)),
-      impl_(std::make_unique<Impl>(options.queue_capacity, options.durability,
-                                   next_seq)) {
+    : path_(std::move(path)) {
   // "ab": recovery has already truncated the torn tail, so appending after
   // the valid prefix continues the record stream seamlessly.
-  impl_->file = std::fopen(path_.c_str(), "ab");
-  ok_ = (impl_->file != nullptr);
-  if (!ok_) return;
-  impl_->thread = std::thread([impl = impl_.get()] { impl->run(); });
+  std::FILE* file = std::fopen(path_.c_str(), "ab");
+  failed_.store(file == nullptr, std::memory_order_release);
+  impl_ = std::make_unique<Impl>(file, options, next_seq);
 }
 
-WalWriter::~WalWriter() {
-  if (!ok_) return;
-  {
-    std::lock_guard lock(impl_->mutex);
-    impl_->stop = true;
-    impl_->arrival_cv.notify_all();
-  }
-  // Already joined if crash_for_testing() ran.
-  if (impl_->thread.joinable()) impl_->thread.join();
-  if (impl_->file != nullptr) std::fclose(impl_->file);
-}
+WalWriter::~WalWriter() = default;
 
 std::uint64_t WalWriter::log(WalRecord record) {
-  Impl& im = *impl_;
-  std::unique_lock lock(im.mutex);
-  if (!ok_ || im.crashed) return im.next_seq;
-  if (im.queue.size() >= im.capacity) {
-    im.space_cv.wait(lock,
-                     [&] { return im.crashed || im.queue.size() < im.capacity; });
-    if (im.crashed) return im.next_seq;
-  }
-  record.seq = im.next_seq++;
-  // Writer only waits on an empty queue: empty -> non-empty is the only
-  // transition that needs a wakeup (same optimization as obs::Journal).
-  const bool was_empty = im.queue.empty();
-  const std::uint64_t seq = record.seq;
-  im.queue.push_back(std::move(record));
-  ++im.submitted;
-  if (was_empty) im.arrival_cv.notify_one();
-  return seq;
+  if (crashed_.load(std::memory_order_acquire)) return next_seq();
+  if (!ok()) throw StorageError("WAL is not writable: " + path_);
+  const std::uint64_t first = impl_->first_seq;
+  const auto admitted = impl_->queue.push(
+      std::move(record),
+      [first](WalRecord& r, std::uint64_t ticket) { r.seq = first + ticket; });
+  return admitted.accepted ? first + admitted.ticket : next_seq();
 }
 
-void WalWriter::flush() {
-  if (!ok_) return;
-  Impl& im = *impl_;
-  std::unique_lock lock(im.mutex);
-  if (im.crashed) return;
-  const std::uint64_t target = im.submitted;
-  im.settled_cv.wait(lock, [&] { return im.crashed || im.settled >= target; });
-}
+void WalWriter::flush() { impl_->queue.flush(); }
 
 std::uint64_t WalWriter::next_seq() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->next_seq;
+  return impl_->first_seq + impl_->queue.pushed();
 }
 
 std::uint64_t WalWriter::records_written() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->records;
+  return impl_->queue.consumed();
 }
 
 std::uint64_t WalWriter::bytes_written() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->bytes;
-}
-
-std::uint64_t WalWriter::batches() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->batch_count;
+  return impl_->bytes.load(std::memory_order_relaxed);
 }
 
 void WalWriter::rotate(std::string path) {
-  if (!ok_) return;
+  if (crashed_.load(std::memory_order_acquire)) return;
   flush();
-  Impl& im = *impl_;
-  std::lock_guard lock(im.mutex);
-  if (im.crashed) return;
   // The queue is empty (flush() above, producers quiesced by the caller),
-  // so the writer thread holds no stale FILE*: it re-reads `file` under the
-  // mutex at the top of every batch.
-  std::fflush(im.file);
-  std::fclose(im.file);
-  im.file = std::fopen(path.c_str(), "wb");
-  ok_ = (im.file != nullptr);
+  // so the writer thread is idle: its next batch reads `file` only after a
+  // push that happens-after this swap.
+  impl_->file.reset(std::fopen(path.c_str(), "wb"));
   path_ = std::move(path);
+  failed_.store(impl_->file == nullptr, std::memory_order_release);
+  if (impl_->file == nullptr) throw StorageError("cannot open WAL: " + path_);
 }
 
 void WalWriter::crash_for_testing() {
-  if (!ok_) return;
-  Impl& im = *impl_;
-  {
-    std::lock_guard lock(im.mutex);
-    im.crashed = true;
-    im.stop = true;
-    im.arrival_cv.notify_all();
-    im.space_cv.notify_all();
-    im.settled_cv.notify_all();
-  }
-  im.thread.join();
-  std::lock_guard lock(im.mutex);
-  if (im.file != nullptr) {
-    // Records still queued are abandoned — the loss a real kill inflicts.
-    // (Every completed batch already hit fflush, so closing loses nothing
-    // more; the replay test additionally truncates the file at a random
-    // byte to simulate a tear inside the final flushed batch.)
-    std::fclose(im.file);
-    im.file = nullptr;
-  }
+  if (crashed_.exchange(true, std::memory_order_acq_rel)) return;
+  impl_->queue.abandon();
+  // Records still queued are abandoned — the loss a real kill inflicts.
+  // (Every completed batch already hit fflush, so closing loses nothing
+  // more; the replay test additionally truncates the file at a random
+  // byte to simulate a tear inside the final flushed batch.)
+  impl_->file.reset();
 }
 
 void WalWriter::set_stats(const obs::Registry* stats) {
-  if (!ok_) return;
   impl_->stats.store(stats, std::memory_order_relaxed);
   if (stats != nullptr) {
     stats->set("funnel.wal.queue_capacity",
-               static_cast<double>(impl_->capacity));
+               static_cast<double>(impl_->queue.capacity()));
     stats->declare_gauge("funnel.wal.queue_depth");
     stats->declare_counter("funnel.wal.records");
     stats->declare_counter("funnel.wal.bytes");

@@ -12,8 +12,8 @@
 // first-write-wins, replaying any valid prefix of the WAL reconstructs
 // exactly the store state that prefix produced (docs/STORAGE.md §2).
 //
-// The writer mirrors obs::Journal: a bounded MPSC queue drained by one
-// writer thread that group-commits — one fwrite + fflush per drained batch,
+// The writer runs on the same common::GroupCommitQueue as obs::Journal: one
+// writer thread group-commits — one fwrite + fflush per drained batch,
 // plus an optional fsync per batch (WalDurability::kFsync) for deployments
 // that want power-loss durability rather than process-crash durability.
 // A torn tail (crash mid-fwrite) is expected, not corruption: read_wal()
@@ -22,6 +22,7 @@
 // there before reopening it for append.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -87,11 +88,12 @@ struct WalWriterOptions {
   WalDurability durability = WalDurability::kFlush;
 };
 
-/// MPSC group-committing WAL writer (obs::Journal's design, binary frames
-/// instead of JSONL). log() enqueues and blocks when the queue is full —
-/// the WAL is the durability record, shedding is not an option. flush() is
-/// the barrier: returns once everything logged before the call is on disk
-/// (per the durability policy).
+/// Group-committing WAL writer: a common::GroupCommitQueue whose consumer
+/// encodes each drained batch into one fwrite + fflush (obs::Journal's
+/// design, binary frames instead of JSONL). log() blocks when the queue is
+/// full — the WAL is the durability record, shedding is not an option.
+/// flush() is the barrier: returns once everything logged before the call
+/// is on disk (per the durability policy).
 class WalWriter {
  public:
   /// Opens `path` for append (recovery truncates the torn tail first) and
@@ -100,17 +102,20 @@ class WalWriter {
   WalWriter(std::string path, std::uint64_t next_seq,
             WalWriterOptions options = {});
 
-  /// Drains, flushes, closes, joins. No-op after crash_for_testing().
+  /// Drains, flushes, closes, joins — in every state.
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  bool ok() const { return ok_; }
+  /// False when the file did not open, or a rotate() failed.
+  bool ok() const { return !failed_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
 
   /// Assign the next sequence number to `record`, enqueue it, return the
-  /// seq. Blocks while the queue is full. Any thread.
+  /// seq. Blocks while the queue is full. Any thread. Throws StorageError
+  /// when !ok(): a record that cannot be written never gets a seq. After
+  /// crash_for_testing() it is a silent no-op.
   std::uint64_t log(WalRecord record);
 
   /// Barrier: returns once every record logged before the call is written
@@ -124,13 +129,12 @@ class WalWriter {
   std::uint64_t records_written() const;
   /// Frame bytes written to the file so far.
   std::uint64_t bytes_written() const;
-  /// Group-commit batches flushed so far.
-  std::uint64_t batches() const;
 
   /// Atomically switch the log to a new file (checkpoint rotation). Flushes
   /// and closes the current file, opens `path` truncated, continues the seq
   /// counter. Callers must quiesce producers first (MetricStore rotates
-  /// under its checkpoint lock).
+  /// under its checkpoint lock). Throws StorageError when `path` cannot be
+  /// opened; ok() is then false.
   void rotate(std::string path);
 
   /// Simulate a crash: stop the writer thread without draining the queue
@@ -147,7 +151,8 @@ class WalWriter {
  private:
   struct Impl;
   std::string path_;
-  bool ok_ = false;
+  std::atomic<bool> failed_{false};
+  std::atomic<bool> crashed_{false};
   std::unique_ptr<Impl> impl_;
 };
 

@@ -25,8 +25,8 @@ namespace funnel::tsdb {
 /// One push subscription. Shared between the store's id index and every
 /// shard whose metrics the filter touches; `active` is cleared by
 /// unsubscribe() so a dispatch snapshot taken just before never invokes a
-/// dead callback (the in-flight-callback barrier is the dispatcher's job,
-/// see dispatch.h).
+/// dead callback (the in-flight-callback barrier is the ingest queue's
+/// await_inflight(), see common/group_commit_queue.h).
 struct Subscription {
   std::vector<MetricId> filter;  ///< sorted, deduplicated; empty = all
   std::function<void(const MetricId&, MinuteTime, double)> callback;

@@ -19,9 +19,9 @@ MetricStore::MetricStore(const StoreOptions& options) {
     shards_.push_back(std::make_unique<StoreShard>());
   }
   if (options.ingest_queue_capacity > 0) {
-    dispatcher_ = std::make_unique<IngestDispatcher>(
+    queue_ = std::make_unique<common::GroupCommitQueue<Sample>>(
         options.ingest_queue_capacity, options.backpressure,
-        [this](const Sample& s) { deliver(s); });
+        [this](std::vector<Sample>& batch) { dispatch(batch); });
   }
   if (!options.data_dir.empty()) {
     persist::BackendOptions bopts;
@@ -51,8 +51,11 @@ MetricStore::MetricStore(const StoreOptions& options) {
 }
 
 MetricStore::~MetricStore() {
-  // Stop delivering before the shards (and their subscription lists) die.
-  dispatcher_.reset();
+  // Drain and stop delivering before the shards (and their subscription
+  // lists) die. Flush first: dispatch() reads queue_ after each batch, and
+  // reset() nulls queue_ before the queue's own drain would run.
+  if (queue_ != nullptr) queue_->flush();
+  queue_.reset();
 }
 
 std::size_t MetricStore::shard_index(const MetricId& id) const {
@@ -137,10 +140,16 @@ void MetricStore::append_impl(const MetricId& id, MinuteTime t, double value) {
   // The sample is visible in the shard before any notification is queued or
   // delivered, so a callback reading the store always sees its sample.
   if (sub_count_.load(std::memory_order_acquire) == 0) return;
-  if (dispatcher_ != nullptr) {
-    dispatcher_->submit(Sample{id, t, value, {}});
-  } else {
-    deliver(Sample{id, t, value, {}});
+  if (queue_ == nullptr) {
+    deliver(Sample{id, t, value, {}, {}});
+    return;
+  }
+  Sample s{id, t, value, {}, obs::current_context()};
+  if (stats != nullptr) s.enqueued = std::chrono::steady_clock::now();
+  const auto admitted = queue_->push(std::move(s));
+  if (stats != nullptr && admitted.accepted) {
+    if (admitted.shed) stats->add("tsdb.store.dropped_samples");
+    stats->set("tsdb.store.queue_depth", static_cast<double>(admitted.depth));
   }
 }
 
@@ -344,18 +353,24 @@ void MetricStore::unsubscribe(SubscriptionId id) {
   }
   sub_count_.fetch_sub(1, std::memory_order_release);
   // A delivery snapshot taken before the removal may still hold this
-  // subscription; wait out the in-flight callback so that after return the
+  // subscription; wait out the batch in flight so that after return the
   // callback is guaranteed dead (FunnelOnline's destructor relies on this).
-  if (dispatcher_ != nullptr) dispatcher_->await_inflight();
+  if (queue_ != nullptr) queue_->await_inflight();
 }
 
 void MetricStore::flush() {
-  if (dispatcher_ != nullptr) dispatcher_->flush();
+  if (queue_ != nullptr) queue_->flush();
 }
 
 void MetricStore::set_stats(const obs::Registry* stats) {
   stats_.store(stats, std::memory_order_relaxed);
-  if (dispatcher_ != nullptr) dispatcher_->set_stats(stats);
+  if (stats != nullptr && queue_ != nullptr) {
+    stats->set("tsdb.store.queue_capacity",
+               static_cast<double>(queue_->capacity()));
+    stats->declare_gauge("tsdb.store.queue_depth");
+    stats->declare_histogram("tsdb.store.dispatch_lag_us");
+    stats->declare_counter("tsdb.store.dropped_samples");
+  }
   if (backend_ != nullptr) backend_->set_stats(stats);
 }
 
@@ -504,6 +519,31 @@ void MetricStore::deliver(const Sample& s) const {
   }
   if (stats != nullptr && notified > 0) {
     stats->add("tsdb.store.notifications", notified);
+  }
+}
+
+void MetricStore::dispatch(const std::vector<Sample>& batch) const {
+  const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
+  for (const Sample& s : batch) {
+    if (stats != nullptr &&
+        s.enqueued != std::chrono::steady_clock::time_point{}) {
+      stats->observe("tsdb.store.dispatch_lag_us",
+                     std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - s.enqueued)
+                         .count());
+    }
+    try {
+      // Callbacks run under the producer's trace context: their spans link
+      // into the submitting append's tree across the thread hop.
+      const obs::ScopedContext trace_ctx(s.trace_ctx);
+      deliver(s);
+    } catch (...) {
+      if (stats != nullptr) stats->add("tsdb.store.callback_exceptions");
+    }
+  }
+  if (stats != nullptr) {
+    stats->set("tsdb.store.queue_depth",
+               static_cast<double>(queue_->depth()));
   }
 }
 

@@ -10,12 +10,12 @@
 // (StoreOptions::num_shards), each behind its own reader-writer lock, so
 // concurrent writers on different shards never contend and readers never
 // block each other. Subscriber notification can run synchronously inside
-// append() (the legacy single-threaded mode) or asynchronously on a bounded
-// MPSC queue drained by a dispatcher thread (StoreOptions::
-// ingest_queue_capacity > 0) so a slow consumer can never stall a producing
-// agent. Reports derived from this store are byte-identical for every shard
-// count and for sync vs async dispatch (with a flush() barrier) — verified
-// by tsdb_sharded_store_test.
+// append() (the legacy single-threaded mode) or asynchronously on a
+// common::GroupCommitQueue whose consumer thread is the dispatcher
+// (StoreOptions::ingest_queue_capacity > 0) so a slow consumer can never
+// stall a producing agent. Reports derived from this store are
+// byte-identical for every shard count and for sync vs async dispatch (with
+// a flush() barrier) — verified by tsdb_sharded_store_test.
 //
 // Thread-safety contract — the full repo-wide model lives in
 // docs/CONCURRENCY.md ("Metric store"); summary:
@@ -35,6 +35,7 @@
 //     not be running and to never run again.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -45,8 +46,9 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/group_commit_queue.h"
 #include "obs/registry.h"
-#include "tsdb/dispatch.h"
+#include "obs/trace.h"
 #include "tsdb/metric.h"
 #include "tsdb/persist/wal.h"
 #include "tsdb/series.h"
@@ -59,6 +61,20 @@ class PersistBackend;
 }
 
 using SubscriptionId = std::uint64_t;
+
+/// One queued notification (async mode). `enqueued` is stamped only while a
+/// telemetry registry is attached (the uninstrumented path never reads the
+/// clock). `trace_ctx` is the producer's ambient trace context at append()
+/// time (obs/trace.h): the dispatcher re-installs it around the callbacks,
+/// so spans opened inside them attach under the producing append's span.
+/// Empty (and costless) when no span was open.
+struct Sample {
+  MetricId id;
+  MinuteTime t = 0;
+  double value = 0.0;
+  std::chrono::steady_clock::time_point enqueued{};
+  obs::SpanContext trace_ctx{};
+};
 
 /// Construction knobs. The defaults reproduce the legacy store exactly: one
 /// shard, synchronous subscriber dispatch on the producer thread.
@@ -75,7 +91,7 @@ struct StoreOptions {
   std::size_t ingest_queue_capacity = 0;
 
   /// Full-queue policy in async mode (ignored when synchronous).
-  Backpressure backpressure = Backpressure::kBlock;
+  common::Backpressure backpressure = common::Backpressure::kBlock;
 
   // --- Persistence (docs/STORAGE.md). Empty data_dir = the legacy fully
   // in-memory store; every knob below is then ignored. ---
@@ -242,34 +258,38 @@ class MetricStore {
   void flush();
 
   /// True when notification runs on the dispatcher thread.
-  bool async() const { return dispatcher_ != nullptr; }
+  bool async() const { return queue_ != nullptr; }
 
   std::size_t num_shards() const { return shards_.size(); }
 
   /// Samples shed by the kDropOldest policy so far (0 in sync/kBlock mode).
   std::uint64_t dropped_samples() const {
-    return dispatcher_ ? dispatcher_->dropped() : 0;
+    return queue_ ? queue_->dropped() : 0;
   }
 
   /// Async mode: samples currently queued for the dispatcher thread (0 in
   /// sync mode). Racy by nature — an admission-control input, not a
   /// barrier.
   std::size_t queue_depth() const {
-    return dispatcher_ ? dispatcher_->depth() : 0;
+    return queue_ ? queue_->depth() : 0;
   }
 
   /// Async mode: the ingest queue's configured capacity (0 in sync mode) —
   /// the denominator for queue-share admission caps (src/service).
   std::size_t queue_capacity() const {
-    return dispatcher_ ? dispatcher_->capacity() : 0;
+    return queue_ ? queue_->capacity() : 0;
   }
 
   /// Attach a telemetry registry (null detaches): append() counts samples
   /// (`tsdb.store.appends`), delivery counts callbacks
   /// (`tsdb.store.notifications`) and times the dispatch loop
-  /// (`tsdb.store.dispatch_us`); async mode adds the queue-depth gauge,
-  /// dispatch-lag histogram and dropped-samples counter (see dispatch.h);
-  /// a persistent store adds the funnel.wal.* / funnel.persist.* family.
+  /// (`tsdb.store.dispatch_us`); async mode adds `tsdb.store.queue_depth` /
+  /// `tsdb.store.queue_capacity` (the pair the selfmon backlog fraction and
+  /// the /healthz dispatcher check divide), the enqueue-to-dispatch lag
+  /// histogram `tsdb.store.dispatch_lag_us` and the
+  /// `tsdb.store.dropped_samples` / `tsdb.store.callback_exceptions`
+  /// counters; a persistent store adds the funnel.wal.* / funnel.persist.*
+  /// family.
   /// The registry must outlive the store.
   void set_stats(const obs::Registry* stats);
 
@@ -354,6 +374,12 @@ class MetricStore {
   /// the dispatcher thread (async).
   void deliver(const Sample& s) const;
 
+  /// The ingest queue's consumer: delivers one drained batch in order,
+  /// each sample under its producer's trace context. A throwing callback
+  /// never kills the dispatcher: async consumers have no frame to propagate
+  /// to, so the exception is swallowed and counted.
+  void dispatch(const std::vector<Sample>& batch) const;
+
   std::vector<std::unique_ptr<StoreShard>> shards_;
 
   mutable std::mutex sub_index_mutex_;  ///< guards sub_index_ and next_sub_
@@ -362,7 +388,9 @@ class MetricStore {
   std::atomic<std::size_t> sub_count_{0};
 
   std::atomic<const obs::Registry*> stats_{nullptr};
-  std::unique_ptr<IngestDispatcher> dispatcher_;  ///< null in sync mode
+  /// Async mode's ingest queue; its consumer thread is the dispatcher.
+  /// Null in sync mode.
+  std::unique_ptr<common::GroupCommitQueue<Sample>> queue_;
 
   std::unique_ptr<persist::PersistBackend> backend_;  ///< null = in-memory
   bool cold_ = false;  ///< StoreOptions::cold_reads (persistent only)

@@ -1,69 +1,14 @@
-// Tests for the extension surface: the week-over-week baseline detector,
-// ROC sweeps, alarm episode grouping, and JSON report export.
+// Tests for the extension surface: alarm episode grouping and JSON report
+// export.
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/rng.h"
-#include "detect/improved_sst.h"
 #include "detect/sliding.h"
-#include "detect/week_over_week.h"
-#include "evalkit/roc.h"
 #include "funnel/report_json.h"
-#include "workload/generators.h"
-#include "workload/stream.h"
 
 namespace funnel {
 namespace {
-
-TEST(WeekOverWeek, QuietSeasonalScoresLow) {
-  workload::SeasonalParams p;
-  p.noise_sigma = 1.0;
-  p.weekly_amplitude = 0.0;  // day-over-day comparison: no weekly drift
-  workload::KpiStream s(workload::make_seasonal(p, Rng(1)));
-  const auto series = workload::render(s, 0, 2 * kMinutesPerDay + 300);
-  detect::WeekOverWeekParams w;
-  w.season = kMinutesPerDay;  // day-over-day
-  const auto scores = detect::wow_score_series(series, w);
-  ASSERT_EQ(scores.size(), series.size());
-  // Warm-up region is NaN.
-  EXPECT_TRUE(std::isnan(scores[100]));
-  double peak = 0.0;
-  for (std::size_t i = static_cast<std::size_t>(kMinutesPerDay) + 40;
-       i < scores.size(); ++i) {
-    if (std::isfinite(scores[i])) peak = std::max(peak, scores[i]);
-  }
-  EXPECT_LT(peak, 5.0);
-}
-
-TEST(WeekOverWeek, DetectsShiftAgainstLastSeason) {
-  workload::SeasonalParams p;
-  p.noise_sigma = 1.0;
-  p.weekly_amplitude = 0.0;
-  workload::KpiStream s(workload::make_seasonal(p, Rng(2)));
-  const MinuteTime tc = kMinutesPerDay + 400;
-  s.add_effect(workload::LevelShift{tc, 12.0});
-  const auto series = workload::render(s, 0, kMinutesPerDay + 700);
-  detect::WeekOverWeekParams w;
-  w.season = kMinutesPerDay;
-  const auto scores = detect::wow_score_series(series, w);
-  double post_peak = 0.0;
-  for (std::size_t i = static_cast<std::size_t>(tc) + 30;
-       i < static_cast<std::size_t>(tc) + 90; ++i) {
-    if (std::isfinite(scores[i])) post_peak = std::max(post_peak, scores[i]);
-  }
-  EXPECT_GT(post_peak, 6.0);
-}
-
-TEST(WeekOverWeek, ShortSeriesAllNan) {
-  const std::vector<double> tiny(100, 1.0);
-  detect::WeekOverWeekParams w;
-  const auto scores = detect::wow_score_series(tiny, w);
-  for (double v : scores) EXPECT_TRUE(std::isnan(v));
-  EXPECT_THROW((void)detect::wow_score_series(
-                   tiny, detect::WeekOverWeekParams{.season = 0}),
-               InvalidArgument);
-}
 
 TEST(AlarmEpisodes, MergesRefiresKeepsSeparateEpisodes) {
   std::vector<detect::Alarm> alarms;
@@ -91,40 +36,6 @@ TEST(AlarmEpisodes, LongChainStaysOneEpisode) {
   EXPECT_EQ(detect::alarm_episodes(alarms, 30).size(), 1u);
   EXPECT_THROW((void)detect::alarm_episodes(alarms, 0), InvalidArgument);
   EXPECT_TRUE(detect::alarm_episodes({}, 30).empty());
-}
-
-TEST(Roc, SweepIsMonotoneAndAucSane) {
-  evalkit::DatasetParams p;
-  p.seed = 3;
-  p.services = 2;
-  p.servers_per_service = 4;
-  p.treated_servers = 2;
-  p.positive_changes = 2;
-  p.negative_changes = 2;
-  p.history_days = 1;
-  const auto ds = evalkit::build_dataset(p);
-
-  evalkit::DetectorSpec spec;
-  spec.name = "improved";
-  spec.make_scorer = [] {
-    return std::make_unique<detect::ImprovedSst>(
-        detect::SstGeometry{.omega = 9, .eta = 3});
-  };
-  spec.policy = {.threshold = 0.4, .persistence = 7, .patience = 10};
-
-  const std::vector<double> thresholds{0.1, 0.4, 1.0, 3.0};
-  const auto curve = evalkit::detector_roc(*ds, spec, thresholds);
-  ASSERT_EQ(curve.size(), 4u);
-  // Raising the threshold cannot increase TPR or FPR.
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_LE(curve[i].tpr, curve[i - 1].tpr + 1e-12);
-    EXPECT_LE(curve[i].fpr, curve[i - 1].fpr + 1e-12);
-  }
-  const double area = evalkit::auc(curve);
-  EXPECT_GE(area, 0.5);
-  EXPECT_LE(area, 1.0);
-  EXPECT_THROW((void)evalkit::detector_roc(*ds, spec, {}), InvalidArgument);
-  EXPECT_THROW((void)evalkit::auc({}), InvalidArgument);
 }
 
 TEST(ReportJson, SerializesVerdictAndReport) {

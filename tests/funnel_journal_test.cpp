@@ -207,7 +207,6 @@ TEST(JournalWriter, AppendsFromManyThreadsLosslessly) {
     journal.flush();
     EXPECT_EQ(journal.appended(), 200u);
     EXPECT_EQ(journal.written(), 200u);
-    EXPECT_EQ(journal.dropped(), 0u);
   }
   std::size_t bad_lines = 0;
   bool ok = false;
@@ -311,7 +310,6 @@ TEST_F(FunnelJournal, SortedJournalByteIdenticalAcrossThreadCounts) {
       for (const AssessmentReport& r : reports) expected += r.items.size();
       journal.flush();
       EXPECT_EQ(journal.written(), expected);
-      EXPECT_EQ(journal.dropped(), 0u);
     }
     // Worker threads interleave appends nondeterministically; the event
     // *set* — and, since the codec is byte-deterministic, the sorted line

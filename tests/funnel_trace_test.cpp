@@ -315,7 +315,7 @@ struct OnlineTraceScenario {
       : store(tsdb::StoreOptions{.num_shards = 2,
                                  .ingest_queue_capacity = ingest_queue,
                                  .backpressure =
-                                     tsdb::Backpressure::kBlock}) {
+                                     common::Backpressure::kBlock}) {
     const std::vector<std::string> servers{"s1", "s2", "s3", "s4"};
     for (const auto& s : servers) topo.add_server("svc", s);
     changes::SoftwareChange ch;

@@ -1,6 +1,6 @@
 // Unit tests for the tracing subsystem (obs/trace.h): span-tree
 // well-formedness, ambient-context nesting, cross-thread propagation
-// through ThreadPool::parallel_for and tsdb::IngestDispatcher, ring-buffer
+// through ThreadPool::parallel_for and an async tsdb::MetricStore, ring-buffer
 // drop accounting under overflow, DetachedSpan move/cross-thread-end
 // semantics, and the Chrome trace-event JSON shape.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 
 #include "common/thread_pool.h"
 #include "obs/trace.h"
-#include "tsdb/dispatch.h"
+#include "tsdb/store.h"
 
 namespace funnel::obs {
 namespace {
@@ -190,17 +190,18 @@ TEST(ObsTrace, IngestDispatcherPropagatesProducerContext) {
   std::uint64_t root_id = 0;
   constexpr int kSamples = 16;
   {
-    tsdb::IngestDispatcher dispatcher(
-        64, tsdb::Backpressure::kBlock, [](const tsdb::Sample& s) {
-          Span cb("callback");
-          cb.attr("minute", s.t);
-        });
+    tsdb::MetricStore store({.ingest_queue_capacity = 64,
+                             .backpressure = common::Backpressure::kBlock});
+    store.subscribe({}, [](const tsdb::MetricId&, MinuteTime t, double) {
+      Span cb("callback");
+      cb.attr("minute", t);
+    });
     Span root(&tracer, "producer");
     root_id = root.context().span_id;
     for (int i = 0; i < kSamples; ++i) {
-      dispatcher.submit({tsdb::MetricId{}, i, 1.0, {}, {}});
+      store.append(tsdb::server_metric("s1", "kpi"), i, 1.0);
     }
-    dispatcher.flush();  // happens-before for the dispatcher ring's writes
+    store.flush();  // happens-before for the dispatcher ring's writes
   }
   const TraceDump dump = tracer.collect();
   ASSERT_EQ(dump.spans.size(), kSamples + 1u);

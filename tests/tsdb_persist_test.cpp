@@ -171,6 +171,25 @@ TEST(Wal, CorruptMidFileStopsAtTheDamage) {
   EXPECT_EQ(rr.skipped_bytes, bytes.size() - one);
 }
 
+TEST(Wal, FailedRotateThrowsAndTheWriterStillShutsDown) {
+  const fs::path dir = scratch("wal_rotate_fail");
+  const std::string path = (dir / "wal-000001.log").string();
+  {
+    WalWriter w(path, /*next_seq=*/1);
+    ASSERT_TRUE(w.ok());
+    EXPECT_EQ(w.log(sample_record("s1", "cpu", 10, 1.0)), 1u);
+    EXPECT_THROW(w.rotate((dir / "missing" / "wal.log").string()),
+                 StorageError);
+    EXPECT_FALSE(w.ok());
+    // A record that cannot reach a file never gets a seq.
+    EXPECT_THROW(w.log(sample_record("s1", "cpu", 11, 2.0)), StorageError);
+    EXPECT_EQ(w.next_seq(), 2u);
+  }  // destroyed after the failure: drains and joins instead of aborting
+  const WalReadResult rr = read_wal(path);
+  ASSERT_EQ(rr.records.size(), 1u);
+  EXPECT_EQ(rr.records[0].seq, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Segments
 
@@ -386,6 +405,19 @@ TEST(PersistentStore, CrashLosesOnlyUnflushedTailAndRecoversCleanly) {
   store.checkpoint();
   MetricStore again(persistent_options(dir));
   again.read(id, [](const TimeSeries& s) { EXPECT_EQ(s.at(30), 30.0); });
+}
+
+TEST(PersistentStore, FailedWalRotateFailsCheckpointAndLaterAppends) {
+  const fs::path dir = scratch("rotate_fail");
+  const MetricId id = server_metric("s1", "cpu");
+  MetricStore store(persistent_options(dir));
+  store.append(id, 0, 1.0);
+  // The checkpoint rotates to wal-000002.log; a directory in its place makes
+  // the open fail.
+  fs::create_directories(dir / "wal-000002.log");
+  EXPECT_THROW(store.checkpoint(), StorageError);
+  EXPECT_TRUE(fs::exists(dir / "wal-000001.log"));  // not rotated away
+  EXPECT_THROW(store.append(id, 1, 2.0), StorageError);
 }
 
 TEST(PersistentStore, CorruptCheckpointThrowsStorageError) {

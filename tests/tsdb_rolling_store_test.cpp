@@ -1,49 +1,11 @@
-// Tests for RollingWindow and the MetricStore (including subscriptions).
+// Tests for the MetricStore (including subscriptions).
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "tsdb/rolling.h"
 #include "tsdb/store.h"
 
 namespace funnel::tsdb {
 namespace {
-
-TEST(RollingWindow, FillsThenWraps) {
-  RollingWindow w(3);
-  EXPECT_FALSE(w.full());
-  w.push(1.0);
-  w.push(2.0);
-  w.push(3.0);
-  EXPECT_TRUE(w.full());
-  EXPECT_EQ(w.snapshot(), (std::vector<double>{1.0, 2.0, 3.0}));
-  w.push(4.0);  // evicts 1
-  EXPECT_EQ(w.snapshot(), (std::vector<double>{2.0, 3.0, 4.0}));
-  EXPECT_DOUBLE_EQ(w.front(), 2.0);
-  EXPECT_DOUBLE_EQ(w.back(), 4.0);
-}
-
-TEST(RollingWindow, Statistics) {
-  RollingWindow w(5);
-  for (double v : {1.0, 2.0, 3.0, 4.0, 100.0}) w.push(v);
-  EXPECT_DOUBLE_EQ(w.median(), 3.0);
-  EXPECT_DOUBLE_EQ(w.mad(), 1.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 22.0);
-}
-
-TEST(RollingWindow, ClearAndErrors) {
-  RollingWindow w(2);
-  w.push(1.0);
-  w.clear();
-  EXPECT_EQ(w.size(), 0u);
-  EXPECT_THROW((void)w.front(), InvalidArgument);
-  EXPECT_THROW(RollingWindow(0), InvalidArgument);
-}
-
-TEST(RollingWindow, WrapsManyTimes) {
-  RollingWindow w(4);
-  for (int i = 0; i < 100; ++i) w.push(static_cast<double>(i));
-  EXPECT_EQ(w.snapshot(), (std::vector<double>{96.0, 97.0, 98.0, 99.0}));
-}
 
 TEST(MetricStore, CreateAppendQuery) {
   MetricStore store;

@@ -109,7 +109,7 @@ TEST(ShardedStore, ReportsByteIdenticalAcrossShardsAndDispatchModes) {
                                    std::size_t{16}}) {
     const ScenarioResult async_run = run_scenario(
         {.num_shards = shards, .ingest_queue_capacity = 64,
-         .backpressure = Backpressure::kBlock});
+         .backpressure = common::Backpressure::kBlock});
     EXPECT_EQ(async_run.online_json, reference.online_json)
         << "online report diverged at num_shards=" << shards;
     EXPECT_EQ(async_run.batch_json, reference.batch_json)
@@ -136,7 +136,7 @@ TEST(ShardedStore, FlushDeliversEverySampleSubmittedBeforeIt) {
 TEST(ShardedStore, BlockPolicyIsLosslessUnderConcurrentProducers) {
   // Tiny queue + several producers: every append must still be delivered.
   MetricStore store({.num_shards = 4, .ingest_queue_capacity = 2,
-                     .backpressure = Backpressure::kBlock});
+                     .backpressure = common::Backpressure::kBlock});
   std::atomic<int> delivered{0};
   store.subscribe({}, [&](const MetricId&, MinuteTime, double) {
     delivered.fetch_add(1, std::memory_order_relaxed);
@@ -161,7 +161,7 @@ TEST(ShardedStore, DropOldestShedsExactlyTheOldestQueuedSamples) {
   // survived. Capacity 4, one in flight (minute 0), minutes 1..4 queued,
   // minutes 5..7 each shed the oldest queued sample (1, 2, 3).
   MetricStore store({.num_shards = 1, .ingest_queue_capacity = 4,
-                     .backpressure = Backpressure::kDropOldest});
+                     .backpressure = common::Backpressure::kDropOldest});
   std::promise<void> entered;
   std::promise<void> release;
   std::shared_future<void> release_f = release.get_future().share();
@@ -201,14 +201,14 @@ TEST(ShardedStore, DropOldestAccountsEveryShedExactlyUnderConcurrentLoad) {
     std::atomic<int> delivered{0};
   };
   TenantSim drop_a, drop_b, block;
-  const auto make = [](Backpressure policy, std::size_t capacity) {
+  const auto make = [](common::Backpressure policy, std::size_t capacity) {
     return std::make_unique<MetricStore>(
         StoreOptions{.num_shards = 2, .ingest_queue_capacity = capacity,
                      .backpressure = policy});
   };
-  drop_a.store = make(Backpressure::kDropOldest, 8);
-  drop_b.store = make(Backpressure::kDropOldest, 4);
-  block.store = make(Backpressure::kBlock, 8);
+  drop_a.store = make(common::Backpressure::kDropOldest, 8);
+  drop_b.store = make(common::Backpressure::kDropOldest, 4);
+  block.store = make(common::Backpressure::kBlock, 8);
   for (TenantSim* t : {&drop_a, &drop_b, &block}) {
     const bool stall = t != &block;
     t->store->subscribe({}, [t, stall](const MetricId&, MinuteTime, double) {
@@ -290,6 +290,34 @@ TEST(ShardedStore, DeliveryIsInOrderPerMetric) {
   }
 }
 
+TEST(ShardedStore, DestructorDeliversQueuedSamplesWithTelemetryAttached) {
+  // No flush(): the destructor drains the queue, and the dispatcher's
+  // per-batch telemetry still runs while it does.
+  obs::Registry reg;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_f = release.get_future().share();
+  std::atomic<bool> first{true};
+  std::atomic<int> delivered{0};
+  {
+    MetricStore store({.num_shards = 1, .ingest_queue_capacity = 64});
+    store.set_stats(&reg);
+    store.subscribe({}, [&](const MetricId&, MinuteTime, double) {
+      if (first.exchange(false)) {
+        entered.set_value();
+        release_f.wait();
+      }
+      delivered.fetch_add(1, std::memory_order_relaxed);
+    });
+    const MetricId id = test_metric("s1", "kpi");
+    store.append(id, 0, 1.0);
+    entered.get_future().wait();
+    for (MinuteTime t = 1; t < 20; ++t) store.append(id, t, 1.0);
+    release.set_value();
+  }
+  EXPECT_EQ(delivered.load(), 20);
+}
+
 TEST(ShardedStore, FlushFromInsideCallbackDoesNotDeadlock) {
   MetricStore store({.num_shards = 1, .ingest_queue_capacity = 4});
   std::atomic<int> delivered{0};
@@ -337,6 +365,49 @@ TEST(ShardedStore, UnsubscribeWaitsForInFlightCallback) {
 
   // After unsubscribe() returned the callback never runs again.
   for (MinuteTime t2 = 1; t2 < 10; ++t2) store.append(id, t2, 1.0);
+  store.flush();
+  EXPECT_EQ(delivered.load(), 1);
+}
+
+TEST(ShardedStore, UnsubscribeWaitsForInFlightCallbackUnderDropOldest) {
+  // A shed settles a queued sample, not the callback in flight: it must not
+  // release unsubscribe() early. A second subscriber keeps appends queued
+  // after the first one is gone.
+  MetricStore store({.num_shards = 1, .ingest_queue_capacity = 2,
+                     .backpressure = common::Backpressure::kDropOldest});
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_f = release.get_future().share();
+  std::atomic<bool> first{true};
+  std::atomic<int> delivered{0};
+  const SubscriptionId sub =
+      store.subscribe({}, [&](const MetricId&, MinuteTime, double) {
+        if (first.exchange(false)) {
+          entered.set_value();
+          release_f.wait();
+        }
+        delivered.fetch_add(1, std::memory_order_relaxed);
+      });
+  store.subscribe({}, [](const MetricId&, MinuteTime, double) {});
+  const MetricId id = test_metric("s1", "kpi");
+  store.append(id, 0, 1.0);
+  entered.get_future().wait();  // callback is now stalled in flight
+
+  std::atomic<bool> unsubscribed{false};
+  std::thread t([&] {
+    store.unsubscribe(sub);  // must block until the callback completes
+    unsubscribed.store(true, std::memory_order_release);
+  });
+  while (store.subscriber_count() != 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Overflow the queue while unsubscribe() waits: minutes 1..8 shed six.
+  for (MinuteTime m = 1; m <= 8; ++m) store.append(id, m, 1.0);
+  EXPECT_EQ(store.dropped_samples(), 6u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(unsubscribed.load(std::memory_order_acquire));
+  release.set_value();
+  t.join();
+  EXPECT_TRUE(unsubscribed.load());
   store.flush();
   EXPECT_EQ(delivered.load(), 1);
 }

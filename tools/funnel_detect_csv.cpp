@@ -407,7 +407,7 @@ FileResult assess_file(const std::string& path, const Options& opt,
   tsdb::MetricStore store(tsdb::StoreOptions{
       .num_shards = opt.shards,
       .ingest_queue_capacity = opt.ingest_queue,
-      .backpressure = tsdb::Backpressure::kBlock,
+      .backpressure = common::Backpressure::kBlock,
       .data_dir = opt.data_dir});
   store.set_stats(stats);
   const tsdb::MetricId metric = tsdb::server_metric("host", "kpi");
@@ -530,7 +530,7 @@ void declare_core_keys(const obs::Registry& reg) {
         "csv.files_failed", "funnel.cascade.windows",
         "funnel.cascade.scored", "funnel.cascade.suppressed_variance",
         "funnel.cascade.dirty", "funnel.journal.events",
-        "funnel.journal.bytes", "funnel.journal.dropped",
+        "funnel.journal.bytes",
         "funnel.wal.records", "funnel.wal.bytes", "funnel.wal.batches",
         "funnel.persist.segments_written", "funnel.persist.segment_bytes",
         "funnel.persist.checkpoints", "funnel.persist.compactions"}) {

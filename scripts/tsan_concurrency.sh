@@ -14,8 +14,8 @@
 # writer thread plus its live triage-observer tap, the persistent
 # segment store (WAL writer thread, background compaction, crash-replay
 # recovery — docs/STORAGE.md), and the live telemetry plane (HTTP worker
-# pool serving Registry snapshots while hot-path recorders run, the selfmon
-# background sampler — docs/OBSERVABILITY.md "Live endpoints"), and the
+# pool serving Registry snapshots while hot-path recorders run —
+# docs/OBSERVABILITY.md "Live endpoints"), and the
 # multi-tenant service plane (HTTP workers racing ingest/changes/report
 # against per-tenant locks, quotas and quarantine — docs/SERVICE.md).
 # docs/CONCURRENCY.md describes the model these tests pin down; a TSan
@@ -42,7 +42,6 @@ TARGETS=(
   tsdb_persist_test
   funnel_persist_replay_test
   obs_server_test
-  obs_selfmon_test
   service_test
 )
 

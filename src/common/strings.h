@@ -1,8 +1,10 @@
 // Small string utilities for hierarchical service names and report output.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace funnel {
@@ -21,5 +23,16 @@ std::string format_fixed(double value, int precision);
 
 /// Format a ratio as a percentage string like "99.88%".
 std::string format_percent(double ratio, int precision = 2);
+
+/// Parse all of `text` as a T with std::from_chars: no whitespace, no '+',
+/// and no sign at all for an unsigned T. False on junk, trailing bytes or
+/// overflow — how the tools reject a malformed numeric flag instead of
+/// reading it as 0 or wrapping it. `out` is unspecified after a false.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 }  // namespace funnel

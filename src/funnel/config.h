@@ -122,14 +122,6 @@ struct FunnelConfig {
   /// The journal must outlive every Funnel/FunnelOnline using it.
   const obs::Journal* journal = nullptr;
 
-  /// Metric-store construction knobs, consumed by the entry points that own
-  /// their store (funnel_detect_csv, scenario builders): hash-shard count
-  /// and the async ingest-queue capacity (0 = synchronous subscriber
-  /// dispatch on the producer thread). Reports are byte-identical for every
-  /// combination; see tsdb::StoreOptions and docs/CONCURRENCY.md.
-  std::size_t num_shards = 1;
-  std::size_t ingest_queue_capacity = 0;
-
   /// Worker threads for the batch fan-outs (per-KPI scoring in assess, and
   /// per-change distribution in assess_window). 0 = hardware concurrency,
   /// 1 = strictly serial (no pool). Reports are byte-identical for every
@@ -137,26 +129,6 @@ struct FunnelConfig {
   /// and each KPI is scored by a freshly reset()-ed scorer, so scheduling
   /// never shows in the output.
   std::size_t num_threads = 0;
-
-  /// Live telemetry plane (obs/plane.h, docs/OBSERVABILITY.md "Live
-  /// endpoints"), consumed by the entry points that host the pipeline
-  /// (funnel_detect_csv --http-port, the ROADMAP service-mode daemon):
-  /// TCP port of the embedded HTTP exposition server on 127.0.0.1.
-  /// 0 (the default) = no server — and, like every obs knob, byte-identical
-  /// reports and journals; -1 = bind an ephemeral port (announced by the
-  /// host). Under FUNNEL_OBS=OFF the server is compiled out and any
-  /// non-zero value fails fast at plane start.
-  int obs_http_port = 0;
-
-  /// Self-surveillance (obs/selfmon.h): sample the pipeline's own KPIs
-  /// (dispatch lag, queue backlogs, SST µs/window, WAL commit latency,
-  /// time-to-verdict) every `selfmon_tick_ms` under the reserved
-  /// `__funnel_self/` topology and run the online detectors over them;
-  /// degradation flips /healthz and journals a "pipeline-degradation"
-  /// verdict. Side channel only — off by default, reports byte-identical
-  /// either way.
-  bool selfmon = false;
-  std::size_t selfmon_tick_ms = 1000;
 };
 
 /// Scorer parameters for a config. The config carries no scorer knobs:

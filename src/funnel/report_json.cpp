@@ -3,36 +3,16 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace funnel::core {
 namespace {
 
-void escape_to(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+void escape_to(std::ostringstream& os, std::string_view s) {
+  std::string quoted = "\"";
+  json_escape_to(quoted, s);
+  quoted += '"';
+  os << quoted;
 }
 
 void number_to(std::ostringstream& os, double v) {

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/group_commit_queue.h"
+#include "common/json.h"
 
 namespace funnel::obs {
 
@@ -20,26 +21,6 @@ namespace {
 // Serialization. Fixed key order, omitted absent optionals, %.17g doubles:
 // the same event always renders to the same bytes, which is what lets the
 // determinism test compare canonically sorted journals byte-for-byte.
-
-void escape_to(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':  out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n";  break;
-      case '\r': out += "\\r";  break;
-      case '\t': out += "\\t";  break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void key_to(std::string& out, std::string_view key) {
   if (out.back() != '{') out += ',';
@@ -51,7 +32,7 @@ void key_to(std::string& out, std::string_view key) {
 void str_field(std::string& out, std::string_view key, std::string_view value) {
   key_to(out, key);
   out += '"';
-  escape_to(out, value);
+  json_escape_to(out, value);
   out += '"';
 }
 

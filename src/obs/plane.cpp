@@ -1,6 +1,5 @@
 #include "obs/plane.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -9,30 +8,79 @@
 namespace funnel::obs {
 namespace {
 
-// Span names are string literals from our own code, but /tracez output must
-// stay valid JSON whatever lands in a ring.
-void json_string_to(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+/// A bounded queue at or above this fraction of its capacity fails its
+/// subsystem check.
+constexpr double kUnhealthyQueueFrac = 0.95;
+
+/// The compaction check fails when the live segment count exceeds this.
+constexpr std::uint64_t kCompactBacklogMax = 16;
+
+double gauge_or(const Snapshot& snap, const std::string& name,
+                double fallback) {
+  auto it = snap.gauges.find(name);
+  return it == snap.gauges.end() ? fallback : it->second;
+}
+
+/// One queue's check: fails at kUnhealthyQueueFrac of its capacity; passes
+/// with detail "n/a" when the subsystem never registered its gauges — sync
+/// dispatch, no persistence, no journal.
+HealthCheck queue_check(const Snapshot& snap, const char* name,
+                        const std::string& depth_stat,
+                        const std::string& capacity_stat) {
+  HealthCheck check{name, true, "n/a"};
+  const double capacity = gauge_or(snap, capacity_stat, 0.0);
+  if (capacity <= 0.0) return check;
+  const double depth = gauge_or(snap, depth_stat, 0.0);
+  std::ostringstream os;
+  os << "queue " << static_cast<std::uint64_t>(depth) << '/'
+     << static_cast<std::uint64_t>(capacity);
+  check.detail = os.str();
+  check.ok = depth / capacity < kUnhealthyQueueFrac;
+  return check;
 }
 
 }  // namespace
+
+std::string HealthReport::render() const {
+  std::string out = healthy ? "healthy\n" : "unhealthy\n";
+  for (const HealthCheck& c : checks) {
+    out += c.ok ? "ok " : "FAIL ";
+    out += c.name;
+    out += ' ';
+    out += c.detail;
+    out += '\n';
+  }
+  return out;
+}
+
+HealthReport evaluate_health(const Snapshot& snap) {
+  HealthReport report;
+  report.checks = {
+      queue_check(snap, "ingest-dispatcher", "tsdb.store.queue_depth",
+                  "tsdb.store.queue_capacity"),
+      queue_check(snap, "wal-writer", "funnel.wal.queue_depth",
+                  "funnel.wal.queue_capacity"),
+      queue_check(snap, "journal-writer", "funnel.journal.queue_depth",
+                  "funnel.journal.queue_capacity")};
+
+  // Compaction: the background compactor cannot be probed directly from a
+  // snapshot, but its work product can — a segment list far beyond the
+  // compact threshold means it stopped keeping up.
+  HealthCheck compact{"compaction", true, "n/a"};
+  auto segs = snap.gauges.find("funnel.persist.segments");
+  if (segs != snap.gauges.end()) {
+    const auto count = static_cast<std::uint64_t>(segs->second);
+    std::ostringstream os;
+    os << "segments " << count << " (max " << kCompactBacklogMax << ')';
+    compact.detail = os.str();
+    compact.ok = count <= kCompactBacklogMax;
+  }
+  report.checks.push_back(std::move(compact));
+  for (const HealthCheck& check : report.checks) {
+    report.healthy = report.healthy && check.ok;
+  }
+  return report;
+}
 
 TelemetryPlane::TelemetryPlane(const Registry* stats, PlaneOptions options)
     : stats_(stats),
@@ -43,16 +91,8 @@ TelemetryPlane::TelemetryPlane(const Registry* stats, PlaneOptions options)
 
 TelemetryPlane::~TelemetryPlane() { stop(); }
 
-void TelemetryPlane::set_selfmon(SelfMonitor* selfmon) { selfmon_ = selfmon; }
-
 void TelemetryPlane::set_ready(bool ready) {
   ready_.store(ready, std::memory_order_release);
-}
-
-void TelemetryPlane::publish_trace(TraceDump dump) {
-  auto shared = std::make_shared<const TraceDump>(std::move(dump));
-  std::lock_guard lock(trace_mutex_);
-  trace_dump_ = std::move(shared);
 }
 
 void TelemetryPlane::handle(std::string path, HttpServer::Handler handler) {
@@ -81,11 +121,10 @@ bool TelemetryPlane::start() {
   server_.handle("/healthz", [this](const HttpRequest&) { return healthz(); });
   server_.handle("/readyz", [this](const HttpRequest&) { return readyz(); });
   server_.handle("/statusz", [this](const HttpRequest&) { return statusz(); });
-  server_.handle("/tracez", [this](const HttpRequest&) { return tracez(); });
   server_.handle("/", [this](const HttpRequest&) {
     return HttpResponse{200, "text/plain; charset=utf-8",
                         "funnel telemetry plane\n/metrics /stats.json "
-                        "/healthz /readyz /statusz /tracez\n",
+                        "/healthz /readyz /statusz\n",
                         {}};
   });
   if (!server_.start()) return false;
@@ -108,11 +147,7 @@ HttpResponse TelemetryPlane::stats_json() const {
 
 HttpResponse TelemetryPlane::healthz() const {
   HealthReport report;
-  if (selfmon_ != nullptr) {
-    report = selfmon_->health();
-  } else if (stats_ != nullptr) {
-    report = evaluate_health(stats_->snapshot());
-  }
+  if (stats_ != nullptr) report = evaluate_health(stats_->snapshot());
   for (const auto& contributor : health_extras_) {
     for (HealthCheck& check : contributor()) {
       report.healthy = report.healthy && check.ok;
@@ -142,50 +177,10 @@ HttpResponse TelemetryPlane::statusz() const {
      << "requests: " << server_.requests_served() << '\n'
      << "ready: "
      << (ready_.load(std::memory_order_acquire) ? "true" : "false") << '\n';
-  if (selfmon_ != nullptr) {
-    os << "selfmon: on (ticks " << selfmon_->ticks() << ", alarms "
-       << selfmon_->alarms_raised() << ")\n";
-  } else {
-    os << "selfmon: off\n";
-  }
   if (!options_.config_summary.empty()) {
     os << "config: " << options_.config_summary << '\n';
   }
   return {200, "text/plain; charset=utf-8", os.str(), {}};
-}
-
-HttpResponse TelemetryPlane::tracez() const {
-  std::shared_ptr<const TraceDump> dump;
-  {
-    std::lock_guard lock(trace_mutex_);
-    dump = trace_dump_;
-  }
-  std::ostringstream os;
-  if (dump == nullptr) {
-    os << "{\"recorded\":0,\"dropped\":0,\"threads\":0,\"spans\":[]}";
-    return {200, "application/json", os.str(), {}};
-  }
-  // Most recent spans (the dump is sorted by start_ns).
-  const std::size_t n =
-      std::min(options_.tracez_max_spans, dump->spans.size());
-  const std::size_t begin = dump->spans.size() - n;
-  const std::uint64_t base =
-      dump->spans.empty() ? 0 : dump->spans.front().start_ns;
-  os << "{\"recorded\":" << dump->recorded
-     << ",\"dropped\":" << dump->dropped << ",\"threads\":" << dump->threads
-     << ",\"spans\":[";
-  for (std::size_t i = begin; i < dump->spans.size(); ++i) {
-    const SpanRecord& s = dump->spans[i];
-    if (i > begin) os << ',';
-    os << "{\"name\":";
-    json_string_to(os, s.name);
-    os << ",\"trace\":" << s.trace_id << ",\"span\":" << s.span_id
-       << ",\"parent\":" << s.parent_id << ",\"start_us\":"
-       << (s.start_ns - base) / 1000 << ",\"dur_us\":"
-       << (s.end_ns - s.start_ns) / 1000 << '}';
-  }
-  os << "]}";
-  return {200, "application/json", os.str(), {}};
 }
 
 }  // namespace funnel::obs

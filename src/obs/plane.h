@@ -1,48 +1,62 @@
 // The live telemetry plane: one object wiring the embedded HTTP server
-// (obs/server.h) to the observability stack — the ROADMAP service-mode
-// daemon's exposition surface, usable today from `funnel_detect_csv
-// --http-port`.
+// (obs/server.h) to the observability stack — funnel_serve's exposition
+// surface, sharing its listener with the /v1 routes (src/service).
 //
 // Endpoints (all GET/HEAD; docs/OBSERVABILITY.md "Live endpoints"):
 //   /metrics     Prometheus text exposition of the live Registry
 //   /stats.json  the same snapshot as --stats-json, as application/json
-//   /healthz     deep health: per-subsystem checks (obs/selfmon.h) —
-//                ingest dispatcher, WAL writer, journal writer, compaction,
-//                plus selfmon detector alarms when a SelfMonitor is
-//                attached; 200 "healthy" / 503 "unhealthy" + one line per
-//                check
+//   /healthz     deep health: per-subsystem checks (evaluate_health below)
+//                — ingest dispatcher, WAL writer, journal writer,
+//                compaction — plus the host's add_health() contributors;
+//                200 "healthy" / 503 "unhealthy" + one line per check
 //   /readyz      readiness: 200 once set_ready(true) (pipeline constructed
 //                and ingesting), 503 before
 //   /statusz     human-readable build/config/uptime page
-//   /tracez      recent span summaries as JSON, from the last published
-//                TraceDump
-//
-// /tracez serves a *cached* dump: Tracer::collect() is only defined at
-// quiesce points (obs/trace.h), so the pipeline publishes via
-// publish_trace() at its natural barriers (end of a CSV file, after
-// flush()) and the handler renders the latest published copy — never a
-// live collect racing the recorders.
 //
 // Every handler reads only thread-safe state (Registry::snapshot, atomics,
-// the mutex-guarded trace cache), because handlers run concurrently on the
-// server's worker pool. The plane is a side channel like the rest of obs:
-// reports are byte-identical with it running or not, and under
-// FUNNEL_OBS=OFF start() fails with the server stub's "compiled out" error.
+// the contributors fixed before start()), because handlers run
+// concurrently on the server's worker pool. The plane is a side channel
+// like the rest of obs: reports are byte-identical with it running or not,
+// and under FUNNEL_OBS=OFF start() fails with the server stub's "compiled
+// out" error.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/selfmon.h"
+#include "obs/registry.h"
 #include "obs/server.h"
-#include "obs/trace.h"
 
 namespace funnel::obs {
+
+/// One per-subsystem health probe result.
+struct HealthCheck {
+  std::string name;    ///< "ingest-dispatcher", "wal-writer", ...
+  bool ok = true;
+  std::string detail;  ///< human-readable evidence, e.g. "queue 512/1024"
+};
+
+struct HealthReport {
+  bool healthy = true;
+  std::vector<HealthCheck> checks;
+
+  /// "healthy\n" / "unhealthy\n" followed by one "ok|FAIL <name> <detail>"
+  /// line per check — the /healthz body.
+  std::string render() const;
+};
+
+/// Instantaneous per-subsystem checks over a registry snapshot: the ingest
+/// dispatcher, WAL writer and journal writer queues fail at 95% of their
+/// capacity or more, and compaction fails past 16 live segments (the
+/// background compactor is falling behind). Subsystems whose stats are
+/// absent (sync dispatch, no persistence, no journal) pass with detail
+/// "n/a" — absence of a subsystem is not a failure. Pure function of the
+/// snapshot.
+HealthReport evaluate_health(const Snapshot& snap);
 
 struct PlaneOptions {
   /// Listener config; http.port 0 binds an ephemeral port (see port()).
@@ -51,8 +65,6 @@ struct PlaneOptions {
   std::string build_info;
   /// Free-form one-line config rendering for /statusz.
   std::string config_summary;
-  /// Most recent spans rendered by /tracez (the full dump is retained).
-  std::size_t tracez_max_spans = 256;
 };
 
 class TelemetryPlane {
@@ -65,16 +77,8 @@ class TelemetryPlane {
   TelemetryPlane(const TelemetryPlane&) = delete;
   TelemetryPlane& operator=(const TelemetryPlane&) = delete;
 
-  /// Attach the self-monitor /healthz consults (null = threshold checks
-  /// only). Call before start(); the monitor must outlive the plane.
-  void set_selfmon(SelfMonitor* selfmon);
-
   /// Flip /readyz (starts false; typically set once ingestion is wired).
   void set_ready(bool ready);
-
-  /// Publish a trace dump for /tracez. Call at quiesce points only —
-  /// this is the Tracer::collect() contract, not the plane's.
-  void publish_trace(TraceDump dump);
 
   /// Mount extra routes on the plane's server — how a host (the
   /// multi-tenant FunnelService, src/service) shares one listener with the
@@ -105,7 +109,6 @@ class TelemetryPlane {
   std::uint16_t port() const { return server_.port(); }
 
   const std::string& error() const { return server_.error(); }
-  std::uint64_t requests_served() const { return server_.requests_served(); }
 
  private:
   HttpResponse metrics() const;
@@ -113,20 +116,15 @@ class TelemetryPlane {
   HttpResponse healthz() const;
   HttpResponse readyz() const;
   HttpResponse statusz() const;
-  HttpResponse tracez() const;
 
   const Registry* stats_;
   PlaneOptions options_;
   HttpServer server_;
-  SelfMonitor* selfmon_ = nullptr;
   /// Extra health checks (add_health); fixed after start(), so handlers
   /// read it lock-free.
   std::vector<std::function<std::vector<HealthCheck>()>> health_extras_;
   std::atomic<bool> ready_{false};
   std::chrono::steady_clock::time_point started_at_{};
-
-  mutable std::mutex trace_mutex_;  ///< guards trace_dump_
-  std::shared_ptr<const TraceDump> trace_dump_;
 };
 
 }  // namespace funnel::obs

@@ -6,9 +6,9 @@
 // time-to-verdict, detector throughput). Until now those were reachable
 // only through one-shot CLI dumps (--stats / --stats-json). This server
 // makes the same exporters reachable while the pipeline runs: a handful of
-// GET endpoints (/metrics, /stats.json, /healthz, /readyz, /statusz,
-// /tracez — wired by obs::TelemetryPlane in obs/plane.h) served from the
-// live Registry.
+// GET endpoints (/metrics, /stats.json, /healthz, /readyz, /statusz —
+// wired by obs::TelemetryPlane in obs/plane.h) served from the live
+// Registry.
 //
 // Design:
 //   * Dependency-free: POSIX sockets only, no third-party HTTP stack. The
@@ -36,7 +36,7 @@
 //   * port 0 binds an ephemeral port; port() reports the bound one (test
 //     harnesses and --port-file use this). A bind/listen failure is NOT
 //     fatal to the caller: start() returns false and error() carries the
-//     errno text — the CLI turns that into exit 3 with a diagnostic.
+//     errno text — funnel_serve turns that into exit 3 with a diagnostic.
 //   * -DFUNNEL_OBS=OFF compiles the server to a stub whose start() always
 //     fails with a "compiled out" error; callers keep their flag plumbing
 //     with zero #ifdefs.

@@ -7,36 +7,16 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/json.h"
+
 namespace funnel::obs {
 namespace {
 
-void json_escape_to(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+void escape_to(std::ostringstream& os, std::string_view s) {
+  std::string quoted = "\"";
+  json_escape_to(quoted, s);
+  quoted += '"';
+  os << quoted;
 }
 
 void json_number_to(std::ostringstream& os, double v) {
@@ -58,7 +38,7 @@ void attr_value_to(std::ostringstream& os, const SpanAttr& a) {
       os << a.inum;
       break;
     case SpanAttr::Kind::kString:
-      json_escape_to(os, a.str);
+      escape_to(os, a.str);
       break;
   }
 }
@@ -88,7 +68,7 @@ std::string chrome_trace_json(const TraceDump& dump) {
     if (!first) os << ',';
     first = false;
     os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << s.thread << ",\"name\":";
-    json_escape_to(os, s.name);
+    escape_to(os, s.name);
     os << ",\"ts\":";
     json_number_to(os, static_cast<double>(s.start_ns - base) / 1000.0);
     os << ",\"dur\":";
@@ -98,7 +78,7 @@ std::string chrome_trace_json(const TraceDump& dump) {
        << ",\"span_id\":" << s.span_id << ",\"parent_id\":" << s.parent_id;
     for (const SpanAttr& a : s.attrs) {
       os << ',';
-      json_escape_to(os, a.key);
+      escape_to(os, a.key);
       os << ':';
       attr_value_to(os, a);
     }

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/error.h"
-#include "service/json.h"
+#include "common/json.h"
 
 namespace funnel::service {
 namespace {
@@ -20,11 +20,16 @@ obs::HttpResponse json_response(int status, std::string body) {
 
 obs::HttpResponse error_response(int status, std::string_view error,
                                  std::string_view detail = {}) {
-  std::ostringstream body;
-  body << "{\"error\":\"" << json_escape(error) << "\"";
-  if (!detail.empty()) body << ",\"detail\":\"" << json_escape(detail) << "\"";
-  body << "}";
-  return json_response(status, body.str());
+  std::string body = "{\"error\":\"";
+  json_escape_to(body, error);
+  body += '"';
+  if (!detail.empty()) {
+    body += ",\"detail\":\"";
+    json_escape_to(body, detail);
+    body += '"';
+  }
+  body += '}';
+  return json_response(status, std::move(body));
 }
 
 /// Retry-After is an integral number of seconds; round up so the client
@@ -221,18 +226,19 @@ obs::HttpResponse FunnelService::dispatch(const obs::HttpRequest& req) {
       all.reserve(tenants_.size());
       for (const auto& [name, tenant] : tenants_) all.push_back(tenant.get());
     }
-    std::ostringstream body;
-    body << "[";
+    std::string body = "[";
     bool first = true;
     for (Tenant* tenant : all) {
-      if (!first) body << ',';
+      if (!first) body += ',';
       first = false;
-      body << "{\"tenant\":\"" << json_escape(tenant->name())
-           << "\",\"quarantined\":"
-           << (tenant->quarantined() ? "true" : "false") << "}";
+      body += "{\"tenant\":\"";
+      json_escape_to(body, tenant->name());
+      body += "\",\"quarantined\":";
+      body += tenant->quarantined() ? "true" : "false";
+      body += '}';
     }
-    body << "]";
-    return json_response(200, body.str());
+    body += ']';
+    return json_response(200, std::move(body));
   }
 
   static constexpr std::string_view kPrefixes[] = {

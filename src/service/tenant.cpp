@@ -10,8 +10,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "funnel/report_json.h"
-#include "service/json.h"
 #include "tsdb/persist/format.h"
 #include "tsdb/persist/wal.h"
 
@@ -95,6 +95,20 @@ std::string join(const std::vector<std::string>& parts, char sep) {
     if (!out.empty()) out += sep;
     out += p;
   }
+  return out;
+}
+
+/// The fields /v1/report and /v1/status open with, up to the closing quote
+/// of quarantine_reason.
+std::string tenant_json_head(const std::string& name, bool quarantined,
+                             const std::string& reason) {
+  std::string out = "{\"tenant\":\"";
+  json_escape_to(out, name);
+  out += "\",\"quarantined\":";
+  out += quarantined ? "true" : "false";
+  out += ",\"quarantine_reason\":\"";
+  json_escape_to(out, reason);
+  out += '"';
   return out;
 }
 
@@ -458,10 +472,8 @@ std::vector<changes::ChangeId> Tenant::register_changes(
 std::string Tenant::report_json() {
   store_->flush();
   std::ostringstream out;
-  out << "{\"tenant\":\"" << json_escape(options_.name) << "\""
-      << ",\"quarantined\":" << (quarantined_ ? "true" : "false")
-      << ",\"quarantine_reason\":\"" << json_escape(quarantine_reason_)
-      << "\",\"active_watches\":" << online_->active_watches()
+  out << tenant_json_head(options_.name, quarantined_, quarantine_reason_)
+      << ",\"active_watches\":" << online_->active_watches()
       << ",\"reports\":[";
   {
     std::lock_guard<std::mutex> guard(report_mutex_);
@@ -478,10 +490,8 @@ std::string Tenant::report_json() {
 
 std::string Tenant::status_json() {
   std::ostringstream out;
-  out << "{\"tenant\":\"" << json_escape(options_.name) << "\""
-      << ",\"quarantined\":" << (quarantined_ ? "true" : "false")
-      << ",\"quarantine_reason\":\"" << json_escape(quarantine_reason_)
-      << "\",\"persistent\":" << (store_->persistent() ? "true" : "false")
+  out << tenant_json_head(options_.name, quarantined_, quarantine_reason_)
+      << ",\"persistent\":" << (store_->persistent() ? "true" : "false")
       << ",\"recovered_seq\":" << recovered_seq_
       << ",\"applied_seq\":" << applied_seq_
       << ",\"accepted_samples\":" << accepted_samples_

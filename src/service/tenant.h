@@ -69,9 +69,7 @@ struct TenantOptions {
   /// or no journal when both are empty.
   std::string journal_path;
 
-  /// Assessor configuration. stats/journal sinks are wired by the Tenant;
-  /// num_shards/ingest_queue_capacity in here are ignored (the store shape
-  /// comes from the fields above).
+  /// Assessor configuration. stats/journal sinks are wired by the Tenant.
   core::FunnelConfig funnel;
 };
 

@@ -2,33 +2,20 @@
 
 #include <sstream>
 
+#include "common/json.h"
+
 namespace funnel::triage {
 namespace {
 
 // File-local JSON helpers (same dialect as funnel/report_json.cpp: default
-// ostream double formatting, minimal escaping — triage keys/values are
-// machine-generated identifiers, but user-supplied service names pass
-// through, so escape anyway).
-void escape_to(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':  os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n";  break;
-      case '\r': os << "\\r";  break;
-      case '\t': os << "\\t";  break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+// ostream double formatting, strings through common/json.h — triage
+// keys/values are machine-generated identifiers, but user-supplied service
+// names pass through, so escape anyway).
+void escape_to(std::ostringstream& os, std::string_view s) {
+  std::string quoted = "\"";
+  json_escape_to(quoted, s);
+  quoted += '"';
+  os << quoted;
 }
 
 void card_to(std::ostringstream& os, const Scorecard& card) {

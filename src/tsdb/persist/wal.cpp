@@ -144,9 +144,8 @@ struct WalWriter::Impl {
       reg->add("funnel.wal.records", batch.size());
       reg->add("funnel.wal.bytes", buf.size());
       reg->add("funnel.wal.batches");
-      // One observation per group commit (fwrite + fflush [+ fsync]) —
-      // the "WAL fsync latency" KPI the selfmon loop watches for a
-      // degrading disk.
+      // One observation per group commit (fwrite + fflush [+ fsync]): the
+      // WAL's fsync latency, which climbs on a degrading disk.
       reg->observe("funnel.wal.commit_us",
                    std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - commit_start)

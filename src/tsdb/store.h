@@ -284,8 +284,8 @@ class MetricStore {
   /// (`tsdb.store.appends`), delivery counts callbacks
   /// (`tsdb.store.notifications`) and times the dispatch loop
   /// (`tsdb.store.dispatch_us`); async mode adds `tsdb.store.queue_depth` /
-  /// `tsdb.store.queue_capacity` (the pair the selfmon backlog fraction and
-  /// the /healthz dispatcher check divide), the enqueue-to-dispatch lag
+  /// `tsdb.store.queue_capacity` (the pair the /healthz dispatcher check
+  /// divides), the enqueue-to-dispatch lag
   /// histogram `tsdb.store.dispatch_lag_us` and the
   /// `tsdb.store.dropped_samples` / `tsdb.store.callback_exceptions`
   /// counters; a persistent store adds the funnel.wal.* / funnel.persist.*

@@ -101,7 +101,13 @@ obs::JournalEvent minimal_event() {
 }
 
 TEST(JournalCodec, RoundTripsFullAndMinimalEvents) {
-  for (const obs::JournalEvent& original : {full_event(), minimal_event()}) {
+  // Every control byte plus the two JSON metacharacters must survive the
+  // escaper (common/json.h) and the parser.
+  obs::JournalEvent escaped = minimal_event();
+  for (char c = 0x01; c < 0x20; ++c) escaped.service += c;
+  escaped.service += "\"\\";
+  for (const obs::JournalEvent& original :
+       {full_event(), minimal_event(), escaped}) {
     const std::string line = to_jsonl(original);
     EXPECT_EQ(line.find('\n'), std::string::npos);
     obs::JournalEvent parsed;

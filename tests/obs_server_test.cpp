@@ -1,7 +1,8 @@
 // Tests for the embedded HTTP exposition server (obs/server.h) and the
-// telemetry plane routing on top of it (obs/plane.h): request parsing and
-// routing (GET/HEAD/405/404/400), load shedding, clean shutdown + restart,
-// the port-conflict failure contract, and — the concurrency pin — the
+// telemetry plane on top of it (obs/plane.h): request parsing and routing
+// (GET/HEAD/405/404/400), load shedding, clean shutdown + restart, the
+// port-conflict failure contract, the plane's endpoint set and its
+// evaluate_health() threshold checks, and — the concurrency pin — the
 // snapshot-while-writing hammer: worker threads serving /metrics-style
 // Prometheus exports of a live Registry while producer threads drive the
 // hot-path recorders. scripts/tsan_concurrency.sh runs this suite under
@@ -595,29 +596,61 @@ TEST(ObsPlane, ServesTheEndpointSet) {
   EXPECT_NE(body_of(statusz).find("obs_server_test"), std::string::npos);
   EXPECT_NE(body_of(statusz).find("unit-test plane"), std::string::npos);
 
-  // /tracez before any publish: a valid empty dump.
-  const std::string tracez = http_get(port, "/tracez");
-  EXPECT_EQ(status_of(tracez), 200);
-  EXPECT_NE(body_of(tracez).find("\"spans\":[]"), std::string::npos);
-
-  // After publishing a dump the cached spans are served.
-  TraceDump dump;
-  SpanRecord span;
-  span.name = "assess";
-  span.trace_id = 1;
-  span.span_id = 2;
-  span.start_ns = 100000;
-  span.end_ns = 150000;
-  dump.spans.push_back(span);
-  dump.recorded = 1;
-  dump.threads = 1;
-  plane.publish_trace(std::move(dump));
-  const std::string tracez2 = http_get(port, "/tracez");
-  EXPECT_EQ(status_of(tracez2), 200);
-  EXPECT_NE(body_of(tracez2).find("\"name\":\"assess\""), std::string::npos);
+  // The plane serves no trace endpoint.
+  EXPECT_EQ(status_of(http_get(port, "/tracez")), 404);
 
   plane.stop();
   EXPECT_FALSE(plane.running());
+}
+
+// ---------------------------------------------------------------------------
+// evaluate_health(): the instantaneous per-subsystem checks /healthz serves.
+
+TEST(ObsHealth, EmptySnapshotIsHealthyWithAbsentSubsystems) {
+  SKIP_IF_OBS_OFF();
+  Registry reg;
+  const HealthReport report = evaluate_health(reg.snapshot());
+  EXPECT_TRUE(report.healthy);
+  ASSERT_EQ(report.checks.size(), 4u);
+  for (const HealthCheck& c : report.checks) {
+    EXPECT_TRUE(c.ok) << c.name;
+    EXPECT_EQ(c.detail, "n/a") << c.name;
+  }
+  const std::string text = report.render();
+  EXPECT_EQ(text.substr(0, 8), "healthy\n");
+  EXPECT_NE(text.find("ok ingest-dispatcher n/a"), std::string::npos);
+  EXPECT_NE(text.find("ok wal-writer n/a"), std::string::npos);
+  EXPECT_NE(text.find("ok journal-writer n/a"), std::string::npos);
+  EXPECT_NE(text.find("ok compaction n/a"), std::string::npos);
+}
+
+TEST(ObsHealth, SaturatedQueueFailsItsSubsystemCheck) {
+  SKIP_IF_OBS_OFF();
+  Registry reg;
+  reg.set("tsdb.store.queue_depth", 1000.0);
+  reg.set("tsdb.store.queue_capacity", 1024.0);
+  reg.set("funnel.wal.queue_depth", 3.0);
+  reg.set("funnel.wal.queue_capacity", 512.0);
+  const HealthReport report = evaluate_health(reg.snapshot());
+  EXPECT_FALSE(report.healthy);
+  const std::string text = report.render();
+  EXPECT_EQ(text.substr(0, 10), "unhealthy\n");
+  EXPECT_NE(text.find("FAIL ingest-dispatcher queue 1000/1024"),
+            std::string::npos)
+      << text;
+  // The healthy WAL queue still passes, with its evidence.
+  EXPECT_NE(text.find("ok wal-writer queue 3/512"), std::string::npos)
+      << text;
+}
+
+TEST(ObsHealth, CompactionBacklogFailsWhenSegmentsPileUp) {
+  SKIP_IF_OBS_OFF();
+  Registry reg;
+  reg.set("funnel.persist.segments", 40.0);
+  EXPECT_FALSE(evaluate_health(reg.snapshot()).healthy);
+  // A backlog at the limit (16 live segments) passes.
+  reg.set("funnel.persist.segments", 16.0);
+  EXPECT_TRUE(evaluate_health(reg.snapshot()).healthy);
 }
 
 }  // namespace

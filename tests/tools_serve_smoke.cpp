@@ -1,17 +1,16 @@
-// End-to-end smoke for the live telemetry plane behind `funnel_detect_csv
-// --serve` (docs/OBSERVABILITY.md "Live endpoints"): launch the real tool
-// against a generated KPI with `--http-port auto --port-file --selfmon
-// --serve`, wait for the port-file handshake, scrape /healthz, /metrics,
-// /stats.json and /tracez over a raw socket, then SIGTERM it and require a
+// End-to-end smoke for the live telemetry plane of the `funnel_serve` daemon
+// (docs/OBSERVABILITY.md "Live endpoints"): launch the real daemon with
+// `--port auto --port-file --tenants a` and no time bound, wait for the
+// port-file handshake, ingest over /v1, scrape /healthz, /metrics,
+// /stats.json and /readyz over a raw socket, then SIGTERM it and require a
 // clean exit 0. Also the failure contracts: a port that is already bound
-// must exit 3 with a diagnostic, and SIGTERM must interrupt an unbounded
-// --serve promptly.
+// must exit 3 with a diagnostic, and a malformed numeric flag must exit 2.
 //
 // Under -DFUNNEL_OBS=OFF the plane cannot start; the same invocation must
 // exit 3 fast (the "compiled out" contract) — so the test is meaningful in
 // both build flavors.
 //
-// The tool path arrives via -DFUNNEL_DETECT_CSV_PATH from tests/CMakeLists.
+// The daemon path arrives via -DFUNNEL_SERVE_PATH from tests/CMakeLists.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -36,20 +35,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "funnel_serve_smoke_" + name;
-}
-
-/// 300 minutes of a deterministic noisy level with a +3 step at minute 200
-/// — enough for the online pipeline to run; the verdict itself is not what
-/// this smoke checks.
-std::string write_kpi_csv() {
-  const std::string path = temp_path("kpi.csv");
-  std::ofstream out(path, std::ios::trunc);
-  for (int t = 0; t < 300; ++t) {
-    const double ripple = 0.3 * double((t * 7) % 11) / 11.0;
-    const double level = t >= 200 ? 13.0 : 10.0;
-    out << t << ',' << (level + ripple) << '\n';
-  }
-  return path;
 }
 
 pid_t spawn(const std::vector<std::string>& args, const std::string& log) {
@@ -97,7 +82,7 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// Poll the --port-file handshake until the tool announces its bound port.
+/// Poll the --port-file handshake until the daemon announces its bound port.
 int read_port_file(const std::string& path, int timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
@@ -110,7 +95,7 @@ int read_port_file(const std::string& path, int timeout_ms) {
   return 0;
 }
 
-std::string http_get(int port, const std::string& path) {
+std::string http_exchange(int port, const std::string& req) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -121,7 +106,6 @@ std::string http_get(int port, const std::string& path) {
     ::close(fd);
     return "";
   }
-  const std::string req = "GET " + path + " HTTP/1.1\r\nHost: t\r\n\r\n";
   (void)::send(fd, req.data(), req.size(), 0);
   std::string rsp;
   char buf[4096];
@@ -134,28 +118,47 @@ std::string http_get(int port, const std::string& path) {
   return rsp;
 }
 
+std::string http_get(int port, const std::string& path) {
+  return http_exchange(port, "GET " + path + " HTTP/1.1\r\nHost: t\r\n\r\n");
+}
+
+std::string http_post(int port, const std::string& path,
+                      const std::string& body) {
+  return http_exchange(port, "POST " + path +
+                                 " HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                                 std::to_string(body.size()) + "\r\n\r\n" +
+                                 body);
+}
+
 int status_of(const std::string& response) {
   if (response.size() < 12 || response.compare(0, 5, "HTTP/") != 0) return -1;
   return std::atoi(response.c_str() + 9);
 }
 
 TEST(ToolsServeSmoke, ServesTelemetryUntilSigterm) {
-  const std::string csv = write_kpi_csv();
   const std::string port_file = temp_path("port");
   const std::string log = temp_path("serve.log");
   std::remove(port_file.c_str());
-  const std::vector<std::string> args = {
-      FUNNEL_DETECT_CSV_PATH, csv,
-      "--change-minute", "200",
-      "--http-port", "auto",
-      "--port-file", port_file,
-      "--selfmon", "--selfmon-tick-ms", "25",
-      "--serve", "--serve-seconds", "60"};
+  const std::vector<std::string> args = {FUNNEL_SERVE_PATH, "--port", "auto",
+                                         "--port-file", port_file,
+                                         "--tenants", "a"};
   const pid_t pid = spawn(args, log);
   ASSERT_GT(pid, 0);
+  // The daemon runs without a time bound: kill it if an assertion below
+  // ends the test before the SIGTERM.
+  struct Reaper {
+    pid_t pid;
+    ~Reaper() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } reaper{pid};
 
   if (!funnel::obs::kEnabled) {
-    // FUNNEL_OBS=OFF: the plane cannot start, the tool must exit 3 fast.
+    // FUNNEL_OBS=OFF: the plane cannot start, the daemon must exit 3 fast.
+    reaper.pid = 0;
     const int status = await_exit(pid, 20000);
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 3) << slurp(log);
@@ -165,49 +168,47 @@ TEST(ToolsServeSmoke, ServesTelemetryUntilSigterm) {
   }
 
   const int port = read_port_file(port_file, 20000);
-  ASSERT_GT(port, 0) << "no port-file handshake; tool log:\n" << slurp(log);
+  ASSERT_GT(port, 0) << "no port-file handshake; daemon log:\n" << slurp(log);
 
-  // /healthz: the live pipeline with selfmon attached reports healthy with
-  // per-subsystem evidence.
+  const std::string ingest =
+      http_post(port, "/v1/ingest/a", "svc,s0,cpu,0,1.5\nsvc,s0,cpu,1,1.75\n");
+  EXPECT_EQ(status_of(ingest), 200) << ingest;
+
+  // /healthz: healthy, with the tenant's own check line.
   const std::string health = http_get(port, "/healthz");
   EXPECT_EQ(status_of(health), 200) << health;
   EXPECT_NE(health.find("healthy"), std::string::npos);
-  EXPECT_NE(health.find("selfmon"), std::string::npos);
+  EXPECT_NE(health.find("tenant:a"), std::string::npos) << health;
 
-  // /metrics: Prometheus exposition with the pipeline's and the selfmon's
-  // own series, plus the server accounting for itself.
+  // /metrics: Prometheus exposition, with the server accounting for itself.
   const std::string metrics = http_get(port, "/metrics");
   EXPECT_EQ(status_of(metrics), 200);
-  EXPECT_NE(metrics.find("funnel_online_samples_ingested"), std::string::npos);
-  EXPECT_NE(metrics.find("funnel_selfmon_ticks"), std::string::npos);
   EXPECT_NE(metrics.find("obs_server_requests"), std::string::npos);
 
   // /stats.json: the --stats-json snapshot, live.
   const std::string stats = http_get(port, "/stats.json");
   EXPECT_EQ(status_of(stats), 200);
   EXPECT_NE(stats.find("\"enabled\":true"), std::string::npos);
-  EXPECT_NE(stats.find("tsdb.store.appends"), std::string::npos);
 
-  // /tracez: the assessment published its trace dump at the quiesce point
-  // before the serve loop.
-  const std::string tracez = http_get(port, "/tracez");
-  EXPECT_EQ(status_of(tracez), 200);
-  EXPECT_NE(tracez.find("\"spans\":["), std::string::npos);
+  // Tenants are created before the listener binds, so the port-file
+  // handshake already means ready.
+  EXPECT_EQ(status_of(http_get(port, "/readyz")), 200);
 
-  // SIGTERM interrupts the hold loop; the tool still exits 0.
+  // SIGTERM ends the unbounded serve loop; the daemon still exits 0.
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  reaper.pid = 0;
   const int status = await_exit(pid, 20000);
   ASSERT_TRUE(WIFEXITED(status)) << slurp(log);
   EXPECT_EQ(WEXITSTATUS(status), 0) << slurp(log);
   const std::string logged = slurp(log);
-  EXPECT_NE(logged.find("# serving telemetry on 127.0.0.1:"),
+  EXPECT_NE(logged.find("# serving 1 tenants on 127.0.0.1:"),
             std::string::npos)
       << logged;
   std::remove(port_file.c_str());
 }
 
 TEST(ToolsServeSmoke, AlreadyBoundPortExits3WithDiagnostic) {
-  // Occupy an ephemeral port ourselves; the tool must fail to bind it and
+  // Occupy an ephemeral port ourselves; the daemon must fail to bind it and
   // exit 3 with the address in the diagnostic (or the "compiled out" error
   // under FUNNEL_OBS=OFF — same exit code, same contract).
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -222,15 +223,12 @@ TEST(ToolsServeSmoke, AlreadyBoundPortExits3WithDiagnostic) {
   ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
   const int port = ntohs(addr.sin_port);
 
-  const std::string csv = write_kpi_csv();
   const std::string log = temp_path("conflict.log");
   std::ostringstream port_text;
   port_text << port;
-  const std::vector<std::string> args = {
-      FUNNEL_DETECT_CSV_PATH, csv,
-      "--change-minute", "200",
-      "--http-port", port_text.str(),
-      "--serve", "--serve-seconds", "30"};
+  const std::vector<std::string> args = {FUNNEL_SERVE_PATH, "--port",
+                                         port_text.str(), "--tenants", "a",
+                                         "--max-seconds", "30"};
   const pid_t pid = spawn(args, log);
   ASSERT_GT(pid, 0);
   const int status = await_exit(pid, 30000);
@@ -243,6 +241,29 @@ TEST(ToolsServeSmoke, AlreadyBoundPortExits3WithDiagnostic) {
     EXPECT_NE(logged.find("in use"), std::string::npos) << logged;
   } else {
     EXPECT_NE(logged.find("compiled out"), std::string::npos) << logged;
+  }
+}
+
+TEST(ToolsServeSmoke, MalformedFlagsExit2) {
+  // Each value once aborted, or served on a port nobody asked for. Usage
+  // errors are caught before the listener binds, so this holds in both
+  // build flavors. --max-seconds bounds a daemon that wrongly starts: the
+  // case then fails on exit 0 instead of hanging.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--num-shards", "0"}, {"--port", "70000"},       {"--port", "-5"},
+      {"--port", "abc"},     {"--queue-capacity", "-1"}, {"--horizon", "1x"}};
+  for (const std::vector<std::string>& flag : bad) {
+    const std::string log = temp_path("malformed.log");
+    std::vector<std::string> args = {FUNNEL_SERVE_PATH};
+    if (flag[0] != "--port") args.insert(args.end(), {"--port", "auto"});
+    args.insert(args.end(), flag.begin(), flag.end());
+    args.insert(args.end(), {"--tenants", "a", "--max-seconds", "2"});
+    const pid_t pid = spawn(args, log);
+    ASSERT_GT(pid, 0);
+    const int status = await_exit(pid, 20000);
+    ASSERT_TRUE(WIFEXITED(status)) << flag[0] << ' ' << flag[1];
+    EXPECT_EQ(WEXITSTATUS(status), 2)
+        << flag[0] << ' ' << flag[1] << ":\n" << slurp(log);
   }
 }
 

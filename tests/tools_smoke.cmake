@@ -10,7 +10,8 @@
 # path exits 3. The --data-dir block covers the storage contract
 # (docs/STORAGE.md): a fresh persistent run matches the in-memory stdout
 # byte for byte, a second run recovers the store, a corrupted checkpoint
-# exits 3, and --data-dir outside pipeline mode is bad usage (exit 2).
+# exits 3, and --data-dir outside pipeline mode is bad usage (exit 2). A
+# malformed numeric flag is bad usage too.
 #
 # Invoked by ctest as:
 #   cmake -DGEN=<funnel_generate> -DDET=<funnel_detect_csv>
@@ -259,29 +260,29 @@ if(enabled)
   endforeach()
 endif()
 
-# --serve misuse is bad usage (exit 2), diagnosed before any work: holding
-# the process open needs a listening plane, and the one-shot --scores dump
-# has nothing to serve.
-execute_process(
-  COMMAND "${DET}" "${csv}" --change-minute ${change_minute} --serve
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "--serve without --http-port must exit 2, got ${rc}")
-endif()
-if(NOT err MATCHES "--http-port")
-  message(FATAL_ERROR "expected a --http-port diagnostic, got: ${err}")
-endif()
-execute_process(
-  COMMAND "${DET}" "${csv}" --scores --http-port auto --serve
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "--serve with --scores must exit 2, got ${rc}")
-endif()
-execute_process(
-  COMMAND "${DET}" "${csv}" --port-file "${WORK_DIR}/p"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "--port-file without --http-port must exit 2, got ${rc}")
+# A numeric flag must parse whole (exit 2, never a silent 0, a wrapped
+# count or an abort): junk values, a sign on a count, and a value that
+# parses but the detector rejects.
+foreach(flag "--omega;abc" "--threshold;0.3x" "--change-minute;12abc"
+             "--threads;many")
+  execute_process(COMMAND "${DET}" "${csv}" ${flag}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "malformed '${flag}' must exit 2, got ${rc}")
+  endif()
+endforeach()
+foreach(flag "--persistence;-1" "--threads;-1")
+  execute_process(COMMAND "${DET}" "${csv}" ${flag}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
+  if(NOT rc EQUAL 2 OR out MATCHES "no behavior changes")
+    message(FATAL_ERROR "signed count '${flag}' must exit 2, got ${rc}: ${out}")
+  endif()
+endforeach()
+execute_process(COMMAND "${DET}" "${csv}" --omega 1
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "error: ")
+  message(FATAL_ERROR "--omega 1 must exit 2 with the detector's message, "
+                      "got ${rc}: ${err}")
 endif()
 
 message(STATUS "tools smoke OK (telemetry enabled=${enabled})")

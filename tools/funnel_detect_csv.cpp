@@ -9,8 +9,6 @@
 //                     [--data-dir DIR]
 //                     [--stats] [--stats-json FILE] [--trace FILE]
 //                     [--journal FILE]
-//                     [--http-port P|auto] [--port-file FILE] [--selfmon]
-//                     [--selfmon-tick-ms N] [--serve] [--serve-seconds S]
 //
 // Input: `minute,value` rows (one sample per minute; empty value = gap).
 // Output: alarm episodes (minute, peak score) on stdout; with --scores the
@@ -63,29 +61,11 @@
 // on stderr. Stats, traces and the journal are side channels: stdout is
 // byte-identical with them on or off, and for every --threads value.
 //
-// --http-port P starts the live telemetry plane (obs/plane.h) on
-// 127.0.0.1:P for the duration of the run: GET /metrics, /stats.json,
-// /healthz, /readyz, /statusz, /tracez. P = `auto` binds an ephemeral port
-// (announced on stderr; --port-file FILE writes the bound port for test
-// harnesses). 0 — the default — keeps the plane off; output is
-// byte-identical either way. --selfmon additionally starts the
-// self-surveillance loop (obs/selfmon.h): the pipeline's own KPIs are
-// sampled every --selfmon-tick-ms (default 1000) under the reserved
-// `__funnel_self/` topology and watched by the online detectors; pipeline
-// degradation flips /healthz and — with --journal — appends
-// "pipeline-degradation" verdict events. --serve holds the process open
-// after the CSV work finishes so the endpoints stay scrapeable: until
-// SIGINT/SIGTERM, or at most --serve-seconds S. --serve requires a
-// listening plane (--http-port) and is incompatible with the one-shot
-// --scores dump. SIGHUP is a documented no-op while serving (ignored, the
-// process keeps serving): this tool has no reloadable config — the
-// multi-tenant daemon (tools/funnel_serve) is the one that reloads quotas
-// on SIGHUP.
-//
 // Exit codes: 0 success; 1 a file failed to load/parse/assess; 2 bad
-// usage; 3 an output file (--stats-json/--trace/--journal) could not be
-// opened, the --data-dir store could not be opened/recovered, or the
-// telemetry plane could not bind its port (already in use).
+// usage (an unknown option, or a numeric value that does not parse whole
+// or that the detector rejects); 3 an output file
+// (--stats-json/--trace/--journal) could not be opened, or the --data-dir
+// store could not be opened/recovered.
 //
 // Several CSV files are scored concurrently on a thread pool (--threads 0 =
 // one per hardware thread, 1 = serial); output is buffered per file and
@@ -96,19 +76,17 @@
 // This is the "bring your own KPI" entry point: export any metric from your
 // monitoring system and see what FUNNEL's detector family thinks of it.
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "changes/change_log.h"
 #include "common/error.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "detect/cascade.h"
 #include "detect/classic_sst.h"
@@ -121,9 +99,7 @@
 #include "funnel/report.h"
 #include "obs/export.h"
 #include "obs/journal.h"
-#include "obs/plane.h"
 #include "obs/registry.h"
-#include "obs/selfmon.h"
 #include "obs/trace.h"
 #include "topology/topology.h"
 #include "tsdb/io.h"
@@ -143,9 +119,7 @@ void usage(const char* argv0) {
       "          [--change-minute T] [--shards N] [--ingest-queue N]\n"
       "          [--data-dir DIR]\n"
       "          [--stats] [--stats-json FILE] [--trace FILE]\n"
-      "          [--journal FILE]\n"
-      "          [--http-port P|auto] [--port-file FILE] [--selfmon]\n"
-      "          [--selfmon-tick-ms N] [--serve] [--serve-seconds S]\n",
+      "          [--journal FILE]\n",
       argv0);
 }
 
@@ -167,46 +141,36 @@ struct Options {
   std::string stats_json_path;
   std::string trace_path;    // non-empty enables tracing
   std::string journal_path;  // non-empty enables the verdict journal
-  int http_port = 0;         // 0 = plane off; -1 = ephemeral (--http-port auto)
-  std::string port_file;     // write the bound port here (harness handshake)
-  bool selfmon = false;      // start the self-surveillance loop
-  std::size_t selfmon_tick_ms = 1000;
-  bool serve = false;        // hold the process open, keep serving
-  std::size_t serve_seconds = 0;  // 0 = until SIGINT/SIGTERM
 };
 
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](double* d, std::size_t* z) {
-      if (++i >= argc) return false;
-      if (d != nullptr) *d = std::atof(argv[i]);
-      if (z != nullptr) *z = static_cast<std::size_t>(std::atoll(argv[i]));
-      return true;
+    // The flag's value must parse whole; counts are unsigned, so a sign
+    // fails too.
+    auto next = [&](auto* value) {
+      return ++i < argc && parse_number(argv[i], *value);
     };
     if (a == "--method") {
       if (++i >= argc) return false;
       opt.method = argv[i];
     } else if (a == "--threshold") {
-      if (!next(&opt.threshold, nullptr)) return false;
+      if (!next(&opt.threshold)) return false;
       opt.threshold_set = true;
     } else if (a == "--persistence") {
-      if (!next(nullptr, &opt.persistence)) return false;
+      if (!next(&opt.persistence)) return false;
     } else if (a == "--patience") {
-      if (!next(nullptr, &opt.patience)) return false;
+      if (!next(&opt.patience)) return false;
     } else if (a == "--omega") {
-      if (!next(nullptr, &opt.omega)) return false;
+      if (!next(&opt.omega)) return false;
     } else if (a == "--threads") {
-      if (!next(nullptr, &opt.threads)) return false;
+      if (!next(&opt.threads)) return false;
     } else if (a == "--change-minute") {
-      if (++i >= argc) return false;
-      opt.change_minute = std::atoll(argv[i]);
-      if (opt.change_minute < 0) return false;
+      if (!next(&opt.change_minute) || opt.change_minute < 0) return false;
     } else if (a == "--shards") {
-      if (!next(nullptr, &opt.shards)) return false;
-      if (opt.shards == 0) return false;
+      if (!next(&opt.shards) || opt.shards == 0) return false;
     } else if (a == "--ingest-queue") {
-      if (!next(nullptr, &opt.ingest_queue)) return false;
+      if (!next(&opt.ingest_queue)) return false;
     } else if (a == "--data-dir") {
       if (++i >= argc) return false;
       opt.data_dir = argv[i];
@@ -221,26 +185,6 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (a == "--journal") {
       if (++i >= argc) return false;
       opt.journal_path = argv[i];
-    } else if (a == "--http-port") {
-      if (++i >= argc) return false;
-      if (std::strcmp(argv[i], "auto") == 0) {
-        opt.http_port = -1;
-      } else {
-        opt.http_port = std::atoi(argv[i]);
-        if (opt.http_port < 0 || opt.http_port > 65535) return false;
-      }
-    } else if (a == "--port-file") {
-      if (++i >= argc) return false;
-      opt.port_file = argv[i];
-    } else if (a == "--selfmon") {
-      opt.selfmon = true;
-    } else if (a == "--selfmon-tick-ms") {
-      if (!next(nullptr, &opt.selfmon_tick_ms)) return false;
-      if (opt.selfmon_tick_ms == 0) return false;
-    } else if (a == "--serve") {
-      opt.serve = true;
-    } else if (a == "--serve-seconds") {
-      if (!next(nullptr, &opt.serve_seconds)) return false;
     } else if (a == "--scores") {
       opt.print_scores = true;
     } else if (!a.empty() && a[0] == '-') {
@@ -435,18 +379,10 @@ FileResult assess_file(const std::string& path, const Options& opt,
   cfg.baseline_days = 3;
   cfg.quality.historical_quorum = 2;
   cfg.horizon = std::min<MinuteTime>(cfg.horizon, series.end_time() - tc - 1);
-  cfg.num_shards = opt.shards;
-  cfg.ingest_queue_capacity = opt.ingest_queue;
   cfg.num_threads = 1;
   cfg.stats = stats;
   cfg.tracer = tracer;
   cfg.journal = journal;
-  // The plane/selfmon knobs are process-level (main owns the server and the
-  // monitor); recorded on the config so a service-mode host embedding this
-  // flow sees the same shape.
-  cfg.obs_http_port = opt.http_port;
-  cfg.selfmon = opt.selfmon;
-  cfg.selfmon_tick_ms = opt.selfmon_tick_ms;
 
   core::FunnelOnline online(cfg, topo, log, store);
   core::AssessmentReport report;
@@ -517,9 +453,9 @@ FileResult process_file(const std::string& path, const Options& opt,
 void declare_core_keys(const obs::Registry& reg) {
   // A stable key set for dashboards and the ctest smoke check, present
   // even before (or without) the first event of each kind. The WAL /
-  // persistence / journal-backlog family is declared here too so
-  // --stats-json and /metrics expose the same keys whether or not the run
-  // was persistent — zeros, not absences, when a subsystem never ran.
+  // persistence / journal-backlog family is declared here too so --stats
+  // and --stats-json expose the same keys whether or not the run was
+  // persistent — zeros, not absences, when a subsystem never ran.
   for (const char* c :
        {"funnel.assess.changes_assessed", "funnel.assess.kpis_scored",
         "funnel.assess.alarms_raised", "funnel.online.samples_ingested",
@@ -566,10 +502,6 @@ void set_suppression_ratio(const obs::Registry& reg) {
           windows > 0.0 ? suppressed / windows : 0.0);
 }
 
-volatile std::sig_atomic_t g_stop_serving = 0;
-
-void handle_stop_signal(int) { g_stop_serving = 1; }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -578,34 +510,22 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  {
+  try {
     double default_thr = 0.0;
     if (make_scorer(opt, &default_thr) == nullptr) {
       std::fprintf(stderr, "unknown method: %s\n", opt.method.c_str());
       return 2;
     }
+  } catch (const InvalidArgument& e) {
+    // A value that parses but that the detector rejects (--omega 1).
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
   if (!opt.data_dir.empty() &&
       (opt.change_minute < 0 || opt.paths.size() != 1)) {
     std::fprintf(stderr,
                  "--data-dir requires --change-minute and exactly one CSV "
                  "(one store directory per assessed series)\n");
-    return 2;
-  }
-  if (opt.serve && opt.http_port == 0) {
-    std::fprintf(stderr,
-                 "--serve holds the process open to keep serving telemetry; "
-                 "it requires --http-port P (or --http-port auto)\n");
-    return 2;
-  }
-  if (opt.serve && opt.print_scores) {
-    std::fprintf(stderr,
-                 "--serve is incompatible with the one-shot --scores dump "
-                 "(scores are printed once; there is nothing to serve)\n");
-    return 2;
-  }
-  if (!opt.port_file.empty() && opt.http_port == 0) {
-    std::fprintf(stderr, "--port-file requires --http-port\n");
     return 2;
   }
 
@@ -628,61 +548,6 @@ int main(int argc, char** argv) {
     }
     journal->set_stats(&reg);
   }
-
-  // Live telemetry plane + self-surveillance. The plane binds before any
-  // CSV work so a taken port fails fast (exit 3, like an unopenable output
-  // file). Destruction order matters: `plane` is declared after `selfmon`
-  // so its handlers (which consult the monitor) die first.
-  std::unique_ptr<obs::SelfMonitor> selfmon;
-  if (opt.selfmon) {
-    obs::SelfMonitorOptions smopt;
-    smopt.tick_period = std::chrono::milliseconds(opt.selfmon_tick_ms);
-    selfmon = std::make_unique<obs::SelfMonitor>(&reg, smopt);
-    selfmon->set_journal(journal.get());
-  }
-  std::unique_ptr<obs::TelemetryPlane> plane;
-  if (opt.http_port != 0) {
-    obs::PlaneOptions popt;
-    popt.http.port =
-        opt.http_port < 0 ? 0 : static_cast<std::uint16_t>(opt.http_port);
-    popt.build_info = "funnel_detect_csv";
-    popt.config_summary =
-        "method=" + opt.method + " omega=" + std::to_string(opt.omega) +
-        (opt.change_minute >= 0 ? " mode=pipeline" : " mode=score");
-    plane = std::make_unique<obs::TelemetryPlane>(&reg, popt);
-    plane->set_selfmon(selfmon.get());
-    if (!plane->start()) {
-      std::fprintf(stderr, "error: cannot start telemetry plane: %s\n",
-                   plane->error().c_str());
-      return 3;
-    }
-    std::fprintf(stderr, "# serving telemetry on 127.0.0.1:%u\n",
-                 static_cast<unsigned>(plane->port()));
-    if (!opt.port_file.empty()) {
-      std::ofstream pf(opt.port_file);
-      if (!pf) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opt.port_file.c_str());
-        return 3;
-      }
-      pf << plane->port() << '\n';
-    }
-  }
-  if (opt.serve && plane != nullptr) {
-    // Installed here, not at the hold loop: the port-file handshake above
-    // invites a supervisor to SIGTERM at any point from now on, and between
-    // here and the hold loop sits the whole assessment — the default signal
-    // action would kill the process instead of stopping the serve cleanly.
-    std::signal(SIGINT, handle_stop_signal);
-    std::signal(SIGTERM, handle_stop_signal);
-    // SIGHUP is a deliberate no-op: nothing here is reloadable, and a
-    // supervisor's hangup (e.g. a closed controlling terminal) must not
-    // kill a --serve process mid-scrape. funnel_serve, which does have
-    // reloadable quota config, handles SIGHUP as a reload instead.
-    std::signal(SIGHUP, SIG_IGN);
-  }
-  if (selfmon != nullptr) selfmon->start();
-  if (plane != nullptr) plane->set_ready(true);
 
   std::vector<FileResult> results(opt.paths.size());
   const auto run_one = [&](std::size_t i) {
@@ -765,27 +630,6 @@ int main(int argc, char** argv) {
     }
     out << obs::chrome_trace_json(tracer.collect()) << '\n';
     std::fprintf(stderr, "# wrote trace: %s\n", opt.trace_path.c_str());
-  }
-
-  if (plane != nullptr && tracer_ptr != nullptr) {
-    // Same quiesce point as the --trace dump: publish the run's span tree
-    // so /tracez serves it for the rest of the process lifetime.
-    plane->publish_trace(tracer.collect());
-  }
-  if (opt.serve && plane != nullptr) {
-    std::fprintf(stderr,
-                 "# holding open: GET /metrics /stats.json /healthz /readyz "
-                 "/statusz /tracez (SIGINT/SIGTERM to stop%s)\n",
-                 opt.serve_seconds > 0 ? ", bounded by --serve-seconds" : "");
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(opt.serve_seconds);
-    while (g_stop_serving == 0 &&
-           (opt.serve_seconds == 0 ||
-            std::chrono::steady_clock::now() < deadline)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    std::fprintf(stderr, "# serve loop done (%llu requests)\n",
-                 static_cast<unsigned long long>(plane->requests_served()));
   }
   return code;
 }

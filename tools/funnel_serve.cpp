@@ -21,8 +21,7 @@
 //   SIGHUP            config reload: re-read --config (key=value lines:
 //                     quota_rate, quota_burst, queue_share) and apply the
 //                     quota to every tenant. Without --config, SIGHUP is a
-//                     documented no-op (logged, nothing changes) — same
-//                     contract funnel_detect_csv --serve has.
+//                     documented no-op (logged, nothing changes).
 //
 // Crash recovery needs no flags: a SIGKILL'd daemon restarted on the same
 // --data-root replays each tenant's meta.log + WAL tail and repairs its
@@ -30,8 +29,11 @@
 // GET /v1/seq/<tenant> to learn where to resume. tools/soak_harness drills
 // exactly this loop under fault injection.
 //
-// Exit codes: 0 clean shutdown, 2 usage, 3 environment (bind failure, or a
-// FUNNEL_OBS=OFF build, which compiles the HTTP server out).
+// Exit codes: 0 clean shutdown, 2 usage (an unknown flag, or a numeric
+// value that does not parse whole or is out of range: --port takes auto or
+// 0-65535, --num-shards at least 1, counts and minutes take no sign), 3
+// environment (bind failure, or a FUNNEL_OBS=OFF build, which compiles the
+// HTTP server out).
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -44,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "obs/registry.h"
 #include "service/service.h"
 
@@ -89,10 +92,22 @@ bool parse(int argc, char** argv, Options& opt) {
       *out = argv[++i];
       return true;
     };
+    // The flag's value must parse whole; counts are unsigned, so a sign
+    // fails too.
     std::string v;
+    const auto number = [&](auto* value) {
+      return next(&v) && funnel::parse_number(v, *value);
+    };
     if (a == "--port") {
       if (!next(&v)) return false;
-      opt.port = v == "auto" ? -1 : std::atoi(v.c_str());
+      std::uint16_t port = 0;
+      if (v == "auto") {
+        opt.port = -1;
+      } else if (funnel::parse_number(v, port)) {
+        opt.port = port;
+      } else {
+        return false;
+      }
     } else if (a == "--port-file") {
       if (!next(&opt.port_file)) return false;
     } else if (a == "--data-root") {
@@ -109,32 +124,25 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (a == "--config") {
       if (!next(&opt.config_path)) return false;
     } else if (a == "--quota-rate") {
-      if (!next(&v)) return false;
-      opt.quota.rate_per_sec = std::atof(v.c_str());
+      if (!number(&opt.quota.rate_per_sec)) return false;
     } else if (a == "--quota-burst") {
-      if (!next(&v)) return false;
-      opt.quota.burst = std::atof(v.c_str());
+      if (!number(&opt.quota.burst)) return false;
     } else if (a == "--queue-share") {
-      if (!next(&v)) return false;
-      opt.quota.queue_share = std::atof(v.c_str());
+      if (!number(&opt.quota.queue_share)) return false;
     } else if (a == "--num-shards") {
-      if (!next(&v)) return false;
-      opt.num_shards = static_cast<std::size_t>(std::atoll(v.c_str()));
+      if (!number(&opt.num_shards) || opt.num_shards == 0) return false;
     } else if (a == "--queue-capacity") {
-      if (!next(&v)) return false;
-      opt.queue_capacity = static_cast<std::size_t>(std::atoll(v.c_str()));
+      if (!number(&opt.queue_capacity)) return false;
     } else if (a == "--horizon") {
-      if (!next(&v)) return false;
-      opt.horizon = std::atoll(v.c_str());
+      if (!number(&opt.horizon) || opt.horizon < 0) return false;
     } else if (a == "--lookback") {
-      if (!next(&v)) return false;
-      opt.lookback = std::atoll(v.c_str());
+      if (!number(&opt.lookback) || opt.lookback < 0) return false;
     } else if (a == "--min-did-window") {
-      if (!next(&v)) return false;
-      opt.min_did_window = std::atoll(v.c_str());
+      if (!number(&opt.min_did_window) || opt.min_did_window < 0) {
+        return false;
+      }
     } else if (a == "--max-seconds") {
-      if (!next(&v)) return false;
-      opt.max_seconds = static_cast<std::size_t>(std::atoll(v.c_str()));
+      if (!number(&opt.max_seconds)) return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       return false;

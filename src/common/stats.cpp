@@ -24,9 +24,11 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double median(std::span<const double> xs) {
-  FUNNEL_REQUIRE(!xs.empty(), "median of empty range");
-  std::vector<double> buf(xs.begin(), xs.end());
+namespace {
+
+// Median of `buf`, reordering it: nth_element on the middle, averaged with
+// the largest of the lower part for even n.
+double select_median(std::span<double> buf) {
   const std::size_t mid = buf.size() / 2;
   std::nth_element(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(mid), buf.end());
   double hi = buf[mid];
@@ -35,15 +37,39 @@ double median(std::span<const double> xs) {
   return 0.5 * (lo + hi);
 }
 
+}  // namespace
+
+double median(std::span<const double> xs) {
+  std::vector<double> buf(xs.size());
+  return median(xs, buf);
+}
+
+double median(std::span<const double> xs, std::span<double> scratch) {
+  FUNNEL_REQUIRE(!xs.empty(), "median of empty range");
+  FUNNEL_REQUIRE(scratch.size() >= xs.size(), "median scratch too small");
+  const std::span<double> buf = scratch.first(xs.size());
+  std::copy(xs.begin(), xs.end(), buf.begin());
+  return select_median(buf);
+}
+
 double mad(std::span<const double> xs) {
-  const double med = median(xs);
-  std::vector<double> dev(xs.size());
+  std::vector<double> buf(xs.size());
+  return mad(xs, buf);
+}
+
+double mad(std::span<const double> xs, std::span<double> scratch) {
+  const double med = median(xs, scratch);
+  const std::span<double> dev = scratch.first(xs.size());
   std::transform(xs.begin(), xs.end(), dev.begin(),
                  [med](double x) { return std::abs(x - med); });
-  return median(dev);
+  return select_median(dev);
 }
 
 double mad_sigma(std::span<const double> xs) { return 1.4826 * mad(xs); }
+
+double mad_sigma(std::span<const double> xs, std::span<double> scratch) {
+  return 1.4826 * mad(xs, scratch);
+}
 
 double quantile(std::span<const double> xs, double q) {
   FUNNEL_REQUIRE(!xs.empty(), "quantile of empty range");

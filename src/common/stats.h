@@ -32,6 +32,14 @@ double mad(std::span<const double> xs);
 /// MAD scaled to be a consistent estimator of sigma for Gaussian data.
 double mad_sigma(std::span<const double> xs);
 
+/// median(), mad() and mad_sigma() selecting in caller-owned `scratch` (at
+/// least xs.size() doubles, not overlapping xs) instead of fresh copies:
+/// the same selections on the same sequences, so the same bits, and no
+/// allocation. The one-argument forms are these on a fresh buffer.
+double median(std::span<const double> xs, std::span<double> scratch);
+double mad(std::span<const double> xs, std::span<double> scratch);
+double mad_sigma(std::span<const double> xs, std::span<double> scratch);
+
 /// Linear-interpolated quantile, q in [0, 1]. Throws on empty input.
 double quantile(std::span<const double> xs, double q);
 

@@ -35,4 +35,11 @@ bool parse_number(std::string_view text, T& out) {
   return ec == std::errc() && ptr == end;
 }
 
+/// parse_number() for a count kept in a signed T (a MinuteTime, say): no
+/// sign at all, as for an unsigned T.
+template <typename T>
+bool parse_count(std::string_view text, T& out) {
+  return !text.empty() && text.front() != '-' && parse_number(text, out);
+}
+
 }  // namespace funnel

@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "linalg/hankel.h"
-#include "linalg/lanczos.h"
 #include "linalg/sym_eigen.h"
 #include "linalg/tridiag.h"
 
@@ -15,35 +13,43 @@ namespace {
 
 /// Orthonormalize the columns of b in place (modified Gram-Schmidt); columns
 /// that collapse to zero are replaced with canonical basis vectors so the
-/// block keeps full rank.
+/// block keeps full rank — unless the canonical vector lies in the span of
+/// the earlier columns, when the column stays zero.
 void orthonormalize(linalg::Matrix& b) {
   const std::size_t n = b.rows();
+  // Column j minus its projection on (final, unit) column k.
+  const auto project_out = [&](std::size_t j, std::size_t k) {
+    double proj = 0.0;
+    for (std::size_t i = 0; i < n; ++i) proj += b(i, j) * b(i, k);
+    for (std::size_t i = 0; i < n; ++i) b(i, j) -= proj * b(i, k);
+  };
+  // linalg::normalize() on column j: returns the norm it divided by.
+  const auto normalize_col = [&](std::size_t j) {
+    double sq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) sq += b(i, j) * b(i, j);
+    const double norm = std::sqrt(sq);
+    if (norm > 0.0) {
+      for (std::size_t i = 0; i < n; ++i) b(i, j) /= norm;
+    }
+    return norm;
+  };
   for (std::size_t j = 0; j < b.cols(); ++j) {
-    linalg::Vector col = b.col(j);
-    for (std::size_t k = 0; k < j; ++k) {
-      const linalg::Vector prev = b.col(k);
-      const double proj = linalg::dot(col, prev);
-      for (std::size_t i = 0; i < n; ++i) col[i] -= proj * prev[i];
+    for (std::size_t k = 0; k < j; ++k) project_out(j, k);
+    if (normalize_col(j) <= 1e-12) {
+      for (std::size_t i = 0; i < n; ++i) b(i, j) = 0.0;
+      b(j % n, j) = 1.0;
+      for (std::size_t k = 0; k < j; ++k) project_out(j, k);
+      normalize_col(j);
     }
-    if (linalg::normalize(col) <= 1e-12) {
-      std::fill(col.begin(), col.end(), 0.0);
-      col[j % n] = 1.0;
-      for (std::size_t k = 0; k < j; ++k) {
-        const linalg::Vector prev = b.col(k);
-        const double proj = linalg::dot(col, prev);
-        for (std::size_t i = 0; i < n; ++i) col[i] -= proj * prev[i];
-      }
-      linalg::normalize(col);
-    }
-    b.set_col(j, col);
   }
 }
 
-/// Seed a cold block with lagged windows spread across the half, plus a
-/// small perturbation on the first column, then orthonormalize.
-void seed_basis(linalg::Matrix& basis, std::span<const double> half,
-                std::size_t omega, std::size_t eta) {
-  basis = linalg::Matrix(omega, eta);
+/// Seed a cold block (omega x eta) with lagged windows spread across the
+/// half, plus a small perturbation on the first column, then
+/// orthonormalize.
+void seed_basis(linalg::Matrix& basis, std::span<const double> half) {
+  const std::size_t omega = basis.rows();
+  const std::size_t eta = basis.cols();
   for (std::size_t j = 0; j < eta; ++j) {
     const std::size_t offset =
         eta > 1 ? j * (half.size() - omega) / (eta - 1) : 0;
@@ -54,70 +60,79 @@ void seed_basis(linalg::Matrix& basis, std::span<const double> half,
   orthonormalize(basis);
 }
 
-/// One Rayleigh-Ritz step given Y = C·B: T = Bᵀ Y (eta x eta, symmetric),
-/// eigendecompose, B <- orth(Y·Q). Returns the Ritz values (non-increasing
-/// estimates of C's leading eigenvalues).
-linalg::Vector ritz_rotate(linalg::Matrix& basis, const linalg::Matrix& y) {
-  const std::size_t omega = basis.rows();
-  const std::size_t eta = basis.cols();
-  linalg::Matrix t(eta, eta);
-  for (std::size_t a = 0; a < eta; ++a) {
-    const linalg::Vector ba = basis.col(a);
-    for (std::size_t b = a; b < eta; ++b) {
-      const double v = linalg::dot(ba, y.col(b));
-      t(a, b) = v;
-      t(b, a) = v;
-    }
-  }
-  const linalg::SymEigen te = linalg::sym_eigen(t);
-  linalg::Matrix next(omega, eta);
-  for (std::size_t j = 0; j < eta; ++j) {
-    linalg::Vector col(omega, 0.0);
-    for (std::size_t a = 0; a < eta; ++a) {
-      const double q = te.vectors(a, j);
-      for (std::size_t i = 0; i < omega; ++i) col[i] += y(i, a) * q;
-    }
-    next.set_col(j, col);
-  }
-  orthonormalize(next);
-  basis = std::move(next);
-  return te.values;
-}
-
-// Block power sweeps with Rayleigh-Ritz extraction: B <- orth((C B) Q) with
-// Q the eigenvectors of T = Bᵀ C B. Returns the Ritz values (estimates of
-// C's leading eigenvalues, non-increasing). The C·B product runs through
-// the blocked Hankel kernel — bit-identical to column-at-a-time applies,
-// just one strided pass.
-linalg::Vector ritz_iterate(const linalg::HankelGramOperator& op,
-                            linalg::Matrix& basis, int iterations) {
-  const std::size_t omega = basis.rows();
-  const std::size_t eta = basis.cols();
-  linalg::Vector lambdas(eta, 0.0);
-  linalg::Vector scratch(op.count() * eta);
-  for (int it = 0; it < iterations; ++it) {
-    linalg::Matrix y(omega, eta);
-    op.apply_block(basis.data(), y.data(), eta, scratch);
-    lambdas = ritz_rotate(basis, y);
-  }
-  return lambdas;
+const SstGeometry& validated(const SstGeometry& geo, const IkaParams& params) {
+  FUNNEL_REQUIRE(geo.omega >= 2, "SST needs omega >= 2");
+  FUNNEL_REQUIRE(geo.eta >= 1 && geo.eta < geo.omega,
+                 "SST needs 1 <= eta < omega");
+  FUNNEL_REQUIRE(geo.krylov_k() <= geo.omega,
+                 "Krylov dimension k must not exceed omega");
+  FUNNEL_REQUIRE(params.cold_iterations >= 1 && params.warm_iterations >= 1,
+                 "iteration counts must be positive");
+  return geo;
 }
 
 }  // namespace
 
 IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
-    : geo_(geometry), params_(params) {
-  FUNNEL_REQUIRE(geo_.omega >= 2, "SST needs omega >= 2");
-  FUNNEL_REQUIRE(geo_.eta >= 1 && geo_.eta < geo_.omega,
-                 "SST needs 1 <= eta < omega");
-  FUNNEL_REQUIRE(geo_.krylov_k() <= geo_.omega,
-                 "Krylov dimension k must not exceed omega");
-  FUNNEL_REQUIRE(params_.cold_iterations >= 1 && params_.warm_iterations >= 1,
-                 "iteration counts must be positive");
+    : geo_(validated(geometry, params)),
+      params_(params),
+      future_basis_(geo_.omega, geo_.eta),
+      halves_(geo_.half()),
+      z_(geo_.window()),
+      future_op_(std::vector<double>(geo_.half()), geo_.omega, geo_.omega),
+      past_op_(std::vector<double>(geo_.half()), geo_.omega, geo_.omega),
+      block_scratch_(future_op_.count() * geo_.eta),
+      y_(geo_.omega, geo_.eta),
+      t_(geo_.eta, geo_.eta),
+      next_(geo_.omega, geo_.eta),
+      ritz_values_(geo_.eta),
+      ritz_vectors_(geo_.eta, geo_.eta),
+      beta_(geo_.omega),
+      ql_row0_(1, geo_.krylov_k()) {
+  const std::size_t k = geo_.krylov_k();
+  lanczos_.basis = linalg::Matrix(k, geo_.omega);
+  lanczos_.w.resize(geo_.omega);
+  lanczos_.t.diag.reserve(k);
+  lanczos_.t.subdiag.reserve(k);  // the QL solve grows it to k
 }
 
 double IkaSst::score(std::span<const double> window) {
   return score(window, -std::numeric_limits<double>::infinity(), nullptr);
+}
+
+std::span<const double> IkaSst::ritz_iterate(int iterations) {
+  const std::size_t omega = geo_.omega;
+  const std::size_t eta = geo_.eta;
+  for (int it = 0; it < iterations; ++it) {
+    // Y = C·B through the blocked Hankel kernel — bit-identical to
+    // column-at-a-time applies, just one strided pass.
+    future_op_.apply_block(future_basis_.data(), y_.data(), eta,
+                           block_scratch_);
+    // T = Bᵀ Y (eta x eta, symmetric), eigendecomposed: Q and the Ritz
+    // values (non-increasing estimates of C's leading eigenvalues).
+    for (std::size_t a = 0; a < eta; ++a) {
+      for (std::size_t b = a; b < eta; ++b) {
+        double v = 0.0;
+        for (std::size_t i = 0; i < omega; ++i) {
+          v += future_basis_(i, a) * y_(i, b);
+        }
+        t_(a, b) = v;
+        t_(b, a) = v;
+      }
+    }
+    linalg::sym_eigen(t_, ritz_values_, ritz_vectors_);
+    // B <- orth(Y·Q).
+    for (std::size_t j = 0; j < eta; ++j) {
+      for (std::size_t i = 0; i < omega; ++i) next_(i, j) = 0.0;
+      for (std::size_t a = 0; a < eta; ++a) {
+        const double q = ritz_vectors_(a, j);
+        for (std::size_t i = 0; i < omega; ++i) next_(i, j) += y_(i, a) * q;
+      }
+    }
+    orthonormalize(next_);
+    std::swap(future_basis_, next_);
+  }
+  return ritz_values_;
 }
 
 double IkaSst::score(std::span<const double> window, double threshold,
@@ -125,51 +140,62 @@ double IkaSst::score(std::span<const double> window, double threshold,
   FUNNEL_REQUIRE(window.size() == geo_.window(),
                  "IkaSst window size mismatch");
   if (suppressed != nullptr) *suppressed = false;
-  const std::vector<double> z = standardize_window(window, geo_.half());
-  if (z.empty()) return std::numeric_limits<double>::quiet_NaN();
+  const std::optional<HalfStats> stats = halves_.standardize(window, z_);
+  if (!stats) return std::numeric_limits<double>::quiet_NaN();
 
   const std::size_t omega = geo_.omega;
   const std::size_t eta = geo_.eta;
   const std::size_t k = geo_.krylov_k();
-  const std::span<const double> past(z.data(), geo_.half());
-  const std::span<const double> future(z.data() + geo_.half(), geo_.half());
+  const std::span<const double> past(z_.data(), geo_.half());
+  const std::span<const double> future(z_.data() + geo_.half(), geo_.half());
 
   // --- Future: eta leading eigenpairs of A·Aᵀ by warm-started block power
   // iteration with Rayleigh-Ritz extraction. Runs on every window, gated or
   // not: the next window warm-starts from this basis.
-  const linalg::HankelGramOperator future_op(future, omega, omega);
+  future_op_.assign(future);
   const bool was_warm = warm_;
-  if (!warm_) seed_basis(future_basis_, future, omega, eta);
-  const linalg::Vector lambdas = ritz_iterate(
-      future_op, future_basis_,
+  if (!warm_) seed_basis(future_basis_, future);
+  const std::span<const double> lambdas = ritz_iterate(
       was_warm ? params_.warm_iterations : params_.cold_iterations);
   warm_ = true;
 
   // Eq. 11 factor: the score is x̂ · factor with x̂ ≤ 1, so a factor at or
   // under the threshold settles the window without the past side.
-  const double factor = robust_score_factor(past, future);
+  const double factor = robust_score_factor(*stats);
   if (factor <= threshold) {
     if (suppressed != nullptr) *suppressed = true;
     return 0.0;
   }
 
   // --- Past: phi_i per future direction. ---
-  const linalg::HankelGramOperator past_op(past, omega, omega);
+  past_op_.assign(past);
 
   double weighted = 0.0;
   double total_weight = 0.0;
   for (std::size_t i = 0; i < eta; ++i) {
     const double lambda = std::max(lambdas[i], 0.0);
     if (lambda <= 0.0) break;
-    const linalg::Vector beta = future_basis_.col(i);
+    for (std::size_t r = 0; r < omega; ++r) beta_[r] = future_basis_(r, i);
+    // A direction orthonormalize() could not fill (its canonical
+    // replacement lay in the span of the earlier ones) has no energy to
+    // weigh either, whatever rounding left in its Ritz value.
+    if (std::all_of(beta_.begin(), beta_.end(),
+                    [](double x) { return x == 0.0; })) {
+      break;
+    }
 
-    const linalg::LanczosResult plr = linalg::lanczos(past_op, beta, k);
-    const linalg::SymEigen pe = linalg::tridiag_eigen(plr.t);
+    linalg::lanczos(past_op_, beta_, k, lanczos_);
+    // QL on T_k in place (the next Lanczos run refills it), rotating just
+    // the row e₁: Eq. 13 reads only the first components.
+    linalg::Vector& ritz = lanczos_.t.diag;
+    ql_row0_.resize(1, ritz.size());
+    ql_row0_(0, 0) = 1.0;
+    linalg::tridiag_eigen(ritz, lanczos_.t.subdiag, ql_row0_);
     double proj2 = 0.0;
-    const std::size_t n_past = std::min<std::size_t>(eta, pe.values.size());
+    const std::size_t n_past = std::min<std::size_t>(eta, ritz.size());
     for (std::size_t j = 0; j < n_past; ++j) {
-      if (pe.values[j] <= 0.0) break;
-      const double x0 = pe.vectors(0, j);  // Eq. 13: first components
+      if (ritz[j] <= 0.0) break;
+      const double x0 = ql_row0_(0, j);  // Eq. 13: first components
       proj2 += x0 * x0;
     }
     const double phi = std::clamp(1.0 - proj2, 0.0, 1.0);

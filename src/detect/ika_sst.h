@@ -22,10 +22,25 @@
 // windows (the only access pattern in FUNNEL) is both fastest and most
 // accurate. Non-consecutive windows are still correct — the iteration
 // re-converges — just marginally slower.
+//
+// Scoring a window allocates nothing. Every buffer a window needs — the
+// standardized window, the two Hankel operators (refilled in place), the
+// block product C·B, the Rayleigh-Ritz matrix T and its eigenpairs, the
+// Lanczos basis and T_k, the QL row — is sized once by the constructor, and
+// the linalg primitives run on that storage. The Eq. 11 statistics come
+// from SortedHalves (sst_common.h): each half's raw samples stay sorted
+// across consecutive windows, one erase and one insert per slide, so the
+// medians and MADs cost an O(ω) walk instead of nine selections over fresh
+// copies. Every score is bit-identical to the copy-and-select computation.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "detect/scorer.h"
 #include "detect/sst_common.h"
+#include "linalg/hankel.h"
+#include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 
 namespace funnel::detect {
@@ -59,20 +74,39 @@ class IkaSst final : public ChangeScorer {
   const SstGeometry& geometry() const { return geo_; }
   const IkaParams& params() const { return params_; }
 
-  /// Drop the warm-start basis — e.g. when retargeting the scorer to a
-  /// different KPI stream, or when a ThreadPool slot reuses the scorer for
-  /// the next metric. After reset() every subsequent score is
-  /// byte-identical to a freshly constructed scorer's.
+  /// Drop the warm-start basis and the sorted halves — e.g. when
+  /// retargeting the scorer to a different KPI stream, or when a ThreadPool
+  /// slot reuses the scorer for the next metric. After reset() every
+  /// subsequent score is byte-identical to a freshly constructed scorer's.
   void reset() {
     warm_ = false;
-    future_basis_ = linalg::Matrix();
+    halves_.reset();
   }
 
  private:
+  /// `iterations` block power sweeps with Rayleigh-Ritz extraction on
+  /// future_op_, rotating future_basis_; returns the Ritz values.
+  std::span<const double> ritz_iterate(int iterations);
+
   SstGeometry geo_;
   IkaParams params_;
   linalg::Matrix future_basis_;  ///< omega x eta, persisted across windows
   bool warm_ = false;
+  SortedHalves halves_;
+
+  // Per-window storage (see the header comment).
+  std::vector<double> z_;  ///< the standardized window
+  linalg::HankelGramOperator future_op_;
+  linalg::HankelGramOperator past_op_;
+  std::vector<double> block_scratch_;  ///< apply_block's Bᵀ·X
+  linalg::Matrix y_;                   ///< C·B
+  linalg::Matrix t_;                   ///< Bᵀ·C·B, clobbered by its solve
+  linalg::Matrix next_;                ///< the rotated basis
+  linalg::Vector ritz_values_;
+  linalg::Matrix ritz_vectors_;
+  linalg::Vector beta_;  ///< one future direction, the Lanczos seed
+  linalg::LanczosWorkspace lanczos_;  ///< T_k, then its QL solve
+  linalg::Matrix ql_row0_;  ///< first components of T_k's eigenvectors
 };
 
 }  // namespace funnel::detect

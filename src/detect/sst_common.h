@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,6 +50,23 @@ struct SstGeometry {
 std::vector<double> standardize_window(std::span<const double> window,
                                        std::size_t baseline_len);
 
+/// The same standardization into caller-owned `out` (window.size()
+/// doubles), selecting medians in `scratch` (as many) instead of fresh
+/// copies: same bits, no allocation. False, with `out` untouched, when the
+/// window contains non-finite samples.
+bool standardize_window(std::span<const double> window,
+                        std::size_t baseline_len, std::span<double> out,
+                        std::span<double> scratch);
+
+/// The statistics Eq. 11 compares: median and MAD of the standardized past
+/// (`a`) and future (`b`) halves.
+struct HalfStats {
+  double median_a = 0.0;
+  double mad_a = 0.0;
+  double median_b = 0.0;
+  double mad_b = 0.0;
+};
+
 /// Eq. 11's damping factor computed on the standardized window:
 /// max(|median_b - median_a| - slack, 0) * sqrt(|MAD_b - MAD_a|) over the
 /// past (`a`) and future (`b`) halves. Near zero when the local level and
@@ -59,5 +77,59 @@ std::vector<double> standardize_window(std::span<const double> window,
 double robust_score_factor(std::span<const double> past,
                            std::span<const double> future,
                            double slack = 0.5);
+
+/// The same factor from statistics already at hand.
+double robust_score_factor(const HalfStats& stats, double slack = 0.5);
+
+/// standardize_window() and the Eq. 11 statistics for the consecutive
+/// windows of one stream, without allocation and without re-selecting the
+/// medians from scratch on every window.
+///
+/// Each half's raw samples stay sorted across windows. When a window is the
+/// previous one slid by a sample (its first W-1 samples equal the previous
+/// window's last W-1, compared bytewise), the sample that left each half is
+/// erased and the one that entered is inserted; any other window, the first
+/// after construction or reset(), and the first after a non-finite window
+/// sort afresh. The half length 2ω-1 is odd, so a median is the middle
+/// sample. (x - c)/s with s > 0 is monotone under round-to-nearest, so each
+/// standardized median is the middle raw sample mapped through that same
+/// expression, and each MAD — the middle-ranked |x - m| — is found by
+/// walking outward from the middle over the two monotone deviation runs.
+/// Every value is therefore the one standardize_window() and
+/// robust_score_factor() select, and the factor is bit-identical.
+///
+/// Two kinds of window take those functions' copy-and-select statistics
+/// (on the instance's scratch) instead: one holding a -0.0, where the
+/// selection's choice between -0.0 and +0.0 as the center sets the sign of
+/// standardized zeros, and one whose standardized samples overflow, where
+/// deviations can be NaN and the walk's monotonicity fails.
+class SortedHalves {
+ public:
+  /// `half` is the length of each half (2ω-1, odd).
+  explicit SortedHalves(std::size_t half);
+
+  /// Standardize `window` (2·half samples) into `z` exactly as
+  /// standardize_window(window, half) does and return the statistics
+  /// robust_score_factor() takes from z's halves; nullopt, with `z`
+  /// untouched, when the window holds non-finite samples.
+  std::optional<HalfStats> standardize(std::span<const double> window,
+                                       std::span<double> z);
+
+  /// Forget the previous window: the next one sorts afresh.
+  void reset() { sorted_ = false; }
+
+ private:
+  /// The copy-and-select path: standardize_window() into `z`, then the
+  /// selections robust_score_factor() makes.
+  HalfStats selected_stats(std::span<const double> window,
+                           std::span<double> z);
+
+  std::size_t half_;
+  std::vector<double> prev_;    ///< the last window sorted
+  std::vector<double> past_;    ///< its past half, sorted
+  std::vector<double> future_;  ///< its future half, sorted
+  std::vector<double> scratch_;
+  bool sorted_ = false;
+};
 
 }  // namespace funnel::detect

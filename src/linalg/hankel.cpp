@@ -20,26 +20,34 @@ Matrix hankel(std::span<const double> window, std::size_t omega,
 
 HankelGramOperator::HankelGramOperator(std::span<const double> window,
                                        std::size_t omega, std::size_t count)
-    : omega_(omega), count_(count), window_(window.begin(), window.end()) {
+    : omega_(omega),
+      count_(count),
+      window_(window.begin(), window.end()),
+      t_(count) {
   FUNNEL_REQUIRE(omega >= 1 && count >= 1,
                  "HankelGramOperator needs positive dimensions");
   FUNNEL_REQUIRE(window_.size() == hankel_span(omega, count),
                  "HankelGramOperator window length must be omega + count - 1");
 }
 
+void HankelGramOperator::assign(std::span<const double> window) {
+  FUNNEL_REQUIRE(window.size() == window_.size(),
+                 "HankelGramOperator window length must be omega + count - 1");
+  std::copy(window.begin(), window.end(), window_.begin());
+}
+
 void HankelGramOperator::apply(std::span<const double> x,
                                std::span<double> y) const {
   // t = Bᵀ x : t[j] = sum_i window[j + i] * x[i]
-  Vector t(count_, 0.0);
   for (std::size_t j = 0; j < count_; ++j) {
     double acc = 0.0;
     for (std::size_t i = 0; i < omega_; ++i) acc += window_[j + i] * x[i];
-    t[j] = acc;
+    t_[j] = acc;
   }
   // y = B t : y[i] = sum_j window[j + i] * t[j]
   for (std::size_t i = 0; i < omega_; ++i) {
     double acc = 0.0;
-    for (std::size_t j = 0; j < count_; ++j) acc += window_[j + i] * t[j];
+    for (std::size_t j = 0; j < count_; ++j) acc += window_[j + i] * t_[j];
     y[i] = acc;
   }
 }

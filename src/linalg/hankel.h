@@ -34,11 +34,17 @@ constexpr std::size_t hankel_span(std::size_t omega, std::size_t count) {
 ///
 /// The window is copied (it is at most a few dozen samples), so the operator
 /// remains valid after the source buffer changes — important for the online
-/// sliding-window detector.
+/// sliding-window detector. apply() computes Bᵀ·x into a buffer the
+/// operator owns, so one operator must not be applied from two threads at
+/// once.
 class HankelGramOperator final : public LinearOperator {
  public:
   HankelGramOperator(std::span<const double> window, std::size_t omega,
                      std::size_t count);
+
+  /// Replace the samples in place with another window of the same length,
+  /// without allocating: a scorer refills one operator per window.
+  void assign(std::span<const double> window);
 
   std::size_t dim() const override { return omega_; }
   void apply(std::span<const double> x, std::span<double> y) const override;
@@ -60,6 +66,7 @@ class HankelGramOperator final : public LinearOperator {
   std::size_t omega_;
   std::size_t count_;
   Vector window_;
+  mutable Vector t_;  ///< apply()'s Bᵀ·x
 };
 
 }  // namespace funnel::linalg

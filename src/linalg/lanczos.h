@@ -58,4 +58,17 @@ struct LanczosResult {
 LanczosResult lanczos(const LinearOperator& op, std::span<const double> v0,
                       std::size_t k, bool want_basis = false);
 
+/// Caller-owned storage for lanczos(): a caller that keeps one across runs
+/// of the same dimension and k allocates nothing after the first.
+struct LanczosWorkspace {
+  Tridiagonal t;  ///< the result: t.size() steps were completed
+  Matrix basis;   ///< k x dim: row j is Lanczos vector j (j < t.size())
+  Vector w;       ///< the next residual
+};
+
+/// The same run into `ws`. The value-returning form is this on a fresh
+/// workspace.
+void lanczos(const LinearOperator& op, std::span<const double> v0,
+             std::size_t k, LanczosWorkspace& ws);
+
 }  // namespace funnel::linalg

@@ -25,6 +25,12 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, 0.0);
+}
+
 Vector Matrix::col(std::size_t c) const {
   Vector out(rows_);
   for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);

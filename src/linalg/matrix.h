@@ -28,6 +28,10 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
+  /// Become a zero rows x cols matrix, reusing the storage: no allocation
+  /// when rows * cols fits what the matrix has held before.
+  void resize(std::size_t rows, std::size_t cols);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }

@@ -1,22 +1,29 @@
 #include "linalg/sym_eigen.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "common/error.h"
 
 namespace funnel::linalg {
 
 SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
-  FUNNEL_REQUIRE(a.rows() == a.cols(), "sym_eigen requires a square matrix");
-  const std::size_t n = a.rows();
   Matrix m = a;
-  Matrix q = Matrix::identity(n);
+  SymEigen out;
+  sym_eigen(m, out.values, out.vectors, tol, max_sweeps);
+  return out;
+}
+
+void sym_eigen(Matrix& m, Vector& values, Matrix& q, double tol,
+               int max_sweeps) {
+  FUNNEL_REQUIRE(m.rows() == m.cols(), "sym_eigen requires a square matrix");
+  const std::size_t n = m.rows();
+  q.resize(n, n);
+  for (std::size_t i = 0; i < n; ++i) q(i, i) = 1.0;
 
   // Scale for the convergence test: Frobenius norm of the input.
   double fro = 0.0;
-  for (double x : a.data()) fro += x * x;
+  for (double x : m.data()) fro += x * x;
   fro = std::sqrt(fro);
   const double stop = tol * (fro > 0.0 ? fro : 1.0);
 
@@ -65,23 +72,23 @@ SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
     }
   }
 
-  Vector values(n);
+  values.resize(n);
   for (std::size_t i = 0; i < n; ++i) values[i] = m(i, i);
+  sort_eigenpairs(values, q);
+}
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return values[x] > values[y];
-  });
-
-  SymEigen out;
-  out.values.resize(n);
-  out.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = values[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = q(i, order[j]);
+void sort_eigenpairs(Vector& values, Matrix& vectors) {
+  FUNNEL_REQUIRE(vectors.cols() == values.size(),
+                 "sort_eigenpairs: one column per value");
+  // Insertion sort: n is the Krylov dimension or the embedding size.
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    for (std::size_t j = i; j > 0 && values[j] > values[j - 1]; --j) {
+      std::swap(values[j], values[j - 1]);
+      for (std::size_t r = 0; r < vectors.rows(); ++r) {
+        std::swap(vectors(r, j), vectors(r, j - 1));
+      }
+    }
   }
-  return out;
 }
 
 }  // namespace funnel::linalg

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 
@@ -86,27 +85,20 @@ Matrix Tridiagonal::to_dense() const {
 }
 
 SymEigen tridiag_eigen(const Tridiagonal& t) {
-  FUNNEL_REQUIRE(t.subdiag.size() + 1 == t.diag.size() || t.diag.empty(),
-                 "tridiagonal subdiagonal must have n-1 entries");
-  const std::size_t n = t.size();
-  Vector d = t.diag;
-  Vector e = t.subdiag;
-  Matrix z = Matrix::identity(n);
-  tqli(d, e, &z);
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return d[a] > d[b]; });
-
   SymEigen out;
-  out.values.resize(n);
-  out.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
-  }
+  out.values = t.diag;
+  Vector e = t.subdiag;
+  out.vectors = Matrix::identity(t.size());
+  tridiag_eigen(out.values, e, out.vectors);
   return out;
+}
+
+void tridiag_eigen(Vector& d, Vector& e, Matrix& z) {
+  FUNNEL_REQUIRE(e.size() + 1 == d.size() || d.empty(),
+                 "tridiagonal subdiagonal must have n-1 entries");
+  FUNNEL_REQUIRE(z.cols() == d.size(), "tridiag_eigen: z needs n columns");
+  tqli(d, e, &z);
+  sort_eigenpairs(d, z);
 }
 
 Vector tridiag_eigenvalues(const Tridiagonal& t) {

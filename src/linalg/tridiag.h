@@ -30,6 +30,17 @@ struct Tridiagonal {
 /// Throws NumericalError if an eigenvalue fails to converge in 50 iterations.
 SymEigen tridiag_eigen(const Tridiagonal& t);
 
+/// The same solver on caller-owned storage. `d` and `e` enter holding the
+/// diagonal and subdiagonal (n and n-1 entries; `e` is clobbered and grows
+/// to n), `z` the rows the rotations are accumulated into. Each row evolves
+/// on its own, so starting `z` from the n x n identity gives the
+/// eigenvectors, and starting it from the identity's first row e₁ gives
+/// exactly their first components. On return `d` holds the eigenvalues in
+/// non-increasing order and the columns of `z` are permuted to match. A
+/// caller that keeps the three across calls allocates nothing once they
+/// have held the largest n.
+void tridiag_eigen(Vector& d, Vector& e, Matrix& z);
+
 /// Eigenvalues only (same algorithm without eigenvector accumulation —
 /// used where only Ritz values are needed).
 Vector tridiag_eigenvalues(const Tridiagonal& t);

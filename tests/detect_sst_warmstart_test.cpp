@@ -14,14 +14,22 @@
 //     re-converges instead of poisoning scores.
 //   * reset() fully clears warm state: score, reset, re-score is
 //     byte-identical (the ThreadPool per-slot reuse contract).
+//   * Scoring a window allocates nothing once the scorer exists, suppressed
+//     or scored (this binary counts every operator new).
+//   * SortedHalves' incremental medians and MADs are bit-identical to
+//     funnel::median and funnel::mad over the standardized halves.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <new>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "detect/ika_sst.h"
 #include "detect/sliding.h"
 #include "detect/sst_common.h"
@@ -30,6 +38,25 @@
 #include "workload/faults.h"
 #include "workload/generators.h"
 #include "workload/stream.h"
+
+// Every operator new in this binary (the array and nothrow forms forward to
+// it) is counted, then served by malloc. Kept out of line so the compiler
+// does not pair a new-expression with the free() inside.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace funnel::detect {
 namespace {
@@ -306,6 +333,114 @@ TEST(WarmStartLifecycle, ResetReplaysByteIdentical) {
       EXPECT_EQ(first[i], second[i]) << "window " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Per-window storage: no heap allocation per window.
+// ---------------------------------------------------------------------------
+
+// The cascaded and the full scorer over a series that alarms, is
+// suppressed, holds a NaN gap and meets a reset(): after the first window
+// neither allocates.
+TEST(IkaSstStorage, NoHeapAllocationPerWindow) {
+  std::vector<double> series =
+      class_series(tsdb::KpiClass::kVariable, 17, 520, 8.0, 300);
+  std::fill(series.begin() + 150, series.begin() + 154,
+            std::numeric_limits<double>::quiet_NaN());
+  const auto span = std::span<const double>(series);
+  const std::size_t w = kGeom.window();
+
+  IkaSst cascaded(kGeom);
+  IkaSst full(kGeom);
+  std::size_t suppressed_windows = 0;
+  std::size_t scored_windows = 0;
+  std::size_t dirty_windows = 0;
+  std::size_t windows = 0;
+  std::size_t allocations = 0;
+  for (std::size_t i = 0; i + w <= series.size(); ++i) {
+    const std::size_t before = g_allocations.load();
+    if (i == 400) {
+      cascaded.reset();
+      full.reset();
+    }
+    bool suppressed = false;
+    const double gated = cascaded.score(span.subspan(i, w), 0.22, &suppressed);
+    (void)full.score(span.subspan(i, w));
+    const std::size_t made = g_allocations.load() - before;
+    if (i == 0) continue;
+    allocations += made;
+    ++windows;
+    if (std::isnan(gated)) {
+      ++dirty_windows;
+    } else if (suppressed) {
+      ++suppressed_windows;
+    } else {
+      ++scored_windows;
+    }
+  }
+  EXPECT_GT(suppressed_windows, 0u);
+  EXPECT_GT(scored_windows, 0u);
+  EXPECT_GT(dirty_windows, 0u);
+  EXPECT_EQ(allocations, 0u)
+      << static_cast<double>(allocations) / static_cast<double>(windows)
+      << " allocations per window";
+}
+
+// ---------------------------------------------------------------------------
+// Sorted halves: bit-identical to the copy-and-select statistics.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Random integer-valued windows (heavy ties, flat stretches, a -0.0) walked
+// through slides, a jump, a reset() and a NaN window: each standardized
+// window, median and MAD must equal standardize_window(), funnel::median
+// and funnel::mad bit for bit.
+TEST(SortedHalves, StatisticsBitIdenticalToSelection) {
+  Rng rng(2024);
+  std::vector<double> series(700);
+  for (double& v : series) v = static_cast<double>(rng.uniform_int(-3, 3));
+  std::fill(series.begin() + 100, series.begin() + 140, 2.0);  // MAD 0
+  std::fill(series.begin() + 200, series.begin() + 290, 1.0);  // flat window
+  series[330] = std::numeric_limits<double>::quiet_NaN();
+  series[520] = -0.0;
+
+  const std::size_t h = kGeom.half();
+  const std::size_t w = kGeom.window();
+  SortedHalves halves(h);
+  std::vector<double> z(w);
+  std::size_t checked = 0;
+  std::size_t dirty = 0;
+  const auto check = [&](std::size_t start) {
+    const std::span<const double> window(series.data() + start, w);
+    const std::vector<double> expected = standardize_window(window, h);
+    const std::optional<HalfStats> got = halves.standardize(window, z);
+    ASSERT_EQ(got.has_value(), !expected.empty()) << "window " << start;
+    if (!got) {
+      ++dirty;
+      return;
+    }
+    ASSERT_EQ(std::memcmp(z.data(), expected.data(), w * sizeof(double)), 0)
+        << "window " << start;
+    const std::span<const double> past(expected.data(), h);
+    const std::span<const double> future(expected.data() + h, h);
+    EXPECT_TRUE(same_bits(got->median_a, median(past))) << "window " << start;
+    EXPECT_TRUE(same_bits(got->mad_a, mad(past))) << "window " << start;
+    EXPECT_TRUE(same_bits(got->median_b, median(future))) << "window " << start;
+    EXPECT_TRUE(same_bits(got->mad_b, mad(future))) << "window " << start;
+    EXPECT_TRUE(same_bits(robust_score_factor(*got),
+                          robust_score_factor(past, future)))
+        << "window " << start;
+    ++checked;
+  };
+  for (std::size_t i = 0; i < 250; ++i) check(i);    // slides
+  for (std::size_t i = 300; i < 450; ++i) check(i);  // a jump, the NaN
+  halves.reset();
+  for (std::size_t i = 450; i + w <= series.size(); ++i) check(i);
+  EXPECT_GT(dirty, 0u);
+  EXPECT_GT(checked, 500u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <span>
@@ -206,6 +207,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DidProperties, ::testing::Range(1, 16));
 struct CascadeCase {
   tsdb::KpiClass cls;
   const char* fault_spec;  ///< empty = clean telemetry
+  std::uint64_t seed = 427;
+  double shift = 8.0;  ///< level shift at minute 300
+  double step = 0.0;   ///< > 0: each value becomes round(value / step)
 };
 
 class CascadeSoundness : public ::testing::TestWithParam<CascadeCase> {};
@@ -217,10 +221,13 @@ TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
 
   // An 8-sigma shift plus a ramp back guarantees genuinely alarming
   // windows in every class; faults then chew holes in the telemetry.
-  workload::KpiStream s(workload::make_default(c.cls, Rng(427)));
-  s.add_effect(workload::LevelShift{300, 8.0});
+  workload::KpiStream s(workload::make_default(c.cls, Rng(c.seed)));
+  s.add_effect(workload::LevelShift{300, c.shift});
   s.add_effect(workload::Ramp{420, 460, -5.0});
   std::vector<double> series = workload::render(s, 0, 520);
+  if (c.step > 0.0) {
+    for (double& v : series) v = std::round(v / c.step);
+  }
   if (c.fault_spec[0] != '\0') {
     tsdb::TimeSeries ts(0, series);
     workload::FaultInjector inj(workload::parse_fault_spec(c.fault_spec), 19);
@@ -290,7 +297,13 @@ INSTANTIATE_TEST_SUITE_P(
         CascadeCase{tsdb::KpiClass::kSeasonal,
                     "drop=0.03,nan=0.01x4,stuck=0.005x8"},
         CascadeCase{tsdb::KpiClass::kVariable,
-                    "drop=0.03,nan=0.01x4,stuck=0.005x8"}));
+                    "drop=0.03,nan=0.01x4,stuck=0.005x8"},
+        // Integer-valued telemetry: window 381's future half holds two
+        // nonzero standardized samples, so the third future direction
+        // collapses to a zero column while rounding leaves its Ritz value
+        // positive. The full scorer must stop at that column, not seed
+        // Lanczos with a zero vector (which throws).
+        CascadeCase{tsdb::KpiClass::kStationary, "", 8, 6.0, 4.0}));
 
 }  // namespace
 }  // namespace funnel

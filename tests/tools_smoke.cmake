@@ -11,7 +11,7 @@
 # (docs/STORAGE.md): a fresh persistent run matches the in-memory stdout
 # byte for byte, a second run recovers the store, a corrupted checkpoint
 # exits 3, and --data-dir outside pipeline mode is bad usage (exit 2). A
-# malformed numeric flag is bad usage too.
+# malformed numeric flag of either tool is bad usage too.
 #
 # Invoked by ctest as:
 #   cmake -DGEN=<funnel_generate> -DDET=<funnel_detect_csv>
@@ -283,6 +283,32 @@ execute_process(COMMAND "${DET}" "${csv}" --omega 1
 if(NOT rc EQUAL 2 OR NOT err MATCHES "error: ")
   message(FATAL_ERROR "--omega 1 must exit 2 with the detector's message, "
                       "got ${rc}: ${err}")
+endif()
+
+# funnel_generate's numeric flags too, each comma field included: exit 2
+# and no CSV, where the tool used to write 0 samples (--minutes abc), abort
+# (--minutes -5) or run with a truncated value (--seed 12x).
+set(gen_csv "${WORK_DIR}/malformed_flag.csv")
+foreach(flag "--minutes;abc" "--minutes;-5" "--minutes;0" "--seed;-3"
+             "--seed;12x" "--fault-seed;x" "--shift;30x,2y" "--shift;300"
+             "--ramp;10,20" "--ramp;10,20,1,2" "--spike;10,-2,3.0")
+  file(REMOVE "${gen_csv}")
+  execute_process(COMMAND "${GEN}" --class stationary ${flag}
+                          --out "${gen_csv}"
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2 OR EXISTS "${gen_csv}")
+    message(FATAL_ERROR "funnel_generate '${flag}' must exit 2 and write "
+                        "nothing, got ${rc}")
+  endif()
+endforeach()
+execute_process(COMMAND "${GEN}" --class stationary --minutes 60 --seed 3
+                        --shift 30,2.5 --spike 40,2,-1e1 --out "${gen_csv}"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+file(STRINGS "${gen_csv}" gen_lines)
+list(LENGTH gen_lines n_gen)
+if(NOT rc EQUAL 0 OR NOT n_gen EQUAL 61)
+  message(FATAL_ERROR "well-formed funnel_generate flags must write 60 "
+                      "samples, got exit ${rc} and ${n_gen} lines")
 endif()
 
 message(STATUS "tools smoke OK (telemetry enabled=${enabled})")

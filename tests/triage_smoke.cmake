@@ -111,4 +111,25 @@ if(NOT rc EQUAL 1)
   message(FATAL_ERROR "missing journal must exit 1, got ${rc}")
 endif()
 
+# A numeric flag must parse whole and in range (exit 2), where atoll/atof
+# used to read junk as 0 and wrap a sign on a count.
+foreach(flag "--min-support;abc" "--min-support;-2" "--max-rules;-1"
+             "--max-rules;5x" "--min-confidence;xyz"
+             "--min-confidence;1.5" "--min-confidence;-0.1"
+             "--overlap-window;-7" "--overlap-window;60m")
+  execute_process(COMMAND "${TRIAGE}" "${journal}" ${flag}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "error: malformed value")
+    message(FATAL_ERROR "funnel_triage '${flag}' must exit 2, got ${rc}: "
+                        "${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${TRIAGE}" "${journal}" --min-support 1 --max-rules 3
+          --min-confidence 1 --overlap-window 0
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "well-formed funnel_triage flags must exit 0, got ${rc}")
+endif()
+
 message(STATUS "triage_smoke OK: ${n_events} events journaled and triaged")

@@ -52,17 +52,14 @@ void usage(const char* argv0) {
                argv0);
 }
 
-bool parse_numbers(const std::string& arg, std::vector<double>& out,
-                   std::size_t expected) {
-  out.clear();
-  for (const std::string& f : split(arg, ',')) {
-    try {
-      out.push_back(std::stod(f));
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  return out.size() == expected;
+// Parse "A,B[,C]" whole: one comma field per target, each with
+// parse_number().
+template <typename... T>
+bool parse_fields(std::string_view arg, T&... out) {
+  const std::vector<std::string> fields = split(arg, ',');
+  if (fields.size() != sizeof...(T)) return false;
+  std::size_t i = 0;
+  return (parse_number(fields[i++], out) && ...);
 }
 
 }  // namespace
@@ -82,19 +79,22 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return ++i < argc ? argv[i] : nullptr;
     };
-    std::vector<double> nums;
+    // Numeric values must parse whole; counts and seeds take no sign.
+    MinuteTime t0 = 0;
+    MinuteTime t1 = 0;
+    double delta = 0.0;
     if (a == "--class") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]), 2;
       cls = v;
     } else if (a == "--minutes") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]), 2;
-      minutes = std::atoll(v);
+      if (v == nullptr || !parse_count(v, minutes) || minutes < 1) {
+        return usage(argv[0]), 2;
+      }
     } else if (a == "--seed") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]), 2;
-      seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (v == nullptr || !parse_number(v, seed)) return usage(argv[0]), 2;
     } else if (a == "--out") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]), 2;
@@ -114,31 +114,27 @@ int main(int argc, char** argv) {
       }
     } else if (a == "--fault-seed") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]), 2;
-      fault_seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (v == nullptr || !parse_number(v, fault_seed)) {
+        return usage(argv[0]), 2;
+      }
     } else if (a == "--shift") {
       const char* v = value();
-      if (v == nullptr || !parse_numbers(v, nums, 2)) {
+      if (v == nullptr || !parse_fields(v, t0, delta)) {
         return usage(argv[0]), 2;
       }
-      effects.push_back(workload::LevelShift{
-          static_cast<MinuteTime>(nums[0]), nums[1]});
+      effects.push_back(workload::LevelShift{t0, delta});
     } else if (a == "--ramp") {
       const char* v = value();
-      if (v == nullptr || !parse_numbers(v, nums, 3)) {
+      if (v == nullptr || !parse_fields(v, t0, t1, delta)) {
         return usage(argv[0]), 2;
       }
-      effects.push_back(workload::Ramp{static_cast<MinuteTime>(nums[0]),
-                                       static_cast<MinuteTime>(nums[1]),
-                                       nums[2]});
+      effects.push_back(workload::Ramp{t0, t1, delta});
     } else if (a == "--spike") {
       const char* v = value();
-      if (v == nullptr || !parse_numbers(v, nums, 3)) {
+      if (v == nullptr || !parse_fields(v, t0, t1, delta) || t1 < 1) {
         return usage(argv[0]), 2;
       }
-      effects.push_back(workload::TransientSpike{
-          static_cast<MinuteTime>(nums[0]),
-          static_cast<MinuteTime>(nums[1]), nums[2]});
+      effects.push_back(workload::TransientSpike{t0, t1, delta});
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return 2;

@@ -32,12 +32,12 @@
 // are counted on stderr but are not fatal — a crash-truncated trailing
 // line is the expected signature of an interrupted run.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "obs/journal.h"
 #include "triage/engine.h"
 
@@ -70,6 +70,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
       return argv[++i];
     };
+    // A numeric value must parse whole; counts take no sign.
+    auto malformed = [&](const char* flag, const char* v) {
+      std::fprintf(stderr, "error: malformed value for %s: '%s'\n", flag, v);
+      return false;
+    };
     if (std::strcmp(a, "--json") == 0) {
       const char* v = next("--json");
       if (v == nullptr) return false;
@@ -79,22 +84,30 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (v == nullptr) return false;
       opt.md_path = v;
     } else if (std::strcmp(a, "--overlap-window") == 0) {
-      const char* v = next("--overlap-window");
+      const char* v = next(a);
       if (v == nullptr) return false;
-      opt.triage.blame.overlap_window = std::atoll(v);
+      if (!parse_count(v, opt.triage.blame.overlap_window)) {
+        return malformed(a, v);
+      }
     } else if (std::strcmp(a, "--min-support") == 0) {
-      const char* v = next("--min-support");
+      const char* v = next(a);
       if (v == nullptr) return false;
-      opt.triage.rules.min_support =
-          static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(v, opt.triage.rules.min_support)) {
+        return malformed(a, v);
+      }
     } else if (std::strcmp(a, "--min-confidence") == 0) {
-      const char* v = next("--min-confidence");
+      const char* v = next(a);
       if (v == nullptr) return false;
-      opt.triage.rules.min_confidence = std::atof(v);
+      double& c = opt.triage.rules.min_confidence;
+      if (!parse_number(v, c) || !(c >= 0.0 && c <= 1.0)) {
+        return malformed(a, v);
+      }
     } else if (std::strcmp(a, "--max-rules") == 0) {
-      const char* v = next("--max-rules");
+      const char* v = next(a);
       if (v == nullptr) return false;
-      opt.triage.rules.max_rules = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_number(v, opt.triage.rules.max_rules)) {
+        return malformed(a, v);
+      }
     } else if (a[0] == '-' && a[1] != '\0') {
       std::fprintf(stderr, "error: unknown flag %s\n", a);
       return false;

@@ -13,7 +13,8 @@
 //      the pipeline tax on top of the detector's own horizon.
 //
 // The feed is deterministic (seeded Rng per producer) so runs are
-// comparable. Writes BENCH_service.json (--json FILE to relocate);
+// comparable. Writes BENCH_service.json (--json FILE to relocate) with the
+// host it ran on (hardware threads, build type, git commit);
 // tests/service_bench_smoke.cmake runs --quick and validates the shape.
 // FUNNEL_OBS=OFF compiles the HTTP server out: exits 77 (the smoke skips).
 #include <arpa/inet.h>
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "obs/registry.h"
 #include "service/service.h"
@@ -280,12 +282,15 @@ int main(int argc, char** argv) {
       "ingest-to-verdict   p95 %.2f ms, max %.2f ms over %zu watch cycles\n",
       verdict.p95_ms, verdict.max_ms, verdict.watches);
 
+  const bench::Provenance host = bench::provenance();
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path);
     return 1;
   }
-  out << "{\"workload\":{\"quick\":" << (quick ? "true" : "false")
+  out << "{\"host\":{\"nproc\":" << host.nproc << ",\"build_type\":\""
+      << host.build_type << "\",\"git_sha\":\"" << host.git_sha
+      << "\"},\"workload\":{\"quick\":" << (quick ? "true" : "false")
       << ",\"minutes_per_producer\":" << minutes << "},\"grid\":[";
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (i > 0) out << ",";

@@ -7,6 +7,12 @@
 // cores needed to score one million KPIs once per minute. Absolute numbers
 // are hardware-specific; the paper's Xeon E5645 figures are printed
 // alongside for the ratio comparison.
+//
+// A shared host's steal swings a single timing, so every row is repeated
+// kRepeats times, the rows interleaved, and printed as median [quartiles].
+// The per-window rows run on the thread CPU clock (evalkit's
+// mean_score_micros); the fan-out rows span pool threads, so they read the
+// wall clock.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,6 +24,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -34,6 +41,25 @@
 using namespace funnel;
 
 namespace {
+
+/// Interleaved repetitions behind every printed row.
+constexpr int kRepeats = 7;
+
+/// Median [quartiles] of one row's repetitions.
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread_of(const std::vector<double>& xs) {
+  return {quantile(xs, 0.25), quantile(xs, 0.5), quantile(xs, 0.75)};
+}
+
+std::string format_spread(const Spread& s, int digits) {
+  return format_fixed(s.median, digits) + " [" + format_fixed(s.q1, digits) +
+         "-" + format_fixed(s.q3, digits) + "]";
+}
 
 std::vector<double> bench_series(std::size_t len) {
   workload::VariableParams p;  // the hardest class: no early-outs anywhere
@@ -112,69 +138,67 @@ void print_summary_table() {
   std::printf(
       "\n=== Table 2: run time per window and cores for 1M KPIs ===\n\n");
   const std::vector<double> series = bench_series(600);
+  const detect::SstGeometry geometry{.omega = 9, .eta = 3};
 
   struct Row {
     std::string name;
-    double us;
+    std::unique_ptr<detect::ChangeScorer> scorer;
+    std::size_t windows;  ///< scores per repetition
     PaperRef ref;
+    std::vector<double> us;
   };
   std::vector<Row> rows;
-
-  {
-    detect::IkaSst s(detect::SstGeometry{.omega = 9, .eta = 3});
-    rows.push_back({"FUNNEL IKA-SST, every window",
-                    evalkit::mean_score_micros(s, series, 4000),
-                    {"FUNNEL", 401.8, 7}});
-  }
-  {
-    detect::Cusum s{detect::CusumParams{}};
-    rows.push_back({"CUSUM", evalkit::mean_score_micros(s, series, 2000),
-                    {"CUSUM", 1846.0, 31}});
-  }
-  {
-    detect::Mrls s{detect::MrlsParams{}};
-    rows.push_back({"MRLS", evalkit::mean_score_micros(s, series, 300),
-                    {"MRLS", 2.852e6, 47526}});
-  }
-  {
-    detect::ImprovedSst s(detect::SstGeometry{.omega = 9, .eta = 3});
-    rows.push_back({"Improved SST (exact SVD)",
-                    evalkit::mean_score_micros(s, series, 2000),
-                    {"-", 0.0, 0}});
-  }
-  {
-    detect::CascadeGate s(
-        std::make_unique<detect::IkaSst>(
-            detect::SstGeometry{.omega = 9, .eta = 3}),
-        detect::CascadeConfig{});
-    rows.push_back({"FUNNEL IKA-SST + cascade (production)",
-                    evalkit::mean_score_micros(s, series, 4000),
-                    {"-", 0.0, 0}});
+  rows.push_back({"FUNNEL IKA-SST, every window",
+                  std::make_unique<detect::IkaSst>(geometry), 4000,
+                  {"FUNNEL", 401.8, 7}, {}});
+  rows.push_back({"CUSUM",
+                  std::make_unique<detect::Cusum>(detect::CusumParams{}),
+                  2000, {"CUSUM", 1846.0, 31}, {}});
+  rows.push_back({"MRLS", std::make_unique<detect::Mrls>(detect::MrlsParams{}),
+                  300, {"MRLS", 2.852e6, 47526}, {}});
+  rows.push_back({"Improved SST (exact SVD)",
+                  std::make_unique<detect::ImprovedSst>(geometry), 2000,
+                  {"-", 0.0, 0}, {}});
+  rows.push_back({"FUNNEL IKA-SST + cascade (production)",
+                  std::make_unique<detect::CascadeGate>(
+                      std::make_unique<detect::IkaSst>(geometry),
+                      detect::CascadeConfig{}),
+                  4000, {"-", 0.0, 0}, {}});
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (Row& r : rows) {
+      r.us.push_back(
+          evalkit::mean_score_micros(*r.scorer, series, r.windows));
+    }
   }
 
-  Table t({"method", "us/window", "cores for 1M KPIs", "paper us/window",
-           "paper cores"});
+  Table t({"method", "us/window median [quartiles]", "cores for 1M KPIs",
+           "paper us/window", "paper cores"});
+  std::vector<double> median_us;
   for (const Row& r : rows) {
-    t.add_row({r.name, format_fixed(r.us, 1),
-               std::to_string(evalkit::cores_for_kpis(r.us)),
+    const Spread us = spread_of(r.us);
+    median_us.push_back(us.median);
+    t.add_row({r.name, format_spread(us, 1),
+               std::to_string(evalkit::cores_for_kpis(us.median)),
                r.ref.paper_us > 0.0 ? format_fixed(r.ref.paper_us, 1) : "-",
                r.ref.paper_cores > 0 ? std::to_string(r.ref.paper_cores)
                                      : "-"});
   }
   std::printf("%s\n", t.to_string().c_str());
+  std::printf("(thread CPU time, %d interleaved repetitions per row)\n",
+              kRepeats);
 
-  const double funnel_us = rows[0].us;
-  const double cusum_us = rows[1].us;
-  const double mrls_us = rows[2].us;
-  std::printf("speed ratios (ours): FUNNEL is %.1fx faster than CUSUM, "
-              "%.0fx faster than MRLS\n",
+  const double funnel_us = median_us[0];
+  const double cusum_us = median_us[1];
+  const double mrls_us = median_us[2];
+  std::printf("speed ratios (ours, medians): FUNNEL is %.1fx faster than "
+              "CUSUM, %.0fx faster than MRLS\n",
               cusum_us / funnel_us, mrls_us / funnel_us);
   std::printf("speed ratios (paper): 4.59x faster than CUSUM, "
               "7098x faster than MRLS\n");
   std::printf("hot path (bench/sst_hotpath has the full tier breakdown): "
               "the production cascade is %.1fx faster than scoring every "
               "window on this workload\n",
-              funnel_us / rows.back().us);
+              funnel_us / median_us.back());
 }
 
 // The per-window numbers above are single-threaded by §4.3's methodology;
@@ -228,18 +252,25 @@ void print_parallel_fanout_table(const obs::Registry* stats) {
   };
 
   score_fleet(1);  // warm up caches so the serial baseline is not penalized
-  const double serial_ms = score_fleet(1);
-  Table t({"threads", "wall ms", "speedup vs serial"});
-  t.add_row({"1", format_fixed(serial_ms, 1), "1.00x"});
-  for (const std::size_t threads : {2, 4, 8}) {
-    const double ms = score_fleet(threads);
-    t.add_row({std::to_string(threads), format_fixed(ms, 1),
-               format_fixed(serial_ms / ms, 2) + "x"});
+  constexpr std::size_t kWidths[] = {1, 2, 4, 8};
+  std::vector<std::vector<double>> ms(std::size(kWidths));
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+      ms[w].push_back(score_fleet(kWidths[w]));
+    }
+  }
+  const double serial_ms = spread_of(ms[0]).median;
+  Table t({"threads", "wall ms median [quartiles]",
+           "speedup vs serial (medians)"});
+  for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+    const Spread wall = spread_of(ms[w]);
+    t.add_row({std::to_string(kWidths[w]), format_spread(wall, 1),
+               format_fixed(serial_ms / wall.median, 2) + "x"});
   }
   std::printf("%s\n", t.to_string().c_str());
-  std::printf("(%zu KPIs x %zu minutes; hardware threads available: %u — "
-              "speedup saturates there)\n",
-              kKpis, kLen, std::thread::hardware_concurrency());
+  std::printf("(%zu KPIs x %zu minutes, %d interleaved repetitions; "
+              "hardware threads available: %u — speedup saturates there)\n",
+              kKpis, kLen, kRepeats, std::thread::hardware_concurrency());
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // deployment to budget for:
 //
 //   1. WAL append throughput: records/s and MB/s through the group-commit
-//      writer (the per-sample tax every persistent ingest pays).
+//      writer (the per-sample tax every persistent ingest pays), in two
+//      rows: one append() per sample, and one batch append() per minute
+//      (the shape of a /v1/ingest POST). Both rows write the same bytes.
 //   2. Segment flush latency: one checkpoint() freezing the whole hot set
 //      into an immutable columnar segment (the pause at a natural barrier).
 //   3. Historical read cost, RAM vs mmap: the same day-long window queries
@@ -17,8 +19,8 @@
 // Writes BENCH_persist.json (--json FILE to relocate; --dir DIR for the
 // scratch store) with the host it ran on (hardware threads, build type, git
 // commit). tests/persist_bench_smoke.cmake runs --quick and validates the
-// JSON shape plus sanity bars (positive rates, every WAL record accounted
-// for).
+// JSON shape plus sanity bars (positive rates, every WAL record of both rows
+// accounted for).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -45,6 +47,42 @@ double now_us() {
 double value_at(std::size_t metric, MinuteTime t) {
   return 50.0 + static_cast<double>(metric) +
          8.0 * std::sin(static_cast<double>(t) * 0.013);
+}
+
+struct WalRow {
+  double append_us = 0.0;
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;
+};
+
+// The batch row: every minute's samples go to the store as one batch, into
+// a fresh store under `dir`, timed to the WAL barrier.
+WalRow append_minute_batches(const std::string& dir,
+                             const std::vector<tsdb::MetricId>& metrics,
+                             MinuteTime minutes) {
+  std::filesystem::remove_all(dir);
+  WalRow row;
+  {
+    tsdb::StoreOptions options;
+    options.data_dir = dir;
+    tsdb::MetricStore store(options);
+    std::vector<tsdb::Sample> batch(metrics.size());
+    const double t0 = now_us();
+    for (MinuteTime t = 0; t < minutes; ++t) {
+      for (std::size_t m = 0; m < metrics.size(); ++m) {
+        batch[m].id = metrics[m];
+        batch[m].t = t;
+        batch[m].value = value_at(m, t);
+      }
+      store.append(batch);
+    }
+    store.wal_flush();
+    row.append_us = now_us() - t0;
+    row.records = store.wal_records_written();
+    row.bytes = store.wal_bytes_written();
+  }
+  std::filesystem::remove_all(dir);
+  return row;
 }
 
 struct ReadCost {
@@ -147,13 +185,24 @@ int main(int argc, char** argv) {
   }
   std::filesystem::remove_all(dir);
 
+  const WalRow batched = append_minute_batches(dir + "-batch", metrics,
+                                               minutes);
+
   const double secs = append_us / 1e6;
   const double records_per_s = static_cast<double>(records) / secs;
   const double mb_per_s =
       static_cast<double>(wal_bytes) / (1024.0 * 1024.0) / secs;
+  const double batch_secs = batched.append_us / 1e6;
+  const double batch_records_per_s = static_cast<double>(records) / batch_secs;
+  const double batch_mb_per_s =
+      static_cast<double>(batched.bytes) / (1024.0 * 1024.0) / batch_secs;
   std::printf("wal append          %.0f records/s, %.1f MB/s (%llu bytes)\n",
               records_per_s, mb_per_s,
               static_cast<unsigned long long>(wal_bytes));
+  std::printf("wal append, batch   %.0f records/s, %.1f MB/s (%llu bytes, "
+              "one batch of %zu per minute)\n",
+              batch_records_per_s, batch_mb_per_s,
+              static_cast<unsigned long long>(batched.bytes), n_metrics);
   std::printf("segment flush       %.1f ms (%zu segment(s))\n", flush_ms,
               segments);
   std::printf("historical read     RAM %.1f us/window, mmap %.1f us/window "
@@ -179,7 +228,11 @@ int main(int argc, char** argv) {
       << ",\"records\":" << records << "},\"wal\":{\"records_written\":"
       << wal_records << ",\"bytes\":" << wal_bytes
       << ",\"records_per_s\":" << records_per_s
-      << ",\"mb_per_s\":" << mb_per_s << "},\"segment\":{\"flush_ms\":"
+      << ",\"mb_per_s\":" << mb_per_s
+      << "},\"wal_batch\":{\"records_written\":" << batched.records
+      << ",\"bytes\":" << batched.bytes
+      << ",\"records_per_s\":" << batch_records_per_s
+      << ",\"mb_per_s\":" << batch_mb_per_s << "},\"segment\":{\"flush_ms\":"
       << flush_ms << ",\"segments\":" << segments
       << "},\"read\":{\"windows\":" << windows
       << ",\"window_minutes\":" << window_minutes

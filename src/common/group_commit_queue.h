@@ -3,18 +3,23 @@
 // WAL writer and the verdict journal (docs/CONCURRENCY.md, "Group-commit
 // queue").
 //
-// Producers push() under one mutex. The consumer thread wakes, moves every
-// queued item into a reused batch vector and runs the owner's consumer on
-// the batch with no lock held: one fwrite + fflush per batch for the
-// writers, one notification pass per batch for the store. One consumer
-// thread means delivery order equals push order.
+// Producers push_all() a span of items under one mutex (push() is a span of
+// one). The consumer thread wakes, moves every queued item into a reused
+// batch vector and runs the owner's consumer on the batch with no lock
+// held: one fwrite + fflush per batch for the writers, one notification
+// pass per batch for the store. One consumer thread means delivery order
+// equals push order.
 //
 // Guarantees (regression-tested in common_group_commit_queue_test):
-//   * push() hands each accepted item the next arrival ticket (0, 1, 2, ...)
-//     under the lock, so a ticket-derived field (the WAL seq) follows
+//   * push_all() hands each accepted item the next arrival ticket (0, 1, 2,
+//     ...) under the lock, so a ticket-derived field (the WAL seq) follows
 //     delivery order.
-//   * kBlock never loses an item. kDropOldest sheds only items still queued,
-//     never the batch in flight, and counts every shed in dropped().
+//   * kBlock never loses an item. A span larger than the free room is queued
+//     in chunks: the producer waits for room as often as it needs to, so
+//     the queue never holds more than `capacity` items.
+//   * kDropOldest sheds only items still queued, never the batch in flight,
+//     and counts every shed in dropped(). A span sheds exactly as its items
+//     pushed one by one with the consumer idle would.
 //   * flush() returns once every item pushed before the call has been
 //     consumed or shed. It is a no-op on the consumer thread.
 //   * await_inflight() returns once the batch in flight at the call (if any)
@@ -35,6 +40,7 @@
 #include <functional>
 #include <iterator>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -55,12 +61,14 @@ class GroupCommitQueue {
   /// its items, and the queue clears it afterwards.
   using Consumer = std::function<void(std::vector<T>&)>;
 
-  /// What push() did with one item.
+  /// What push_all() (or push()) did with its items.
   struct Admission {
-    bool accepted = false;     ///< false: stopping or abandoned, item discarded
-    bool shed = false;         ///< kDropOldest shed the oldest queued item
-    std::uint64_t ticket = 0;  ///< arrival ticket of an accepted item
-    std::size_t depth = 0;     ///< items queued after this push
+    /// false: stopping or abandoned, so the items from the first refused
+    /// one on were discarded.
+    bool accepted = false;
+    std::size_t shed = 0;      ///< queued items kDropOldest shed for room
+    std::uint64_t ticket = 0;  ///< arrival ticket of the first item
+    std::size_t depth = 0;     ///< items queued after the last push
   };
 
   /// Starts the consumer thread. `capacity` is clamped to >= 1.
@@ -86,38 +94,58 @@ class GroupCommitQueue {
   GroupCommitQueue(const GroupCommitQueue&) = delete;
   GroupCommitQueue& operator=(const GroupCommitQueue&) = delete;
 
+  /// push_all() of one item.
   Admission push(T item) {
-    return push(std::move(item), [](T&, std::uint64_t) {});
+    return push_all(std::span<T>(&item, 1), [](T&, std::uint64_t) {});
   }
 
-  /// Enqueue one item (any thread), blocking or shedding per the policy.
-  /// `stamp(item, ticket)` runs under the lock just before the item is
-  /// queued. A producer wakes the consumer only on empty -> non-empty: the
-  /// consumer waits on nothing else.
   template <typename Stamp>
   Admission push(T item, Stamp&& stamp) {
+    return push_all(std::span<T>(&item, 1), std::forward<Stamp>(stamp));
+  }
+
+  /// push_all() without a stamp.
+  Admission push_all(std::span<T> items) {
+    return push_all(items, [](T&, std::uint64_t) {});
+  }
+
+  /// Enqueue `items` in order (any thread, moving from them), blocking or
+  /// shedding per the policy. `stamp(item, ticket)` runs under the lock
+  /// just before each item is queued. A producer wakes the consumer only
+  /// when a chunk lands in an empty queue, at most once per chunk: the
+  /// consumer waits on nothing else.
+  template <typename Stamp>
+  Admission push_all(std::span<T> items, Stamp&& stamp) {
     Admission a;
     std::unique_lock<std::mutex> lock(mutex_);
-    if (queue_.size() >= capacity_ && !stop_) {
-      if (policy_ == Backpressure::kBlock) {
-        space_cv_.wait(lock,
-                       [&] { return queue_.size() < capacity_ || stop_; });
-      } else {
-        queue_.pop_front();
-        ++removed_;
-        ++dropped_;
-        a.shed = true;
-        settled_cv_.notify_all();
+    bool wake = queue_.empty();  // the consumer may be waiting for work
+    std::size_t queued = 0;
+    for (T& item : items) {
+      if (queue_.size() >= capacity_ && !stop_) {
+        if (policy_ == Backpressure::kBlock) {
+          // Hand the chunk over before waiting for the room it frees.
+          if (wake) arrival_cv_.notify_one();
+          space_cv_.wait(lock,
+                         [&] { return queue_.size() < capacity_ || stop_; });
+          wake = queue_.empty();
+        } else {
+          queue_.pop_front();
+          ++removed_;
+          ++dropped_;
+          ++a.shed;
+        }
       }
+      if (stop_) break;
+      const std::uint64_t ticket = pushed_++;
+      if (queued++ == 0) a.ticket = ticket;
+      stamp(item, ticket);
+      queue_.push_back(std::move(item));
     }
-    if (stop_) return a;
-    a.accepted = true;
-    a.ticket = pushed_++;
-    stamp(item, a.ticket);
-    queue_.push_back(std::move(item));
+    a.accepted = queued == items.size();
     a.depth = queue_.size();
     lock.unlock();
-    if (a.depth == 1) arrival_cv_.notify_one();
+    if (a.shed > 0) settled_cv_.notify_all();
+    if (wake && queued > 0) arrival_cv_.notify_one();
     return a;
   }
 
@@ -162,7 +190,7 @@ class GroupCommitQueue {
     return queue_.size();
   }
   std::size_t capacity() const { return capacity_; }
-  /// Items accepted by push() so far (the next ticket).
+  /// Items accepted by push_all() so far (the next ticket).
   std::uint64_t pushed() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return pushed_;

@@ -58,9 +58,10 @@ MethodResult evaluate_funnel(const EvalDataset& ds,
                              const core::FunnelConfig& config,
                              std::uint64_t negative_scale = 1);
 
-/// Mean per-window scoring cost in microseconds, measured by sliding the
-/// scorer across `series` until at least `min_total_scores` scores have been
-/// produced (Table 2's "run time per time window").
+/// Mean per-window scoring cost in microseconds of the calling thread's CPU
+/// time, measured by sliding the scorer across `series` until at least
+/// `min_total_scores` scores have been produced (Table 2's "run time per
+/// time window").
 double mean_score_micros(detect::ChangeScorer& scorer,
                          std::span<const double> series,
                          std::size_t min_total_scores = 2000);

@@ -1,6 +1,7 @@
 #include "service/tenant.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <exception>
@@ -75,13 +76,38 @@ bool parse_value(std::string_view s, double* out) {
     *out = std::numeric_limits<double>::quiet_NaN();
     return true;
   }
-  const std::string buf(s);
+  // strtod needs a terminated string: a stack copy for any real number, a
+  // heap one only for the rare longer field, so both accept the same text.
+  char stack[64];
+  std::string heap;
+  char* buf = stack;
+  if (s.size() < sizeof(stack)) {
+    std::memcpy(stack, s.data(), s.size());
+    stack[s.size()] = '\0';
+  } else {
+    heap.assign(s);
+    buf = heap.data();
+  }
   char* end = nullptr;
   errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE) return false;
+  const double v = std::strtod(buf, &end);
+  if (end != buf + s.size() || errno == ERANGE) return false;
   *out = v;
   return true;
+}
+
+/// Split an ingest line into exactly five comma-separated fields (empty
+/// fields kept); false when it has more or fewer.
+bool split5(std::string_view s, std::array<std::string_view, 5>& fields) {
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t pos = s.find(',', start);
+    if (pos == std::string_view::npos) return false;
+    fields[i] = s.substr(start, pos - start);
+    start = pos + 1;
+  }
+  fields[4] = s.substr(start);
+  return fields[4].find(',') == std::string_view::npos;
 }
 
 std::string_view trim_cr(std::string_view line) {
@@ -336,6 +362,34 @@ IngestResult Tenant::ingest(std::string_view body) {
     return res;
   }
   bool quiesced = false;
+  // Malformed lines seen before the pending batch's first sample: a batch
+  // the WAL refuses is refused at that sample, so the lines after it were
+  // never reached, exactly as when each line was appended on its own.
+  std::size_t malformed_before_batch = 0;
+  MinuteTime batch_max_minute = max_minute_;
+  std::vector<tsdb::Sample>& batch = ingest_batch_;
+  batch.clear();
+  // One store submit per batch; false once a StorageError quarantined.
+  const auto submit = [&]() {
+    if (batch.empty()) return true;
+    try {
+      store_->append(batch);
+    } catch (const tsdb::persist::StorageError& e) {
+      res.malformed = malformed_before_batch;
+      malformed_lines_ += res.malformed;
+      quarantine(std::string("store-error: ") + e.what());
+      res.quarantined = true;
+      return false;
+    }
+    res.accepted += batch.size();
+    applied_seq_ += batch.size();
+    accepted_samples_ += batch.size();
+    max_minute_ = batch_max_minute;
+    batch.clear();
+    return true;
+  };
+
+  std::array<std::string_view, 5> f;
   std::size_t start = 0;
   while (start <= body.size()) {
     const std::size_t end = body.find('\n', start);
@@ -346,20 +400,23 @@ IngestResult Tenant::ingest(std::string_view body) {
     const std::string_view line = trim_cr(raw);
     if (line.empty() || line[0] == '#') continue;
 
-    const auto f = split(line, ',');
     MinuteTime minute = 0;
     double value = 0.0;
-    if (f.size() != 5 || f[0].empty() || f[1].empty() || f[2].empty() ||
+    if (!split5(line, f) || f[0].empty() || f[1].empty() || f[2].empty() ||
         !parse_minute(f[3], &minute) || !parse_value(f[4], &value)) {
       ++res.malformed;
       continue;
     }
-    const std::string service(f[0]);
-    const std::string server(f[1]);
-    const std::string kpi(f[2]);
+    tsdb::MetricId id = tsdb::server_metric(std::string(f[1]),
+                                            std::string(f[2]));
+    const std::string& server = id.entity;
 
     if (!topo_.has_server(server)) {
+      // Cut the batch here: the lines before reach the store before the
+      // dispatcher quiesces and the topology changes.
+      if (!submit()) return res;
       quiesce_for_mutation(&quiesced);
+      const std::string service(f[0]);
       try {
         topo_.add_server(service, server);
       } catch (const std::exception&) {
@@ -369,19 +426,11 @@ IngestResult Tenant::ingest(std::string_view body) {
       meta_append("server," + service + "," + server);
     }
 
-    try {
-      store_->append(tsdb::server_metric(server, kpi), minute, value);
-    } catch (const tsdb::persist::StorageError& e) {
-      malformed_lines_ += res.malformed;
-      quarantine(std::string("store-error: ") + e.what());
-      res.quarantined = true;
-      return res;
-    }
-    ++res.accepted;
-    ++applied_seq_;
-    ++accepted_samples_;
-    max_minute_ = std::max(max_minute_, minute);
+    if (batch.empty()) malformed_before_batch = res.malformed;
+    batch.push_back(tsdb::Sample{std::move(id), minute, value, {}, {}});
+    batch_max_minute = std::max(batch_max_minute, minute);
   }
+  if (!submit()) return res;
 
   malformed_lines_ += res.malformed;
   if (res.malformed > options_.max_malformed_per_batch) {

@@ -114,6 +114,10 @@ class Tenant {
   /// servers auto-join the tenant topology (durably, via meta.log).
   /// Malformed lines are counted, not fatal — unless one batch exceeds
   /// max_malformed_per_batch, which quarantines.
+  /// The body reaches the store as one batch append (one WAL group commit,
+  /// one dispatcher push), cut only before a line that adds a server so the
+  /// lines before it land before the topology changes. The store, the WAL
+  /// and applied_seq end up as one POST per line would leave them.
   IngestResult ingest(std::string_view body);
 
   /// Register + watch changes, one per line (REQUIRES lock):
@@ -210,6 +214,10 @@ class Tenant {
 
   std::mutex report_mutex_;  ///< guards reports_ (written on dispatcher)
   std::map<changes::ChangeId, std::string> reports_;
+
+  /// ingest()'s batch, reused across calls (the tenant lock serializes
+  /// them) so a POST allocates no batch storage once warm.
+  std::vector<tsdb::Sample> ingest_batch_;
 
   bool quarantined_ = false;
   std::string quarantine_reason_;

@@ -320,14 +320,8 @@ TimeSeries PersistBackend::materialize(const MetricId& id,
 // ---------------------------------------------------------------------------
 // Runtime.
 
-std::uint64_t PersistBackend::log_sample(const MetricId& id, MinuteTime t,
-                                         double value) {
-  WalRecord rec;
-  rec.type = WalRecordType::kSample;
-  rec.metric = id;
-  rec.minute = t;
-  rec.value = value;
-  return wal_->log(std::move(rec));
+std::uint64_t PersistBackend::log_records(std::span<WalRecord> records) {
+  return wal_->log(records);
 }
 
 std::uint64_t PersistBackend::log_watch(std::uint64_t change_id) {

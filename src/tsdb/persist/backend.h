@@ -42,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -109,8 +110,9 @@ class PersistBackend {
 
   // --- Runtime ------------------------------------------------------------
 
-  /// Append one sample record to the WAL; returns its seq. Any thread.
-  std::uint64_t log_sample(const MetricId& id, MinuteTime t, double value);
+  /// Append sample records to the WAL in one group-commit push (moving
+  /// from them); returns the first seq. Any thread.
+  std::uint64_t log_records(std::span<WalRecord> records);
   /// Append one watch-registration marker; returns its seq. Any thread.
   std::uint64_t log_watch(std::uint64_t change_id);
   /// WAL durability barrier.

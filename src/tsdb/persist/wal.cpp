@@ -21,25 +21,36 @@ constexpr std::size_t kFrameHeader = 8;
 // anything bigger than this is torn-tail garbage, not a record.
 constexpr std::uint32_t kMaxPayload = 1 << 20;
 
-std::string encode_payload(const WalRecord& r) {
-  std::string p;
-  p.reserve(64);
-  put_u8(p, kWalVersion);
-  put_u8(p, static_cast<std::uint8_t>(r.type));
-  put_u64(p, r.seq);
+void patch_u32(std::string& out, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Append one framed record to `out`: a placeholder header, the payload
+// encoded in place, then its length and CRC32C patched into the header. The
+// one frame encoder behind the writer and encode_wal_record().
+void append_frame(std::string& out, const WalRecord& r) {
+  const std::size_t head = out.size();
+  out.append(kFrameHeader, '\0');
+  put_u8(out, kWalVersion);
+  put_u8(out, static_cast<std::uint8_t>(r.type));
+  put_u64(out, r.seq);
   switch (r.type) {
     case WalRecordType::kSample:
-      put_u8(p, static_cast<std::uint8_t>(r.metric.kind));
-      put_str(p, r.metric.entity);
-      put_str(p, r.metric.kpi);
-      put_i64(p, r.minute);
-      put_f64(p, r.value);
+      put_u8(out, static_cast<std::uint8_t>(r.metric.kind));
+      put_str(out, r.metric.entity);
+      put_str(out, r.metric.kpi);
+      put_i64(out, r.minute);
+      put_f64(out, r.value);
       break;
     case WalRecordType::kWatch:
-      put_u64(p, r.change_id);
+      put_u64(out, r.change_id);
       break;
   }
-  return p;
+  const std::size_t len = out.size() - head - kFrameHeader;
+  patch_u32(out, head, static_cast<std::uint32_t>(len));
+  patch_u32(out, head + 4, crc32c(out.data() + head + kFrameHeader, len));
 }
 
 bool decode_payload(std::string_view payload, WalRecord& out) {
@@ -75,12 +86,8 @@ bool decode_payload(std::string_view payload, WalRecord& out) {
 }  // namespace
 
 std::string encode_wal_record(const WalRecord& record) {
-  const std::string payload = encode_payload(record);
   std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32c(payload));
-  frame += payload;
+  append_frame(frame, record);
   return frame;
 }
 
@@ -131,7 +138,7 @@ struct WalWriter::Impl {
 
   void commit(const std::vector<WalRecord>& batch) {
     buf.clear();
-    for (const WalRecord& rec : batch) buf += encode_wal_record(rec);
+    for (const WalRecord& rec : batch) append_frame(buf, rec);
     const auto commit_start = std::chrono::steady_clock::now();
     std::fwrite(buf.data(), 1, buf.size(), file.get());
     std::fflush(file.get());
@@ -179,11 +186,15 @@ WalWriter::WalWriter(std::string path, std::uint64_t next_seq,
 WalWriter::~WalWriter() = default;
 
 std::uint64_t WalWriter::log(WalRecord record) {
+  return log(std::span<WalRecord>(&record, 1));
+}
+
+std::uint64_t WalWriter::log(std::span<WalRecord> records) {
   if (crashed_.load(std::memory_order_acquire)) return next_seq();
   if (!ok()) throw StorageError("WAL is not writable: " + path_);
   const std::uint64_t first = impl_->first_seq;
-  const auto admitted = impl_->queue.push(
-      std::move(record),
+  const auto admitted = impl_->queue.push_all(
+      records,
       [first](WalRecord& r, std::uint64_t ticket) { r.seq = first + ticket; });
   return admitted.accepted ? first + admitted.ticket : next_seq();
 }

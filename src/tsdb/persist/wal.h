@@ -16,6 +16,9 @@
 // writer thread group-commits — one fwrite + fflush per drained batch,
 // plus an optional fsync per batch (WalDurability::kFsync) for deployments
 // that want power-loss durability rather than process-crash durability.
+// A batch append logs its records with one log(span) push, so one
+// /v1/ingest POST is one group commit; the bytes are those of one log()
+// per record.
 // A torn tail (crash mid-fwrite) is expected, not corruption: read_wal()
 // stops at the first record whose length or CRC does not check out,
 // reports the exact valid prefix length, and recovery truncates the file
@@ -25,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,6 +121,13 @@ class WalWriter {
   /// when !ok(): a record that cannot be written never gets a seq. After
   /// crash_for_testing() it is a silent no-op.
   std::uint64_t log(WalRecord record);
+
+  /// log() for a batch in one queue push (moving from the records): each
+  /// record gets the next seq in span order, under the queue lock, so the
+  /// file holds exactly the bytes one log() per record would write. Returns
+  /// the first record's seq. A batch larger than the queue capacity waits
+  /// for room chunk by chunk.
+  std::uint64_t log(std::span<WalRecord> records);
 
   /// Barrier: returns once every record logged before the call is written
   /// and flushed (and fsynced under kFsync).

@@ -89,66 +89,191 @@ bool MetricStore::has(const MetricId& id) const {
   return cold_ && backend_->has_cold(id);
 }
 
+namespace {
+
+// Upsert one sample into its shard; the caller holds the shard's exclusive
+// lock. The one upsert behind append(), the batch append and replay().
+TimeSeries::Upsert upsert_locked(StoreShard& sh, const MetricId& id,
+                                 MinuteTime t, double value) {
+  auto it = sh.series.find(id);
+  if (it == sh.series.end()) it = sh.series.emplace(id, TimeSeries(t)).first;
+  return it->second.upsert_at(t, value);
+}
+
+persist::WalRecord sample_record(const MetricId& id, MinuteTime t,
+                                 double value) {
+  persist::WalRecord record;
+  record.metric = id;
+  record.minute = t;
+  record.value = value;
+  return record;
+}
+
+// A too-old sample never landed in the store; notifying subscribers about
+// data they can't read back would break the visibility guarantee.
+bool notifiable(TimeSeries::Upsert outcome) {
+  return outcome != TimeSeries::Upsert::kTooOld;
+}
+
+// Upsert outcomes of one append call, added to the tsdb.store.* counters
+// once per call.
+struct AppendTally {
+  std::uint64_t appends = 0;
+  std::uint64_t late_fills = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t too_old = 0;
+
+  void count(TimeSeries::Upsert outcome) {
+    ++appends;
+    switch (outcome) {
+      case TimeSeries::Upsert::kAppended:
+        break;
+      case TimeSeries::Upsert::kFilled:
+        ++late_fills;
+        break;
+      case TimeSeries::Upsert::kDuplicate:
+        ++duplicates;
+        break;
+      case TimeSeries::Upsert::kTooOld:
+        ++too_old;
+        break;
+    }
+  }
+
+  void report(const obs::Registry* stats) const {
+    if (stats == nullptr || appends == 0) return;
+    stats->add("tsdb.store.appends", appends);
+    if (late_fills > 0) stats->add("tsdb.store.late_fills", late_fills);
+    if (duplicates > 0) {
+      stats->add("tsdb.store.duplicates_ignored", duplicates);
+    }
+    if (too_old > 0) stats->add("tsdb.store.too_old_dropped", too_old);
+  }
+};
+
+}  // namespace
+
 void MetricStore::append(const MetricId& id, MinuteTime t, double value) {
   // Write-ahead: the record is queued for the WAL before the in-memory
   // apply, so any state a crash preserves is replayable from disk.
-  if (backend_ != nullptr) backend_->log_sample(id, t, value);
-  append_impl(id, t, value);
+  if (backend_ != nullptr) {
+    persist::WalRecord record = sample_record(id, t, value);
+    backend_->log_records(std::span<persist::WalRecord>(&record, 1));
+  }
+  apply(id, t, value);
+}
+
+void MetricStore::append(std::span<Sample> batch) {
+  if (batch.empty()) return;
+  if (backend_ != nullptr) {
+    // Write-ahead, one group-commit push for the whole batch.
+    std::vector<persist::WalRecord> records;
+    records.reserve(batch.size());
+    for (const Sample& s : batch) {
+      records.push_back(sample_record(s.id, s.t, s.value));
+    }
+    backend_->log_records(records);
+  }
+  if (queue_ == nullptr) {
+    // Synchronous dispatch applies and delivers sample by sample, so a
+    // callback sees exactly the store a per-sample append would show it.
+    for (const Sample& s : batch) apply(s.id, s.t, s.value);
+    return;
+  }
+
+  // Async: one exclusive lock per shard touched, in batch order within
+  // each shard, so every sample is visible before its notification queues.
+  struct Slot {
+    std::size_t shard = 0;
+    TimeSeries::Upsert outcome = TimeSeries::Upsert::kAppended;
+  };
+  std::vector<Slot> slots(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    slots[i].shard = shard_index(batch[i].id);
+  }
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    StoreShard& sh = *shards_[k];
+    std::unique_lock<std::shared_mutex> lock(sh.data_mutex, std::defer_lock);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (slots[i].shard != k) continue;
+      if (!lock.owns_lock()) lock.lock();
+      slots[i].outcome =
+          upsert_locked(sh, batch[i].id, batch[i].t, batch[i].value);
+    }
+  }
+  AppendTally tally;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    mark_dirty(batch[i].id, batch[i].t, slots[i].outcome);
+    tally.count(slots[i].outcome);
+  }
+  const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
+  tally.report(stats);
+  if (sub_count_.load(std::memory_order_acquire) == 0) return;
+  // Keep the notifiable samples, in batch order, and queue them at once.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!notifiable(slots[i].outcome)) continue;
+    if (kept != i) batch[kept] = std::move(batch[i]);
+    ++kept;
+  }
+  enqueue(batch.first(kept), stats);
 }
 
 void MetricStore::replay(const persist::WalRecord& record) {
   if (record.type != persist::WalRecordType::kSample) return;
-  append_impl(record.metric, record.minute, record.value);
+  apply(record.metric, record.minute, record.value);
 }
 
-void MetricStore::append_impl(const MetricId& id, MinuteTime t, double value) {
-  StoreShard& sh = shard(id);
-  TimeSeries::Upsert outcome;
-  {
-    const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
-    auto it = sh.series.find(id);
-    if (it == sh.series.end()) {
-      it = sh.series.emplace(id, TimeSeries(t)).first;
-    }
-    outcome = it->second.upsert_at(t, value);
-  }
+void MetricStore::mark_dirty(const MetricId& id, MinuteTime t,
+                             TimeSeries::Upsert outcome) {
   // A late fill may land below the flush frontier; mark it so the next
   // checkpoint re-flushes from there (the source of overlapping segments).
   if (backend_ != nullptr && outcome == TimeSeries::Upsert::kFilled) {
     backend_->note_dirty(id, t);
   }
-  const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
-  if (stats != nullptr) {
-    stats->add("tsdb.store.appends");
-    switch (outcome) {
-      case TimeSeries::Upsert::kAppended:
-        break;
-      case TimeSeries::Upsert::kFilled:
-        stats->add("tsdb.store.late_fills");
-        break;
-      case TimeSeries::Upsert::kDuplicate:
-        stats->add("tsdb.store.duplicates_ignored");
-        break;
-      case TimeSeries::Upsert::kTooOld:
-        stats->add("tsdb.store.too_old_dropped");
-        break;
-    }
+}
+
+void MetricStore::apply(const MetricId& id, MinuteTime t, double value) {
+  StoreShard& sh = shard(id);
+  TimeSeries::Upsert outcome = TimeSeries::Upsert::kAppended;
+  {
+    const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
+    outcome = upsert_locked(sh, id, t, value);
   }
-  // A too-old sample never landed in the store; notifying subscribers about
-  // data they can't read back would break the visibility guarantee below.
-  if (outcome == TimeSeries::Upsert::kTooOld) return;
+  mark_dirty(id, t, outcome);
+  const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
+  AppendTally tally;
+  tally.count(outcome);
+  tally.report(stats);
   // The sample is visible in the shard before any notification is queued or
   // delivered, so a callback reading the store always sees its sample.
+  if (!notifiable(outcome)) return;
   if (sub_count_.load(std::memory_order_acquire) == 0) return;
   if (queue_ == nullptr) {
-    deliver(Sample{id, t, value, {}, {}});
+    SubscriptionList hit;
+    deliver(id, t, value, hit);
     return;
   }
-  Sample s{id, t, value, {}, obs::current_context()};
-  if (stats != nullptr) s.enqueued = std::chrono::steady_clock::now();
-  const auto admitted = queue_->push(std::move(s));
+  Sample s{id, t, value, {}, {}};
+  enqueue(std::span<Sample>(&s, 1), stats);
+}
+
+void MetricStore::enqueue(std::span<Sample> samples,
+                          const obs::Registry* stats) {
+  // The producer's trace context and the enqueue stamp, read once per call.
+  const obs::SpanContext trace_ctx = obs::current_context();
+  const auto enqueued = stats != nullptr
+                            ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
+  for (Sample& s : samples) {
+    s.enqueued = enqueued;
+    s.trace_ctx = trace_ctx;
+  }
+  const auto admitted = queue_->push_all(samples);
   if (stats != nullptr && admitted.accepted) {
-    if (admitted.shed) stats->add("tsdb.store.dropped_samples");
+    if (admitted.shed > 0) {
+      stats->add("tsdb.store.dropped_samples", admitted.shed);
+    }
     stats->set("tsdb.store.queue_depth", static_cast<double>(admitted.depth));
   }
 }
@@ -492,15 +617,16 @@ bool MetricStore::materialize_cold(const MetricId& id, TimeSeries& out) const {
   return true;
 }
 
-void MetricStore::deliver(const Sample& s) const {
-  const StoreShard& sh = shard(s.id);
-  std::vector<std::shared_ptr<Subscription>> hit;
+void MetricStore::deliver(const MetricId& id, MinuteTime t, double value,
+                          SubscriptionList& hit) const {
+  const StoreShard& sh = shard(id);
+  hit.clear();
   {
     const std::lock_guard<std::mutex> lock(sh.subs_mutex);
     for (const auto& sub : sh.subs) {
       if (!sub->active.load(std::memory_order_acquire)) continue;
       if (sub->filter.empty() ||
-          std::binary_search(sub->filter.begin(), sub->filter.end(), s.id)) {
+          std::binary_search(sub->filter.begin(), sub->filter.end(), id)) {
         hit.push_back(sub);
       }
     }
@@ -514,7 +640,7 @@ void MetricStore::deliver(const Sample& s) const {
   std::uint64_t notified = 0;
   for (const auto& sub : hit) {
     if (!sub->active.load(std::memory_order_acquire)) continue;
-    sub->callback(s.id, s.t, s.value);
+    sub->callback(id, t, value);
     ++notified;
   }
   if (stats != nullptr && notified > 0) {
@@ -524,6 +650,7 @@ void MetricStore::deliver(const Sample& s) const {
 
 void MetricStore::dispatch(const std::vector<Sample>& batch) const {
   const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
+  SubscriptionList hit;  // one snapshot buffer for the whole batch
   for (const Sample& s : batch) {
     if (stats != nullptr &&
         s.enqueued != std::chrono::steady_clock::time_point{}) {
@@ -536,7 +663,7 @@ void MetricStore::dispatch(const std::vector<Sample>& batch) const {
       // Callbacks run under the producer's trace context: their spans link
       // into the submitting append's tree across the thread hop.
       const obs::ScopedContext trace_ctx(s.trace_ctx);
-      deliver(s);
+      deliver(s.id, s.t, s.value, hit);
     } catch (...) {
       if (stats != nullptr) stats->add("tsdb.store.callback_exceptions");
     }

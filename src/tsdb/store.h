@@ -13,9 +13,11 @@
 // append() (the legacy single-threaded mode) or asynchronously on a
 // common::GroupCommitQueue whose consumer thread is the dispatcher
 // (StoreOptions::ingest_queue_capacity > 0) so a slow consumer can never
-// stall a producing agent. Reports derived from this store are
-// byte-identical for every shard count and for sync vs async dispatch (with
-// a flush() barrier) — verified by tsdb_sharded_store_test.
+// stall a producing agent. A batch append (one /v1/ingest POST) pays one
+// WAL push, one lock per shard touched and one dispatcher push for the
+// whole batch. Reports derived from this store are byte-identical for every
+// shard count and for sync vs async dispatch (with a flush() barrier) —
+// verified by tsdb_sharded_store_test.
 //
 // Thread-safety contract — the full repo-wide model lives in
 // docs/CONCURRENCY.md ("Metric store"); summary:
@@ -62,9 +64,11 @@ class PersistBackend;
 
 using SubscriptionId = std::uint64_t;
 
-/// One queued notification (async mode). `enqueued` is stamped only while a
-/// telemetry registry is attached (the uninstrumented path never reads the
-/// clock). `trace_ctx` is the producer's ambient trace context at append()
+/// One sample of a batch append, and one queued notification (async mode).
+/// A batch append reads id, t and value; the store stamps the rest.
+/// `enqueued` is stamped only while a telemetry registry is attached (the
+/// uninstrumented path never reads the clock). `trace_ctx` is the
+/// producer's ambient trace context at append()
 /// time (obs/trace.h): the dispatcher re-installs it around the callbacks,
 /// so spans opened inside them attach under the producing append's span.
 /// Empty (and costless) when no span was open.
@@ -158,6 +162,15 @@ class MetricStore {
   /// the rest are (telemetry: tsdb.store.late_fills / duplicates_ignored /
   /// too_old_dropped).
   void append(const MetricId& id, MinuteTime t, double value);
+
+  /// Append a batch, moving from its samples; the store is left as the
+  /// same per-sample appends in batch order would leave it, and subscribers
+  /// see the same sequence. The whole batch is write-ahead-logged in one
+  /// WAL push before any sample is applied. Async mode then upserts under
+  /// one exclusive lock per shard touched, adds the tsdb.store.* counters
+  /// once, and queues the notifications in batch order with one push; sync
+  /// mode applies, counts and delivers sample by sample.
+  void append(std::span<Sample> batch);
 
   /// Bulk-insert a prebuilt series (no subscriber notification) — the bulk
   /// backfill path scenario builders use. Throws when the metric exists.
@@ -361,18 +374,31 @@ class MetricStore {
     return *shards_[shard_index(id)];
   }
 
-  /// append()/replay() body: upsert + dirty tracking + notification. The
-  /// WAL record is append()'s job; replay's records are already on disk.
-  void append_impl(const MetricId& id, MinuteTime t, double value);
+  using SubscriptionList = std::vector<std::shared_ptr<Subscription>>;
+
+  /// Dirty tracking for a late fill that may land below the flush frontier.
+  void mark_dirty(const MetricId& id, MinuteTime t,
+                  TimeSeries::Upsert outcome);
+
+  /// The per-sample append()/replay() body: upsert + counters +
+  /// notification. The WAL record is append()'s job; replay's records are
+  /// already on disk.
+  void apply(const MetricId& id, MinuteTime t, double value);
+
+  /// Async mode: stamp the producer's trace context (and, with a registry,
+  /// the enqueue time) on `samples` and queue them in one push.
+  void enqueue(std::span<Sample> samples, const obs::Registry* stats);
 
   /// Cold-mode scratch materialization (segments + hot tail); false when
   /// the metric exists nowhere.
   bool materialize_cold(const MetricId& id, TimeSeries& out) const;
 
-  /// Snapshot the matching subscriptions for one sample and run their
-  /// callbacks with no locks held. Runs on the producer thread (sync) or
-  /// the dispatcher thread (async).
-  void deliver(const Sample& s) const;
+  /// Snapshot the matching subscriptions for one sample into `hit` (a
+  /// buffer the caller reuses across samples) and run their callbacks with
+  /// no locks held. Runs on the producer thread (sync) or the dispatcher
+  /// thread (async).
+  void deliver(const MetricId& id, MinuteTime t, double value,
+               SubscriptionList& hit) const;
 
   /// The ingest queue's consumer: delivers one drained batch in order,
   /// each sample under its producer's trace context. A throwing callback

@@ -2,15 +2,19 @@
 // metric store's ingest dispatcher, the WAL writer and the verdict journal:
 // FIFO delivery, lossless kBlock under concurrent producers, exact
 // kDropOldest accounting, the flush() barrier, await_inflight(), abandon(),
-// arrival-ticket order and drain-on-destroy. The FUNNEL_SANITIZE=thread job
-// (scripts/tsan_concurrency.sh) runs this suite under ThreadSanitizer.
+// arrival-ticket order, drain-on-destroy, and push_all() batches (one lock
+// per chunk, chunked waits under kBlock, exact sheds under kDropOldest).
+// The FUNNEL_SANITIZE=thread job (scripts/tsan_concurrency.sh) runs this
+// suite under ThreadSanitizer.
 #include "common/group_commit_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -286,6 +290,112 @@ TEST(GroupCommitQueue, DestructorDrainsEverythingQueued) {
   }  // no flush(): the destructor drains, then joins
   ASSERT_EQ(seen.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
+}
+
+TEST(GroupCommitQueue, PushAllKeepsOrderAndConsecutiveTickets) {
+  struct Item {
+    int value = 0;
+    std::uint64_t stamped = 0;
+  };
+  std::vector<Item> seen;  // consumer thread only until flush()
+  GroupCommitQueue<Item> q(
+      64, Backpressure::kBlock,
+      [&](std::vector<Item>& batch) {
+        seen.insert(seen.end(), batch.begin(), batch.end());
+      });
+  std::vector<Item> items(10);
+  for (int i = 0; i < 10; ++i) items[i].value = i;
+  const auto stamp = [](Item& it, std::uint64_t t) { it.stamped = t; };
+  const auto first = q.push_all(std::span<Item>(items), stamp);
+  EXPECT_TRUE(first.accepted);
+  EXPECT_EQ(first.ticket, 0u);
+  EXPECT_EQ(first.shed, 0u);
+  for (int i = 0; i < 10; ++i) items[i].value = 10 + i;
+  const auto second = q.push_all(std::span<Item>(items), stamp);
+  EXPECT_TRUE(second.accepted);
+  EXPECT_EQ(second.ticket, 10u);
+  q.flush();
+  ASSERT_EQ(seen.size(), 20u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].value, static_cast<int>(i));
+    EXPECT_EQ(seen[i].stamped, i);
+  }
+  EXPECT_EQ(q.pushed(), 20u);
+  // An empty span is a no-op that refuses nothing.
+  EXPECT_TRUE(q.push_all({}).accepted);
+  EXPECT_EQ(q.pushed(), 20u);
+}
+
+TEST(GroupCommitQueue, PushAllUnderBlockChunksABatchLargerThanTheCapacity) {
+  constexpr std::size_t kCapacity = 4;
+  constexpr int kItems = 3 * kCapacity;
+  std::vector<int> seen;  // consumer thread only until flush()
+  std::size_t largest = 0;
+  Queue* self = nullptr;
+  Queue q(kCapacity, Backpressure::kBlock, [&](std::vector<int>& batch) {
+    largest = std::max(largest, batch.size());
+    // The queue refilled behind the batch in flight stays within capacity.
+    EXPECT_LE(self->depth(), kCapacity);
+    seen.insert(seen.end(), batch.begin(), batch.end());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  self = &q;
+  std::vector<int> items(kItems);
+  for (int i = 0; i < kItems; ++i) items[i] = i;
+  const auto a = q.push_all(items);
+  EXPECT_TRUE(a.accepted);
+  EXPECT_EQ(a.shed, 0u);
+  EXPECT_LE(a.depth, kCapacity);
+  q.flush();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(seen[i], i);
+  EXPECT_LE(largest, kCapacity);
+  EXPECT_EQ(q.consumed(), static_cast<std::uint64_t>(kItems));
+  EXPECT_EQ(q.dropped(), 0u);
+}
+
+TEST(GroupCommitQueue, PushAllUnderDropOldestShedsExactly) {
+  // Item 0 is in flight and 1..2 are queued (capacity 4). A batch of 5
+  // sheds as five single pushes would with the consumer idle: 1, 2 and the
+  // batch's own first item, keeping the last four of 1..2 ++ 10..14.
+  Stall stall;
+  std::vector<int> seen;
+  Queue q(4, Backpressure::kDropOldest, [&](std::vector<int>& batch) {
+    seen.insert(seen.end(), batch.begin(), batch.end());
+    stall.maybe_wait();
+  });
+  q.push(0);
+  stall.wait_entered();
+  q.push(1);
+  q.push(2);
+  std::vector<int> items{10, 11, 12, 13, 14};
+  const auto a = q.push_all(items);
+  EXPECT_TRUE(a.accepted);
+  EXPECT_EQ(a.shed, 3u);
+  EXPECT_EQ(a.ticket, 3u);
+  EXPECT_EQ(a.depth, 4u);
+  EXPECT_EQ(q.dropped(), 3u);
+  stall.release();
+  q.flush();
+  EXPECT_EQ(seen, (std::vector<int>{0, 11, 12, 13, 14}));
+  EXPECT_EQ(q.pushed(), 8u);
+  EXPECT_EQ(q.consumed() + q.dropped(), q.pushed());
+}
+
+TEST(GroupCommitQueue, PushAllAfterAbandonIsRefused) {
+  std::atomic<int> seen{0};
+  Queue q(8, Backpressure::kBlock, [&](std::vector<int>& batch) {
+    seen.fetch_add(static_cast<int>(batch.size()));
+  });
+  std::vector<int> items{1, 2, 3};
+  EXPECT_TRUE(q.push_all(items).accepted);
+  q.flush();
+  q.abandon();
+  const auto a = q.push_all(items);
+  EXPECT_FALSE(a.accepted);
+  EXPECT_EQ(a.shed, 0u);
+  EXPECT_EQ(q.pushed(), 3u);
+  EXPECT_EQ(seen.load(), 3);
 }
 
 TEST(GroupCommitQueue, ZeroCapacityIsClampedToOne) {

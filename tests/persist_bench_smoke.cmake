@@ -1,9 +1,10 @@
 # Smoke check for the persistent-store benchmark: runs bench/wal_throughput
 # in --quick mode, then validates the BENCH_persist.json it emits — the
 # file must parse as JSON and carry the three cost blocks docs/STORAGE.md
-# budgets for (WAL append rate, segment flush latency, RAM-vs-mmap window
-# reads), with sane values: positive throughput, every appended record
-# accounted for by the WAL, at least one segment, and positive read costs
+# budgets for (WAL append rate per sample and per minute batch, segment
+# flush latency, RAM-vs-mmap window reads), with sane values: positive
+# throughput, every appended record of both rows accounted for by the WAL,
+# at least one segment, and positive read costs
 # on both sides (the bench itself already asserts the RAM and mmap reads
 # return identical data).
 #
@@ -37,24 +38,35 @@ if(records LESS 1)
   message(FATAL_ERROR "workload.records must be positive, got ${records}")
 endif()
 
-# WAL block: every appended record hit the log, at a positive rate.
-string(JSON wal_records ERROR_VARIABLE jerr GET "${json}" wal records_written)
-if(jerr)
-  message(FATAL_ERROR "wal.records_written missing: ${jerr}")
-endif()
-if(NOT wal_records EQUAL records)
-  message(FATAL_ERROR
-    "WAL lost records: appended ${records}, logged ${wal_records}")
-endif()
-foreach(key records_per_s mb_per_s bytes)
-  string(JSON v ERROR_VARIABLE jerr GET "${json}" wal ${key})
+# WAL blocks, one per row (per-sample appends, one batch per minute): every
+# appended record hit the log, at a positive rate.
+foreach(row wal wal_batch)
+  string(JSON wal_records ERROR_VARIABLE jerr GET "${json}" ${row}
+         records_written)
   if(jerr)
-    message(FATAL_ERROR "wal.${key} missing: ${jerr}")
+    message(FATAL_ERROR "${row}.records_written missing: ${jerr}")
   endif()
-  if(v LESS_EQUAL 0)
-    message(FATAL_ERROR "wal.${key} must be > 0, got ${v}")
+  if(NOT wal_records EQUAL records)
+    message(FATAL_ERROR
+      "${row} lost records: appended ${records}, logged ${wal_records}")
   endif()
+  foreach(key records_per_s mb_per_s bytes)
+    string(JSON v ERROR_VARIABLE jerr GET "${json}" ${row} ${key})
+    if(jerr)
+      message(FATAL_ERROR "${row}.${key} missing: ${jerr}")
+    endif()
+    if(v LESS_EQUAL 0)
+      message(FATAL_ERROR "${row}.${key} must be > 0, got ${v}")
+    endif()
+  endforeach()
 endforeach()
+# Both rows log the same records, so they write the same number of bytes.
+string(JSON bytes GET "${json}" wal bytes)
+string(JSON batch_bytes GET "${json}" wal_batch bytes)
+if(NOT bytes EQUAL batch_bytes)
+  message(FATAL_ERROR
+    "batch row wrote ${batch_bytes} WAL bytes, per-sample row ${bytes}")
+endif()
 
 # Segment block: the checkpoint produced at least one segment.
 string(JSON segs ERROR_VARIABLE jerr GET "${json}" segment segments)
@@ -81,6 +93,8 @@ foreach(key ram_us_per_window mmap_us_per_window)
 endforeach()
 
 string(JSON rate GET "${json}" wal records_per_s)
+string(JSON batch_rate GET "${json}" wal_batch records_per_s)
 string(JSON mmap_us GET "${json}" read mmap_us_per_window)
-message(STATUS "persist_bench_smoke OK: ${rate} records/s, "
+message(STATUS "persist_bench_smoke OK: ${rate} records/s "
+               "(batched ${batch_rate}), "
                "flush ${flush_ms} ms, mmap read ${mmap_us} us/window")

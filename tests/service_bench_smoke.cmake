@@ -1,7 +1,8 @@
 # Service-plane benchmark smoke: run bench/service_throughput --quick and
-# validate the BENCH_service.json shape — every grid point sustained a
-# positive samples/s through the live HTTP path, and every watch cycle
-# produced its verdict (the bench exits 1 if a verdict goes missing).
+# validate the BENCH_service.json shape — the host it ran on (nproc, build
+# type, git sha), every grid point sustained a positive samples/s through
+# the live HTTP path, and every watch cycle produced its verdict (the bench
+# exits 1 if a verdict goes missing).
 # Usage:
 #   cmake -DBENCH=<service_throughput> -DWORK_DIR=<dir> -P service_bench_smoke.cmake
 
@@ -31,6 +32,20 @@ if(NOT EXISTS "${json_path}")
   message(FATAL_ERROR "service_bench_smoke: ${json_path} was not written")
 endif()
 file(READ "${json_path}" json)
+
+# Host block: a speed number is only comparable with where it was taken.
+string(JSON nproc ERROR_VARIABLE jerr GET "${json}" host nproc)
+if(jerr OR nproc LESS 1)
+  message(FATAL_ERROR "service_bench_smoke: host.nproc missing or < 1: "
+                      "${jerr}${nproc}")
+endif()
+foreach(key build_type git_sha)
+  string(JSON v ERROR_VARIABLE jerr GET "${json}" host ${key})
+  if(jerr OR v STREQUAL "")
+    message(FATAL_ERROR
+      "service_bench_smoke: host.${key} missing or empty: ${jerr}")
+  endif()
+endforeach()
 
 # Shape: workload block, a non-empty grid, and the verdict block.
 string(JSON quick ERROR_VARIABLE jerr GET "${json}" workload quick)

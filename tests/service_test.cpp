@@ -14,8 +14,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +29,26 @@
 #include "common/rng.h"
 #include "service/quota.h"
 #include "service/tenant.h"
+
+// Every operator new in this binary (the array and nothrow forms forward to
+// it) is counted, then served by malloc, as in detect_sst_warmstart_test.
+// Kept out of line so the compiler does not pair a new-expression with the
+// free() inside.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace funnel::service {
 namespace {
@@ -375,6 +401,200 @@ std::string post(int port, const std::string& path, const std::string& body) {
 
 std::string get(int port, const std::string& path) {
   return http(port, "GET " + path + " HTTP/1.1\r\nHost: t\r\n\r\n");
+}
+
+// ---------------------------------------------------------------------------
+// One store submit per POST: a body ingested whole leaves the same store,
+// WAL, meta.log and seq as the same lines POSTed one at a time, and costs
+// well under one heap allocation per accepted sample once warm.
+
+struct IngestOutcome {
+  std::string wal;
+  std::string meta;
+  std::uint64_t applied_seq = 0;
+  std::size_t accepted = 0;
+  std::size_t malformed = 0;
+  std::map<tsdb::MetricId, std::vector<double>> series;
+};
+
+IngestOutcome ingest_lines(const fs::path& dir, const std::string& body,
+                           bool one_post_per_line) {
+  fs::remove_all(dir);
+  TenantOptions opts = small_funnel("t");
+  opts.data_dir = dir.string();
+  IngestOutcome out;
+  {
+    Tenant tenant(opts);
+    const auto account = [&](const IngestResult& r) {
+      out.accepted += r.accepted;
+      out.malformed += r.malformed;
+    };
+    account(tenant.ingest(sample_lines(0, 3, 1)));  // s0 and s1 exist
+    if (one_post_per_line) {
+      std::istringstream lines(body);
+      for (std::string line; std::getline(lines, line);) {
+        account(tenant.ingest(line + "\n"));
+      }
+    } else {
+      account(tenant.ingest(body));
+    }
+    tenant.store().flush();
+    tenant.store().wal_flush();
+    out.applied_seq = tenant.applied_seq();
+    for (const tsdb::MetricId& id : tenant.store().metrics()) {
+      tenant.store().read(id, [&](const tsdb::TimeSeries& s) {
+        out.series[id] = s.slice(s.start_time(), s.end_time());
+      });
+    }
+    out.wal = slurp(dir / "wal-000001.log");
+    out.meta = slurp(dir / "meta.log");
+  }
+  fs::remove_all(dir);
+  return out;
+}
+
+void expect_same_ingest(const IngestOutcome& got, const IngestOutcome& want) {
+  EXPECT_FALSE(want.wal.empty());
+  EXPECT_EQ(got.wal, want.wal);
+  EXPECT_EQ(got.meta, want.meta);
+  EXPECT_EQ(got.applied_seq, want.applied_seq);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.malformed, want.malformed);
+  ASSERT_EQ(got.series.size(), want.series.size());
+  for (const auto& [id, values] : want.series) {
+    const auto it = got.series.find(id);
+    ASSERT_NE(it, got.series.end()) << id.to_string();
+    ASSERT_EQ(it->second.size(), values.size()) << id.to_string();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (std::isnan(values[i])) {
+        EXPECT_TRUE(std::isnan(it->second[i])) << id.to_string() << " " << i;
+      } else {
+        EXPECT_EQ(it->second[i], values[i]) << id.to_string() << " " << i;
+      }
+    }
+  }
+}
+
+TEST(Tenant, OnePostEqualsOnePostPerLineAcrossANewServer) {
+  const fs::path work = fs::temp_directory_path() / "funnel_service_batch";
+  // The middle line adds server s2; the lines before it reach the store
+  // before the topology changes, the lines after it after.
+  const std::string body =
+      "svc,s0,cpu,3,10.5\n"
+      "svc,s1,cpu,3,11.5\n"
+      "svc,s0,mem_utilization_pct,3,40\n"
+      "svc,s2,cpu,3,12.5\n"
+      "svc,s2,cpu,4,12.75\n"
+      "svc,s0,cpu,4,10.25\n"
+      "svc,s1,cpu,1,99\n"     // duplicate: first write wins
+      "svc,s1,cpu,-4,1\n"     // before the series start: too old
+      "web,w0,cpu,4,nan\n"    // a second new server, of a new service
+      "svc,s1,cpu,4,11.25\n";
+  const IngestOutcome per_line = ingest_lines(work, body, true);
+  const IngestOutcome whole = ingest_lines(work, body, false);
+  expect_same_ingest(whole, per_line);
+  EXPECT_EQ(whole.accepted, 6u + 10u);
+  EXPECT_NE(whole.meta.find("server,svc,s2\nserver,web,w0\n"),
+            std::string::npos);
+}
+
+TEST(Tenant, OnePostEqualsOnePostPerLineAcrossMalformedLines) {
+  const fs::path work = fs::temp_directory_path() / "funnel_service_batch";
+  const std::string body =
+      "svc,s0,cpu,3,10.5\n"
+      "garbage\n"
+      "svc,s1,cpu,3, 11.5\n"        // strtod skips leading blanks
+      "svc,s0,cpu,x,1\n"            // bad minute
+      "svc,s0,cpu,4,1,extra\n"      // six fields
+      "svc,,cpu,4,1\n"              // empty server
+      "svc,s0,cpu,4,1e999\n"        // out of range
+      "svc,s0,cpu,4,0x1p3\n"        // hexadecimal: accepted
+      "svc,s1,cpu,4,12.5abc\n"      // trailing junk
+      "svc,s1,cpu,4,\n"             // empty value: NaN
+      "svc,s3,cpu,4,1" + std::string(70, '0') + "\n"  // long but valid
+      "# comment\n"
+      "\n"
+      "svc,s1,cpu,5,13.5\r\n";
+  const IngestOutcome per_line = ingest_lines(work, body, true);
+  const IngestOutcome whole = ingest_lines(work, body, false);
+  expect_same_ingest(whole, per_line);
+  EXPECT_EQ(whole.malformed, 6u);
+  EXPECT_EQ(whole.accepted, 6u + 6u);
+}
+
+/// One minute of a 900-line body with funnelbench online_day's names: six
+/// services of 30 servers, each with the evalkit schema's five KPIs (two of
+/// them too long for the short-string buffer).
+std::string fleet_minute(MinuteTime t) {
+  static const char* const kKpis[] = {"cpu_context_switch",
+                                      "memory_utilization", "page_view_count",
+                                      "response_delay", "error_count"};
+  std::string body;
+  char line[128];
+  for (int s = 0; s < 6; ++s) {
+    for (int v = 0; v < 30; ++v) {
+      for (int k = 0; k < 5; ++k) {
+        std::snprintf(line, sizeof(line),
+                      "svc%02d,svc%02d-srv%d,%s,%lld,%.3f\n", s, s, v,
+                      kKpis[k], static_cast<long long>(t),
+                      10.0 + 0.5 * k + 0.01 * static_cast<double>(v + t));
+        body += line;
+      }
+    }
+  }
+  return body;
+}
+
+/// Heap allocations per accepted sample over the hour after the first
+/// minute, which grows the topology (the series' own amortized growth is
+/// in the count). Each count spans the ingest and the dispatcher and WAL
+/// work it queued.
+double allocations_per_sample(Tenant& tenant) {
+  constexpr MinuteTime kMinutes = 60;
+  EXPECT_EQ(tenant.ingest(fleet_minute(0)).accepted, 900u);
+  std::size_t made = 0;
+  std::size_t accepted = 0;
+  for (MinuteTime t = 1; t <= kMinutes; ++t) {
+    const std::string body = fleet_minute(t);
+    const std::size_t before = g_allocations.load();
+    accepted += tenant.ingest(body).accepted;
+    tenant.store().flush();
+    tenant.store().wal_flush();
+    made += g_allocations.load() - before;
+  }
+  EXPECT_EQ(accepted, static_cast<std::size_t>(kMinutes) * 900u);
+  return static_cast<double>(made) / static_cast<double>(accepted);
+}
+
+TEST(Tenant, IngestMakesFewHeapAllocationsPerAcceptedSample) {
+  {
+    Tenant tenant(small_funnel("memory"));
+    const double per_sample = allocations_per_sample(tenant);
+    RecordProperty("in_memory", std::to_string(per_sample));
+    EXPECT_LT(per_sample, 1.0);
+  }
+  {
+    Tenant tenant(small_funnel("subscribed"));
+    tenant.store().subscribe({}, [](const tsdb::MetricId&, MinuteTime,
+                                    double) {});
+    const double per_sample = allocations_per_sample(tenant);
+    RecordProperty("catch_all_subscriber", std::to_string(per_sample));
+    EXPECT_LT(per_sample, 1.0);
+  }
+  {
+    const fs::path dir =
+        fs::temp_directory_path() / "funnel_service_allocations";
+    fs::remove_all(dir);
+    TenantOptions opts = small_funnel("persistent");
+    opts.data_dir = dir.string();
+    {
+      Tenant tenant(opts);
+      const double per_sample = allocations_per_sample(tenant);
+      RecordProperty("persistent", std::to_string(per_sample));
+      EXPECT_LT(per_sample, 1.5);
+    }
+    fs::remove_all(dir);
+  }
 }
 
 int status_of(const std::string& response) {

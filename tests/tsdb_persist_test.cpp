@@ -12,6 +12,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -543,6 +546,77 @@ TEST(PersistentStore, ColdReadsMatchHydratedReads) {
   ASSERT_EQ(want_q.size(), got_q.size());
   for (std::size_t i = 0; i < want_q.size(); ++i) {
     EXPECT_EQ(want_q[i], got_q[i]) << i;
+  }
+}
+
+// Three metrics over 40 minutes with a NaN, a duplicate, a late fill and a
+// too-old sample: every record the WAL must carry verbatim.
+std::vector<Sample> batch_feed() {
+  std::vector<Sample> feed;
+  for (MinuteTime t = 200; t < 240; ++t) {
+    for (const char* server : {"s1", "s2", "s3"}) {
+      if (server[1] == '3' && t == 210) continue;  // filled late below
+      const double v = t == 220 && server[1] == '2'
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : static_cast<double>(t) / 8.0;
+      feed.push_back(Sample{server_metric(server, "memory_utilization"), t,
+                            v, {}, {}});
+    }
+    if (t == 215) {
+      feed.push_back(Sample{server_metric("s3", "memory_utilization"), 210,
+                            1.25, {}, {}});
+      feed.push_back(Sample{server_metric("s1", "memory_utilization"), 212,
+                            9.0, {}, {}});   // duplicate
+      feed.push_back(Sample{server_metric("s2", "memory_utilization"), 150,
+                            9.0, {}, {}});   // too old
+    }
+  }
+  return feed;
+}
+
+TEST(PersistentStore, BatchAppendWritesPerSampleWalBytesAndReplays) {
+  const fs::path single_dir = scratch("batch_single");
+  const fs::path batch_dir = scratch("batch_batched");
+  const std::vector<Sample> feed = batch_feed();
+  const std::size_t half = feed.size() / 2;
+  {
+    MetricStore store(persistent_options(single_dir));
+    for (std::size_t i = 0; i < feed.size(); ++i) {
+      if (i == half) {
+        EXPECT_EQ(store.log_watch_marker(7), half + 1);
+      }
+      store.append(feed[i].id, feed[i].t, feed[i].value);
+    }
+    store.wal_flush();
+  }
+  std::map<MetricId, std::vector<double>> live;
+  {
+    StoreOptions options = persistent_options(batch_dir);
+    options.num_shards = 4;
+    options.ingest_queue_capacity = 8;
+    options.wal_queue_capacity = 16;  // the second batch waits in chunks
+    MetricStore store(options);
+    std::vector<Sample> batch = feed;
+    const std::span<Sample> all(batch);
+    store.append(all.first(half));
+    EXPECT_EQ(store.log_watch_marker(7), half + 1);
+    store.append(all.subspan(half));
+    store.wal_flush();
+    EXPECT_EQ(store.wal_records_written(), feed.size() + 1);
+    for (const MetricId& id : store.metrics()) {
+      live[id] = store.query(id, 200, 240);
+    }
+    store.crash_for_testing();  // recover from the WAL alone
+  }
+  const std::string wal = slurp(batch_dir / "wal-000001.log");
+  EXPECT_FALSE(wal.empty());
+  EXPECT_EQ(wal, slurp(single_dir / "wal-000001.log"));
+
+  MetricStore recovered(persistent_options(batch_dir));
+  EXPECT_EQ(recovered.recovered_seq(), feed.size() + 1);
+  ASSERT_EQ(recovered.metric_count(), live.size());
+  for (const auto& [id, values] : live) {
+    expect_values_eq(recovered.query(id, 200, 240), values);
   }
 }
 

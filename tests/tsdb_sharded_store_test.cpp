@@ -1,19 +1,24 @@
 // Tests for the sharded metric store and its async ingest path: the
 // byte-equivalence claim (reports identical for every shard count and for
 // sync vs async dispatch), the flush() barrier, both backpressure policies,
-// per-metric delivery order, the unsubscribe guarantee, and the
-// append/insert contract. The stress tests here are the ones the
-// FUNNEL_SANITIZE=thread job (scripts/tsan_concurrency.sh) runs under
-// ThreadSanitizer; see docs/CONCURRENCY.md for the model they pin down.
+// per-metric delivery order, the unsubscribe guarantee, the append/insert
+// contract, and the batch append's equivalence to per-sample appends. The
+// stress tests here are the ones the FUNNEL_SANITIZE=thread job
+// (scripts/tsan_concurrency.sh) runs under ThreadSanitizer; see
+// docs/CONCURRENCY.md for the model they pin down.
 #include "tsdb/store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -552,6 +557,136 @@ TEST(ShardedStore, SyncModeKeepsLegacySemantics) {
   EXPECT_EQ(cb_thread, std::this_thread::get_id());
   store.flush();  // no-op, must not hang
   EXPECT_EQ(store.dropped_samples(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Batch append: append(span<Sample>) leaves every series, every
+// subscriber's delivery sequence and the tsdb.store.* counters exactly as
+// per-sample appends in batch order do, for every shard count and both
+// dispatch modes.
+
+struct Delivery {
+  MetricId id;
+  MinuteTime t = 0;
+  std::uint64_t bits = 0;  ///< NaN-safe value identity
+  bool operator==(const Delivery&) const = default;
+};
+
+// Six metrics minute-major over [100, 130), with a hole filled late, a
+// duplicate, a NaN and a sample before its series start (too old).
+std::vector<Sample> dirty_feed() {
+  std::vector<Sample> feed;
+  const auto add = [&](const MetricId& id, MinuteTime t, double v) {
+    feed.push_back(Sample{id, t, v, {}, {}});
+  };
+  const auto metric = [](int m) {
+    return test_metric("s" + std::to_string(m),
+                       m % 2 == 1 ? "cpu_context_switch" : "mem");
+  };
+  for (MinuteTime t = 100; t < 130; ++t) {
+    for (int m = 0; m < 6; ++m) {
+      if (m == 2 && t == 105) continue;  // a hole...
+      add(metric(m), t,
+          m == 3 && t == 110 ? std::numeric_limits<double>::quiet_NaN()
+                             : 10.0 * m + 0.25 * static_cast<double>(t));
+    }
+    if (t == 112) add(metric(2), 105, 7.5);   // ...filled late
+    if (t == 115) add(metric(0), 110, -1.0);  // a duplicate
+    if (t == 120) add(metric(1), 50, 3.0);    // before the start: too old
+  }
+  return feed;
+}
+
+struct FeedResult {
+  std::map<MetricId, std::pair<MinuteTime, std::vector<std::uint64_t>>>
+      series;
+  std::vector<Delivery> all;       ///< catch-all subscriber
+  std::vector<Delivery> filtered;  ///< two-metric subscriber
+  std::map<std::string, std::uint64_t> counters;
+};
+
+FeedResult run_feed(const StoreOptions& options, std::vector<Sample> feed,
+                    bool batched) {
+  FeedResult r;
+  obs::Registry registry;  // outlives the store
+  {
+    MetricStore store(options);
+    store.set_stats(&registry);
+    const auto record = [](std::vector<Delivery>& out) {
+      return [&out](const MetricId& id, MinuteTime t, double v) {
+        out.push_back(Delivery{id, t, std::bit_cast<std::uint64_t>(v)});
+      };
+    };
+    store.subscribe({}, record(r.all));
+    store.subscribe({test_metric("s2", "mem"),
+                     test_metric("s1", "cpu_context_switch")},
+                    record(r.filtered));
+    if (batched) {
+      // Batches of 1, 7, 64 and 13 samples: the 64 exceed the async
+      // queue's capacity, so the notification push waits in chunks.
+      constexpr std::size_t kSizes[] = {1, 7, 64, 13};
+      const std::span<Sample> all(feed);
+      for (std::size_t at = 0, k = 0; at < all.size(); ++k) {
+        const std::size_t n = std::min(kSizes[k % 4], all.size() - at);
+        store.append(all.subspan(at, n));
+        at += n;
+      }
+    } else {
+      for (const Sample& s : feed) store.append(s.id, s.t, s.value);
+    }
+    store.flush();
+    for (const MetricId& id : store.metrics()) {
+      store.read(id, [&](const TimeSeries& s) {
+        auto& [start, bits] = r.series[id];
+        start = s.start_time();
+        for (const double v : s.values()) {
+          bits.push_back(std::bit_cast<std::uint64_t>(v));
+        }
+      });
+    }
+  }
+  r.counters = registry.snapshot().counters;
+  return r;
+}
+
+TEST(ShardedStore, BatchAppendMatchesPerSampleAppends) {
+  const std::vector<Sample> feed = dirty_feed();
+  for (const std::size_t shards : {1, 4, 16}) {
+    for (const std::size_t capacity : {0, 8}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", queue " +
+                   std::to_string(capacity));
+      const StoreOptions options{.num_shards = shards,
+                                 .ingest_queue_capacity = capacity};
+      const FeedResult single = run_feed(options, feed, false);
+      const FeedResult batched = run_feed(options, feed, true);
+      EXPECT_EQ(batched.series, single.series);
+      EXPECT_EQ(batched.all, single.all);
+      EXPECT_EQ(batched.filtered, single.filtered);
+      EXPECT_EQ(batched.counters, single.counters);
+      // Everything but the too-old sample was notified, once.
+      EXPECT_EQ(batched.all.size(), feed.size() - 1);
+      for (const Delivery& d : batched.all) EXPECT_GE(d.t, 100);
+      EXPECT_EQ(batched.series.size(), 6u);
+      if (obs::kEnabled) {
+        EXPECT_EQ(batched.counters.at("tsdb.store.appends"), feed.size());
+        EXPECT_EQ(batched.counters.at("tsdb.store.late_fills"), 1u);
+        EXPECT_EQ(batched.counters.at("tsdb.store.duplicates_ignored"), 1u);
+        EXPECT_EQ(batched.counters.at("tsdb.store.too_old_dropped"), 1u);
+      }
+    }
+  }
+}
+
+TEST(ShardedStore, BatchAppendWithoutSubscribersOnlyApplies) {
+  MetricStore store({.num_shards = 4, .ingest_queue_capacity = 4});
+  std::vector<Sample> feed = dirty_feed();
+  store.append(feed);
+  store.flush();
+  EXPECT_EQ(store.metric_count(), 6u);
+  EXPECT_EQ(store.series(test_metric("s2", "mem")).at(105), 7.5);
+  EXPECT_EQ(store.dropped_samples(), 0u);
+  store.append(std::span<Sample>{});  // an empty batch is a no-op
+  EXPECT_EQ(store.metric_count(), 6u);
 }
 
 }  // namespace

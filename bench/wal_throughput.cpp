@@ -67,10 +67,12 @@ WalRow append_minute_batches(const std::string& dir,
     options.data_dir = dir;
     tsdb::MetricStore store(options);
     std::vector<tsdb::Sample> batch(metrics.size());
+    for (std::size_t m = 0; m < metrics.size(); ++m) {
+      batch[m].ref = store.intern(metrics[m]);
+    }
     const double t0 = now_us();
     for (MinuteTime t = 0; t < minutes; ++t) {
       for (std::size_t m = 0; m < metrics.size(); ++m) {
-        batch[m].id = metrics[m];
         batch[m].t = t;
         batch[m].value = value_at(m, t);
       }

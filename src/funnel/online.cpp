@@ -166,7 +166,7 @@ void FunnelOnline::watch_impl(changes::ChangeId id) {
   if (prime_span.active()) {
     prime_span.attr("watch.kpis", watch.metrics.size());
   }
-  watches_.emplace(id, std::move(watch));
+  open_watch(std::move(watch));
   if (config_.stats != nullptr) {
     config_.stats->add("funnel.online.watches_started");
     config_.stats->set("funnel.online.active_watches",
@@ -180,6 +180,7 @@ FunnelOnline::MetricWatch FunnelOnline::make_metric_watch(
     const tsdb::MetricId& metric, MinuteTime start) {
   MetricWatch mw;
   mw.metric = metric;
+  mw.ref = store_.intern(metric);
   mw.verdict.metric = metric;
   auto ika = std::make_unique<detect::IkaSst>(config_.geometry,
                                               sst_params(config_));
@@ -197,12 +198,29 @@ FunnelOnline::MetricWatch FunnelOnline::make_metric_watch(
   return mw;
 }
 
+void FunnelOnline::open_watch(ChangeWatch watch) {
+  const auto [it, added] = watches_.emplace(watch.change_id, std::move(watch));
+  if (!added) return;
+  ChangeWatch& open = it->second;
+  for (auto& [metric, mw] : open.metrics) {
+    (void)metric;
+    if (mw.ref >= by_ref_.size()) by_ref_.resize(mw.ref + 1);
+    std::vector<WatchSlot>& slots = by_ref_[mw.ref];
+    const auto at = std::upper_bound(
+        slots.begin(), slots.end(), open.change_id,
+        [](changes::ChangeId id, const WatchSlot& slot) {
+          return id < slot.change_id;
+        });
+    slots.insert(at, WatchSlot{open.change_id, &open, &mw});
+  }
+  next_deadline_ = std::min(next_deadline_, open.deadline);
+}
+
 void FunnelOnline::subscribe_once() {
   if (subscribed_) return;
   subscription_ = store_.subscribe(
-      {}, [this](const tsdb::MetricId& m, MinuteTime t, double v) {
-        handle_sample(m, t, v);
-      });
+      {}, [this](tsdb::SeriesRef ref, const tsdb::MetricId&, MinuteTime t,
+                 double v) { handle_sample(ref, t, v); });
   subscribed_ = true;
 }
 
@@ -221,18 +239,16 @@ void FunnelOnline::feed_detector(const changes::SoftwareChange& change,
   }
 }
 
-void FunnelOnline::handle_sample(const tsdb::MetricId& id, MinuteTime t,
+void FunnelOnline::handle_sample(tsdb::SeriesRef ref, MinuteTime t,
                                  double value) {
   const obs::ScopedTimer span(config_.stats, "funnel.online.sample_us");
   if (config_.stats != nullptr) {
     config_.stats->add("funnel.online.samples_ingested");
   }
-  std::vector<changes::ChangeId> finished;
-  for (auto& [cid, watch] : watches_) {
-    const changes::SoftwareChange& change = log_.get(cid);
-    const auto it = watch.metrics.find(id);
-    if (it != watch.metrics.end()) {
-      MetricWatch& mw = it->second;
+  if (ref < by_ref_.size()) {
+    for (const WatchSlot& slot : by_ref_[ref]) {
+      const changes::SoftwareChange& change = log_.get(slot.change_id);
+      MetricWatch& mw = *slot.metric;
       // The detector consumes exactly one sample per minute. A dirty feed
       // delivers duplicates, reordered and late samples: align by the
       // detector's clock — skipped minutes are scored as the NaN gaps they
@@ -249,11 +265,15 @@ void FunnelOnline::handle_sample(const tsdb::MetricId& id, MinuteTime t,
           }
         }
         feed_detector(change, mw, value);
-        if (mw.pending_determination) try_determination(watch, mw, t);
+        if (mw.pending_determination) try_determination(*slot.watch, mw, t);
       } else if (config_.stats != nullptr) {
         config_.stats->add("funnel.online.stale_samples_skipped");
       }
     }
+  }
+  if (t < next_deadline_) return;
+  std::vector<changes::ChangeId> finished;
+  for (const auto& [cid, watch] : watches_) {
     if (t >= watch.deadline) finished.push_back(cid);
   }
   for (changes::ChangeId cid : finished) finalize(cid);
@@ -416,7 +436,16 @@ void FunnelOnline::finalize(changes::ChangeId id, bool timed_out) {
     watch.trace.attr("watch.caused", report.kpi_changes_caused());
     watch.trace.end();  // lands in this (possibly dispatcher) thread's ring
   }
+  for (const auto& [metric, mw] : watch.metrics) {
+    (void)metric;
+    std::erase_if(by_ref_[mw.ref],
+                  [id](const WatchSlot& slot) { return slot.change_id == id; });
+  }
   watches_.erase(wit);
+  next_deadline_ = std::numeric_limits<MinuteTime>::max();
+  for (const auto& [cid, open] : watches_) {
+    next_deadline_ = std::min(next_deadline_, open.deadline);
+  }
   if (config_.stats != nullptr) {
     config_.stats->add("funnel.online.reports_finalized");
     config_.stats->set("funnel.online.active_watches",
@@ -499,7 +528,7 @@ void FunnelOnline::restore_state(const std::string& blob) {
       if (!r.ok()) throw corrupt();
       watch.metrics.emplace(std::move(metric), std::move(mw));
     }
-    watches_.emplace(cid, std::move(watch));
+    open_watch(std::move(watch));
   }
   if (!r.ok() || r.remaining() != 0) throw corrupt();
   if (config_.stats != nullptr && !watches_.empty()) {

@@ -10,6 +10,12 @@
 // instead of the 1.5 hours manual assessment took. After `horizon` minutes
 // the watch finalizes into an AssessmentReport.
 //
+// Watches are indexed by the store's SeriesRef: per ref, the watches that
+// hold that KPI, in ascending change id. A pushed sample feeds exactly
+// those watches, in that order, and the deadline scan over all watches
+// runs only once a sample's minute reaches the earliest deadline, so a
+// sample costs O(watches of its KPI) rather than O(open watches).
+//
 // Threading (full model in docs/CONCURRENCY.md, "Online assessor"): with a
 // synchronous store, everything runs on the producing thread, as before.
 // With an async store (StoreOptions::ingest_queue_capacity > 0) the sample
@@ -22,6 +28,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -87,6 +94,8 @@ class FunnelOnline {
   /// tail. Throws tsdb::persist::StorageError on a corrupt/unknown blob.
   void restore_state(const std::string& blob);
 
+  /// Verdict callbacks run while a sample walks its KPI's watches: they
+  /// must not call watch(), replay_watch(), expire() or restore_state().
   void on_verdict(VerdictCallback cb) { verdict_cb_ = std::move(cb); }
   void on_report(ReportCallback cb) { report_cb_ = std::move(cb); }
 
@@ -126,6 +135,7 @@ class FunnelOnline {
 
   struct MetricWatch {
     tsdb::MetricId metric;
+    tsdb::SeriesRef ref = 0;  ///< the store's ref for `metric`
     /// The IKA scorer, behind a CascadeGate when sst_cascade (the default)
     /// is on; the detector feeds through it.
     std::unique_ptr<detect::ChangeScorer> scorer;
@@ -155,15 +165,27 @@ class FunnelOnline {
     obs::DetachedSpan trace;
   };
 
+  /// One watch of one KPI, as the ref index holds it. Both pointers stay
+  /// valid while the watch is open: watches_ and ChangeWatch::metrics are
+  /// node-based maps.
+  struct WatchSlot {
+    changes::ChangeId change_id = 0;
+    ChangeWatch* watch = nullptr;
+    MetricWatch* metric = nullptr;
+  };
+
   /// watch() minus the WAL marker: registers the watch and primes its
   /// detectors from current store history.
   void watch_impl(changes::ChangeId id);
+  /// Add a watch to watches_ and to the ref index (no-op when its change
+  /// is already watched).
+  void open_watch(ChangeWatch watch);
   /// Build an armed MetricWatch (scorer/detector) whose detector clock
   /// starts at `start`. Shared by priming and snapshot restore.
   MetricWatch make_metric_watch(const tsdb::MetricId& metric,
                                 MinuteTime start);
   void subscribe_once();
-  void handle_sample(const tsdb::MetricId& id, MinuteTime t, double value);
+  void handle_sample(tsdb::SeriesRef ref, MinuteTime t, double value);
   /// Feed one aligned sample (value, or NaN for a skipped minute) into the
   /// watch's detector, handling alarm rearm/latch bookkeeping.
   void feed_detector(const changes::SoftwareChange& change, MetricWatch& mw,
@@ -183,6 +205,10 @@ class FunnelOnline {
   Funnel batch_;  ///< reuses the Fig. 3 determination logic
 
   std::map<changes::ChangeId, ChangeWatch> watches_;
+  /// Per ref, the watches holding that KPI, in ascending change id.
+  std::vector<std::vector<WatchSlot>> by_ref_;
+  /// Earliest deadline of watches_ (max when there is none).
+  MinuteTime next_deadline_ = std::numeric_limits<MinuteTime>::max();
   bool record_feed_ = false;  ///< store is persistent: keep MetricWatch::fed
   tsdb::SubscriptionId subscription_ = 0;
   bool subscribed_ = false;

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/json.h"
+#include "common/strings.h"
 #include "funnel/report_json.h"
 #include "tsdb/persist/format.h"
 #include "tsdb/persist/wal.h"
@@ -52,23 +53,9 @@ std::vector<std::string_view> splitn(std::string_view s, char sep,
   return out;
 }
 
+/// An optional '-' and decimal digits, inside MinuteTime's range.
 bool parse_minute(std::string_view s, MinuteTime* out) {
-  if (s.empty()) return false;
-  MinuteTime value = 0;
-  bool negative = false;
-  std::size_t i = 0;
-  if (s[0] == '-') {
-    negative = true;
-    i = 1;
-    if (s.size() == 1) return false;
-  }
-  for (; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  *out = negative ? -value : value;
-  return true;
+  return parse_number(s, *out);
 }
 
 bool parse_value(std::string_view s, double* out) {
@@ -168,6 +155,7 @@ Tenant::Tenant(TenantOptions options, const obs::Registry* stats)
       meta_ = nullptr;
     }
     topo_ = topology::ServiceTopology{};
+    server_known_.clear();
     log_ = changes::ChangeLog{};
     change_index_.clear();
     watched_.clear();
@@ -407,27 +395,30 @@ IngestResult Tenant::ingest(std::string_view body) {
       ++res.malformed;
       continue;
     }
-    tsdb::MetricId id = tsdb::server_metric(std::string(f[1]),
-                                            std::string(f[2]));
-    const std::string& server = id.entity;
-
-    if (!topo_.has_server(server)) {
-      // Cut the batch here: the lines before reach the store before the
-      // dispatcher quiesces and the topology changes.
-      if (!submit()) return res;
-      quiesce_for_mutation(&quiesced);
-      const std::string service(f[0]);
-      try {
-        topo_.add_server(service, server);
-      } catch (const std::exception&) {
-        ++res.malformed;  // e.g. server claimed by another service
-        continue;
+    const tsdb::SeriesRef ref =
+        store_->intern(tsdb::EntityKind::kServer, f[1], f[2]);
+    if (ref >= server_known_.size()) server_known_.resize(ref + 1, 0);
+    if (server_known_[ref] == 0) {
+      const std::string server(f[1]);
+      if (!topo_.has_server(server)) {
+        // Cut the batch here: the lines before reach the store before the
+        // dispatcher quiesces and the topology changes.
+        if (!submit()) return res;
+        quiesce_for_mutation(&quiesced);
+        const std::string service(f[0]);
+        try {
+          topo_.add_server(service, server);
+        } catch (const std::exception&) {
+          ++res.malformed;  // e.g. server claimed by another service
+          continue;
+        }
+        meta_append("server," + service + "," + server);
       }
-      meta_append("server," + service + "," + server);
+      server_known_[ref] = 1;
     }
 
     if (batch.empty()) malformed_before_batch = res.malformed;
-    batch.push_back(tsdb::Sample{std::move(id), minute, value, {}, {}});
+    batch.push_back(tsdb::Sample{ref, minute, value, {}, {}});
     batch_max_minute = std::max(batch_max_minute, minute);
   }
   if (!submit()) return res;

@@ -118,6 +118,10 @@ class Tenant {
   /// one dispatcher push), cut only before a line that adds a server so the
   /// lines before it land before the topology changes. The store, the WAL
   /// and applied_seq end up as one POST per line would leave them.
+  /// Each line's (server, kpi) views resolve to the store's SeriesRef with
+  /// no allocation once the series is known, and the topology is asked
+  /// about a series' server only until it is known there (the topology
+  /// only grows). A minute outside the 64-bit range is malformed.
   IngestResult ingest(std::string_view body);
 
   /// Register + watch changes, one per line (REQUIRES lock):
@@ -218,6 +222,9 @@ class Tenant {
   /// ingest()'s batch, reused across calls (the tenant lock serializes
   /// them) so a POST allocates no batch storage once warm.
   std::vector<tsdb::Sample> ingest_batch_;
+  /// Per store ref: 1 once the series' server is known to topo_. Reset
+  /// with topo_ and the store when a recovery fails.
+  std::vector<std::uint8_t> server_known_;
 
   bool quarantined_ = false;
   std::string quarantine_reason_;

@@ -3,11 +3,13 @@
 // The paper monitors three kinds of KPIs (§2.2): server KPIs (CPU context
 // switch count, memory utilization, NIC throughput...), instance KPIs (page
 // view count, response delay...) and service KPIs (aggregations of instance
-// KPIs). A MetricId names one KPI of one entity; the MetricStore keys its
-// series by it.
+// KPIs). A MetricId names one KPI of one entity; the MetricStore interns
+// each name into a dense SeriesRef the first time it sees it and keys its
+// series, WAL queue and subscriptions by that ref.
 #pragma once
 
 #include <compare>
+#include <cstdint>
 #include <string>
 
 namespace funnel::tsdb {
@@ -34,6 +36,11 @@ struct MetricId {
   /// "server:web-042/cpu_context_switch" style rendering.
   std::string to_string() const;
 };
+
+/// Dense handle of an interned MetricId, issued by one MetricStore: 0, 1,
+/// 2, ... in first-sight order, valid for that store's lifetime and
+/// meaningless to any other store.
+using SeriesRef = std::uint32_t;
 
 /// Convenience constructors.
 MetricId server_metric(std::string server, std::string kpi);

@@ -320,15 +320,15 @@ TimeSeries PersistBackend::materialize(const MetricId& id,
 // ---------------------------------------------------------------------------
 // Runtime.
 
-std::uint64_t PersistBackend::log_records(std::span<WalRecord> records) {
-  return wal_->log(records);
+std::uint64_t PersistBackend::log_records(std::span<WalEntry> entries) {
+  return wal_->log(entries);
 }
 
 std::uint64_t PersistBackend::log_watch(std::uint64_t change_id) {
-  WalRecord rec;
-  rec.type = WalRecordType::kWatch;
-  rec.change_id = change_id;
-  return wal_->log(std::move(rec));
+  WalEntry entry;
+  entry.type = WalRecordType::kWatch;
+  entry.change_id = change_id;
+  return wal_->log(std::span<WalEntry>(&entry, 1));
 }
 
 void PersistBackend::flush_wal() { wal_->flush(); }

@@ -110,9 +110,9 @@ class PersistBackend {
 
   // --- Runtime ------------------------------------------------------------
 
-  /// Append sample records to the WAL in one group-commit push (moving
-  /// from them); returns the first seq. Any thread.
-  std::uint64_t log_records(std::span<WalRecord> records);
+  /// Append sample records to the WAL in one group-commit push; returns the
+  /// first seq. Each entry's name must outlive its commit. Any thread.
+  std::uint64_t log_records(std::span<WalEntry> entries);
   /// Append one watch-registration marker; returns its seq. Any thread.
   std::uint64_t log_watch(std::uint64_t change_id);
   /// WAL durability barrier.

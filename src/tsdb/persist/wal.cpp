@@ -30,7 +30,7 @@ void patch_u32(std::string& out, std::size_t at, std::uint32_t v) {
 // Append one framed record to `out`: a placeholder header, the payload
 // encoded in place, then its length and CRC32C patched into the header. The
 // one frame encoder behind the writer and encode_wal_record().
-void append_frame(std::string& out, const WalRecord& r) {
+void append_frame(std::string& out, const WalEntry& r) {
   const std::size_t head = out.size();
   out.append(kFrameHeader, '\0');
   put_u8(out, kWalVersion);
@@ -38,9 +38,9 @@ void append_frame(std::string& out, const WalRecord& r) {
   put_u64(out, r.seq);
   switch (r.type) {
     case WalRecordType::kSample:
-      put_u8(out, static_cast<std::uint8_t>(r.metric.kind));
-      put_str(out, r.metric.entity);
-      put_str(out, r.metric.kpi);
+      put_u8(out, static_cast<std::uint8_t>(r.metric->kind));
+      put_str(out, r.metric->entity);
+      put_str(out, r.metric->kpi);
       put_i64(out, r.minute);
       put_f64(out, r.value);
       break;
@@ -83,11 +83,23 @@ bool decode_payload(std::string_view payload, WalRecord& out) {
   return true;
 }
 
+// The entry standing for `record`, borrowing its name.
+WalEntry entry_of(const WalRecord& record) {
+  WalEntry e;
+  e.type = record.type;
+  e.seq = record.seq;
+  e.metric = &record.metric;
+  e.minute = record.minute;
+  e.value = record.value;
+  e.change_id = record.change_id;
+  return e;
+}
+
 }  // namespace
 
 std::string encode_wal_record(const WalRecord& record) {
   std::string frame;
-  append_frame(frame, record);
+  append_frame(frame, entry_of(record));
   return frame;
 }
 
@@ -134,11 +146,11 @@ struct WalWriter::Impl {
         durability(options.durability),
         first_seq(first_seq),
         queue(options.queue_capacity, common::Backpressure::kBlock,
-              [this](std::vector<WalRecord>& batch) { commit(batch); }) {}
+              [this](std::vector<WalEntry>& batch) { commit(batch); }) {}
 
-  void commit(const std::vector<WalRecord>& batch) {
+  void commit(const std::vector<WalEntry>& batch) {
     buf.clear();
-    for (const WalRecord& rec : batch) append_frame(buf, rec);
+    for (const WalEntry& rec : batch) append_frame(buf, rec);
     const auto commit_start = std::chrono::steady_clock::now();
     std::fwrite(buf.data(), 1, buf.size(), file.get());
     std::fflush(file.get());
@@ -170,7 +182,7 @@ struct WalWriter::Impl {
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<const obs::Registry*> stats{nullptr};
   /// Last member: destroyed first, so it drains into an open file.
-  common::GroupCommitQueue<WalRecord> queue;
+  common::GroupCommitQueue<WalEntry> queue;
 };
 
 WalWriter::WalWriter(std::string path, std::uint64_t next_seq,
@@ -185,17 +197,20 @@ WalWriter::WalWriter(std::string path, std::uint64_t next_seq,
 
 WalWriter::~WalWriter() = default;
 
-std::uint64_t WalWriter::log(WalRecord record) {
-  return log(std::span<WalRecord>(&record, 1));
+std::uint64_t WalWriter::log(const WalRecord& record) {
+  WalEntry entry = entry_of(record);
+  const std::uint64_t seq = log(std::span<WalEntry>(&entry, 1));
+  flush();
+  return seq;
 }
 
-std::uint64_t WalWriter::log(std::span<WalRecord> records) {
+std::uint64_t WalWriter::log(std::span<WalEntry> entries) {
   if (crashed_.load(std::memory_order_acquire)) return next_seq();
   if (!ok()) throw StorageError("WAL is not writable: " + path_);
   const std::uint64_t first = impl_->first_seq;
   const auto admitted = impl_->queue.push_all(
-      records,
-      [first](WalRecord& r, std::uint64_t ticket) { r.seq = first + ticket; });
+      entries,
+      [first](WalEntry& e, std::uint64_t ticket) { e.seq = first + ticket; });
   return admitted.accepted ? first + admitted.ticket : next_seq();
 }
 

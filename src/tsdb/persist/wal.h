@@ -18,7 +18,9 @@
 // that want power-loss durability rather than process-crash durability.
 // A batch append logs its records with one log(span) push, so one
 // /v1/ingest POST is one group commit; the bytes are those of one log()
-// per record.
+// per record. A queued record (WalEntry) borrows its sample's name from
+// the store's series table instead of copying it; the frame still carries
+// the name, so the file format does not know about interning.
 // A torn tail (crash mid-fwrite) is expected, not corruption: read_wal()
 // stops at the first record whose length or CRC does not check out,
 // reports the exact valid prefix length, and recovery truncates the file
@@ -55,6 +57,23 @@ struct WalRecord {
 
   // kSample payload.
   MetricId metric;
+  MinuteTime minute = 0;
+  double value = 0.0;
+
+  // kWatch payload.
+  std::uint64_t change_id = 0;
+};
+
+/// One queued record: a WalRecord whose sample name is borrowed. The name
+/// must outlive the record's commit; a MetricStore points it at the
+/// interned name, which lives as long as the store. Encodes to the bytes
+/// of the WalRecord it stands for.
+struct WalEntry {
+  WalRecordType type = WalRecordType::kSample;
+  std::uint64_t seq = 0;
+
+  // kSample payload.
+  const MetricId* metric = nullptr;
   MinuteTime minute = 0;
   double value = 0.0;
 
@@ -116,18 +135,18 @@ class WalWriter {
   bool ok() const { return !failed_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
 
-  /// Assign the next sequence number to `record`, enqueue it, return the
-  /// seq. Blocks while the queue is full. Any thread. Throws StorageError
-  /// when !ok(): a record that cannot be written never gets a seq. After
-  /// crash_for_testing() it is a silent no-op.
-  std::uint64_t log(WalRecord record);
+  /// Log a batch in one queue push: each entry gets the next sequence
+  /// number in span order, under the queue lock, so the file holds exactly
+  /// the bytes one push per entry would write. Returns the first entry's
+  /// seq. Blocks while the queue is full; a batch larger than the queue
+  /// capacity waits for room chunk by chunk. Any thread. Throws
+  /// StorageError when !ok(): a record that cannot be written never gets a
+  /// seq. After crash_for_testing() it is a silent no-op.
+  std::uint64_t log(std::span<WalEntry> entries);
 
-  /// log() for a batch in one queue push (moving from the records): each
-  /// record gets the next seq in span order, under the queue lock, so the
-  /// file holds exactly the bytes one log() per record would write. Returns
-  /// the first record's seq. A batch larger than the queue capacity waits
-  /// for room chunk by chunk.
-  std::uint64_t log(std::span<WalRecord> records);
+  /// log() of one record that owns its name, returning its seq once the
+  /// record is written: the queued entry borrows `record`'s name.
+  std::uint64_t log(const WalRecord& record);
 
   /// Barrier: returns once every record logged before the call is written
   /// and flushed (and fsynced under kFsync).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -11,6 +12,122 @@
 #include "tsdb/persist/backend.h"
 
 namespace funnel::tsdb {
+
+// ---------------------------------------------------------------------------
+// Series table.
+
+namespace {
+
+// Fold `s` into `h` eight bytes at a time, one multiply-xorshift per word;
+// the length goes into the last word, so the entity/KPI boundary counts.
+// Series names are short, and this runs once per /v1 line.
+std::uint64_t fold(std::uint64_t h, std::string_view s) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  const char* p = s.data();
+  std::size_t n = s.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  }
+  std::uint64_t tail = std::uint64_t{s.size()} << 56;
+  for (std::size_t i = 0; i < n; ++i) {
+    tail |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+  }
+  h = (h ^ tail) * kMul;
+  return h ^ (h >> 32);
+}
+
+std::uint32_t name_hash(EntityKind kind, std::string_view entity,
+                        std::string_view kpi) {
+  std::uint64_t h = fold(static_cast<std::uint64_t>(kind) + 1, entity);
+  h = fold(h, kpi) * 0xff51afd7ed558ccdULL;
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+}  // namespace
+
+SeriesTable::SeriesTable() {
+  indexes_.push_back(std::make_unique<Index>(64));
+  index_.store(indexes_.back().get(), std::memory_order_release);
+}
+
+SeriesTable::~SeriesTable() {
+  for (std::atomic<Entry*>& chunk : chunks_) delete[] chunk.load();
+}
+
+std::optional<SeriesRef> SeriesTable::find(EntityKind kind,
+                                           std::string_view entity,
+                                           std::string_view kpi) const {
+  return find(name_hash(kind, entity, kpi), kind, entity, kpi);
+}
+
+std::optional<SeriesRef> SeriesTable::find(std::uint32_t hash,
+                                           EntityKind kind,
+                                           std::string_view entity,
+                                           std::string_view kpi) const {
+  const Index* index = index_.load(std::memory_order_acquire);
+  const std::size_t mask = index->size - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint64_t slot =
+        index->slots[i].load(std::memory_order_acquire);
+    if (slot == 0) return std::nullopt;
+    if (static_cast<std::uint32_t>(slot >> 32) != hash) continue;
+    const auto ref = static_cast<SeriesRef>(slot - 1);
+    const MetricId& id = entry(ref).id;
+    if (id.kind == kind && id.entity == entity && id.kpi == kpi) return ref;
+  }
+}
+
+void SeriesTable::place(Index& index, std::uint64_t slot) {
+  const std::size_t mask = index.size - 1;
+  std::size_t i = static_cast<std::uint32_t>(slot >> 32) & mask;
+  while (index.slots[i].load(std::memory_order_relaxed) != 0) {
+    i = (i + 1) & mask;
+  }
+  index.slots[i].store(slot, std::memory_order_release);
+}
+
+SeriesRef SeriesTable::intern(EntityKind kind, std::string_view entity,
+                              std::string_view kpi) {
+  const std::uint32_t hash = name_hash(kind, entity, kpi);
+  if (const auto ref = find(hash, kind, entity, kpi)) return *ref;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto ref = find(hash, kind, entity, kpi)) return *ref;  // raced in
+  FUNNEL_REQUIRE(size_ < 0xffffffffu - kFirstChunk, "series table is full");
+  Index* index = indexes_.back().get();
+  if (2 * (std::size_t{size_} + 1) > index->size) {
+    // Outgrown: place every slot again in an index twice the size and
+    // publish it. Readers still probing the old one find what it holds.
+    auto grown = std::make_unique<Index>(index->size * 2);
+    for (std::size_t i = 0; i < index->size; ++i) {
+      const std::uint64_t slot =
+          index->slots[i].load(std::memory_order_relaxed);
+      if (slot != 0) place(*grown, slot);
+    }
+    index = grown.get();
+    indexes_.push_back(std::move(grown));
+    index_.store(index, std::memory_order_release);
+  }
+  const SeriesRef ref = size_++;
+  const std::uint64_t v = std::uint64_t{ref} + kFirstChunk;
+  const int top = std::bit_width(v) - 1;
+  std::atomic<Entry*>& chunk = chunks_[top - kFirstChunkBits];
+  if (chunk.load(std::memory_order_relaxed) == nullptr) {
+    chunk.store(new Entry[std::size_t{1} << top], std::memory_order_release);
+  }
+  MetricId& id = entry(ref).id;
+  id.kind = kind;
+  id.entity.assign(entity);
+  id.kpi.assign(kpi);
+  // The release store publishes the name written above.
+  place(*index, (std::uint64_t{hash} << 32) | (std::uint64_t{ref} + 1));
+  return ref;
+}
+
+// ---------------------------------------------------------------------------
+// Store.
 
 MetricStore::MetricStore(const StoreOptions& options) {
   FUNNEL_REQUIRE(options.num_shards >= 1, "store needs at least one shard");
@@ -36,7 +153,7 @@ MetricStore::MetricStore(const StoreOptions& options) {
       // is indistinguishable from one that never restarted. No locks: the
       // constructor is single-threaded by definition.
       for (const MetricId& id : backend_->cold_metrics()) {
-        shard(id).series.emplace(id, backend_->materialize(id, nullptr));
+        adopt(id, backend_->materialize(id, nullptr));
       }
     }
     if (!options.hand_off_tail) {
@@ -58,34 +175,27 @@ MetricStore::~MetricStore() {
   queue_.reset();
 }
 
-std::size_t MetricStore::shard_index(const MetricId& id) const {
-  if (shards_.size() == 1) return 0;
-  std::size_t h = std::hash<std::string>{}(id.entity);
-  h ^= std::hash<std::string>{}(id.kpi) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  h ^= static_cast<std::size_t>(id.kind) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  return h % shards_.size();
-}
-
-void MetricStore::create(const MetricId& id, MinuteTime start) {
+void MetricStore::adopt(const MetricId& id, TimeSeries series) {
   // In cold mode a segment-resident metric has no shard entry; creating it
   // "again" would fork a hot series that shadows flushed history.
   FUNNEL_REQUIRE(!cold_ || !backend_->has_cold(id),
                  "metric already exists: " + id.to_string());
-  StoreShard& sh = shard(id);
+  const SeriesRef ref = intern(id);
+  StoreShard& sh = shard(ref);
   const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
-  const auto [it, inserted] = sh.series.emplace(id, TimeSeries(start));
-  FUNNEL_REQUIRE(inserted, "metric already exists: " + id.to_string());
-  (void)it;
+  SeriesTable::Entry& e = table_.entry(ref);
+  FUNNEL_REQUIRE(!e.live, "metric already exists: " + id.to_string());
+  e.series = std::move(series);
+  e.live = true;
+  sh.refs.push_back(ref);
+}
+
+void MetricStore::create(const MetricId& id, MinuteTime start) {
+  adopt(id, TimeSeries(start));
 }
 
 bool MetricStore::has(const MetricId& id) const {
-  {
-    const StoreShard& sh = shard(id);
-    const std::shared_lock<std::shared_mutex> lock(sh.data_mutex);
-    if (sh.series.contains(id)) return true;
-  }
+  if (read_hot(id, [](const TimeSeries&) {})) return true;
   return cold_ && backend_->has_cold(id);
 }
 
@@ -93,20 +203,14 @@ namespace {
 
 // Upsert one sample into its shard; the caller holds the shard's exclusive
 // lock. The one upsert behind append(), the batch append and replay().
-TimeSeries::Upsert upsert_locked(StoreShard& sh, const MetricId& id,
-                                 MinuteTime t, double value) {
-  auto it = sh.series.find(id);
-  if (it == sh.series.end()) it = sh.series.emplace(id, TimeSeries(t)).first;
-  return it->second.upsert_at(t, value);
-}
-
-persist::WalRecord sample_record(const MetricId& id, MinuteTime t,
-                                 double value) {
-  persist::WalRecord record;
-  record.metric = id;
-  record.minute = t;
-  record.value = value;
-  return record;
+TimeSeries::Upsert upsert_locked(StoreShard& sh, SeriesTable::Entry& e,
+                                 SeriesRef ref, MinuteTime t, double value) {
+  if (!e.live) {
+    e.series = TimeSeries(t);
+    e.live = true;
+    sh.refs.push_back(ref);
+  }
+  return e.series.upsert_at(t, value);
 }
 
 // A too-old sample never landed in the store; notifying subscribers about
@@ -154,108 +258,105 @@ struct AppendTally {
 }  // namespace
 
 void MetricStore::append(const MetricId& id, MinuteTime t, double value) {
-  // Write-ahead: the record is queued for the WAL before the in-memory
-  // apply, so any state a crash preserves is replayable from disk.
-  if (backend_ != nullptr) {
-    persist::WalRecord record = sample_record(id, t, value);
-    backend_->log_records(std::span<persist::WalRecord>(&record, 1));
-  }
-  apply(id, t, value);
+  Sample s{intern(id), t, value, {}, {}};
+  append(std::span<Sample>(&s, 1));
 }
 
 void MetricStore::append(std::span<Sample> batch) {
   if (batch.empty()) return;
   if (backend_ != nullptr) {
-    // Write-ahead, one group-commit push for the whole batch.
-    std::vector<persist::WalRecord> records;
-    records.reserve(batch.size());
+    // Write-ahead, one group-commit push for the whole batch: the entries
+    // are queued before the in-memory apply, so any state a crash preserves
+    // is replayable from disk. They borrow the interned names, which live
+    // as long as the store; the scratch is this thread's, reused.
+    thread_local std::vector<persist::WalEntry> entries;
+    entries.clear();
     for (const Sample& s : batch) {
-      records.push_back(sample_record(s.id, s.t, s.value));
+      persist::WalEntry& e = entries.emplace_back();
+      e.metric = &table_.entry(s.ref).id;
+      e.minute = s.t;
+      e.value = s.value;
     }
-    backend_->log_records(records);
+    backend_->log_records(entries);
   }
+  apply(batch);
+}
+
+void MetricStore::replay(const persist::WalRecord& record) {
+  if (record.type != persist::WalRecordType::kSample) return;
+  Sample s{intern(record.metric), record.minute, record.value, {}, {}};
+  apply(std::span<Sample>(&s, 1));
+}
+
+void MetricStore::mark_dirty(SeriesRef ref, MinuteTime t,
+                             TimeSeries::Upsert outcome) {
+  // A late fill may land below the flush frontier; mark it so the next
+  // checkpoint re-flushes from there (the source of overlapping segments).
+  if (backend_ != nullptr && outcome == TimeSeries::Upsert::kFilled) {
+    backend_->note_dirty(table_.entry(ref).id, t);
+  }
+}
+
+void MetricStore::apply(std::span<Sample> batch) {
+  const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
+  AppendTally tally;
   if (queue_ == nullptr) {
     // Synchronous dispatch applies and delivers sample by sample, so a
-    // callback sees exactly the store a per-sample append would show it.
-    for (const Sample& s : batch) apply(s.id, s.t, s.value);
+    // callback sees exactly the store a per-sample append would show it:
+    // the sample is visible in its shard before any callback runs.
+    SubscriptionList hit;
+    for (const Sample& s : batch) {
+      StoreShard& sh = shard(s.ref);
+      TimeSeries::Upsert outcome = TimeSeries::Upsert::kAppended;
+      {
+        const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
+        outcome = upsert_locked(sh, table_.entry(s.ref), s.ref, s.t, s.value);
+      }
+      mark_dirty(s.ref, s.t, outcome);
+      tally.count(outcome);
+      if (notifiable(outcome) &&
+          sub_count_.load(std::memory_order_acquire) > 0) {
+        deliver(s.ref, s.t, s.value, hit);
+      }
+    }
+    tally.report(stats);
     return;
   }
 
-  // Async: one exclusive lock per shard touched, in batch order within
-  // each shard, so every sample is visible before its notification queues.
-  struct Slot {
-    std::size_t shard = 0;
-    TimeSeries::Upsert outcome = TimeSeries::Upsert::kAppended;
-  };
-  std::vector<Slot> slots(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    slots[i].shard = shard_index(batch[i].id);
-  }
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
+  // Async: one exclusive lock per shard touched, taken in the order the
+  // shards first appear in the batch, upserting that shard's samples in
+  // batch order; so every sample is visible before its notification
+  // queues. `state` is this thread's scratch, reused like the WAL entries:
+  // 0 = not upserted yet, then kLanded or kTooOld (never notified).
+  constexpr std::uint8_t kLanded = 1;
+  constexpr std::uint8_t kTooOld = 2;
+  thread_local std::vector<std::uint8_t> state;
+  state.assign(batch.size(), 0);
+  for (std::size_t first = 0; first < batch.size(); ++first) {
+    if (state[first] != 0) continue;
+    const std::size_t k = shard_index(batch[first].ref);
     StoreShard& sh = *shards_[k];
-    std::unique_lock<std::shared_mutex> lock(sh.data_mutex, std::defer_lock);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (slots[i].shard != k) continue;
-      if (!lock.owns_lock()) lock.lock();
-      slots[i].outcome =
-          upsert_locked(sh, batch[i].id, batch[i].t, batch[i].value);
+    const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
+    for (std::size_t i = first; i < batch.size(); ++i) {
+      const Sample& s = batch[i];
+      if (state[i] != 0 || shard_index(s.ref) != k) continue;
+      const TimeSeries::Upsert outcome =
+          upsert_locked(sh, table_.entry(s.ref), s.ref, s.t, s.value);
+      mark_dirty(s.ref, s.t, outcome);
+      tally.count(outcome);
+      state[i] = notifiable(outcome) ? kLanded : kTooOld;
     }
   }
-  AppendTally tally;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    mark_dirty(batch[i].id, batch[i].t, slots[i].outcome);
-    tally.count(slots[i].outcome);
-  }
-  const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
   tally.report(stats);
   if (sub_count_.load(std::memory_order_acquire) == 0) return;
   // Keep the notifiable samples, in batch order, and queue them at once.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!notifiable(slots[i].outcome)) continue;
+    if (state[i] != kLanded) continue;
     if (kept != i) batch[kept] = std::move(batch[i]);
     ++kept;
   }
   enqueue(batch.first(kept), stats);
-}
-
-void MetricStore::replay(const persist::WalRecord& record) {
-  if (record.type != persist::WalRecordType::kSample) return;
-  apply(record.metric, record.minute, record.value);
-}
-
-void MetricStore::mark_dirty(const MetricId& id, MinuteTime t,
-                             TimeSeries::Upsert outcome) {
-  // A late fill may land below the flush frontier; mark it so the next
-  // checkpoint re-flushes from there (the source of overlapping segments).
-  if (backend_ != nullptr && outcome == TimeSeries::Upsert::kFilled) {
-    backend_->note_dirty(id, t);
-  }
-}
-
-void MetricStore::apply(const MetricId& id, MinuteTime t, double value) {
-  StoreShard& sh = shard(id);
-  TimeSeries::Upsert outcome = TimeSeries::Upsert::kAppended;
-  {
-    const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
-    outcome = upsert_locked(sh, id, t, value);
-  }
-  mark_dirty(id, t, outcome);
-  const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
-  AppendTally tally;
-  tally.count(outcome);
-  tally.report(stats);
-  // The sample is visible in the shard before any notification is queued or
-  // delivered, so a callback reading the store always sees its sample.
-  if (!notifiable(outcome)) return;
-  if (sub_count_.load(std::memory_order_acquire) == 0) return;
-  if (queue_ == nullptr) {
-    SubscriptionList hit;
-    deliver(id, t, value, hit);
-    return;
-  }
-  Sample s{id, t, value, {}, {}};
-  enqueue(std::span<Sample>(&s, 1), stats);
 }
 
 void MetricStore::enqueue(std::span<Sample> samples,
@@ -279,26 +380,18 @@ void MetricStore::enqueue(std::span<Sample> samples,
 }
 
 void MetricStore::insert(const MetricId& id, TimeSeries series) {
-  FUNNEL_REQUIRE(!cold_ || !backend_->has_cold(id),
-                 "metric already exists: " + id.to_string());
-  StoreShard& sh = shard(id);
-  const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
-  const auto [it, inserted] = sh.series.emplace(id, std::move(series));
-  FUNNEL_REQUIRE(inserted, "metric already exists: " + id.to_string());
-  (void)it;
+  adopt(id, std::move(series));
   // Inserted history is not WAL-logged (it can be huge); it becomes durable
   // at the next checkpoint, which flushes from the series start because no
   // flush frontier exists for a brand-new metric.
 }
 
 const TimeSeries& MetricStore::series(const MetricId& id) const {
-  const StoreShard& sh = shard(id);
-  const std::shared_lock<std::shared_mutex> lock(sh.data_mutex);
-  const auto it = sh.series.find(id);
-  if (it == sh.series.end()) {
+  const TimeSeries* found = nullptr;
+  if (!read_hot(id, [&](const TimeSeries& s) { found = &s; })) {
     throw NotFound("no such metric: " + id.to_string());
   }
-  return it->second;
+  return *found;
 }
 
 std::size_t MetricStore::metric_count() const {
@@ -306,7 +399,7 @@ std::size_t MetricStore::metric_count() const {
   std::size_t n = 0;
   for (const auto& sh : shards_) {
     const std::shared_lock<std::shared_mutex> lock(sh->data_mutex);
-    n += sh->series.size();
+    n += sh->refs.size();
   }
   return n;
 }
@@ -315,10 +408,7 @@ std::vector<MetricId> MetricStore::metrics() const {
   std::vector<MetricId> out;
   for (const auto& sh : shards_) {
     const std::shared_lock<std::shared_mutex> lock(sh->data_mutex);
-    for (const auto& [id, s] : sh->series) {
-      (void)s;
-      out.push_back(id);
-    }
+    for (const SeriesRef ref : sh->refs) out.push_back(table_.entry(ref).id);
   }
   if (cold_) {
     // Segment-resident metrics may have no hot entry yet.
@@ -328,10 +418,9 @@ std::vector<MetricId> MetricStore::metrics() const {
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
-  // Each shard map is ordered; the concatenation is not. Global order keeps
-  // downstream iteration (impact_metrics, report items) shard-count
-  // independent.
-  if (shards_.size() > 1) std::sort(out.begin(), out.end());
+  // Refs are in creation order. Name order keeps downstream iteration
+  // (impact_metrics, report items) independent of arrival and shard count.
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -347,12 +436,12 @@ std::vector<MetricId> MetricStore::metrics_of(EntityKind kind,
   std::vector<MetricId> out;
   for (const auto& sh : shards_) {
     const std::shared_lock<std::shared_mutex> lock(sh->data_mutex);
-    for (const auto& [id, s] : sh->series) {
-      (void)s;
+    for (const SeriesRef ref : sh->refs) {
+      const MetricId& id = table_.entry(ref).id;
       if (id.kind == kind && id.entity == entity) out.push_back(id);
     }
   }
-  if (shards_.size() > 1) std::sort(out.begin(), out.end());
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -366,22 +455,18 @@ std::vector<double> MetricStore::query(const MetricId& id, MinuteTime t0,
     MinuteTime h0 = 0, h1 = 0;
     std::vector<double> hot_win;
     MinuteTime hot_win_start = 0;
-    {
-      const StoreShard& sh = shard(id);
-      const std::shared_lock<std::shared_mutex> lock(sh.data_mutex);
-      const auto it = sh.series.find(id);
-      if (it != sh.series.end() && !it->second.empty()) {
-        found = true;
-        h0 = it->second.start_time();
-        h1 = it->second.end_time();
-        const MinuteTime a = std::max(t0, h0);
-        const MinuteTime b = std::min(t1, h1);
-        if (a < b) {
-          hot_win_start = a;
-          hot_win = it->second.slice(a, b);
-        }
+    read_hot(id, [&](const TimeSeries& hot) {
+      if (hot.empty()) return;
+      found = true;
+      h0 = hot.start_time();
+      h1 = hot.end_time();
+      const MinuteTime a = std::max(t0, h0);
+      const MinuteTime b = std::min(t1, h1);
+      if (a < b) {
+        hot_win_start = a;
+        hot_win = hot.slice(a, b);
       }
-    }
+    });
     if (!seg.has_value() && !found) {
       throw NotFound("no such metric: " + id.to_string());
     }
@@ -428,21 +513,32 @@ TimeSeries MetricStore::aggregate(std::span<const MetricId> ids, MinuteTime t0,
 SubscriptionId MetricStore::subscribe(std::vector<MetricId> filter,
                                       Callback cb) {
   FUNNEL_REQUIRE(static_cast<bool>(cb), "subscription needs a callback");
-  std::sort(filter.begin(), filter.end());
-  filter.erase(std::unique(filter.begin(), filter.end()), filter.end());
+  return subscribe(std::move(filter),
+                   RefCallback([cb = std::move(cb)](SeriesRef,
+                                                    const MetricId& id,
+                                                    MinuteTime t, double v) {
+                     cb(id, t, v);
+                   }));
+}
 
+SubscriptionId MetricStore::subscribe(std::vector<MetricId> filter,
+                                      RefCallback cb) {
+  FUNNEL_REQUIRE(static_cast<bool>(cb), "subscription needs a callback");
   auto sub = std::make_shared<Subscription>();
-  sub->filter = std::move(filter);
+  for (const MetricId& id : filter) sub->filter.push_back(intern(id));
+  std::sort(sub->filter.begin(), sub->filter.end());
+  sub->filter.erase(std::unique(sub->filter.begin(), sub->filter.end()),
+                    sub->filter.end());
   sub->callback = std::move(cb);
 
-  // Register on every shard that can own a matching metric, so dispatch
-  // scans only the owning shard's list.
+  // Register on every shard that can own a matching ref, so dispatch scans
+  // only the owning shard's list.
   std::vector<std::size_t> targets;
   if (sub->filter.empty()) {
     for (std::size_t i = 0; i < shards_.size(); ++i) targets.push_back(i);
   } else {
-    for (const MetricId& id : sub->filter) {
-      targets.push_back(shard_index(id));
+    for (const SeriesRef ref : sub->filter) {
+      targets.push_back(shard_index(ref));
     }
     std::sort(targets.begin(), targets.end());
     targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
@@ -545,7 +641,10 @@ void MetricStore::checkpoint(std::string watch_state,
   std::vector<persist::SegmentColumn> columns;
   for (const auto& sh : shards_) {
     const std::shared_lock<std::shared_mutex> lock(sh->data_mutex);
-    for (const auto& [id, s] : sh->series) {
+    for (const SeriesRef ref : sh->refs) {
+      const SeriesTable::Entry& e = table_.entry(ref);
+      const MetricId& id = e.id;
+      const TimeSeries& s = e.series;
       const MinuteTime lo = backend_->flush_cut(id, s.start_time());
       const MinuteTime hi = s.end_time();
       if (lo >= hi) continue;
@@ -564,8 +663,8 @@ void MetricStore::checkpoint(std::string watch_state,
       columns.push_back(std::move(col));
     }
   }
-  // Shard concatenation is not globally ordered; the segment footer (and
-  // its binary search) requires metric order.
+  // Refs are in creation order; the segment footer (and its binary search)
+  // requires metric order.
   std::sort(columns.begin(), columns.end(),
             [](const persist::SegmentColumn& a,
                const persist::SegmentColumn& b) { return a.metric < b.metric; });
@@ -595,16 +694,9 @@ std::uint64_t MetricStore::compactions() const {
 
 bool MetricStore::materialize_cold(const MetricId& id, TimeSeries& out) const {
   TimeSeries hot;
-  bool found = false;
-  {
-    const StoreShard& sh = shard(id);
-    const std::shared_lock<std::shared_mutex> lock(sh.data_mutex);
-    const auto it = sh.series.find(id);
-    if (it != sh.series.end()) {
-      found = true;
-      hot = it->second;  // copy; the stitch runs without the lock
-    }
-  }
+  // Copy; the stitch runs without the lock.
+  const bool found =
+      read_hot(id, [&](const TimeSeries& series) { hot = series; });
   TimeSeries stitched =
       backend_->materialize(id, found && !hot.empty() ? &hot : nullptr);
   if (found) {
@@ -617,21 +709,22 @@ bool MetricStore::materialize_cold(const MetricId& id, TimeSeries& out) const {
   return true;
 }
 
-void MetricStore::deliver(const MetricId& id, MinuteTime t, double value,
+void MetricStore::deliver(SeriesRef ref, MinuteTime t, double value,
                           SubscriptionList& hit) const {
-  const StoreShard& sh = shard(id);
+  const StoreShard& sh = shard(ref);
   hit.clear();
   {
     const std::lock_guard<std::mutex> lock(sh.subs_mutex);
     for (const auto& sub : sh.subs) {
       if (!sub->active.load(std::memory_order_acquire)) continue;
       if (sub->filter.empty() ||
-          std::binary_search(sub->filter.begin(), sub->filter.end(), id)) {
+          std::binary_search(sub->filter.begin(), sub->filter.end(), ref)) {
         hit.push_back(sub);
       }
     }
   }
   if (hit.empty()) return;
+  const MetricId& id = table_.entry(ref).id;
   const obs::Registry* stats = stats_.load(std::memory_order_relaxed);
   // Time the dispatch as one span per sample: synchronously this is the
   // latency a producing agent pays for slow consumers; on the dispatcher
@@ -640,7 +733,7 @@ void MetricStore::deliver(const MetricId& id, MinuteTime t, double value,
   std::uint64_t notified = 0;
   for (const auto& sub : hit) {
     if (!sub->active.load(std::memory_order_acquire)) continue;
-    sub->callback(id, t, value);
+    sub->callback(ref, id, t, value);
     ++notified;
   }
   if (stats != nullptr && notified > 0) {
@@ -663,7 +756,7 @@ void MetricStore::dispatch(const std::vector<Sample>& batch) const {
       // Callbacks run under the producer's trace context: their spans link
       // into the submitting append's tree across the thread hop.
       const obs::ScopedContext trace_ctx(s.trace_ctx);
-      deliver(s.id, s.t, s.value, hit);
+      deliver(s.ref, s.t, s.value, hit);
     } catch (...) {
       if (stats != nullptr) stats->add("tsdb.store.callback_exceptions");
     }

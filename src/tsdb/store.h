@@ -6,25 +6,32 @@
 // (online FUNNEL). Service KPIs can be stored directly or derived by
 // aggregating instance KPIs.
 //
-// Scaling model: the series are hash-partitioned over N shards
-// (StoreOptions::num_shards), each behind its own reader-writer lock, so
-// concurrent writers on different shards never contend and readers never
-// block each other. Subscriber notification can run synchronously inside
-// append() (the legacy single-threaded mode) or asynchronously on a
-// common::GroupCommitQueue whose consumer thread is the dispatcher
-// (StoreOptions::ingest_queue_capacity > 0) so a slow consumer can never
-// stall a producing agent. A batch append (one /v1/ingest POST) pays one
-// WAL push, one lock per shard touched and one dispatcher push for the
-// whole batch. Reports derived from this store are byte-identical for every
-// shard count and for sync vs async dispatch (with a flush() barrier) —
-// verified by tsdb_sharded_store_test.
+// Identity: the store interns each series name (MetricId) into a dense
+// SeriesRef the first time it sees it (intern()). From there on a sample is
+// its ref: a batch append, its WAL entries, the dispatcher queue and
+// subscription filters carry the ref, and subscribers get the interned
+// name back by reference. Names stay the API at the edges (CSV, /v1,
+// reports, the journal, WAL frames); interning never creates a series.
+//
+// Scaling model: the series are partitioned over N shards
+// (StoreOptions::num_shards) by ref, each behind its own reader-writer
+// lock, so concurrent writers on different shards never contend and
+// readers never block each other. Subscriber notification can run
+// synchronously inside append() (the legacy single-threaded mode) or
+// asynchronously on a common::GroupCommitQueue whose consumer thread is
+// the dispatcher (StoreOptions::ingest_queue_capacity > 0) so a slow
+// consumer can never stall a producing agent. A batch append (one
+// /v1/ingest POST) pays one WAL push, one lock per shard touched and one
+// dispatcher push for the whole batch. Reports derived from this store are
+// byte-identical for every shard count and for sync vs async dispatch
+// (with a flush() barrier) — verified by tsdb_sharded_store_test.
 //
 // Thread-safety contract — the full repo-wide model lives in
 // docs/CONCURRENCY.md ("Metric store"); summary:
 //   * has/query/aggregate/metrics/metrics_of/metric_count/read/read_if are
 //     internally locked and safe against concurrent append/create/insert.
 //   * series() returns a reference whose *identity* is stable for the
-//     store's lifetime (nodes are never erased or moved) but whose samples
+//     store's lifetime (table entries are never moved) but whose samples
 //     are NOT safe to read while a writer appends to that same metric — use
 //     read()/read_if/query for concurrent access, or quiesce writers first.
 //   * append() auto-creates the series; create()/insert() throw on an
@@ -45,6 +52,8 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -65,7 +74,8 @@ class PersistBackend;
 using SubscriptionId = std::uint64_t;
 
 /// One sample of a batch append, and one queued notification (async mode).
-/// A batch append reads id, t and value; the store stamps the rest.
+/// A batch append reads ref, t and value; the store stamps the rest. The
+/// ref comes from this store's intern().
 /// `enqueued` is stamped only while a telemetry registry is attached (the
 /// uninstrumented path never reads the clock). `trace_ctx` is the
 /// producer's ambient trace context at append()
@@ -73,7 +83,7 @@ using SubscriptionId = std::uint64_t;
 /// so spans opened inside them attach under the producing append's span.
 /// Empty (and costless) when no span was open.
 struct Sample {
-  MetricId id;
+  SeriesRef ref = 0;
   MinuteTime t = 0;
   double value = 0.0;
   std::chrono::steady_clock::time_point enqueued{};
@@ -149,11 +159,24 @@ class MetricStore {
 
   bool has(const MetricId& id) const;
 
+  /// The ref of a series name, interning the name on first sight. Allocates
+  /// only then: a known name is found without a lock, from views. The
+  /// ref stays valid for the store's lifetime. Interning creates no series:
+  /// has(), metric_count(), metrics() and read() ignore a name until a
+  /// sample, create() or insert() lands under it. Any thread.
+  SeriesRef intern(EntityKind kind, std::string_view entity,
+                   std::string_view kpi) {
+    return table_.intern(kind, entity, kpi);
+  }
+  SeriesRef intern(const MetricId& id) {
+    return intern(id.kind, id.entity, id.kpi);
+  }
+
   /// Append a sample; creates the series (starting at t) when absent — the
-  /// agent hot path never needs a registration handshake. Matching
-  /// subscribers are notified synchronously (sync mode) or via the ingest
-  /// queue (async mode) — the paper's sub-second push from database to
-  /// FUNNEL.
+  /// agent hot path never needs a registration handshake. Interns the
+  /// name, then appends it as a batch of one. Matching subscribers are
+  /// notified synchronously (sync mode) or via the ingest queue (async
+  /// mode) — the paper's sub-second push from database to FUNNEL.
   ///
   /// Dirty feeds are tolerated deterministically (TimeSeries::upsert_at):
   /// late samples fill their NaN hole, duplicates are ignored first-write-
@@ -166,10 +189,11 @@ class MetricStore {
   /// Append a batch, moving from its samples; the store is left as the
   /// same per-sample appends in batch order would leave it, and subscribers
   /// see the same sequence. The whole batch is write-ahead-logged in one
-  /// WAL push before any sample is applied. Async mode then upserts under
-  /// one exclusive lock per shard touched, adds the tsdb.store.* counters
-  /// once, and queues the notifications in batch order with one push; sync
-  /// mode applies, counts and delivers sample by sample.
+  /// WAL push (entries borrowing the interned names) before any sample is
+  /// applied. Async mode then upserts under one exclusive lock per shard
+  /// touched, adds the tsdb.store.* counters once, and queues the
+  /// notifications in batch order with one push; sync mode applies and
+  /// delivers sample by sample.
   void append(std::span<Sample> batch);
 
   /// Bulk-insert a prebuilt series (no subscriber notification) — the bulk
@@ -198,13 +222,12 @@ class MetricStore {
       }
       return std::forward<Fn>(fn)(scratch);
     }
-    const StoreShard& sh = shard(id);
-    std::shared_lock<std::shared_mutex> lock(sh.data_mutex);
-    const auto it = sh.series.find(id);
-    if (it == sh.series.end()) {
-      throw NotFound("no such metric: " + id.to_string());
+    if (const auto ref = table_.find(id.kind, id.entity, id.kpi)) {
+      std::shared_lock<std::shared_mutex> lock(shard(*ref).data_mutex);
+      const SeriesTable::Entry& e = table_.entry(*ref);
+      if (e.live) return std::forward<Fn>(fn)(std::as_const(e.series));
     }
-    return std::forward<Fn>(fn)(it->second);
+    throw NotFound("no such metric: " + id.to_string());
   }
 
   /// read() for optional metrics: returns false (without invoking `fn`)
@@ -217,12 +240,7 @@ class MetricStore {
       std::forward<Fn>(fn)(scratch);
       return true;
     }
-    const StoreShard& sh = shard(id);
-    std::shared_lock<std::shared_mutex> lock(sh.data_mutex);
-    const auto it = sh.series.find(id);
-    if (it == sh.series.end()) return false;
-    std::forward<Fn>(fn)(it->second);
-    return true;
+    return read_hot(id, std::forward<Fn>(fn));
   }
 
   std::size_t metric_count() const;
@@ -249,11 +267,18 @@ class MetricStore {
                        MinuteTime t1) const;
 
   /// Subscribe to samples of the given metrics. An empty filter subscribes
-  /// to everything. Sync mode runs the callback inside append(); async mode
-  /// runs it on the dispatcher thread, in per-metric enqueue order.
+  /// to everything. The filter is resolved to refs here, interning names
+  /// that have no series yet, so the subscription also sees a series
+  /// created after it. Sync mode runs the callback inside append(); async
+  /// mode runs it on the dispatcher thread, in per-metric enqueue order.
+  /// The callback gets the interned name (and, as a RefCallback, the ref);
+  /// a Callback is adapted to a RefCallback once, here.
   using Callback =
       std::function<void(const MetricId&, MinuteTime, double)>;
+  using RefCallback =
+      std::function<void(SeriesRef, const MetricId&, MinuteTime, double)>;
   SubscriptionId subscribe(std::vector<MetricId> filter, Callback cb);
+  SubscriptionId subscribe(std::vector<MetricId> filter, RefCallback cb);
 
   /// Remove a subscription (unknown ids are ignored). Async mode: blocks
   /// until any in-flight delivery to this subscription has completed, so
@@ -368,22 +393,42 @@ class MetricStore {
   std::uint64_t compactions() const;
 
  private:
-  std::size_t shard_index(const MetricId& id) const;
-  StoreShard& shard(const MetricId& id) { return *shards_[shard_index(id)]; }
-  const StoreShard& shard(const MetricId& id) const {
-    return *shards_[shard_index(id)];
+  /// read_if() over the in-memory series only (the hot tail in cold mode).
+  template <typename Fn>
+  bool read_hot(const MetricId& id, Fn&& fn) const {
+    const auto ref = table_.find(id.kind, id.entity, id.kpi);
+    if (!ref) return false;
+    std::shared_lock<std::shared_mutex> lock(shard(*ref).data_mutex);
+    const SeriesTable::Entry& e = table_.entry(*ref);
+    if (!e.live) return false;
+    std::forward<Fn>(fn)(std::as_const(e.series));
+    return true;
+  }
+
+  /// A ref's shard, fixed by the ref.
+  std::size_t shard_index(SeriesRef ref) const {
+    return ref % static_cast<std::uint32_t>(shards_.size());
+  }
+  StoreShard& shard(SeriesRef ref) { return *shards_[shard_index(ref)]; }
+  const StoreShard& shard(SeriesRef ref) const {
+    return *shards_[shard_index(ref)];
   }
 
   using SubscriptionList = std::vector<std::shared_ptr<Subscription>>;
 
-  /// Dirty tracking for a late fill that may land below the flush frontier.
-  void mark_dirty(const MetricId& id, MinuteTime t,
-                  TimeSeries::Upsert outcome);
+  /// create()/insert()/hydration: give `id` the series `series`; throws when
+  /// it already has one.
+  void adopt(const MetricId& id, TimeSeries series);
 
-  /// The per-sample append()/replay() body: upsert + counters +
-  /// notification. The WAL record is append()'s job; replay's records are
-  /// already on disk.
-  void apply(const MetricId& id, MinuteTime t, double value);
+  /// Dirty tracking for a late fill that may land below the flush frontier.
+  void mark_dirty(SeriesRef ref, MinuteTime t, TimeSeries::Upsert outcome);
+
+  /// The append()/replay() body: upsert + counters + notification. Sync
+  /// mode applies and delivers sample by sample; async mode upserts under
+  /// one lock per shard touched and queues the notifications in one push.
+  /// The WAL record is append()'s job; replay's records are already on
+  /// disk.
+  void apply(std::span<Sample> batch);
 
   /// Async mode: stamp the producer's trace context (and, with a registry,
   /// the enqueue time) on `samples` and queue them in one push.
@@ -397,7 +442,7 @@ class MetricStore {
   /// buffer the caller reuses across samples) and run their callbacks with
   /// no locks held. Runs on the producer thread (sync) or the dispatcher
   /// thread (async).
-  void deliver(const MetricId& id, MinuteTime t, double value,
+  void deliver(SeriesRef ref, MinuteTime t, double value,
                SubscriptionList& hit) const;
 
   /// The ingest queue's consumer: delivers one drained batch in order,
@@ -406,6 +451,9 @@ class MetricStore {
   /// to, so the exception is swallowed and counted.
   void dispatch(const std::vector<Sample>& batch) const;
 
+  /// Declared before backend_: the WAL writer encodes from these names
+  /// until it has drained.
+  SeriesTable table_;
   std::vector<std::unique_ptr<StoreShard>> shards_;
 
   mutable std::mutex sub_index_mutex_;  ///< guards sub_index_ and next_sub_

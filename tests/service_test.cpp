@@ -160,6 +160,51 @@ TEST(Tenant, IngestParsesCountsAndAlignsAppliedSeq) {
   EXPECT_EQ(tenant.malformed_lines(), 2u);
 }
 
+TEST(Tenant, OutOfRangeMinutesAreMalformed) {
+  Tenant tenant(small_funnel("t"));
+  // Each ingest line names a series the tenant has not seen, so a minute
+  // read wrongly could only start a series, never grow one.
+  IngestResult r = tenant.ingest(
+      "svc,s0,kpi_a,99999999999999999999,1\n"
+      "svc,s0,kpi_b,-9223372036854775809,1\n");
+  EXPECT_EQ(r.accepted, 0u);
+  EXPECT_EQ(r.malformed, 2u);
+  // Leading zeros and a negative zero still parse.
+  r = tenant.ingest(
+      "svc,s0,kpi_c,007,1.5\n"
+      "svc,s0,kpi_d,-0,2.5\n");
+  EXPECT_EQ(r.accepted, 2u);
+  EXPECT_EQ(r.malformed, 0u);
+  tenant.store().flush();
+  EXPECT_EQ(tenant.store().metric_count(), 2u);
+  EXPECT_EQ(
+      tenant.store().series(tsdb::server_metric("s0", "kpi_c")).start_time(),
+      7);
+  EXPECT_EQ(
+      tenant.store().series(tsdb::server_metric("s0", "kpi_d")).start_time(),
+      0);
+
+  std::size_t malformed = 0;
+  EXPECT_TRUE(tenant
+                  .register_changes(
+                      "99999999999999999999,svc,full,s0,big\n"
+                      "-9223372036854775809,svc,full,s0,small\n",
+                      &malformed)
+                  .empty());
+  EXPECT_EQ(malformed, 2u);
+  const auto ids = tenant.register_changes(
+      "007,svc,full,s0,seven\n"
+      "-0,svc,full,s0,zero\n",
+      &malformed);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(malformed, 2u);
+  // Registration is idempotent on (service, minute, description), so the
+  // same changes at minutes 7 and 0 reuse the ids.
+  EXPECT_EQ(tenant.register_changes("7,svc,full,s0,seven\n"
+                                    "0,svc,full,s0,zero\n"),
+            ids);
+}
+
 TEST(Tenant, ChangeRegistrationIsIdempotentOnServiceTimeDescription) {
   Tenant tenant(small_funnel("t"));
   tenant.ingest(sample_lines(0, 50, 1));
@@ -566,12 +611,15 @@ double allocations_per_sample(Tenant& tenant) {
   return static_cast<double>(made) / static_cast<double>(accepted);
 }
 
+// A known name resolves to its ref without allocating, so what is left is
+// each series' amortized growth (~0.10 per sample) plus the chunks of the
+// dispatcher's and the WAL writer's queues (~0.10 each when in use).
 TEST(Tenant, IngestMakesFewHeapAllocationsPerAcceptedSample) {
   {
     Tenant tenant(small_funnel("memory"));
     const double per_sample = allocations_per_sample(tenant);
     RecordProperty("in_memory", std::to_string(per_sample));
-    EXPECT_LT(per_sample, 1.0);
+    EXPECT_LT(per_sample, 0.15);
   }
   {
     Tenant tenant(small_funnel("subscribed"));
@@ -579,7 +627,7 @@ TEST(Tenant, IngestMakesFewHeapAllocationsPerAcceptedSample) {
                                     double) {});
     const double per_sample = allocations_per_sample(tenant);
     RecordProperty("catch_all_subscriber", std::to_string(per_sample));
-    EXPECT_LT(per_sample, 1.0);
+    EXPECT_LT(per_sample, 0.3);
   }
   {
     const fs::path dir =
@@ -591,7 +639,7 @@ TEST(Tenant, IngestMakesFewHeapAllocationsPerAcceptedSample) {
       Tenant tenant(opts);
       const double per_sample = allocations_per_sample(tenant);
       RecordProperty("persistent", std::to_string(per_sample));
-      EXPECT_LT(per_sample, 1.5);
+      EXPECT_LT(per_sample, 0.3);
     }
     fs::remove_all(dir);
   }

@@ -551,24 +551,30 @@ TEST(PersistentStore, ColdReadsMatchHydratedReads) {
 
 // Three metrics over 40 minutes with a NaN, a duplicate, a late fill and a
 // too-old sample: every record the WAL must carry verbatim.
-std::vector<Sample> batch_feed() {
-  std::vector<Sample> feed;
+struct FeedSample {
+  MetricId id;
+  MinuteTime t = 0;
+  double value = 0.0;
+};
+
+std::vector<FeedSample> batch_feed() {
+  std::vector<FeedSample> feed;
   for (MinuteTime t = 200; t < 240; ++t) {
     for (const char* server : {"s1", "s2", "s3"}) {
       if (server[1] == '3' && t == 210) continue;  // filled late below
       const double v = t == 220 && server[1] == '2'
                            ? std::numeric_limits<double>::quiet_NaN()
                            : static_cast<double>(t) / 8.0;
-      feed.push_back(Sample{server_metric(server, "memory_utilization"), t,
-                            v, {}, {}});
+      feed.push_back(
+          FeedSample{server_metric(server, "memory_utilization"), t, v});
     }
     if (t == 215) {
-      feed.push_back(Sample{server_metric("s3", "memory_utilization"), 210,
-                            1.25, {}, {}});
-      feed.push_back(Sample{server_metric("s1", "memory_utilization"), 212,
-                            9.0, {}, {}});   // duplicate
-      feed.push_back(Sample{server_metric("s2", "memory_utilization"), 150,
-                            9.0, {}, {}});   // too old
+      feed.push_back(
+          FeedSample{server_metric("s3", "memory_utilization"), 210, 1.25});
+      feed.push_back(FeedSample{server_metric("s1", "memory_utilization"),
+                                212, 9.0});  // duplicate
+      feed.push_back(FeedSample{server_metric("s2", "memory_utilization"),
+                                150, 9.0});  // too old
     }
   }
   return feed;
@@ -577,7 +583,7 @@ std::vector<Sample> batch_feed() {
 TEST(PersistentStore, BatchAppendWritesPerSampleWalBytesAndReplays) {
   const fs::path single_dir = scratch("batch_single");
   const fs::path batch_dir = scratch("batch_batched");
-  const std::vector<Sample> feed = batch_feed();
+  const std::vector<FeedSample> feed = batch_feed();
   const std::size_t half = feed.size() / 2;
   {
     MetricStore store(persistent_options(single_dir));
@@ -596,7 +602,10 @@ TEST(PersistentStore, BatchAppendWritesPerSampleWalBytesAndReplays) {
     options.ingest_queue_capacity = 8;
     options.wal_queue_capacity = 16;  // the second batch waits in chunks
     MetricStore store(options);
-    std::vector<Sample> batch = feed;
+    std::vector<Sample> batch;
+    for (const FeedSample& s : feed) {
+      batch.push_back(Sample{store.intern(s.id), s.t, s.value, {}, {}});
+    }
     const std::span<Sample> all(batch);
     store.append(all.first(half));
     EXPECT_EQ(store.log_watch_marker(7), half + 1);

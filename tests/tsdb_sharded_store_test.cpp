@@ -2,7 +2,9 @@
 // byte-equivalence claim (reports identical for every shard count and for
 // sync vs async dispatch), the flush() barrier, both backpressure policies,
 // per-metric delivery order, the unsubscribe guarantee, the append/insert
-// contract, and the batch append's equivalence to per-sample appends. The
+// contract, the batch append's equivalence to per-sample appends, and the
+// series table (interning creates no series; producers intern new names
+// while the dispatcher and the WAL writer read refs). The
 // stress tests here are the ones the FUNNEL_SANITIZE=thread job
 // (scripts/tsan_concurrency.sh) runs under ThreadSanitizer; see
 // docs/CONCURRENCY.md for the model they pin down.
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <limits>
 #include <map>
@@ -572,12 +575,29 @@ struct Delivery {
   bool operator==(const Delivery&) const = default;
 };
 
+// One sample of a feed, by name.
+struct FeedSample {
+  MetricId id;
+  MinuteTime t = 0;
+  double value = 0.0;
+};
+
+// A feed as a batch of `store`'s refs.
+std::vector<Sample> as_batch(MetricStore& store,
+                             const std::vector<FeedSample>& feed) {
+  std::vector<Sample> batch;
+  for (const FeedSample& s : feed) {
+    batch.push_back(Sample{store.intern(s.id), s.t, s.value, {}, {}});
+  }
+  return batch;
+}
+
 // Six metrics minute-major over [100, 130), with a hole filled late, a
 // duplicate, a NaN and a sample before its series start (too old).
-std::vector<Sample> dirty_feed() {
-  std::vector<Sample> feed;
+std::vector<FeedSample> dirty_feed() {
+  std::vector<FeedSample> feed;
   const auto add = [&](const MetricId& id, MinuteTime t, double v) {
-    feed.push_back(Sample{id, t, v, {}, {}});
+    feed.push_back(FeedSample{id, t, v});
   };
   const auto metric = [](int m) {
     return test_metric("s" + std::to_string(m),
@@ -605,8 +625,8 @@ struct FeedResult {
   std::map<std::string, std::uint64_t> counters;
 };
 
-FeedResult run_feed(const StoreOptions& options, std::vector<Sample> feed,
-                    bool batched) {
+FeedResult run_feed(const StoreOptions& options,
+                    const std::vector<FeedSample>& feed, bool batched) {
   FeedResult r;
   obs::Registry registry;  // outlives the store
   {
@@ -625,14 +645,15 @@ FeedResult run_feed(const StoreOptions& options, std::vector<Sample> feed,
       // Batches of 1, 7, 64 and 13 samples: the 64 exceed the async
       // queue's capacity, so the notification push waits in chunks.
       constexpr std::size_t kSizes[] = {1, 7, 64, 13};
-      const std::span<Sample> all(feed);
+      std::vector<Sample> batch = as_batch(store, feed);
+      const std::span<Sample> all(batch);
       for (std::size_t at = 0, k = 0; at < all.size(); ++k) {
         const std::size_t n = std::min(kSizes[k % 4], all.size() - at);
         store.append(all.subspan(at, n));
         at += n;
       }
     } else {
-      for (const Sample& s : feed) store.append(s.id, s.t, s.value);
+      for (const FeedSample& s : feed) store.append(s.id, s.t, s.value);
     }
     store.flush();
     for (const MetricId& id : store.metrics()) {
@@ -650,7 +671,7 @@ FeedResult run_feed(const StoreOptions& options, std::vector<Sample> feed,
 }
 
 TEST(ShardedStore, BatchAppendMatchesPerSampleAppends) {
-  const std::vector<Sample> feed = dirty_feed();
+  const std::vector<FeedSample> feed = dirty_feed();
   for (const std::size_t shards : {1, 4, 16}) {
     for (const std::size_t capacity : {0, 8}) {
       SCOPED_TRACE("shards " + std::to_string(shards) + ", queue " +
@@ -679,7 +700,7 @@ TEST(ShardedStore, BatchAppendMatchesPerSampleAppends) {
 
 TEST(ShardedStore, BatchAppendWithoutSubscribersOnlyApplies) {
   MetricStore store({.num_shards = 4, .ingest_queue_capacity = 4});
-  std::vector<Sample> feed = dirty_feed();
+  std::vector<Sample> feed = as_batch(store, dirty_feed());
   store.append(feed);
   store.flush();
   EXPECT_EQ(store.metric_count(), 6u);
@@ -687,6 +708,154 @@ TEST(ShardedStore, BatchAppendWithoutSubscribersOnlyApplies) {
   EXPECT_EQ(store.dropped_samples(), 0u);
   store.append(std::span<Sample>{});  // an empty batch is a no-op
   EXPECT_EQ(store.metric_count(), 6u);
+}
+
+// ---------------------------------------------------------------------------
+// Series table: interning hands out dense, stable refs and creates nothing
+// a reader can see; a filter resolved before its series exists still
+// matches it.
+
+TEST(ShardedStore, InterningCreatesNoSeries) {
+  MetricStore store({.num_shards = 4});
+  const MetricId a = test_metric("s1", "cpu_context_switch");
+  const MetricId b = test_metric("s2", "mem");
+  const SeriesRef ra = store.intern(a);
+  const SeriesRef rb = store.intern(b);
+  EXPECT_EQ(ra, 0u);
+  EXPECT_EQ(rb, 1u);
+  EXPECT_EQ(store.intern(a), ra);
+  EXPECT_EQ(store.intern(EntityKind::kServer, "s2", "mem"), rb);
+  EXPECT_NE(store.intern(EntityKind::kInstance, "s2", "mem"), rb);
+
+  EXPECT_FALSE(store.has(a));
+  EXPECT_EQ(store.metric_count(), 0u);
+  EXPECT_TRUE(store.metrics().empty());
+  EXPECT_TRUE(store.metrics_of(EntityKind::kServer, "s1").empty());
+  EXPECT_THROW(store.read(a, [](const TimeSeries&) { return 0; }), NotFound);
+  EXPECT_THROW((void)store.series(a), NotFound);
+  EXPECT_FALSE(store.read_if(a, [](const TimeSeries&) {}));
+
+  // Names past the first index and entry chunk keep their refs.
+  for (int i = 0; i < 1000; ++i) {
+    const MetricId id = test_metric("x" + std::to_string(i), "kpi");
+    ASSERT_EQ(store.intern(id), static_cast<SeriesRef>(i + 3));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(store.intern(test_metric("x" + std::to_string(i), "kpi")),
+              static_cast<SeriesRef>(i + 3));
+  }
+  EXPECT_EQ(store.intern(a), ra);
+
+  Sample s{rb, 5, 2.5, {}, {}};
+  store.append(std::span<Sample>(&s, 1));
+  EXPECT_TRUE(store.has(b));
+  EXPECT_FALSE(store.has(a));
+  EXPECT_EQ(store.metrics(), std::vector<MetricId>{b});
+  EXPECT_EQ(store.series(b).start_time(), 5);
+}
+
+TEST(ShardedStore, FilterResolvedBeforeItsSeriesExistsStillMatches) {
+  for (const std::size_t capacity : {0, 8}) {
+    MetricStore store({.num_shards = 4, .ingest_queue_capacity = capacity});
+    const MetricId later = test_metric("s9", "mem");
+    std::vector<MinuteTime> seen;  // dispatcher thread in async mode
+    store.subscribe({later}, [&](const MetricId& id, MinuteTime t, double) {
+      EXPECT_EQ(id, later);
+      seen.push_back(t);
+    });
+    EXPECT_FALSE(store.has(later));
+    for (MinuteTime t = 0; t < 3; ++t) {
+      store.append(test_metric("s1", "mem"), t, 1.0);
+      store.append(later, t, 2.0);
+    }
+    store.flush();
+    EXPECT_EQ(seen, (std::vector<MinuteTime>{0, 1, 2})) << capacity;
+  }
+}
+
+// Several producers intern new names and append them in batches while the
+// dispatcher delivers the interned names and the WAL writer encodes them:
+// every sample is delivered once under its own name, and the WAL recovers
+// every series. Run under ThreadSanitizer by scripts/tsan_concurrency.sh.
+TEST(ShardedStore, ProducersInternNewNamesWhileDispatcherAndWalReadRefs) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "funnel_store_interning";
+  std::filesystem::remove_all(dir);
+  constexpr int kProducers = 4;
+  constexpr int kNamesPerProducer = 150;
+  constexpr MinuteTime kMinutes = 4;
+  StoreOptions options{.num_shards = 4, .ingest_queue_capacity = 64};
+  options.data_dir = dir.string();
+  options.wal_queue_capacity = 64;
+  std::atomic<std::size_t> delivered{0};
+  std::atomic<std::size_t> mismatched{0};
+  std::map<SeriesRef, const MetricId*> names;  // dispatcher thread only
+  {
+    MetricStore store(options);
+    store.subscribe({}, [&](SeriesRef ref, const MetricId& id, MinuteTime,
+                            double v) {
+      // The value encodes the producer and name index; the delivered name
+      // must be the one that sample was appended under, and each ref's
+      // name the one interned object.
+      const int code = static_cast<int>(v);
+      const MetricId want =
+          test_metric("p" + std::to_string(code / kNamesPerProducer) + "-" +
+                          std::to_string(code % kNamesPerProducer),
+                      "kpi");
+      const MetricId*& interned = names[ref];
+      if (interned == nullptr) interned = &id;
+      if (id != want || &id != interned) ++mismatched;
+      ++delivered;
+    });
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        (void)store.metric_count();
+        (void)store.has(test_metric("p0-0", "kpi"));
+        store.read_if(test_metric("p1-1", "kpi"),
+                      [](const TimeSeries& s) { (void)s.size(); });
+      }
+    });
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (MinuteTime t = 0; t < kMinutes; ++t) {
+          std::vector<Sample> batch;
+          for (int n = 0; n < kNamesPerProducer; ++n) {
+            const std::string server =
+                "p" + std::to_string(p) + "-" + std::to_string(n);
+            batch.push_back(
+                Sample{store.intern(EntityKind::kServer, server, "kpi"), t,
+                       static_cast<double>(p * kNamesPerProducer + n),
+                       {},
+                       {}});
+          }
+          store.append(batch);
+        }
+      });
+    }
+    for (auto& th : producers) th.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+    store.flush();
+    store.wal_flush();
+    EXPECT_EQ(store.metric_count(),
+              static_cast<std::size_t>(kProducers * kNamesPerProducer));
+    EXPECT_EQ(store.wal_records_written(),
+              static_cast<std::uint64_t>(kProducers * kNamesPerProducer *
+                                         kMinutes));
+  }
+  EXPECT_EQ(delivered.load(),
+            static_cast<std::size_t>(kProducers * kNamesPerProducer *
+                                     kMinutes));
+  EXPECT_EQ(mismatched.load(), 0u);
+
+  const MetricStore recovered(options);
+  EXPECT_EQ(recovered.metric_count(),
+            static_cast<std::size_t>(kProducers * kNamesPerProducer));
+  EXPECT_EQ(recovered.query(test_metric("p3-149", "kpi"), 0, kMinutes),
+            std::vector<double>(kMinutes, 3.0 * kNamesPerProducer + 149));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/group_commit_queue.h"
 #include "common/json.h"
+#include "common/strings.h"
 
 namespace funnel::obs {
 
@@ -175,15 +176,6 @@ bool to_uint(const std::string& tok, std::uint64_t& out) {
   return true;
 }
 
-bool to_double(const std::string& tok, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(tok.c_str(), &end);
-  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 std::string to_jsonl(const JournalEvent& e) {
@@ -303,7 +295,7 @@ bool parse_jsonl(std::string_view line, JournalEvent& event) {
     };
     auto want_double = [&](std::optional<double>& slot) {
       double v;
-      if (!is_string && to_double(tok, v)) slot = v;
+      if (!is_string && parse_decimal(tok, v)) slot = v;
     };
 
     if (key == "v") {

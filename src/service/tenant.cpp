@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/json.h"
 #include "common/strings.h"
 #include "funnel/report_json.h"
+#include "tsdb/io.h"
 #include "tsdb/persist/format.h"
 #include "tsdb/persist/wal.h"
 
@@ -56,31 +54,6 @@ std::vector<std::string_view> splitn(std::string_view s, char sep,
 /// An optional '-' and decimal digits, inside MinuteTime's range.
 bool parse_minute(std::string_view s, MinuteTime* out) {
   return parse_number(s, *out);
-}
-
-bool parse_value(std::string_view s, double* out) {
-  if (s.empty() || s == "nan" || s == "NaN") {
-    *out = std::numeric_limits<double>::quiet_NaN();
-    return true;
-  }
-  // strtod needs a terminated string: a stack copy for any real number, a
-  // heap one only for the rare longer field, so both accept the same text.
-  char stack[64];
-  std::string heap;
-  char* buf = stack;
-  if (s.size() < sizeof(stack)) {
-    std::memcpy(stack, s.data(), s.size());
-    stack[s.size()] = '\0';
-  } else {
-    heap.assign(s);
-    buf = heap.data();
-  }
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf, &end);
-  if (end != buf + s.size() || errno == ERANGE) return false;
-  *out = v;
-  return true;
 }
 
 /// Split an ingest line into exactly five comma-separated fields (empty
@@ -391,7 +364,8 @@ IngestResult Tenant::ingest(std::string_view body) {
     MinuteTime minute = 0;
     double value = 0.0;
     if (!split5(line, f) || f[0].empty() || f[1].empty() || f[2].empty() ||
-        !parse_minute(f[3], &minute) || !parse_value(f[4], &value)) {
+        !parse_minute(f[3], &minute) ||
+        !tsdb::parse_sample_value(f[4], value)) {
       ++res.malformed;
       continue;
     }

@@ -9,21 +9,16 @@
 #include "common/strings.h"
 
 namespace funnel::tsdb {
-namespace {
 
-bool parse_value(const std::string& field, double* out) {
-  if (field.empty() || field == "nan" || field == "NaN") {
-    *out = std::numeric_limits<double>::quiet_NaN();
+bool parse_sample_value(std::string_view text, double& out) {
+  if (text.empty() || text == "nan" || text == "NaN") {
+    out = std::numeric_limits<double>::quiet_NaN();
     return true;
   }
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(field, &pos);
-    return pos == field.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  return parse_decimal(text, out);
 }
+
+namespace {
 
 EntityKind parse_kind(const std::string& s) {
   if (s == "server") return EntityKind::kServer;
@@ -69,7 +64,7 @@ TimeSeries read_series_csv(std::istream& in) {
                             ": bad minute '" + fields[0] + "'");
     }
     double value = 0.0;
-    FUNNEL_REQUIRE(parse_value(fields[1], &value),
+    FUNNEL_REQUIRE(parse_sample_value(fields[1], value),
                    "CSV line " + std::to_string(lineno) + ": bad value '" +
                        fields[1] + "'");
     if (first_sample) {
@@ -141,7 +136,7 @@ void read_store(std::istream& in, MetricStore& store) {
       FUNNEL_REQUIRE(static_cast<bool>(std::getline(in, line)),
                      "truncated snapshot: " + entity + "/" + kpi);
       double v = 0.0;
-      FUNNEL_REQUIRE(parse_value(line, &v), "bad sample: " + line);
+      FUNNEL_REQUIRE(parse_sample_value(line, v), "bad sample: " + line);
       series.append(v);
     }
     store.insert({parse_kind(kind), entity, kpi}, std::move(series));

@@ -12,11 +12,18 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "tsdb/series.h"
 #include "tsdb/store.h"
 
 namespace funnel::tsdb {
+
+/// Parse one sample value as the CSV reader and `/v1/ingest` read it:
+/// empty text and the literals nan/NaN are a collection gap (NaN); any other
+/// text must parse whole as funnel::parse_decimal() reads it, which is
+/// std::strtod's grammar without its ERANGE values. False on anything else.
+bool parse_sample_value(std::string_view text, double& out);
 
 /// Write `series` as CSV (`minute,value` with a header row).
 void write_series_csv(std::ostream& out, const TimeSeries& series);

@@ -8,10 +8,6 @@
 #include <fstream>
 #include <limits>
 
-#ifdef __unix__
-#include <unistd.h>
-#endif
-
 namespace funnel::tsdb::persist {
 
 namespace fs = std::filesystem;
@@ -88,25 +84,6 @@ bool decode_checkpoint(const std::string& bytes, CheckpointState& out) {
   if (!r.ok()) return false;
   out = std::move(s);
   return true;
-}
-
-void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) throw StorageError("cannot write: " + tmp);
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    throw StorageError("short write: " + tmp);
-  }
-  std::fflush(f);
-#ifdef __unix__
-  ::fsync(::fileno(f));
-#endif
-  std::fclose(f);
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) throw StorageError("cannot publish: " + path);
 }
 
 }  // namespace
@@ -428,7 +405,9 @@ void PersistBackend::commit_checkpoint(std::vector<SegmentColumn> columns,
     }
   }
   ckpt.watch_state = std::move(watch_state);
-  write_file_atomic(dir_ + "/" + kCheckpointName, encode_checkpoint(ckpt));
+  AtomicFileWriter out(dir_ + "/" + kCheckpointName);
+  out.write(encode_checkpoint(ckpt));
+  out.publish();
 
   // 5. Roll forward: new WAL, drop the old one and compacted-away files.
   wal_->rotate(wal_path(ckpt.wal_counter));

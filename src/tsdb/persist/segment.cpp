@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <utility>
@@ -40,26 +38,16 @@ std::uint64_t load_le64(const unsigned char* p) {
   }
 }
 
-void fwrite_or_throw(const void* data, std::size_t size, std::FILE* f,
-                     const std::string& path) {
-  if (size != 0 && std::fwrite(data, 1, size, f) != size) {
-    std::fclose(f);
-    throw StorageError("segment write failed: " + path);
-  }
-}
-
 }  // namespace
 
 std::uint64_t write_segment(const std::string& path, std::uint64_t epoch,
                             std::span<const SegmentColumn> columns) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) throw StorageError("cannot create segment: " + tmp);
+  AtomicFileWriter out(path);
 
   std::string header;
   header.append(kMagic, sizeof(kMagic));
   put_u64(header, epoch);
-  fwrite_or_throw(header.data(), header.size(), f, tmp);
+  out.write(header);
 
   // Stream the columns, recording each one's offsets for the footer. The
   // on-disk ints are LE, so the columns are re-encoded through the codec
@@ -68,10 +56,12 @@ std::uint64_t write_segment(const std::string& path, std::uint64_t epoch,
   std::string footer;
   std::string col;
   for (const SegmentColumn& c : columns) {
-    col.clear();
-    col.reserve(c.minutes.size() * 16);
-    for (MinuteTime m : c.minutes) put_i64(col, m);
-    for (double v : c.values) put_f64(col, v);
+    col.resize((c.minutes.size() + c.values.size()) * 8);
+    char* p = col.data();
+    for (MinuteTime m : c.minutes) {
+      p = store_le(p, static_cast<std::uint64_t>(m));
+    }
+    for (double v : c.values) p = store_le(p, std::bit_cast<std::uint64_t>(v));
 
     put_u8(footer, static_cast<std::uint8_t>(c.metric.kind));
     put_str(footer, c.metric.entity);
@@ -82,7 +72,7 @@ std::uint64_t write_segment(const std::string& path, std::uint64_t epoch,
     put_u64(footer, off);                         // minutes_off
     put_u64(footer, off + c.minutes.size() * 8);  // values_off
 
-    fwrite_or_throw(col.data(), col.size(), f, tmp);
+    out.write(col);
     off += col.size();
   }
 
@@ -91,20 +81,9 @@ std::uint64_t write_segment(const std::string& path, std::uint64_t epoch,
   put_u32(trailer, static_cast<std::uint32_t>(footer.size()));
   put_u32(trailer, crc32c(footer));
   trailer.append(kMagic, sizeof(kMagic));
-  fwrite_or_throw(footer.data(), footer.size(), f, tmp);
-  fwrite_or_throw(trailer.data(), trailer.size(), f, tmp);
-
-  std::fflush(f);
-#ifdef __unix__
-  ::fsync(::fileno(f));
-#endif
-  std::fclose(f);
-
-  // Atomic publish: a crash before the rename leaves only a .tmp stray,
-  // which recovery deletes; a crash after leaves a complete, valid file.
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) throw StorageError("cannot publish segment: " + path);
+  out.write(footer);
+  out.write(trailer);
+  out.publish();
   return off + footer.size() + kTrailerSize;
 }
 

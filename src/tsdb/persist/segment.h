@@ -49,9 +49,10 @@ struct SegmentColumn {
   std::vector<double> values;       ///< finite, parallel to `minutes`
 };
 
-/// Write a segment file atomically (tmp + rename). Columns must be sorted
-/// by metric id. Returns the file size in bytes; throws StorageError on any
-/// I/O failure.
+/// Write a segment file atomically (AtomicFileWriter: tmp + rename). Columns
+/// must be sorted by metric id. Returns the file size in bytes; throws
+/// StorageError on any I/O failure, including a failed flush, fsync or
+/// close, and then publishes nothing.
 std::uint64_t write_segment(const std::string& path, std::uint64_t epoch,
                             std::span<const SegmentColumn> columns);
 

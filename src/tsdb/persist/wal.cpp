@@ -1,5 +1,6 @@
 #include "tsdb/persist/wal.h"
 
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -21,36 +22,43 @@ constexpr std::size_t kFrameHeader = 8;
 // anything bigger than this is torn-tail garbage, not a record.
 constexpr std::uint32_t kMaxPayload = 1 << 20;
 
-void patch_u32(std::string& out, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-// Append one framed record to `out`: a placeholder header, the payload
-// encoded in place, then its length and CRC32C patched into the header. The
-// one frame encoder behind the writer and encode_wal_record().
+// Append one framed record to `out`: the frame is sized first, then every
+// field is stored in place and the payload's length and CRC32C written into
+// the header. The one frame encoder behind the writer and
+// encode_wal_record().
 void append_frame(std::string& out, const WalEntry& r) {
-  const std::size_t head = out.size();
-  out.append(kFrameHeader, '\0');
-  put_u8(out, kWalVersion);
-  put_u8(out, static_cast<std::uint8_t>(r.type));
-  put_u64(out, r.seq);
+  std::size_t len = 1 + 1 + 8;  // version, type, seq
   switch (r.type) {
     case WalRecordType::kSample:
-      put_u8(out, static_cast<std::uint8_t>(r.metric->kind));
-      put_str(out, r.metric->entity);
-      put_str(out, r.metric->kpi);
-      put_i64(out, r.minute);
-      put_f64(out, r.value);
+      len += 1 + 2 + r.metric->entity.size() + 2 + r.metric->kpi.size() + 8 +
+             8;  // kind, entity, kpi, minute, value
       break;
     case WalRecordType::kWatch:
-      put_u64(out, r.change_id);
+      len += 8;  // change id
       break;
   }
-  const std::size_t len = out.size() - head - kFrameHeader;
-  patch_u32(out, head, static_cast<std::uint32_t>(len));
-  patch_u32(out, head + 4, crc32c(out.data() + head + kFrameHeader, len));
+  const std::size_t head = out.size();
+  out.resize(head + kFrameHeader + len);
+  char* const payload = out.data() + head + kFrameHeader;
+  char* p = payload;
+  *p++ = static_cast<char>(kWalVersion);
+  *p++ = static_cast<char>(r.type);
+  p = store_le(p, r.seq);
+  switch (r.type) {
+    case WalRecordType::kSample:
+      *p++ = static_cast<char>(r.metric->kind);
+      p = store_str(p, r.metric->entity);
+      p = store_str(p, r.metric->kpi);
+      p = store_le(p, static_cast<std::uint64_t>(r.minute));
+      store_le(p, std::bit_cast<std::uint64_t>(r.value));
+      break;
+    case WalRecordType::kWatch:
+      store_le(p, r.change_id);
+      break;
+  }
+  char* const header = out.data() + head;
+  store_le(header, static_cast<std::uint32_t>(len));
+  store_le(header + 4, crc32c(payload, len));
 }
 
 bool decode_payload(std::string_view payload, WalRecord& out) {
@@ -141,22 +149,35 @@ struct CloseFile {
 }  // namespace
 
 struct WalWriter::Impl {
-  Impl(std::FILE* f, const WalWriterOptions& options, std::uint64_t first_seq)
+  Impl(std::FILE* f, const WalWriterOptions& options, std::uint64_t first_seq,
+       std::atomic<bool>& failed)
       : file(f),
         durability(options.durability),
         first_seq(first_seq),
+        failed(failed),
         queue(options.queue_capacity, common::Backpressure::kBlock,
               [this](std::vector<WalEntry>& batch) { commit(batch); }) {}
 
   void commit(const std::vector<WalEntry>& batch) {
+    // After a failed write the file may end in a partial frame, and
+    // recovery stops there: a later batch could never be read back.
+    if (failed.load(std::memory_order_acquire)) return;
     buf.clear();
     for (const WalEntry& rec : batch) append_frame(buf, rec);
     const auto commit_start = std::chrono::steady_clock::now();
-    std::fwrite(buf.data(), 1, buf.size(), file.get());
-    std::fflush(file.get());
+    bool written =
+        std::fwrite(buf.data(), 1, buf.size(), file.get()) == buf.size() &&
+        std::fflush(file.get()) == 0;
 #ifdef __unix__
-    if (durability == WalDurability::kFsync) ::fsync(::fileno(file.get()));
+    if (written && durability == WalDurability::kFsync) {
+      written = ::fsync(::fileno(file.get())) == 0;
+    }
 #endif
+    if (!written) {
+      failed.store(true, std::memory_order_release);
+      return;
+    }
+    records.fetch_add(batch.size(), std::memory_order_relaxed);
     bytes.fetch_add(buf.size(), std::memory_order_relaxed);
 
     if (const obs::Registry* reg = stats.load(std::memory_order_relaxed)) {
@@ -178,7 +199,9 @@ struct WalWriter::Impl {
   std::unique_ptr<std::FILE, CloseFile> file;
   const WalDurability durability;
   const std::uint64_t first_seq;  ///< seq of queue ticket 0
+  std::atomic<bool>& failed;      ///< WalWriter::failed_, latched by commit()
   std::string buf;                ///< writer thread only
+  std::atomic<std::uint64_t> records{0};
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<const obs::Registry*> stats{nullptr};
   /// Last member: destroyed first, so it drains into an open file.
@@ -192,7 +215,7 @@ WalWriter::WalWriter(std::string path, std::uint64_t next_seq,
   // the valid prefix continues the record stream seamlessly.
   std::FILE* file = std::fopen(path_.c_str(), "ab");
   failed_.store(file == nullptr, std::memory_order_release);
-  impl_ = std::make_unique<Impl>(file, options, next_seq);
+  impl_ = std::make_unique<Impl>(file, options, next_seq, failed_);
 }
 
 WalWriter::~WalWriter() = default;
@@ -201,6 +224,7 @@ std::uint64_t WalWriter::log(const WalRecord& record) {
   WalEntry entry = entry_of(record);
   const std::uint64_t seq = log(std::span<WalEntry>(&entry, 1));
   flush();
+  if (!ok()) throw StorageError("cannot write WAL: " + path_);
   return seq;
 }
 
@@ -221,7 +245,7 @@ std::uint64_t WalWriter::next_seq() const {
 }
 
 std::uint64_t WalWriter::records_written() const {
-  return impl_->queue.consumed();
+  return impl_->records.load(std::memory_order_relaxed);
 }
 
 std::uint64_t WalWriter::bytes_written() const {

@@ -131,7 +131,11 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// False when the file did not open, or a rotate() failed.
+  /// False when the file did not open, a rotate() failed, or a batch could
+  /// not be written: a failed fwrite, fflush or (under kFsync) fsync
+  /// latches the writer, drops every later batch unwritten, and makes the
+  /// next log() throw. A successful rotate() starts a fresh file and clears
+  /// the latch.
   bool ok() const { return !failed_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
 
@@ -145,7 +149,8 @@ class WalWriter {
   std::uint64_t log(std::span<WalEntry> entries);
 
   /// log() of one record that owns its name, returning its seq once the
-  /// record is written: the queued entry borrows `record`'s name.
+  /// record is written: the queued entry borrows `record`'s name. Throws
+  /// StorageError when the record could not be written.
   std::uint64_t log(const WalRecord& record);
 
   /// Barrier: returns once every record logged before the call is written
@@ -155,9 +160,9 @@ class WalWriter {
   /// Seq that the next log() will assign.
   std::uint64_t next_seq() const;
 
-  /// Records written to the file so far.
+  /// Records written to the file so far (a failed batch counts nothing).
   std::uint64_t records_written() const;
-  /// Frame bytes written to the file so far.
+  /// Frame bytes written to the file so far (a failed batch counts nothing).
   std::uint64_t bytes_written() const;
 
   /// Atomically switch the log to a new file (checkpoint rotation). Flushes

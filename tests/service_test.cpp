@@ -15,7 +15,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -545,7 +548,7 @@ TEST(Tenant, OnePostEqualsOnePostPerLineAcrossANewServer) {
 
 TEST(Tenant, OnePostEqualsOnePostPerLineAcrossMalformedLines) {
   const fs::path work = fs::temp_directory_path() / "funnel_service_batch";
-  const std::string body =
+  std::string body =
       "svc,s0,cpu,3,10.5\n"
       "garbage\n"
       "svc,s1,cpu,3, 11.5\n"        // strtod skips leading blanks
@@ -560,11 +563,45 @@ TEST(Tenant, OnePostEqualsOnePostPerLineAcrossMalformedLines) {
       "# comment\n"
       "\n"
       "svc,s1,cpu,5,13.5\r\n";
+  // The decimal parser's boundaries, each on its own minute of s0 from
+  // minute 10 on: 15 vs 16 significant digits and 22 vs 23 fraction digits
+  // (the fast path's limits), then text only strtod reads, then two values
+  // out of range.
+  const std::vector<std::string> boundary = {
+      "123456789012345", "1234567890123456", "0.0000000123456789012345",
+      "0.00000001234567890123456", "-0", "1.", ".5", "+1", " 1", "1e3",
+      "0x10", "inf", "nan(1)", "1e400", "4.9e-324"};
+  for (std::size_t i = 0; i < boundary.size(); ++i) {
+    body += "svc,s0,cpu," + std::to_string(10 + i) + "," + boundary[i] + "\n";
+  }
   const IngestOutcome per_line = ingest_lines(work, body, true);
   const IngestOutcome whole = ingest_lines(work, body, false);
   expect_same_ingest(whole, per_line);
-  EXPECT_EQ(whole.malformed, 6u);
-  EXPECT_EQ(whole.accepted, 6u + 6u);
+  EXPECT_EQ(whole.malformed, 6u + 2u);
+  EXPECT_EQ(whole.accepted, 6u + 6u + 13u);
+
+  // Every accepted boundary value is strtod's, bit for bit.
+  const std::vector<double>& s0 =
+      whole.series.at(tsdb::server_metric("s0", "cpu"));
+  for (std::size_t i = 0; i < boundary.size(); ++i) {
+    const std::size_t minute = 10 + i;
+    char* end = nullptr;
+    errno = 0;
+    const double want = std::strtod(boundary[i].c_str(), &end);
+    if (*end != '\0' || errno == ERANGE) {
+      EXPECT_TRUE(minute >= s0.size() || std::isnan(s0[minute]))
+          << boundary[i];
+      continue;
+    }
+    ASSERT_LT(minute, s0.size()) << boundary[i];
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(s0[minute])) << boundary[i];
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s0[minute]),
+                std::bit_cast<std::uint64_t>(want))
+          << boundary[i];
+    }
+  }
 }
 
 /// One minute of a 900-line body with funnelbench online_day's names: six

@@ -1,12 +1,15 @@
 // Tests for the persistent segment store (src/tsdb/persist): WAL framing
-// and torn-tail recovery at every byte offset, dirty-feed replay through
-// upsert_at, segment round-trips and merges, the checkpoint/recover cycle,
-// background compaction, cold (out-of-core) reads, and the StorageError
-// exit contract. The on-disk format under test is docs/STORAGE.md.
+// (golden frame bytes) and torn-tail recovery at every byte offset, CRC32C
+// known answers and the hardware path against the table loop, dirty-feed
+// replay through upsert_at, segment round-trips and merges, the
+// checkpoint/recover cycle, background compaction, cold (out-of-core)
+// reads, write errors on a full disk, and the StorageError exit contract.
+// The on-disk format under test is docs/STORAGE.md.
 #include "tsdb/persist/backend.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -16,7 +19,9 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "tsdb/persist/format.h"
@@ -193,6 +198,197 @@ TEST(Wal, FailedRotateThrowsAndTheWriterStillShutsDown) {
   EXPECT_EQ(rr.records[0].seq, 1u);
 }
 
+TEST(Wal, WriteErrorFailsLaterLogs) {
+  // /dev/full opens for append and fails every flush with ENOSPC.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  {
+    WalWriter w("/dev/full", /*next_seq=*/1);
+    ASSERT_TRUE(w.ok());
+    EXPECT_THROW(w.log(sample_record("s1", "cpu", 10, 1.0)), StorageError);
+    EXPECT_FALSE(w.ok());
+    EXPECT_THROW(w.log(sample_record("s1", "cpu", 11, 2.0)), StorageError);
+    EXPECT_THROW(w.log(sample_record("s1", "cpu", 12, 3.0)), StorageError);
+    // Nothing reached the device, so nothing counts as written.
+    EXPECT_EQ(w.records_written(), 0u);
+    EXPECT_EQ(w.bytes_written(), 0u);
+
+    // Rotating to a writable file (a checkpoint) clears the latch; only
+    // the first record got a seq, so the next one is 2.
+    const fs::path next = scratch("wal_write_error") / "wal-000002.log";
+    w.rotate(next.string());
+    EXPECT_TRUE(w.ok());
+    EXPECT_EQ(w.log(sample_record("s1", "cpu", 13, 4.0)), 2u);
+    EXPECT_EQ(w.records_written(), 1u);
+    const WalReadResult rr = read_wal(next.string());
+    ASSERT_EQ(rr.records.size(), 1u);
+    EXPECT_EQ(rr.records[0].seq, 2u);
+  }
+  {
+    // A batch log() returns before its commit; the failed commit latches
+    // the writer and the next log() throws.
+    const MetricId id = server_metric("s1", "cpu");
+    WalWriter w("/dev/full", /*next_seq=*/1);
+    std::vector<WalEntry> batch(3);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].metric = &id;
+      batch[i].minute = static_cast<MinuteTime>(i);
+    }
+    EXPECT_EQ(w.log(std::span<WalEntry>(batch)), 1u);
+    w.flush();
+    EXPECT_FALSE(w.ok());
+    EXPECT_THROW(w.log(std::span<WalEntry>(batch)), StorageError);
+    EXPECT_EQ(w.records_written(), 0u);
+    EXPECT_EQ(w.bytes_written(), 0u);
+  }
+}
+
+std::string to_hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+std::string repeat_hex(const std::string& byte_hex, std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += byte_hex;
+  return out;
+}
+
+// The byte-level WAL contract (docs/STORAGE.md §2), pinned frame by frame:
+// [u32 len][u32 crc32c(payload)] then version, type, seq and the fields.
+TEST(Wal, EncodesGoldenFrames) {
+  WalRecord gap;  // empty entity, NaN value
+  gap.seq = 1;
+  gap.metric = server_metric("", "cpu");
+  gap.minute = 4400;
+  gap.value = std::numeric_limits<double>::quiet_NaN();
+  WalRecord wide;  // service kind, 255-byte entity, -0.0, negative minute
+  wide.seq = 0x0102030405060708ull;
+  wide.metric = MetricId{EntityKind::kService, std::string(255, 'n'),
+                         "error_count"};
+  wide.minute = -3;
+  wide.value = -0.0;
+  WalRecord watch;
+  watch.type = WalRecordType::kWatch;
+  watch.seq = 3;
+  watch.change_id = 42;
+
+  EXPECT_EQ(to_hex(encode_wal_record(gap)),
+            "22000000"            // len 34
+            "84f2ef16"            // crc32c
+            "01"                  // kWalVersion
+            "01"                  // kSample
+            "0100000000000000"    // seq 1
+            "00"                  // kServer
+            "0000"                // entity ""
+            "0300637075"          // kpi "cpu"
+            "3011000000000000"    // minute 4400
+            "000000000000f87f");  // quiet NaN
+  EXPECT_EQ(to_hex(encode_wal_record(wide)),
+            "29010000"                              // len 297
+            "e44cf913"                              // crc32c
+            "0101"                                  // version, kSample
+            "0807060504030201"                      // seq
+            "02"                                    // kService
+            "ff00" + repeat_hex("6e", 255) +        // entity "nnn…"
+                "0b006572726f725f636f756e74"        // kpi "error_count"
+                "fdffffffffffffff"                  // minute -3
+                "0000000000000080");                // -0.0
+  EXPECT_EQ(to_hex(encode_wal_record(watch)),
+            "12000000"            // len 18
+            "4f8c3eb7"            // crc32c
+            "01"                  // kWalVersion
+            "02"                  // kWatch
+            "0300000000000000"    // seq 3
+            "2a00000000000000");  // change id 42
+
+  // And the frames read back bit-exactly.
+  const fs::path dir = scratch("wal_golden");
+  const fs::path path = dir / "wal-000001.log";
+  spit(path, encode_wal_record(gap) + encode_wal_record(wide) +
+                 encode_wal_record(watch));
+  const WalReadResult rr = read_wal(path.string());
+  ASSERT_EQ(rr.records.size(), 3u);
+  EXPECT_EQ(rr.skipped_bytes, 0u);
+  EXPECT_EQ(rr.records[0].metric, gap.metric);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(rr.records[0].value),
+            std::bit_cast<std::uint64_t>(gap.value));
+  EXPECT_EQ(rr.records[1].metric, wide.metric);
+  EXPECT_EQ(rr.records[1].seq, wide.seq);
+  EXPECT_EQ(rr.records[1].minute, -3);
+  EXPECT_TRUE(std::signbit(rr.records[1].value));
+  EXPECT_EQ(rr.records[1].value, 0.0);
+  EXPECT_EQ(rr.records[2].type, WalRecordType::kWatch);
+  EXPECT_EQ(rr.records[2].change_id, 42u);
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C
+
+TEST(Crc32c, KnownAnswerVectors) {
+  // RFC 3720 B.4, and the check value of "123456789".
+  std::string up(32, '\0');
+  std::string down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  const std::pair<std::string, std::uint32_t> cases[] = {
+      {std::string(32, '\x00'), 0x8A9136AAu},
+      {std::string(32, '\xff'), 0x62A8AB43u},
+      {up, 0x46DD794Eu},
+      {down, 0x113FDB5Cu},
+      {"123456789", 0xE3069283u},
+      {"", 0u},
+  };
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(crc32c(bytes), want) << to_hex(bytes);
+    EXPECT_EQ(crc32c_portable(bytes.data(), bytes.size()), want)
+        << to_hex(bytes);
+  }
+}
+
+// crc32c() takes the SSE4.2 path on a CPU that has it; it must give the
+// table loop's value at every length, alignment and seed.
+TEST(Crc32c, DispatchedPathMatchesTheTableLoop) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  RecordProperty("sse4_2", __builtin_cpu_supports("sse4.2") ? "yes" : "no");
+#endif
+  std::vector<unsigned char> buf(1024 + 8);
+  std::uint32_t x = 2463534242u;  // xorshift32
+  for (unsigned char& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<unsigned char>(x);
+  }
+  std::uint32_t seed = 0;
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const unsigned char* p = buf.data() + off;
+      const std::uint32_t want = crc32c_portable(p, len, seed);
+      ASSERT_EQ(crc32c(p, len, seed), want)
+          << "len=" << len << " off=" << off << " seed=" << seed;
+      seed = want;  // chain each result into the next call's seed
+    }
+  }
+  // A seed continues a checksum: the CRC of a split buffer is the CRC of
+  // the whole.
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const std::uint32_t whole = crc32c(buf.data(), len);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      ASSERT_EQ(crc32c(buf.data() + cut, len - cut, crc32c(buf.data(), cut)),
+                whole)
+          << "len=" << len << " cut=" << cut;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Segments
 
@@ -280,6 +476,26 @@ TEST(Segment, CorruptFooterThrowsStorageError) {
   bytes[bytes.size() - 30] ^= 0xff;  // damage the footer region
   spit(path, bytes);
   EXPECT_THROW(SegmentReader reader(path), StorageError);
+}
+
+// A full disk fails the flush of a write that fit in stdio's buffer: the
+// .tmp (a link to /dev/full here) must not be renamed into place.
+TEST(Segment, FullDiskPublishesNothing) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const fs::path dir = scratch("segment_full");
+  const fs::path path = dir / "seg-000001.seg";
+  const fs::path tmp = dir / "seg-000001.seg.tmp";
+  fs::create_symlink("/dev/full", tmp);
+  SegmentColumn c;
+  c.metric = server_metric("s1", "cpu");
+  c.lo = 0;
+  c.hi = 2;
+  c.minutes = {0, 1};
+  c.values = {1, 2};
+  EXPECT_THROW(write_segment(path.string(), 1, std::vector<SegmentColumn>{c}),
+               StorageError);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path)));
+  EXPECT_FALSE(fs::exists(fs::symlink_status(tmp)));
 }
 
 // ---------------------------------------------------------------------------
@@ -421,6 +637,30 @@ TEST(PersistentStore, FailedWalRotateFailsCheckpointAndLaterAppends) {
   EXPECT_THROW(store.checkpoint(), StorageError);
   EXPECT_TRUE(fs::exists(dir / "wal-000001.log"));  // not rotated away
   EXPECT_THROW(store.append(id, 1, 2.0), StorageError);
+}
+
+TEST(PersistentStore, FullDiskCheckpointKeepsThePreviousOne) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const fs::path dir = scratch("checkpoint_full");
+  const MetricId id = server_metric("s1", "cpu");
+  {
+    MetricStore store(persistent_options(dir));
+    store.append(id, 0, 1.0);
+    store.checkpoint();
+    const std::string previous = slurp(dir / "checkpoint");
+    store.append(id, 1, 2.0);
+    fs::create_symlink("/dev/full", dir / "checkpoint.tmp");
+    EXPECT_THROW(store.checkpoint(), StorageError);
+    ASSERT_FALSE(fs::is_symlink(dir / "checkpoint"));
+    EXPECT_EQ(slurp(dir / "checkpoint"), previous);
+    EXPECT_FALSE(fs::exists(fs::symlink_status(dir / "checkpoint.tmp")));
+  }
+  // The previous checkpoint and the WAL after it still hold every sample.
+  MetricStore again(persistent_options(dir));
+  again.read(id, [](const TimeSeries& s) {
+    EXPECT_EQ(s.at(0), 1.0);
+    EXPECT_EQ(s.at(1), 2.0);
+  });
 }
 
 TEST(PersistentStore, CorruptCheckpointThrowsStorageError) {

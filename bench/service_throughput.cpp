@@ -16,7 +16,6 @@
 // comparable. Writes BENCH_service.json (--json FILE to relocate) with the
 // host it ran on (hardware threads, build type, git commit);
 // tests/service_bench_smoke.cmake runs --quick and validates the shape.
-// FUNNEL_OBS=OFF compiles the HTTP server out: exits 77 (the smoke skips).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -34,7 +33,6 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
-#include "obs/registry.h"
 #include "service/service.h"
 
 using namespace funnel;
@@ -249,12 +247,6 @@ int main(int argc, char** argv) {
       json_path = argv[i + 1];
     }
   }
-  if (!obs::kEnabled) {
-    std::fprintf(stderr,
-                 "skip: FUNNEL_OBS=OFF compiles the HTTP server out\n");
-    return 77;  // ctest SKIP_RETURN_CODE
-  }
-
   const MinuteTime minutes = quick ? 2'000 : 20'000;
   const std::size_t cycles = quick ? 8 : 32;
   std::vector<std::pair<std::size_t, std::size_t>> grid =

@@ -195,11 +195,11 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   ItemVerdict verdict;
   verdict.metric = metric;
 
-  // Journal sink for this determination (null/inactive = zero cost). Like
+  // Journal sink for this determination (null or !ok() = zero cost). Like
   // stats and tracer it is a side channel: events describe the verdict, the
   // verdict never depends on them.
   const obs::Journal* journal = config_.journal;
-  const bool journal_on = journal != nullptr && journal->active();
+  const bool journal_on = journal != nullptr && journal->ok();
 
   // Per-KPI provenance span. Runs on a pool worker in the parallel path;
   // the ambient context installed by parallel_for parents it under the

@@ -379,7 +379,7 @@ void FunnelOnline::finalize(changes::ChangeId id, bool timed_out) {
   report.change_time = change.time;
   report.impact_set = watch.set;
   const obs::Journal* journal = config_.journal;
-  const bool journal_on = journal != nullptr && journal->active();
+  const bool journal_on = journal != nullptr && journal->ok();
   {
     obs::Span trace_span(watch.trace.context(), "funnel.online.finalize");
     if (trace_span.active() && timed_out) {

@@ -9,6 +9,34 @@
 namespace funnel::linalg {
 namespace {
 
+// Whether the sweep limit left a real failure behind: a pair of W's columns
+// that is still not orthogonal while both columns carry weight. On a
+// rank-deficient input (an integer-valued KPI's Hankel matrix) the rotations
+// drive the null columns down to rounding noise, and noise never becomes
+// orthogonal; a column whose squared norm is below 1e-30·‖A‖²_F is that
+// noise, and U·S·Vᵀ is exact without it.
+bool has_live_pair(const Matrix& a, const Matrix& w, double tol) {
+  double fro2 = 0.0;
+  for (double x : a.data()) fro2 += x * x;
+  const double floor = 1e-30 * fro2;
+  const std::size_t m = w.rows();
+  const std::size_t n = w.cols();
+  for (std::size_t p = 0; p + 1 < n; ++p) {
+    for (std::size_t q = p + 1; q < n; ++q) {
+      double alpha = 0.0, beta = 0.0, gamma = 0.0;
+      for (std::size_t i = 0; i < m; ++i) {
+        alpha += w(i, p) * w(i, p);
+        beta += w(i, q) * w(i, q);
+        gamma += w(i, p) * w(i, q);
+      }
+      const bool orthogonal =
+          std::abs(gamma) <= tol * std::sqrt(alpha * beta) || gamma == 0.0;
+      if (!orthogonal && alpha > floor && beta > floor) return true;
+    }
+  }
+  return false;
+}
+
 // One-sided Jacobi on a tall (m >= n) matrix: repeatedly rotate column pairs
 // of W (a working copy of A) to orthogonality while accumulating the same
 // rotations into V. Afterwards the column norms of W are the singular values
@@ -56,7 +84,7 @@ Svd jacobi_tall(const Matrix& a, double tol, int max_sweeps) {
       }
     }
     if (converged) break;
-    if (sweep == max_sweeps - 1) {
+    if (sweep == max_sweeps - 1 && has_live_pair(a, w, tol)) {
       throw NumericalError("jacobi_svd: sweep limit exceeded");
     }
   }

@@ -25,8 +25,10 @@ struct Svd {
 /// Compute the thin SVD of `a` by one-sided Jacobi iteration.
 ///
 /// Converges when every pair of columns is numerically orthogonal
-/// (relative inner product below `tol`). Throws NumericalError if the sweep
-/// limit is exceeded, which for well-scaled inputs does not happen.
+/// (relative inner product below `tol`). At the sweep limit a pair that is
+/// still not orthogonal is tolerated when one of its columns is rounding
+/// noise (squared norm below 1e-30·‖A‖²_F, as a rank-deficient input
+/// leaves); any other throws NumericalError.
 Svd jacobi_svd(const Matrix& a, double tol = 1e-12, int max_sweeps = 64);
 
 /// Reconstruct U S Vᵀ (testing helper).

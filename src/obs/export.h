@@ -1,8 +1,8 @@
 // Exporters for telemetry snapshots (obs/registry.h).
 //
-// Both formats render a merged Snapshot, so they work identically for a
-// live registry (`snapshot_json(reg.snapshot())`) and in the FUNNEL_OBS=OFF
-// build (where the snapshot is empty and `"enabled":false`).
+// Both formats render a merged Snapshot: a live registry's
+// (`snapshot_json(reg.snapshot())`) or a default-constructed one when no
+// registry is attached (empty, with `"enabled":false`).
 #pragma once
 
 #include <string>

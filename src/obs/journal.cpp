@@ -419,19 +419,6 @@ std::uint64_t repair_journal(const std::string& path,
   return ec ? 0 : kept;
 }
 
-#ifdef FUNNEL_OBS_OFF
-
-Journal::Journal(std::string path, JournalOptions options)
-    : path_(std::move(path)) {
-  // Create (or truncate) the file so --journal keeps its open-check and
-  // empty-journal semantics; nothing will ever be written to it.
-  std::FILE* f = std::fopen(path_.c_str(), options.truncate ? "wb" : "ab");
-  ok_ = (f != nullptr);
-  if (f != nullptr) std::fclose(f);
-}
-
-#else  // FUNNEL_OBS_OFF
-
 namespace {
 
 struct CloseFile {
@@ -443,12 +430,16 @@ struct CloseFile {
 // Writer-side state: the queue's consumer serializes and commits each
 // drained batch.
 struct Journal::Impl {
-  Impl(std::FILE* f, std::size_t capacity)
+  Impl(std::FILE* f, std::size_t capacity, std::atomic<bool>& failed)
       : file(f),
+        failed(failed),
         queue(capacity, common::Backpressure::kBlock,
               [this](std::vector<JournalEvent>& batch) { commit(batch); }) {}
 
   void commit(const std::vector<JournalEvent>& batch) {
+    // After a failed write the file may end in a torn line, and a later
+    // batch would be glued onto it.
+    if (failed.load(std::memory_order_acquire)) return;
     // Group commit: under steady load the writer outruns the producers and
     // a batch is one event (a crash loses at most the line in flight);
     // under bursts the batch amortizes the fwrite + fflush so the queue
@@ -458,10 +449,14 @@ struct Journal::Impl {
       buf += to_jsonl(event);
       buf += '\n';
     }
-    std::fwrite(buf.data(), 1, buf.size(), file.get());
     // One fflush per batch: the crash-tolerance story is "lose at most
     // the batch being written", not "lose a stdio buffer full".
-    std::fflush(file.get());
+    if (std::fwrite(buf.data(), 1, buf.size(), file.get()) != buf.size() ||
+        std::fflush(file.get()) != 0) {
+      failed.store(true, std::memory_order_release);
+      return;
+    }
+    written.fetch_add(batch.size(), std::memory_order_relaxed);
 
     if (observer) {
       for (const JournalEvent& event : batch) observer(event);
@@ -476,7 +471,9 @@ struct Journal::Impl {
   }
 
   std::unique_ptr<std::FILE, CloseFile> file;
-  std::string buf;  ///< writer thread only
+  std::atomic<bool>& failed;  ///< Journal::failed_, latched by commit()
+  std::string buf;            ///< writer thread only
+  std::atomic<std::uint64_t> written{0};
   std::function<void(const JournalEvent&)> observer;
   std::atomic<const Registry*> stats{nullptr};
   /// Last member: destroyed first, so it drains into an open file.
@@ -486,30 +483,32 @@ struct Journal::Impl {
 Journal::Journal(std::string path, JournalOptions options)
     : path_(std::move(path)) {
   std::FILE* file = std::fopen(path_.c_str(), options.truncate ? "wb" : "ab");
-  ok_ = (file != nullptr);
-  if (ok_) impl_ = std::make_unique<Impl>(file, options.queue_capacity);
+  failed_.store(file == nullptr, std::memory_order_release);
+  if (file != nullptr) {
+    impl_ = std::make_unique<Impl>(file, options.queue_capacity, failed_);
+  }
 }
 
 Journal::~Journal() = default;
 
 void Journal::append(JournalEvent event) const {
-  if (ok_) impl_->queue.push(std::move(event));
+  if (ok()) impl_->queue.push(std::move(event));
 }
 
 void Journal::flush() const {
-  if (ok_) impl_->queue.flush();
+  if (impl_) impl_->queue.flush();
 }
 
 std::uint64_t Journal::appended() const {
-  return ok_ ? impl_->queue.pushed() : 0;
+  return impl_ ? impl_->queue.pushed() : 0;
 }
 
 std::uint64_t Journal::written() const {
-  return ok_ ? impl_->queue.consumed() : 0;
+  return impl_ ? impl_->written.load(std::memory_order_relaxed) : 0;
 }
 
 void Journal::set_stats(const Registry* stats) const {
-  if (!ok_) return;
+  if (!impl_) return;
   impl_->stats.store(stats, std::memory_order_relaxed);
   if (stats != nullptr) {
     stats->set("funnel.journal.queue_capacity",
@@ -521,14 +520,12 @@ void Journal::set_stats(const Registry* stats) const {
 }
 
 void Journal::set_observer(std::function<void(const JournalEvent&)> observer) {
-  if (!ok_) return;
+  if (!impl_) return;
   // Quiesce first so the writer thread never races the assignment; callers
   // are told to set the observer before appending or after a flush(), this
   // flush makes the former safe even mid-stream.
   flush();
   impl_->observer = std::move(observer);
 }
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

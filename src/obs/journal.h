@@ -26,19 +26,20 @@
 //     truncates at most the final line; under bursts at most the in-flight
 //     batch tail is lost. read_journal() tolerates (and counts) a truncated
 //     or corrupt trailing line, so replay after a crash never loses the file.
+//   * A failed fwrite or fflush latches the writer, as in the WAL: later
+//     batches are dropped unwritten, written() counts only committed
+//     events, and ok() turns false, so a checkpoint never claims events the
+//     file lacks and the CLI can report the loss.
 //   * The journal is a sink: a `const Journal*` on FunnelConfig, null means
 //     off at zero cost, and assessment reports are byte-identical with the
 //     journal attached or not (regression-tested in funnel_journal_test).
-//   * -DFUNNEL_OBS=OFF compiles append()/flush() to no-ops (no queue, no
-//     writer thread); the ctor still creates the file so CLI flows keep
-//     their exit-code contract. The codec and reader stay live in both
-//     builds — replay tooling must parse journals written by enabled builds.
 //
 // Event-key naming mirrors the stat convention: short, flat, snake_case.
 // The schema is versioned ("v"); readers skip lines whose version they do
 // not understand rather than failing the replay.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -143,37 +144,6 @@ struct JournalOptions {
   bool truncate = true;
 };
 
-#ifdef FUNNEL_OBS_OFF
-
-/// FUNNEL_OBS=OFF: emission compiles to no-ops. The file is still created
-/// (empty) so --journal keeps its path/exit-code contract, but no queue or
-/// writer thread exists and append() costs nothing.
-class Journal {
- public:
-  explicit Journal(std::string path, JournalOptions = {});
-  ~Journal() = default;
-
-  Journal(const Journal&) = delete;
-  Journal& operator=(const Journal&) = delete;
-
-  bool ok() const { return ok_; }
-  constexpr bool active() const { return false; }
-  const std::string& path() const { return path_; }
-
-  void append(JournalEvent) const {}
-  void flush() const {}
-  std::uint64_t appended() const { return 0; }
-  std::uint64_t written() const { return 0; }
-  void set_stats(const Registry*) const {}
-  void set_observer(std::function<void(const JournalEvent&)>) {}
-
- private:
-  std::string path_;
-  bool ok_ = false;
-};
-
-#else  // FUNNEL_OBS_OFF
-
 /// Append-only JSONL journal with a bounded queue and one writer thread.
 /// Recording goes through a `const Journal*` (a journal is a sink, like the
 /// registry and tracer); the journal must outlive every component holding
@@ -193,9 +163,11 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  bool ok() const { return ok_; }
-  /// True when events appended now will reach the file: opened and enabled.
-  bool active() const { return ok_; }
+  /// False when the file did not open or a batch could not be written: a
+  /// failed fwrite or fflush latches the writer and drops every later
+  /// batch unwritten. Check it after flush() to learn whether every
+  /// appended event reached the file.
+  bool ok() const { return !failed_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
 
   /// Enqueue one event (any thread). Blocks while the queue is full; never
@@ -203,12 +175,14 @@ class Journal {
   void append(JournalEvent event) const;
 
   /// Barrier: returns once every event appended before the call has been
-  /// written + fflush()-ed. No-op when !ok().
+  /// written + fflush()-ed (or dropped by a latched writer). No-op when the
+  /// file did not open.
   void flush() const;
 
   /// Events accepted by append().
   std::uint64_t appended() const;
-  /// Events serialized and written to the file so far.
+  /// Events serialized and written to the file so far (a failed batch
+  /// counts nothing).
   std::uint64_t written() const;
 
   /// Attach a telemetry registry (null detaches): `funnel.journal.events`,
@@ -228,10 +202,8 @@ class Journal {
  private:
   struct Impl;
   std::string path_;
-  bool ok_ = false;
-  std::unique_ptr<Impl> impl_;
+  std::atomic<bool> failed_{false};  ///< open failure, or latched by a write
+  std::unique_ptr<Impl> impl_;       ///< null when the file did not open
 };
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

@@ -16,9 +16,7 @@
 // Every handler reads only thread-safe state (Registry::snapshot, atomics,
 // the contributors fixed before start()), because handlers run
 // concurrently on the server's worker pool. The plane is a side channel
-// like the rest of obs: reports are byte-identical with it running or not,
-// and under FUNNEL_OBS=OFF start() fails with the server stub's "compiled
-// out" error.
+// like the rest of obs: reports are byte-identical with it running or not.
 #pragma once
 
 #include <atomic>
@@ -98,7 +96,7 @@ class TelemetryPlane {
   void add_health(std::function<std::vector<HealthCheck>()> contributor);
 
   /// Register routes and start the server. False (see error()) on bind
-  /// failure or under FUNNEL_OBS=OFF.
+  /// failure.
   bool start();
 
   void stop();

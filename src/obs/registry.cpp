@@ -23,8 +23,6 @@ std::span<const double> bucket_bounds() {
   return {kBounds.data(), kBounds.size()};
 }
 
-#ifndef FUNNEL_OBS_OFF
-
 // Shard cells are written only by the owning thread and read by snapshot();
 // owner-only writes mean plain load-modify-store on relaxed atomics is
 // race-free and exact — no CAS loops, no contention.
@@ -202,7 +200,5 @@ Snapshot Registry::snapshot() const {
   }
   return snap;
 }
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

@@ -22,8 +22,6 @@
 //     overflow bucket). That covers microsecond stage durations and
 //     minute-valued time-to-verdict alike; exact mean/min/max are tracked
 //     alongside, so the buckets only need to localize the distribution.
-//   * Configuring with -DFUNNEL_OBS=OFF compiles the whole registry to
-//     no-ops (empty inline bodies); call sites need no #ifdefs.
 //
 // Key naming convention (see DESIGN.md "Self-observability"):
 //   <subsystem>.<object>.<stat>[_<unit>]   e.g. funnel.assess.sst_us,
@@ -60,8 +58,8 @@ struct HistogramSnapshot {
   double mean() const { return count == 0 ? 0.0 : sum / count; }
 };
 
-/// Point-in-time merge of every shard. `enabled` is false when the build
-/// compiled the registry to no-ops (FUNNEL_OBS=OFF).
+/// Point-in-time merge of every shard. `enabled` is true for a registry's
+/// snapshot and false for a default-constructed one (no registry attached).
 struct Snapshot {
   bool enabled = false;
   std::map<std::string, std::uint64_t> counters;
@@ -69,23 +67,7 @@ struct Snapshot {
   std::map<std::string, HistogramSnapshot> histograms;
 };
 
-#ifdef FUNNEL_OBS_OFF
-
-inline constexpr bool kEnabled = false;
-
-class Registry {
- public:
-  void add(std::string_view, std::uint64_t = 1) const {}
-  void set(std::string_view, double) const {}
-  void observe(std::string_view, double) const {}
-  void declare_counter(std::string_view) const {}
-  void declare_gauge(std::string_view) const {}
-  void declare_histogram(std::string_view) const {}
-  Snapshot snapshot() const { return {}; }
-};
-
-#else  // FUNNEL_OBS_OFF
-
+// Telemetry is always compiled in; funnelbench/main.cpp reads this.
 inline constexpr bool kEnabled = true;
 
 class Registry {
@@ -128,7 +110,5 @@ class Registry {
   mutable std::mutex mutex_;  ///< guards shards_ (creation + snapshot)
   mutable std::vector<std::unique_ptr<Shard>> shards_;
 };
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

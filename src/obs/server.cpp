@@ -1,7 +1,5 @@
 #include "obs/server.h"
 
-#ifndef FUNNEL_OBS_OFF
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -55,6 +53,15 @@ void write_all(int fd, const char* data, std::size_t len) {
     data += static_cast<std::size_t>(n);
     len -= static_cast<std::size_t>(n);
   }
+}
+
+/// A text/plain answer with no extra headers: every status the server
+/// produces itself rather than through a handler.
+HttpResponse plain(int status, std::string body) {
+  HttpResponse resp;
+  resp.status = status;
+  resp.body = std::move(body);
+  return resp;
 }
 
 void write_response(int fd, const HttpResponse& resp, bool head_only) {
@@ -259,10 +266,10 @@ struct HttpServer::Impl {
         ::close(fd);
         return;
       }
-      resp = {400, "text/plain; charset=utf-8", "bad request\n"};
+      resp = plain(400, "bad request\n");
     } else if (req.method != "GET" && req.method != "HEAD" &&
                req.method != "POST") {
-      resp = {405, "text/plain; charset=utf-8", "method not allowed\n"};
+      resp = plain(405, "method not allowed\n");
     } else {
       head_only = req.method == "HEAD";
       // Route before body: 404/405 never depend on (or wait for) a
@@ -271,26 +278,23 @@ struct HttpServer::Impl {
       bool path_known = false;
       handler = find_handler(req.path, req.method == "POST", &path_known);
       if (handler == nullptr) {
-        resp = path_known
-                   ? HttpResponse{405, "text/plain; charset=utf-8",
-                                  "method not allowed\n"}
-                   : HttpResponse{404, "text/plain; charset=utf-8",
-                                  "not found\n"};
+        resp = path_known ? plain(405, "method not allowed\n")
+                          : plain(404, "not found\n");
       } else {
         // Body: Content-Length-bounded. 411 on a POST that declares none,
         // 413 past max_body_bytes (the payload is never read), 400 on a
         // malformed length or a body cut short.
         std::optional<std::size_t> content_length;
         if (!parse_content_length(buf, head_end, &content_length)) {
-          resp = {400, "text/plain; charset=utf-8", "bad content-length\n"};
+          resp = plain(400, "bad content-length\n");
         } else if (req.method == "POST" && !content_length.has_value()) {
-          resp = {411, "text/plain; charset=utf-8", "length required\n"};
+          resp = plain(411, "length required\n");
         } else if (content_length.value_or(0) > options.max_body_bytes) {
-          resp = {413, "text/plain; charset=utf-8", "payload too large\n"};
+          resp = plain(413, "payload too large\n");
         } else {
           req.body = buf.substr(head_end);
           if (!read_request_body(fd, content_length.value_or(0), &req.body)) {
-            resp = {400, "text/plain; charset=utf-8", "incomplete body\n"};
+            resp = plain(400, "incomplete body\n");
           } else {
             parsed = true;
           }
@@ -301,10 +305,9 @@ struct HttpServer::Impl {
       try {
         resp = (*handler)(req);
       } catch (const std::exception& e) {
-        resp = {500, "text/plain; charset=utf-8",
-                std::string("handler error: ") + e.what() + "\n"};
+        resp = plain(500, std::string("handler error: ") + e.what() + "\n");
       } catch (...) {
-        resp = {500, "text/plain; charset=utf-8", "handler error\n"};
+        resp = plain(500, "handler error\n");
       }
     }
     write_response(fd, resp, head_only);
@@ -351,8 +354,7 @@ struct HttpServer::Impl {
       if (shed) {
         // Load-shed from the accept thread: a scrape storm gets 503s, the
         // worker queue stays bounded.
-        write_response(fd, {503, "text/plain; charset=utf-8", "overloaded\n"},
-                       false);
+        write_response(fd, plain(503, "overloaded\n"), false);
         ::close(fd);
         account(503, 0.0);
       } else {
@@ -484,5 +486,3 @@ void HttpServer::set_stats(const Registry* stats) {
 }
 
 }  // namespace funnel::obs
-
-#endif  // FUNNEL_OBS_OFF

@@ -37,9 +37,6 @@
 //     harnesses and --port-file use this). A bind/listen failure is NOT
 //     fatal to the caller: start() returns false and error() carries the
 //     errno text — funnel_serve turns that into exit 3 with a diagnostic.
-//   * -DFUNNEL_OBS=OFF compiles the server to a stub whose start() always
-//     fails with a "compiled out" error; callers keep their flag plumbing
-//     with zero #ifdefs.
 #pragma once
 
 #include <cstdint>
@@ -88,37 +85,6 @@ struct HttpServerOptions {
   /// without reading the payload.
   std::size_t max_body_bytes = 1 << 20;
 };
-
-#ifdef FUNNEL_OBS_OFF
-
-/// FUNNEL_OBS=OFF: the server compiles to a stub that never binds.
-class HttpServer {
- public:
-  using Handler = std::function<HttpResponse(const HttpRequest&)>;
-
-  explicit HttpServer(HttpServerOptions = {}) {}
-  ~HttpServer() = default;
-
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  void handle(std::string, Handler) {}
-  void handle_post(std::string, Handler) {}
-  void handle_prefix(std::string, Handler, bool = false) {}
-  bool start() { return false; }
-  void stop() {}
-  bool running() const { return false; }
-  std::uint16_t port() const { return 0; }
-  const std::string& error() const {
-    static const std::string kErr =
-        "obs http server compiled out (FUNNEL_OBS=OFF)";
-    return kErr;
-  }
-  std::uint64_t requests_served() const { return 0; }
-  void set_stats(const Registry*) {}
-};
-
-#else  // FUNNEL_OBS_OFF
 
 class HttpServer {
  public:
@@ -182,7 +148,5 @@ class HttpServer {
   std::unique_ptr<Impl> impl_;
   std::string error_;
 };
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

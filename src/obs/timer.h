@@ -17,17 +17,6 @@
 
 namespace funnel::obs {
 
-#ifdef FUNNEL_OBS_OFF
-
-class ScopedTimer {
- public:
-  ScopedTimer(const Registry*, const char*) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-#else  // FUNNEL_OBS_OFF
-
 class ScopedTimer {
  public:
   ScopedTimer(const Registry* registry, const char* name)
@@ -53,7 +42,5 @@ class ScopedTimer {
   const char* name_;
   std::chrono::steady_clock::time_point start_;
 };
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

@@ -88,8 +88,6 @@ std::string chrome_trace_json(const TraceDump& dump) {
   return os.str();
 }
 
-#ifndef FUNNEL_OBS_OFF
-
 namespace {
 
 std::uint64_t now_ns() {
@@ -320,7 +318,5 @@ void DetachedSpan::attr(const char* key, std::string_view v) {
   a.str = std::string(v);
   state_.push(key, std::move(a));
 }
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

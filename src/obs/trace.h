@@ -31,9 +31,8 @@
 //     completion / the dispatcher's settled barrier already order every
 //     record before the read. Recording is never blocked.
 //   * A null Tracer* disables everything at the cost of one pointer test
-//     per span (no clock reads); -DFUNNEL_OBS=OFF compiles the whole
-//     subsystem to no-ops. Tracing is a side channel: assessment reports
-//     are byte-identical with it on, off, or absent.
+//     per span (no clock reads). Tracing is a side channel: assessment
+//     reports are byte-identical with it on, off, or absent.
 //
 // Span-naming convention mirrors the stat keys (docs/OBSERVABILITY.md):
 //   <subsystem>.<object>[.<stage>]   e.g. funnel.assess, funnel.assess.kpi,
@@ -49,8 +48,6 @@
 #include <string_view>
 #include <type_traits>
 #include <vector>
-
-#include "obs/registry.h"  // obs::kEnabled
 
 namespace funnel::obs {
 
@@ -98,68 +95,6 @@ struct TraceDump {
 /// are microseconds rebased to the earliest span. Deterministic for a given
 /// dump (events sorted like TraceDump::spans).
 std::string chrome_trace_json(const TraceDump& dump);
-
-#ifdef FUNNEL_OBS_OFF
-
-// ---- FUNNEL_OBS=OFF: the whole subsystem compiles to no-ops. ----
-
-class Tracer;
-
-struct SpanContext {
-  // Members mirror the live struct so context-inspecting code compiles
-  // unchanged; they stay zero because no span ever records.
-  const Tracer* tracer = nullptr;
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-
-  constexpr bool active() const { return false; }
-  constexpr const Tracer* owner() const { return nullptr; }
-};
-
-inline SpanContext current_context() { return {}; }
-
-class Tracer {
- public:
-  explicit Tracer(std::size_t = 0) {}
-  TraceDump collect() const { return {}; }
-  std::size_t ring_capacity() const { return 0; }
-};
-
-class ScopedContext {
- public:
-  explicit ScopedContext(const SpanContext&) {}
-  ScopedContext(const ScopedContext&) = delete;
-  ScopedContext& operator=(const ScopedContext&) = delete;
-};
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const Tracer*, const char*) {}
-  Span(const SpanContext&, const char*) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  template <typename T>
-  void attr(const char*, const T&) const {}
-  bool active() const { return false; }
-  SpanContext context() const { return {}; }
-};
-
-class DetachedSpan {
- public:
-  DetachedSpan() = default;
-  DetachedSpan(const Tracer*, const char*) {}
-  DetachedSpan(const SpanContext&, const char*) {}
-  DetachedSpan(DetachedSpan&&) noexcept = default;
-  DetachedSpan& operator=(DetachedSpan&&) noexcept = default;
-  template <typename T>
-  void attr(const char*, const T&) const {}
-  void end() {}
-  bool active() const { return false; }
-  SpanContext context() const { return {}; }
-};
-
-#else  // FUNNEL_OBS_OFF
 
 class Tracer;
 
@@ -341,7 +276,5 @@ class DetachedSpan {
 
   internal::SpanState state_;
 };
-
-#endif  // FUNNEL_OBS_OFF
 
 }  // namespace funnel::obs

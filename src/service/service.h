@@ -81,8 +81,7 @@ class FunnelService {
   /// service's lifetime (tenants are never destroyed while serving).
   Tenant* find_tenant(const std::string& name);
 
-  /// Bind + serve (false with *error when the socket fails or the build is
-  /// FUNNEL_OBS=OFF, which compiles the HTTP server out).
+  /// Bind + serve (false with *error when the socket fails).
   bool start(std::string* error = nullptr);
   void stop();
 

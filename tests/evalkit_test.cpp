@@ -111,7 +111,9 @@ TEST(Dataset, PositiveChangesHaveInducedItemsNegativesDoNot) {
   }
   for (changes::ChangeId id : ds->negative_change_ids) {
     for (const ItemTruth& item : ds->items) {
-      if (item.change_id == id) EXPECT_FALSE(item.change_induced);
+      if (item.change_id == id) {
+        EXPECT_FALSE(item.change_induced);
+      }
     }
     EXPECT_FALSE(ds->is_positive_change(id));
   }

@@ -424,7 +424,6 @@ TEST(FunnelChaos, ReasonAndQualitySurviveEveryExportSurface) {
   EXPECT_NE(explained.find("control-group-empty"), std::string::npos);
 
   // Surface 3: the trace spans carry the reason as typed attributes.
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   std::size_t kpi_spans = 0, did_spans = 0;
   for (const auto& s : dump.spans) {
     const obs::SpanAttr* a = nullptr;

@@ -11,9 +11,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,13 +33,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "funnel_journal_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 std::vector<std::string> sorted_lines(const std::string& path) {
@@ -193,7 +186,6 @@ TEST(JournalCodec, ReadJournalRecoversFromTruncatedTrailingLine) {
   EXPECT_TRUE(missing.empty());
 }
 
-#ifndef FUNNEL_OBS_OFF
 TEST(JournalWriter, AppendsFromManyThreadsLosslessly) {
   const std::string path = temp_path("writer.jsonl");
   {
@@ -231,7 +223,25 @@ TEST(JournalWriter, AppendsFromManyThreadsLosslessly) {
   }
   std::remove(path.c_str());
 }
-#endif  // FUNNEL_OBS_OFF
+
+TEST(JournalWriter, WriteErrorLatchesAndCountsNothing) {
+  // /dev/full opens and fails every flush with ENOSPC. The failed batch
+  // latches the writer: ok() turns false, later appends are dropped, and
+  // neither written() nor the observer counts an event the file lacks.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::Journal journal("/dev/full");
+  ASSERT_TRUE(journal.ok());
+  std::size_t observed = 0;
+  journal.set_observer([&observed](const obs::JournalEvent&) { ++observed; });
+  journal.append(minimal_event());
+  journal.flush();
+  EXPECT_FALSE(journal.ok());
+  journal.append(full_event());
+  journal.flush();
+  EXPECT_EQ(journal.appended(), 1u);
+  EXPECT_EQ(journal.written(), 0u);
+  EXPECT_EQ(observed, 0u);
+}
 
 // Batch pipeline fixture: the funnel_trace_test dataset, journaled.
 class FunnelJournal : public ::testing::Test {
@@ -301,7 +311,6 @@ TEST_F(FunnelJournal, ReportsByteIdenticalWithJournalOnOrOff) {
 }
 
 TEST_F(FunnelJournal, SortedJournalByteIdenticalAcrossThreadCounts) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   std::vector<std::string> reference;
   std::size_t reference_events = 0;
   for (const std::size_t threads :
@@ -336,7 +345,6 @@ TEST_F(FunnelJournal, SortedJournalByteIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(FunnelJournal, BatchEventsCarryProvenance) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   const std::string path = temp_path("provenance.jsonl");
   std::vector<AssessmentReport> reports;
   {
@@ -374,7 +382,6 @@ TEST_F(FunnelJournal, BatchEventsCarryProvenance) {
 }
 
 TEST_F(FunnelJournal, LiveObserverTriageMatchesDiskReplay) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   const std::string path = temp_path("tap.jsonl");
   triage::TriageEngine live;
   std::string replay_json;
@@ -464,10 +471,6 @@ TEST(FunnelJournalOnline, ReportsByteIdenticalAndEventsTimed) {
   ASSERT_FALSE(without.empty());
   EXPECT_EQ(without, with);
 
-  if (!obs::kEnabled) {
-    std::remove(path.c_str());
-    GTEST_SKIP() << "FUNNEL_OBS=OFF: no events to inspect";
-  }
   const auto events = obs::read_journal(path);
   ASSERT_FALSE(events.empty());
   std::size_t attributed = 0;

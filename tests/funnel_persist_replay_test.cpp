@@ -260,7 +260,6 @@ TEST(PersistReplay, KillAtRandomizedPointsIsByteIdentical) {
 }
 
 TEST(PersistReplay, JournalRepairKeepsExactEventPrefix) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF: append is a no-op";
   const fs::path dir =
       fs::path(::testing::TempDir()) / "persist_journal_repair";
   fs::remove_all(dir);

@@ -81,7 +81,6 @@ class FunnelStats : public ::testing::Test {
 evalkit::EvalDataset* FunnelStats::ds_ = nullptr;
 
 TEST_F(FunnelStats, BatchCountersMatchReportAggregates) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   obs::Registry reg;
   const std::vector<AssessmentReport> reports = run_window(1, &reg);
   ASSERT_FALSE(reports.empty());
@@ -174,7 +173,7 @@ struct OnlineScenario {
 
 TEST(FunnelStatsOnline, DeterminedAtStampedIndependentOfTelemetry) {
   // The confirming minute is part of the report, not of telemetry: it must
-  // be present with a null registry (and in FUNNEL_OBS=OFF builds).
+  // be present with a null registry.
   OnlineScenario sc;
   const AssessmentReport report = sc.run(nullptr);
   ASSERT_GE(report.kpi_changes_caused(), 2u);
@@ -188,7 +187,6 @@ TEST(FunnelStatsOnline, DeterminedAtStampedIndependentOfTelemetry) {
 }
 
 TEST(FunnelStatsOnline, TimeToVerdictHistogramMatchesReport) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   OnlineScenario sc;
   obs::Registry reg;
   const AssessmentReport report = sc.run(&reg);
@@ -213,7 +211,6 @@ TEST(FunnelStatsOnline, TimeToVerdictHistogramMatchesReport) {
 }
 
 TEST_F(FunnelStats, DefaultOnOverheadUnderTwoPercent) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF (nothing to measure)";
   // Satellite requirement: attaching the registry must cost < 2% on
   // assess_window versus the null-registry no-op path. The true per-event
   // cost is a map lookup + relaxed store (~tens of ns), far under the

@@ -125,7 +125,6 @@ TEST_F(FunnelTrace, ReportsByteIdenticalWithTracerOnOrOff) {
 }
 
 TEST_F(FunnelTrace, SingleRootedTreeDeterministicAcrossThreadCounts) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   std::vector<std::string> reference;
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -177,7 +176,6 @@ TEST_F(FunnelTrace, SingleRootedTreeDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(FunnelTrace, KpiSpansCarrySstProvenance) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   obs::Tracer tracer(1 << 16);
   const std::vector<AssessmentReport> reports = run_window(1, &tracer);
   const obs::TraceDump dump = tracer.collect();
@@ -248,16 +246,15 @@ TEST_F(FunnelTrace, KpiSpansCarrySstProvenance) {
 
 TEST_F(FunnelTrace, ExplainSectionCoversEveryAlarmedKpi) {
   obs::Tracer tracer(1 << 16);
-  const obs::Tracer* tracer_ptr = obs::kEnabled ? &tracer : nullptr;
-  const std::vector<AssessmentReport> reports = run_window(1, tracer_ptr);
+  const std::vector<AssessmentReport> reports = run_window(1, &tracer);
   const obs::TraceDump dump = tracer.collect();
-  const FunnelConfig cfg = config(1, tracer_ptr);
+  const FunnelConfig cfg = config(1, &tracer);
 
   bool any_alarmed = false;
   for (const AssessmentReport& r : reports) {
     const std::string base = to_json(r);
     const std::string explained =
-        to_json_explained(r, cfg, obs::kEnabled ? &dump : nullptr);
+        to_json_explained(r, cfg, &dump);
 
     // The base report is a byte-identical prefix: plain consumers parse the
     // explained report unchanged.
@@ -290,10 +287,8 @@ TEST_F(FunnelTrace, ExplainSectionCoversEveryAlarmedKpi) {
       if (v.did_fit) {
         EXPECT_NE(entry.find("\"did\":{\"alpha\":"), std::string::npos);
       }
-      if (obs::kEnabled) {
-        EXPECT_NE(entry.find("\"raw_score\":"), std::string::npos) << entry;
-        EXPECT_NE(entry.find("\"damp_factor\":"), std::string::npos);
-      }
+      EXPECT_NE(entry.find("\"raw_score\":"), std::string::npos) << entry;
+      EXPECT_NE(entry.find("\"damp_factor\":"), std::string::npos);
     }
   }
   EXPECT_TRUE(any_alarmed) << "dataset produced no alarms to explain";
@@ -357,7 +352,6 @@ struct OnlineTraceScenario {
 };
 
 TEST(FunnelTraceOnline, WatchBuildsOneTreeAcrossDispatcherThread) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   obs::Tracer tracer(1 << 16);
   OnlineTraceScenario sc(/*ingest_queue=*/256);
   const AssessmentReport report = sc.run(&tracer);
@@ -418,7 +412,6 @@ TEST(FunnelTraceOnline, ReportsByteIdenticalWithTracerOnOrOff) {
 }
 
 TEST_F(FunnelTrace, TracerOnOverheadUnderTwoPercent) {
-  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF (nothing to measure)";
   // Same bound and methodology as the registry's overhead test: tracing on
   // must cost < 2% on assess_window versus a null tracer. The hot-path cost
   // is one clock read + a thread-local ring write per span; min-of-N with

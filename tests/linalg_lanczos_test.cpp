@@ -39,10 +39,8 @@ TEST(Hankel, ValidatesLength) {
 
 TEST(HankelGramOperator, MatchesExplicitGram) {
   Rng rng(1);
-  for (const auto [omega, count] : {std::pair<std::size_t, std::size_t>{3, 4},
-                                    {9, 9},
-                                    {5, 2},
-                                    {2, 8}}) {
+  for (const auto& [omega, count] :
+       {std::pair<std::size_t, std::size_t>{3, 4}, {9, 9}, {5, 2}, {2, 8}}) {
     std::vector<double> w(hankel_span(omega, count));
     for (double& x : w) x = rng.gaussian();
     const Matrix b = hankel(w, omega, count);

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "linalg/hankel.h"
 
 namespace funnel::linalg {
 namespace {
@@ -106,6 +107,25 @@ TEST(JacobiSvd, RankDeficientReconstruction) {
   EXPECT_LT(max_abs_difference(reconstruct(s), a), 1e-9);
   EXPECT_NEAR(s.singular_values[2], 0.0, 1e-9);
   EXPECT_NEAR(s.singular_values[3], 0.0, 1e-9);
+}
+
+TEST(JacobiSvd, ZeroOneHankelReturnsAtAnyScale) {
+  // The 9x9 Hankel of this 0/1 series (the shape of an integer-valued KPI)
+  // is rank deficient: the rotations leave null columns of rounding noise
+  // that never turn orthogonal, so the sweep limit is reached. Noise is no
+  // failure, and the decomposition must come back exact.
+  const std::vector<double> series = {1, 0, 0, 1, 0, 1, 1, 0, 0,
+                                      0, 1, 0, 1, 1, 0, 0, 0};
+  for (const double scale : {1e-6, 1.0, 1e6}) {
+    std::vector<double> scaled = series;
+    for (double& x : scaled) x *= scale;
+    const Matrix a = hankel(scaled, 9, 9);
+    Svd s;
+    ASSERT_NO_THROW(s = jacobi_svd(a)) << "scale " << scale;
+    EXPECT_LT(max_abs_difference(reconstruct(s), a), 1e-12 * scale)
+        << "scale " << scale;
+    expect_orthonormal_columns(s.v);
+  }
 }
 
 TEST(JacobiSvd, InvariantUnderScaling) {

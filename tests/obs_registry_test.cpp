@@ -3,10 +3,6 @@
 // multithreaded ThreadPool workload (the per-thread shards must merge
 // losslessly), the declare-before-first-event contract, the null-registry
 // no-op path, and the two exporters.
-//
-// Under -DFUNNEL_OBS=OFF the registry compiles to no-ops; the behavioral
-// tests skip themselves (obs::kEnabled) and only the no-op contract is
-// checked.
 #include "obs/registry.h"
 
 #include <gtest/gtest.h>
@@ -22,12 +18,7 @@
 namespace funnel::obs {
 namespace {
 
-#define SKIP_IF_OBS_OFF()                                        \
-  if (!kEnabled) GTEST_SKIP() << "registry compiled to no-ops "  \
-                                 "(FUNNEL_OBS=OFF)"
-
 TEST(ObsRegistry, CountersAccumulate) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.add("a.count");
   reg.add("a.count", 4);
@@ -39,7 +30,6 @@ TEST(ObsRegistry, CountersAccumulate) {
 }
 
 TEST(ObsRegistry, GaugeLastWriteWins) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.set("g.value", 1.0);
   reg.set("g.value", 7.5);
@@ -48,7 +38,6 @@ TEST(ObsRegistry, GaugeLastWriteWins) {
 }
 
 TEST(ObsRegistry, HistogramStatsAreExact) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   for (const double v : {3.0, 12.0, 150.0, 0.5}) reg.observe("h.us", v);
   const HistogramSnapshot h = reg.snapshot().histograms.at("h.us");
@@ -60,7 +49,6 @@ TEST(ObsRegistry, HistogramStatsAreExact) {
 }
 
 TEST(ObsRegistry, BucketPlacementOnLadder) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   const auto bounds = bucket_bounds();
   ASSERT_GE(bounds.size(), 4u);
@@ -80,7 +68,6 @@ TEST(ObsRegistry, BucketPlacementOnLadder) {
 }
 
 TEST(ObsRegistry, DeclareCreatesZeroedStats) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.declare_counter("pre.count");
   reg.declare_gauge("pre.gauge");
@@ -95,7 +82,6 @@ TEST(ObsRegistry, DeclareCreatesZeroedStats) {
 // and the snapshot merge must reproduce the exact totals — no lost updates,
 // no double counting.
 TEST(ObsRegistry, ThreadPoolMergeIsExact) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   constexpr std::size_t kTasks = 64;
   constexpr std::uint64_t kAddsPerTask = 500;
@@ -130,7 +116,6 @@ TEST(ObsRegistry, NullRegistryIsSafeEverywhere) {
 }
 
 TEST(ObsRegistry, ScopedTimerRecordsMicros) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   { const ScopedTimer t(&reg, "span.us"); }
   const HistogramSnapshot h = reg.snapshot().histograms.at("span.us");
@@ -144,18 +129,13 @@ TEST(ObsRegistry, JsonExportShape) {
   reg.set("g.v", 1.5);
   reg.observe("h.us", 42.0);
   const std::string json = snapshot_json(reg.snapshot());
-  if (kEnabled) {
-    EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"c.count\":3"), std::string::npos);
-    EXPECT_NE(json.find("\"h.us\""), std::string::npos);
-    EXPECT_NE(json.find("\"+Inf\""), std::string::npos);
-  } else {
-    EXPECT_NE(json.find("\"enabled\":false"), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"c.count\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"h.us\""), std::string::npos);
+  EXPECT_NE(json.find("\"+Inf\""), std::string::npos);
 }
 
 TEST(ObsRegistry, PrometheusExportIsCumulative) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.observe("h.us", 1.0);
   reg.observe("h.us", 3.0);
@@ -168,7 +148,6 @@ TEST(ObsRegistry, PrometheusExportIsCumulative) {
 }
 
 TEST(ObsRegistry, PrometheusNamesAreSanitized) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.add("funnel.assess.total", 3);   // dots: the registry's own convention
   reg.add("my-metric", 1);             // dash
@@ -208,7 +187,6 @@ TEST(ObsRegistry, PrometheusNamesAreSanitized) {
 }
 
 TEST(ObsRegistry, RegistriesAreIndependent) {
-  SKIP_IF_OBS_OFF();
   Registry a;
   Registry b;
   a.add("same.name", 1);

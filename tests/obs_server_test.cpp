@@ -15,9 +15,6 @@
 // non-finite gauge values must render as NaN/+Inf/-Inf (not the JSON
 // exporter's null) — the regression that motivated the prom_number_to
 // split in obs/export.cpp.
-//
-// Under -DFUNNEL_OBS=OFF the server is a stub that never binds; only the
-// stub contract is checked.
 #include "obs/server.h"
 
 #include <gtest/gtest.h>
@@ -43,10 +40,6 @@
 
 namespace funnel::obs {
 namespace {
-
-#define SKIP_IF_OBS_OFF()                                      \
-  if (!kEnabled) GTEST_SKIP() << "obs compiled to no-ops "     \
-                                 "(FUNNEL_OBS=OFF)"
 
 /// Minimal raw HTTP client: one request, read to EOF (the server closes
 /// every connection), return the full response bytes. Empty on any error.
@@ -98,17 +91,7 @@ std::string body_of(const std::string& response) {
   return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
-TEST(ObsServer, OffBuildStubNeverBinds) {
-  if (kEnabled) GTEST_SKIP() << "stub contract only applies to OFF builds";
-  HttpServer server;
-  EXPECT_FALSE(server.start());
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.port(), 0);
-  EXPECT_NE(server.error().find("compiled out"), std::string::npos);
-}
-
 TEST(ObsServer, RoutesGetHeadAndErrors) {
-  SKIP_IF_OBS_OFF();
   HttpServer server;  // port 0 = ephemeral
   server.handle("/ping", [](const HttpRequest&) {
     HttpResponse r;
@@ -158,7 +141,6 @@ TEST(ObsServer, RoutesGetHeadAndErrors) {
 }
 
 TEST(ObsServer, OversizedRequestHeadIsRejected) {
-  SKIP_IF_OBS_OFF();
   HttpServerOptions options;
   options.max_request_bytes = 256;
   HttpServer server(options);
@@ -208,7 +190,6 @@ std::string http_exchange_halfclose(std::uint16_t port,
 }
 
 TEST(ObsServer, PostBodyRoundTripsThroughTheHandler) {
-  SKIP_IF_OBS_OFF();
   HttpServer server;
   server.handle_post("/sink", [](const HttpRequest& req) {
     HttpResponse r;
@@ -236,7 +217,6 @@ TEST(ObsServer, PostBodyRoundTripsThroughTheHandler) {
 }
 
 TEST(ObsServer, PostBodyErrorLadder411_413_400) {
-  SKIP_IF_OBS_OFF();
   HttpServerOptions options;
   options.max_body_bytes = 64;
   HttpServer server(options);
@@ -281,7 +261,6 @@ TEST(ObsServer, PostBodyErrorLadder411_413_400) {
 }
 
 TEST(ObsServer, PrefixRoutesLongestMatchAndExactWins) {
-  SKIP_IF_OBS_OFF();
   HttpServer server;
   const auto tag = [](std::string name) {
     return [name](const HttpRequest& req) {
@@ -316,7 +295,6 @@ TEST(ObsServer, PrefixRoutesLongestMatchAndExactWins) {
 }
 
 TEST(ObsServer, RestartsAfterStop) {
-  SKIP_IF_OBS_OFF();
   HttpServer server;
   server.handle("/ping", [](const HttpRequest&) {
     HttpResponse r;
@@ -334,7 +312,6 @@ TEST(ObsServer, RestartsAfterStop) {
 }
 
 TEST(ObsServer, SecondBindOnSamePortFailsWithDiagnostic) {
-  SKIP_IF_OBS_OFF();
   HttpServer first;
   ASSERT_TRUE(first.start()) << first.error();
   HttpServerOptions options;
@@ -356,7 +333,6 @@ TEST(ObsServer, SecondBindOnSamePortFailsWithDiagnostic) {
 }
 
 TEST(ObsServer, StartWhileRunningFails) {
-  SKIP_IF_OBS_OFF();
   HttpServer server;
   ASSERT_TRUE(server.start()) << server.error();
   EXPECT_FALSE(server.start());
@@ -370,7 +346,6 @@ TEST(ObsServer, StartWhileRunningFails) {
 // through the full /metrics path (socket -> worker -> snapshot -> export)
 // under TSan.
 TEST(ObsServer, MetricsExportRacesHotPathRecording) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.declare_counter("hammer.events");
   reg.declare_gauge("hammer.depth");
@@ -425,7 +400,6 @@ TEST(ObsServer, MetricsExportRacesHotPathRecording) {
 // connection, so a burst of further requests must see shed responses while
 // the pipeline (the slow handler) keeps running.
 TEST(ObsServer, FullQueueSheds503) {
-  SKIP_IF_OBS_OFF();
   HttpServerOptions options;
   options.num_workers = 1;
   options.queue_capacity = 1;
@@ -491,7 +465,6 @@ std::vector<std::string> split_lines(const std::string& text) {
 }
 
 TEST(ObsPromExposition, EveryLineMatchesTheTextGrammar) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.add("funnel.online.samples_ingested", 12);
   reg.set("tsdb.store.queue_depth", 7.0);
@@ -508,7 +481,6 @@ TEST(ObsPromExposition, EveryLineMatchesTheTextGrammar) {
 }
 
 TEST(ObsPromExposition, HistogramSeriesAreCumulativeWithSumCountInf) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   for (const double v : {3.0, 12.0, 150.0, 1e9}) reg.observe("h.us", v);
   const std::string text = prometheus_text(reg.snapshot());
@@ -536,7 +508,6 @@ TEST(ObsPromExposition, HistogramSeriesAreCumulativeWithSumCountInf) {
 }
 
 TEST(ObsPromExposition, NonFiniteGaugesRenderPrometheusNotJsonNull) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.set("g.nan", std::numeric_limits<double>::quiet_NaN());
   reg.set("g.pos", std::numeric_limits<double>::infinity());
@@ -557,7 +528,6 @@ TEST(ObsPromExposition, NonFiniteGaugesRenderPrometheusNotJsonNull) {
 // TelemetryPlane routing: the endpoint set served over a real socket.
 
 TEST(ObsPlane, ServesTheEndpointSet) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.add("funnel.online.samples_ingested", 3);
   PlaneOptions options;
@@ -607,7 +577,6 @@ TEST(ObsPlane, ServesTheEndpointSet) {
 // evaluate_health(): the instantaneous per-subsystem checks /healthz serves.
 
 TEST(ObsHealth, EmptySnapshotIsHealthyWithAbsentSubsystems) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   const HealthReport report = evaluate_health(reg.snapshot());
   EXPECT_TRUE(report.healthy);
@@ -625,7 +594,6 @@ TEST(ObsHealth, EmptySnapshotIsHealthyWithAbsentSubsystems) {
 }
 
 TEST(ObsHealth, SaturatedQueueFailsItsSubsystemCheck) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.set("tsdb.store.queue_depth", 1000.0);
   reg.set("tsdb.store.queue_capacity", 1024.0);
@@ -644,7 +612,6 @@ TEST(ObsHealth, SaturatedQueueFailsItsSubsystemCheck) {
 }
 
 TEST(ObsHealth, CompactionBacklogFailsWhenSegmentsPileUp) {
-  SKIP_IF_OBS_OFF();
   Registry reg;
   reg.set("funnel.persist.segments", 40.0);
   EXPECT_FALSE(evaluate_health(reg.snapshot()).healthy);

@@ -47,7 +47,6 @@ void expect_well_formed(const TraceDump& dump) {
 }
 
 TEST(ObsTrace, SpanTreeWellFormedWithAttrs) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer;
   {
     Span root(&tracer, "root");
@@ -92,7 +91,6 @@ TEST(ObsTrace, SpanTreeWellFormedWithAttrs) {
 }
 
 TEST(ObsTrace, NullTracerAndNoAmbientAreInert) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   {
     Span null_span(static_cast<const Tracer*>(nullptr), "nothing");
     EXPECT_FALSE(null_span.active());
@@ -107,7 +105,6 @@ TEST(ObsTrace, NullTracerAndNoAmbientAreInert) {
 }
 
 TEST(ObsTrace, SeparateRootsSeparateTraces) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer;
   { Span a(&tracer, "a"); }
   { Span b(&tracer, "b"); }
@@ -119,7 +116,6 @@ TEST(ObsTrace, SeparateRootsSeparateTraces) {
 }
 
 TEST(ObsTrace, RingOverflowDropsOldestWithExactAccounting) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer(8);
   EXPECT_EQ(tracer.ring_capacity(), 8u);
   for (int i = 0; i < 20; ++i) {
@@ -139,7 +135,6 @@ TEST(ObsTrace, RingOverflowDropsOldestWithExactAccounting) {
 }
 
 TEST(ObsTrace, ScopedContextInstallsAndRestores) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer;
   Span root(&tracer, "root");
   const SpanContext ctx = root.context();
@@ -156,7 +151,6 @@ TEST(ObsTrace, ScopedContextInstallsAndRestores) {
 }
 
 TEST(ObsTrace, ParallelForPropagatesContextAcrossWorkers) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer;
   constexpr std::size_t kTasks = 64;
   std::uint64_t root_id = 0;
@@ -185,7 +179,6 @@ TEST(ObsTrace, ParallelForPropagatesContextAcrossWorkers) {
 }
 
 TEST(ObsTrace, IngestDispatcherPropagatesProducerContext) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer;
   std::uint64_t root_id = 0;
   constexpr int kSamples = 16;
@@ -214,7 +207,6 @@ TEST(ObsTrace, IngestDispatcherPropagatesProducerContext) {
 }
 
 TEST(ObsTrace, DetachedSpanEndsOnAnotherThread) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer;
   DetachedSpan watch(&tracer, "watch");
   EXPECT_TRUE(watch.active());
@@ -243,7 +235,6 @@ TEST(ObsTrace, DetachedSpanEndsOnAnotherThread) {
 }
 
 TEST(ObsTrace, DetachedSpanMoveDoesNotDoubleRecord) {
-  if (!kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
   Tracer tracer;
   {
     DetachedSpan a(&tracer, "a");

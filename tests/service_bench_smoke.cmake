@@ -19,11 +19,6 @@ execute_process(
   COMMAND "${BENCH}" --quick --json "${json_path}"
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE rc)
-if(rc EQUAL 77)
-  # FUNNEL_OBS=OFF compiles the HTTP server out; nothing to measure.
-  message(STATUS "service_bench_smoke: SKIPPED (FUNNEL_OBS=OFF build)")
-  return()
-endif()
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "service_bench_smoke: bench exited with ${rc}")
 endif()

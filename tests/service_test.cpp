@@ -58,10 +58,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-#define SKIP_IF_OBS_OFF()                                         \
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled to no-ops "   \
-                                      "(FUNNEL_OBS=OFF)"
-
 // ---------------------------------------------------------------------------
 // TokenBucket: deterministic refusal/retry arithmetic on a virtual clock.
 
@@ -288,7 +284,6 @@ std::string slurp(const fs::path& path) {
 }
 
 TEST(Tenant, NeighbourFaultsNeverAlterACleanTenantsVerdictBytes) {
-  SKIP_IF_OBS_OFF();  // the byte-compare is over the verdict journal
   const fs::path work =
       fs::temp_directory_path() / "funnel_service_isolation_test";
   fs::remove_all(work);
@@ -343,7 +338,6 @@ TEST(Tenant, NeighbourFaultsNeverAlterACleanTenantsVerdictBytes) {
 // recovery truncates the pre-crash prefix away).
 
 TEST(Tenant, RecoveryAlignsSeqAndPreservesJournalAcrossIncarnations) {
-  SKIP_IF_OBS_OFF();  // journal bytes are the recovery oracle
   const fs::path work =
       fs::temp_directory_path() / "funnel_service_recovery_test";
   fs::remove_all(work);
@@ -693,7 +687,6 @@ std::string body_of(const std::string& response) {
 }
 
 TEST(FunnelService, V1SurfaceServesIngestChangesReportAndStatus) {
-  SKIP_IF_OBS_OFF();
   ServiceOptions sopts;
   sopts.tenant_defaults = small_funnel("");
   FunnelService service(std::move(sopts));
@@ -742,7 +735,6 @@ TEST(FunnelService, V1SurfaceServesIngestChangesReportAndStatus) {
 }
 
 TEST(FunnelService, QuotaRefusalsCarryRetryAfterAndSpareOtherTenants) {
-  SKIP_IF_OBS_OFF();
   ServiceOptions sopts;
   sopts.tenant_defaults = small_funnel("");
   FunnelService service(std::move(sopts));
@@ -776,7 +768,6 @@ TEST(FunnelService, QuotaRefusalsCarryRetryAfterAndSpareOtherTenants) {
 }
 
 TEST(FunnelService, QuarantineAnswers503AndFailsItsHealthCheckOnly) {
-  SKIP_IF_OBS_OFF();
   ServiceOptions sopts;
   sopts.tenant_defaults = small_funnel("");
   FunnelService service(std::move(sopts));
@@ -805,7 +796,6 @@ TEST(FunnelService, QuarantineAnswers503AndFailsItsHealthCheckOnly) {
 }
 
 TEST(FunnelService, DynamicTenantsSpringIntoExistenceOnFirstPost) {
-  SKIP_IF_OBS_OFF();
   ServiceOptions sopts;
   sopts.tenant_defaults = small_funnel("");
   sopts.allow_dynamic_tenants = true;

@@ -6,10 +6,6 @@
 // clean exit 0. Also the failure contracts: a port that is already bound
 // must exit 3 with a diagnostic, and a malformed numeric flag must exit 2.
 //
-// Under -DFUNNEL_OBS=OFF the plane cannot start; the same invocation must
-// exit 3 fast (the "compiled out" contract) — so the test is meaningful in
-// both build flavors.
-//
 // The daemon path arrives via -DFUNNEL_SERVE_PATH from tests/CMakeLists.
 #include <gtest/gtest.h>
 
@@ -28,8 +24,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "obs/registry.h"
 
 namespace {
 
@@ -156,17 +150,6 @@ TEST(ToolsServeSmoke, ServesTelemetryUntilSigterm) {
     }
   } reaper{pid};
 
-  if (!funnel::obs::kEnabled) {
-    // FUNNEL_OBS=OFF: the plane cannot start, the daemon must exit 3 fast.
-    reaper.pid = 0;
-    const int status = await_exit(pid, 20000);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 3) << slurp(log);
-    EXPECT_NE(slurp(log).find("compiled out"), std::string::npos)
-        << slurp(log);
-    return;
-  }
-
   const int port = read_port_file(port_file, 20000);
   ASSERT_GT(port, 0) << "no port-file handshake; daemon log:\n" << slurp(log);
 
@@ -209,8 +192,7 @@ TEST(ToolsServeSmoke, ServesTelemetryUntilSigterm) {
 
 TEST(ToolsServeSmoke, AlreadyBoundPortExits3WithDiagnostic) {
   // Occupy an ephemeral port ourselves; the daemon must fail to bind it and
-  // exit 3 with the address in the diagnostic (or the "compiled out" error
-  // under FUNNEL_OBS=OFF — same exit code, same contract).
+  // exit 3 with the address in the diagnostic.
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -236,19 +218,15 @@ TEST(ToolsServeSmoke, AlreadyBoundPortExits3WithDiagnostic) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 3) << slurp(log);
   const std::string logged = slurp(log);
-  if (funnel::obs::kEnabled) {
-    EXPECT_NE(logged.find(port_text.str()), std::string::npos) << logged;
-    EXPECT_NE(logged.find("in use"), std::string::npos) << logged;
-  } else {
-    EXPECT_NE(logged.find("compiled out"), std::string::npos) << logged;
-  }
+  EXPECT_NE(logged.find(port_text.str()), std::string::npos) << logged;
+  EXPECT_NE(logged.find("in use"), std::string::npos) << logged;
 }
 
 TEST(ToolsServeSmoke, MalformedFlagsExit2) {
   // Each value once aborted, or served on a port nobody asked for. Usage
-  // errors are caught before the listener binds, so this holds in both
-  // build flavors. --max-seconds bounds a daemon that wrongly starts: the
-  // case then fails on exit 0 instead of hanging.
+  // errors are caught before the listener binds. --max-seconds bounds a
+  // daemon that wrongly starts: the case then fails on exit 0 instead of
+  // hanging.
   const std::vector<std::vector<std::string>> bad = {
       {"--num-shards", "0"}, {"--port", "70000"},       {"--port", "-5"},
       {"--port", "abc"},     {"--queue-capacity", "-1"}, {"--horizon", "1x"}};

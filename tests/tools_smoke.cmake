@@ -56,29 +56,27 @@ string(JSON enabled ERROR_VARIABLE jerr GET "${json}" enabled)
 if(jerr)
   message(FATAL_ERROR "stats JSON did not parse: ${jerr}")
 endif()
-
-# With FUNNEL_OBS=OFF the registry is a no-op: the snapshot still parses
-# (enabled=false, empty sections) but carries no keys to check.
-if(enabled)
-  foreach(key
-      "tsdb.store.appends"
-      "funnel.online.samples_ingested"
-      "funnel.online.verdicts_confirmed"
-      "pool.tasks_executed")
-    string(JSON val ERROR_VARIABLE jerr GET "${json}" counters "${key}")
-    if(jerr)
-      message(FATAL_ERROR "stats JSON missing counter '${key}'")
-    endif()
-  endforeach()
-  string(JSON confirmed GET "${json}" counters "funnel.online.verdicts_confirmed")
-  if(confirmed LESS 1)
-    message(FATAL_ERROR "pipeline confirmed no verdict (counter=${confirmed})")
+if(NOT enabled)
+  message(FATAL_ERROR "stats JSON must report \"enabled\":true, got ${enabled}")
+endif()
+foreach(key
+    "tsdb.store.appends"
+    "funnel.online.samples_ingested"
+    "funnel.online.verdicts_confirmed"
+    "pool.tasks_executed")
+  string(JSON val ERROR_VARIABLE jerr GET "${json}" counters "${key}")
+  if(jerr)
+    message(FATAL_ERROR "stats JSON missing counter '${key}'")
   endif()
-  string(JSON ttv ERROR_VARIABLE jerr GET "${json}"
-         histograms "funnel.online.time_to_verdict_min" count)
-  if(jerr OR ttv LESS 1)
-    message(FATAL_ERROR "time_to_verdict histogram empty or missing (${jerr})")
-  endif()
+endforeach()
+string(JSON confirmed GET "${json}" counters "funnel.online.verdicts_confirmed")
+if(confirmed LESS 1)
+  message(FATAL_ERROR "pipeline confirmed no verdict (counter=${confirmed})")
+endif()
+string(JSON ttv ERROR_VARIABLE jerr GET "${json}"
+       histograms "funnel.online.time_to_verdict_min" count)
+if(jerr OR ttv LESS 1)
+  message(FATAL_ERROR "time_to_verdict histogram empty or missing (${jerr})")
 endif()
 
 # The tool must announce where it wrote the side-channel outputs.
@@ -86,29 +84,27 @@ if(NOT err MATCHES "# wrote stats:" OR NOT err MATCHES "# wrote trace:")
   message(FATAL_ERROR "expected output-path notes on stderr, got: ${err}")
 endif()
 
-# The Chrome trace must be valid JSON with a traceEvents array; with the
-# tracer compiled in (enabled mirrors FUNNEL_OBS) the assessment must have
-# recorded spans, and every event needs the fields the trace viewer keys on.
+# The Chrome trace must be valid JSON with a traceEvents array; the
+# assessment must have recorded spans, and every event needs the fields the
+# trace viewer keys on.
 file(READ "${trace}" tjson)
 string(JSON nevents ERROR_VARIABLE jerr LENGTH "${tjson}" traceEvents)
 if(jerr)
   message(FATAL_ERROR "trace JSON did not parse: ${jerr}")
 endif()
-if(enabled)
-  if(nevents LESS 2)
-    message(FATAL_ERROR "trace has ${nevents} events; expected spans")
-  endif()
-  math(EXPR last "${nevents} - 1")
-  string(JSON ph GET "${tjson}" traceEvents ${last} ph)
-  string(JSON name GET "${tjson}" traceEvents ${last} name)
-  string(JSON dur ERROR_VARIABLE jerr GET "${tjson}" traceEvents ${last} dur)
-  if(NOT ph STREQUAL "X" OR name STREQUAL "" OR jerr)
-    message(FATAL_ERROR "trace event malformed: ph=${ph} name=${name} ${jerr}")
-  endif()
-  string(JSON recorded GET "${tjson}" otherData recorded)
-  if(recorded LESS 1)
-    message(FATAL_ERROR "trace otherData.recorded=${recorded}")
-  endif()
+if(nevents LESS 2)
+  message(FATAL_ERROR "trace has ${nevents} events; expected spans")
+endif()
+math(EXPR last "${nevents} - 1")
+string(JSON ph GET "${tjson}" traceEvents ${last} ph)
+string(JSON name GET "${tjson}" traceEvents ${last} name)
+string(JSON dur ERROR_VARIABLE jerr GET "${tjson}" traceEvents ${last} dur)
+if(NOT ph STREQUAL "X" OR name STREQUAL "" OR jerr)
+  message(FATAL_ERROR "trace event malformed: ph=${ph} name=${name} ${jerr}")
+endif()
+string(JSON recorded GET "${tjson}" otherData recorded)
+if(recorded LESS 1)
+  message(FATAL_ERROR "trace otherData.recorded=${recorded}")
 endif()
 
 # An unwritable --trace destination is a distinct failure (exit 3), after
@@ -239,26 +235,24 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--data-dir --stats-json run failed (${rc}): ${err}")
 endif()
-if(enabled)
-  file(READ "${wal_stats}" wjson)
-  foreach(key "funnel.wal.records" "funnel.wal.batches" "funnel.wal.bytes")
-    string(JSON val ERROR_VARIABLE jerr GET "${wjson}" counters "${key}")
-    if(jerr OR val LESS 1)
-      message(FATAL_ERROR "stats JSON counter '${key}' missing or zero (${jerr})")
-    endif()
-  endforeach()
-  string(JSON commits ERROR_VARIABLE jerr GET "${wjson}"
-         histograms "funnel.wal.commit_us" count)
-  if(jerr OR commits LESS 1)
-    message(FATAL_ERROR "funnel.wal.commit_us histogram empty or missing (${jerr})")
+file(READ "${wal_stats}" wjson)
+foreach(key "funnel.wal.records" "funnel.wal.batches" "funnel.wal.bytes")
+  string(JSON val ERROR_VARIABLE jerr GET "${wjson}" counters "${key}")
+  if(jerr OR val LESS 1)
+    message(FATAL_ERROR "stats JSON counter '${key}' missing or zero (${jerr})")
   endif()
-  foreach(key "funnel.wal.queue_capacity" "funnel.persist.segments")
-    string(JSON val ERROR_VARIABLE jerr GET "${wjson}" gauges "${key}")
-    if(jerr)
-      message(FATAL_ERROR "stats JSON gauge '${key}' missing (${jerr})")
-    endif()
-  endforeach()
+endforeach()
+string(JSON commits ERROR_VARIABLE jerr GET "${wjson}"
+       histograms "funnel.wal.commit_us" count)
+if(jerr OR commits LESS 1)
+  message(FATAL_ERROR "funnel.wal.commit_us histogram empty or missing (${jerr})")
 endif()
+foreach(key "funnel.wal.queue_capacity" "funnel.persist.segments")
+  string(JSON val ERROR_VARIABLE jerr GET "${wjson}" gauges "${key}")
+  if(jerr)
+    message(FATAL_ERROR "stats JSON gauge '${key}' missing (${jerr})")
+  endif()
+endforeach()
 
 # A numeric flag must parse whole (exit 2, never a silent 0, a wrapped
 # count or an abort): junk values, a sign on a count, and a value that
@@ -311,4 +305,4 @@ if(NOT rc EQUAL 0 OR NOT n_gen EQUAL 61)
                       "samples, got exit ${rc} and ${n_gen} lines")
 endif()
 
-message(STATUS "tools smoke OK (telemetry enabled=${enabled})")
+message(STATUS "tools smoke OK")

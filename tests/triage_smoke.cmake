@@ -4,9 +4,6 @@
 # whole surface in one pipe: journal write path, JSONL codec, replay,
 # scorecards, blame, rules, both renderers.
 #
-# Works under FUNNEL_OBS=OFF too: the journal file is then created but
-# empty, and the triage report must agree (events == 0).
-#
 # Invoked by ctest as:
 #   cmake -DGEN=<funnel_generate> -DDET=<funnel_detect_csv>
 #         -DTRIAGE=<funnel_triage> -DWORK_DIR=<scratch dir>
@@ -46,18 +43,29 @@ if(NOT EXISTS "${journal}")
   message(FATAL_ERROR "journal file was not created")
 endif()
 
-# --journal on an unopenable path exits 3, like --stats-json/--trace.
-execute_process(
-  COMMAND "${DET}" "${csv_file}" --change-minute 2000
-          --journal "${WORK_DIR}/no/such/dir/j.jsonl"
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT rc EQUAL 3)
-  message(FATAL_ERROR "unopenable --journal path must exit 3, got ${rc}")
+# --journal on an unopenable path exits 3, like --stats-json/--trace, and
+# so does one that opens but cannot be written (/dev/full: every flush
+# fails), where the events never reach the file.
+set(bad_journals "${WORK_DIR}/no/such/dir/j.jsonl")
+if(EXISTS "/dev/full")
+  list(APPEND bad_journals "/dev/full")
 endif()
+foreach(bad ${bad_journals})
+  execute_process(
+    COMMAND "${DET}" "${csv_file}" --change-minute 2000 --journal "${bad}"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 3 OR NOT err MATCHES "error: cannot write ${bad}")
+    message(FATAL_ERROR "unwritable --journal ${bad} must exit 3 naming the "
+                        "path, got ${rc}: ${err}")
+  endif()
+endforeach()
 
-# Count journaled events (an empty file under FUNNEL_OBS=OFF is legal).
+# Count journaled events: the run makes at least one determination.
 file(STRINGS "${journal}" journal_lines)
 list(LENGTH journal_lines n_events)
+if(n_events LESS 1)
+  message(FATAL_ERROR "journal holds no events")
+endif()
 
 execute_process(
   COMMAND "${TRIAGE}" "${journal}" --json "${triage_json}" --md "${triage_md}"
@@ -81,21 +89,19 @@ if(NOT total_events EQUAL n_events)
   message(FATAL_ERROR "totals.events ${total_events} != ${n_events}")
 endif()
 
-if(n_events GREATER 0)
-  # The single-KPI run yields one determination: one service card, one KPI
-  # card, one blame cluster.
-  string(JSON svc_key GET "${json}" by_service 0 key)
-  if(NOT svc_key STREQUAL "csv")
-    message(FATAL_ERROR "expected service card 'csv', got '${svc_key}'")
-  endif()
-  string(JSON n_clusters LENGTH "${json}" blame)
-  if(n_clusters LESS 1)
-    message(FATAL_ERROR "expected at least one blame cluster")
-  endif()
-  string(JSON det GET "${json}" totals detected)
-  if(det LESS 1)
-    message(FATAL_ERROR "the 8-sigma shift must be detected, got ${det}")
-  endif()
+# The single-KPI run yields one determination: one service card, one KPI
+# card, one blame cluster.
+string(JSON svc_key GET "${json}" by_service 0 key)
+if(NOT svc_key STREQUAL "csv")
+  message(FATAL_ERROR "expected service card 'csv', got '${svc_key}'")
+endif()
+string(JSON n_clusters LENGTH "${json}" blame)
+if(n_clusters LESS 1)
+  message(FATAL_ERROR "expected at least one blame cluster")
+endif()
+string(JSON det GET "${json}" totals detected)
+if(det LESS 1)
+  message(FATAL_ERROR "the 8-sigma shift must be detected, got ${det}")
 endif()
 
 file(READ "${triage_md}" md)

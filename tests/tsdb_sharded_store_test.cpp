@@ -688,12 +688,10 @@ TEST(ShardedStore, BatchAppendMatchesPerSampleAppends) {
       EXPECT_EQ(batched.all.size(), feed.size() - 1);
       for (const Delivery& d : batched.all) EXPECT_GE(d.t, 100);
       EXPECT_EQ(batched.series.size(), 6u);
-      if (obs::kEnabled) {
-        EXPECT_EQ(batched.counters.at("tsdb.store.appends"), feed.size());
-        EXPECT_EQ(batched.counters.at("tsdb.store.late_fills"), 1u);
-        EXPECT_EQ(batched.counters.at("tsdb.store.duplicates_ignored"), 1u);
-        EXPECT_EQ(batched.counters.at("tsdb.store.too_old_dropped"), 1u);
-      }
+      EXPECT_EQ(batched.counters.at("tsdb.store.appends"), feed.size());
+      EXPECT_EQ(batched.counters.at("tsdb.store.late_fills"), 1u);
+      EXPECT_EQ(batched.counters.at("tsdb.store.duplicates_ignored"), 1u);
+      EXPECT_EQ(batched.counters.at("tsdb.store.too_old_dropped"), 1u);
     }
   }
 }

@@ -64,8 +64,8 @@
 // Exit codes: 0 success; 1 a file failed to load/parse/assess; 2 bad
 // usage (an unknown option, or a numeric value that does not parse whole
 // or that the detector rejects); 3 an output file
-// (--stats-json/--trace/--journal) could not be opened, or the --data-dir
-// store could not be opened/recovered.
+// (--stats-json/--trace/--journal) could not be opened or written, or the
+// --data-dir store could not be opened/recovered.
 //
 // Several CSV files are scored concurrently on a thread pool (--threads 0 =
 // one per hardware thread, 1 = serial); output is buffered per file and
@@ -491,7 +491,6 @@ void declare_core_keys(const obs::Registry& reg) {
 // suppression is a property of the whole run.
 void set_suppression_ratio(const obs::Registry& reg) {
   const obs::Snapshot snap = reg.snapshot();
-  if (!snap.enabled) return;
   const auto counter = [&](const char* key) -> double {
     const auto it = snap.counters.find(key);
     return it == snap.counters.end() ? 0.0 : static_cast<double>(it->second);
@@ -596,6 +595,11 @@ int main(int argc, char** argv) {
     // Barrier: every appended event is on disk before the count is
     // reported (and before a consumer launched next reads the file).
     journal->flush();
+    if (!journal->ok()) {  // a write failed: the file lacks events
+      std::fprintf(stderr, "error: cannot write %s\n",
+                   opt.journal_path.c_str());
+      return 3;
+    }
     std::fprintf(stderr, "# wrote journal: %s (%llu events)\n",
                  opt.journal_path.c_str(),
                  static_cast<unsigned long long>(journal->written()));

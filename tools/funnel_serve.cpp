@@ -32,8 +32,8 @@
 // Exit codes: 0 clean shutdown, 2 usage (an unknown flag, or a numeric
 // value that does not parse whole or is out of range: --port takes auto or
 // 0-65535, --num-shards at least 1, counts and minutes take no sign), 3
-// environment (bind failure, or a FUNNEL_OBS=OFF build, which compiles the
-// HTTP server out).
+// environment (an unreadable --config, a bind failure, or a --port-file that
+// cannot be written).
 #include <csignal>
 #include <cstdint>
 #include <cstdio>

@@ -31,8 +31,8 @@
 // within 2x its unloaded baseline (+2ms noise floor), and a quarantine
 // drill flips /healthz for one tenant while its neighbour keeps serving.
 //
-// Exit codes: 0 pass (or FUNNEL_OBS=OFF skip — the HTTP server is
-// compiled out), 1 assertion failure, 2 usage, 3 environment.
+// Exit codes: 0 pass, 1 failure (an assertion, or a funnel_serve that does
+// not start), 2 usage.
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -59,7 +59,6 @@
 
 #include "common/rng.h"
 #include "obs/journal.h"
-#include "obs/registry.h"
 #include "workload/faults.h"
 
 namespace {
@@ -244,9 +243,7 @@ std::vector<std::string> serve_args(const Options& opt, const std::string& dir,
 }
 
 bool spawn_daemon(const Options& opt, const std::string& dir,
-                  const std::vector<std::string>& tenants, Daemon* daemon,
-                  bool* compiled_out) {
-  *compiled_out = false;
+                  const std::vector<std::string>& tenants, Daemon* daemon) {
   const std::string port_file = dir + "/port.txt";
   fs::remove(port_file);
   const std::vector<std::string> args = serve_args(opt, dir, tenants);
@@ -268,14 +265,10 @@ bool spawn_daemon(const Options& opt, const std::string& dir,
     ::execv(argv[0], argv.data());
     _exit(127);
   }
-  // Wait for the port-file handshake; a fast exit 3 is the FUNNEL_OBS=OFF
-  // (or bind-failure) signature.
+  // Wait for the port-file handshake; an early exit is a start-up failure
+  // (bind, config), reported in serve.log.
   for (int i = 0; i < 600; ++i) {
-    int status = 0;
-    if (::waitpid(pid, &status, WNOHANG) == pid) {
-      if (WIFEXITED(status) && WEXITSTATUS(status) == 3) *compiled_out = true;
-      return false;
-    }
+    if (::waitpid(pid, nullptr, WNOHANG) == pid) return false;
     std::ifstream pf(port_file);
     int port = 0;
     if (pf >> port && port > 0) {
@@ -430,14 +423,18 @@ std::string read_file(const fs::path& path) {
 /// chunk indices and resuming every tenant from its recovered_seq.
 bool drive(const Options& opt, const std::string& dir,
            const std::vector<TenantPlan>& plans, bool use_dirty,
-           const std::vector<std::size_t>& kill_at, RunResult* result,
-           bool* compiled_out) {
+           const std::vector<std::size_t>& kill_at, RunResult* result) {
   fs::create_directories(dir);
   std::vector<std::string> tenants;
   for (const TenantPlan& p : plans) tenants.push_back(p.name);
 
   Daemon daemon;
-  if (!spawn_daemon(opt, dir, tenants, &daemon, compiled_out)) return false;
+  if (!spawn_daemon(opt, dir, tenants, &daemon)) {
+    std::fprintf(stderr,
+                 "FAIL: funnel_serve did not start (see %s/serve.log)\n",
+                 dir.c_str());
+    return false;
+  }
 
   constexpr std::size_t kChunk = 120;
   std::vector<std::size_t> cursor(plans.size(), 0);
@@ -503,7 +500,7 @@ bool drive(const Options& opt, const std::string& dir,
         ++next_kill;
         ++result->kills;
         kill_daemon(&daemon);
-        if (!spawn_daemon(opt, dir, tenants, &daemon, compiled_out)) {
+        if (!spawn_daemon(opt, dir, tenants, &daemon)) {
           std::fprintf(stderr, "FAIL: restart after SIGKILL\n");
           return false;
         }
@@ -769,11 +766,6 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (!funnel::obs::kEnabled) {
-    std::fprintf(stderr,
-                 "skip: FUNNEL_OBS=OFF compiles the HTTP server out\n");
-    return 77;  // ctest SKIP_RETURN_CODE
-  }
   std::signal(SIGPIPE, SIG_IGN);
 
   const int minutes = opt.quick ? 240 : opt.days * 1440;
@@ -810,25 +802,20 @@ int main(int argc, char** argv) {
   fs::create_directories(work);
 
   RunResult golden, faulted, chaos;
-  bool compiled_out = false;
   std::fprintf(stderr, "run A (golden: clean feeds, no kills)...\n");
   if (!drive(opt, (work / "golden").string(), plans, /*use_dirty=*/false, {},
-             &golden, &compiled_out)) {
-    if (compiled_out) {
-      std::fprintf(stderr, "skip: serve binary reports FUNNEL_OBS=OFF\n");
-      return 77;  // ctest SKIP_RETURN_CODE
-    }
+             &golden)) {
     return 1;
   }
   std::fprintf(stderr, "run B (faulted feeds, no kills)...\n");
   if (!drive(opt, (work / "faulted").string(), plans, /*use_dirty=*/true, {},
-             &faulted, &compiled_out)) {
+             &faulted)) {
     return 1;
   }
   std::fprintf(stderr, "run C (faulted feeds, %zu SIGKILL cycles)...\n",
                kill_at.size());
   if (!drive(opt, (work / "chaos").string(), plans, /*use_dirty=*/true,
-             kill_at, &chaos, &compiled_out)) {
+             kill_at, &chaos)) {
     return 1;
   }
 

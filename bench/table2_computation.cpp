@@ -13,11 +13,18 @@
 // The per-window rows run on the thread CPU clock (evalkit's
 // mean_score_micros); the fan-out rows span pool threads, so they read the
 // wall clock.
+//
+// --json FILE writes the per-window rows as a BENCH_table2.json record:
+// the host (bench::provenance()), each row's median, quartiles and cores
+// for 1M KPIs, and the CUSUM/FUNNEL and MRLS/FUNNEL speed ratios.
+// --quick scores a quarter of the windows per row and a quarter of the
+// fan-out fleet (tests/table2_bench_smoke.cmake checks the JSON).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -134,36 +141,79 @@ struct PaperRef {
   std::uint64_t paper_cores;
 };
 
-void print_summary_table() {
+/// One Table 2 row and its repetitions.
+struct Row {
+  std::string key;  ///< the row's name in the JSON record
+  std::string name;
+  std::unique_ptr<detect::ChangeScorer> scorer;
+  std::size_t windows;  ///< scores per repetition
+  PaperRef ref;
+  std::vector<double> us;
+};
+
+/// Writes the rows as JSON; false when the file cannot be written. rows[0]
+/// is FUNNEL, [1] CUSUM and [2] MRLS, as print_summary_table orders them.
+bool write_json(const char* path, bool quick, const std::vector<Row>& rows) {
+  const bench::Provenance host = bench::provenance();
+  std::ofstream out(path);
+  if (!out) return false;
+  out << "{\n  \"host\": {\"nproc\": " << host.nproc
+      << ", \"build_type\": \"" << host.build_type << "\", \"git_sha\": \""
+      << host.git_sha << "\"},\n"
+      << "  \"workload\": {\"class\": \"variable\", \"minutes\": 600, "
+      << "\"quick\": " << (quick ? "true" : "false")
+      << ", \"clock\": \"thread_cpu\", \"repetitions\": " << kRepeats
+      << "},\n  \"rows\": {\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    const Spread us = spread_of(r.us);
+    out << "    \"" << r.key << "\": {\"windows\": " << r.windows
+        << ", \"us_per_window\": {\"median\": " << format_fixed(us.median, 3)
+        << ", \"q1\": " << format_fixed(us.q1, 3)
+        << ", \"q3\": " << format_fixed(us.q3, 3)
+        << "}, \"cores_for_1m_kpis\": " << evalkit::cores_for_kpis(us.median);
+    if (r.ref.paper_us > 0.0) {
+      out << ", \"paper_us_per_window\": " << format_fixed(r.ref.paper_us, 1)
+          << ", \"paper_cores\": " << r.ref.paper_cores;
+    }
+    out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  const double funnel_us = spread_of(rows[0].us).median;
+  out << "  },\n  \"speed_ratios\": {\"cusum_over_funnel\": "
+      << format_fixed(spread_of(rows[1].us).median / funnel_us, 2)
+      << ", \"mrls_over_funnel\": "
+      << format_fixed(spread_of(rows[2].us).median / funnel_us, 1)
+      << ", \"paper_cusum_over_funnel\": 4.59"
+      << ", \"paper_mrls_over_funnel\": 7098}\n}\n";
+  return static_cast<bool>(out);
+}
+
+/// Prints Table 2 and, when `json_path` is set, writes it there; false
+/// when that write fails.
+bool print_summary_table(bool quick, const char* json_path) {
   std::printf(
       "\n=== Table 2: run time per window and cores for 1M KPIs ===\n\n");
   const std::vector<double> series = bench_series(600);
   const detect::SstGeometry geometry{.omega = 9, .eta = 3};
-
-  struct Row {
-    std::string name;
-    std::unique_ptr<detect::ChangeScorer> scorer;
-    std::size_t windows;  ///< scores per repetition
-    PaperRef ref;
-    std::vector<double> us;
-  };
+  const std::size_t scale = quick ? 4 : 1;
   std::vector<Row> rows;
-  rows.push_back({"FUNNEL IKA-SST, every window",
-                  std::make_unique<detect::IkaSst>(geometry), 4000,
+  rows.push_back({"funnel", "FUNNEL IKA-SST, every window",
+                  std::make_unique<detect::IkaSst>(geometry), 4000 / scale,
                   {"FUNNEL", 401.8, 7}, {}});
-  rows.push_back({"CUSUM",
+  rows.push_back({"cusum", "CUSUM",
                   std::make_unique<detect::Cusum>(detect::CusumParams{}),
-                  2000, {"CUSUM", 1846.0, 31}, {}});
-  rows.push_back({"MRLS", std::make_unique<detect::Mrls>(detect::MrlsParams{}),
-                  300, {"MRLS", 2.852e6, 47526}, {}});
-  rows.push_back({"Improved SST (exact SVD)",
-                  std::make_unique<detect::ImprovedSst>(geometry), 2000,
-                  {"-", 0.0, 0}, {}});
-  rows.push_back({"FUNNEL IKA-SST + cascade (production)",
+                  2000 / scale, {"CUSUM", 1846.0, 31}, {}});
+  rows.push_back({"mrls", "MRLS",
+                  std::make_unique<detect::Mrls>(detect::MrlsParams{}),
+                  300 / scale, {"MRLS", 2.852e6, 47526}, {}});
+  rows.push_back({"improved_sst", "Improved SST (exact SVD)",
+                  std::make_unique<detect::ImprovedSst>(geometry),
+                  2000 / scale, {"-", 0.0, 0}, {}});
+  rows.push_back({"funnel_cascaded", "FUNNEL IKA-SST + cascade (production)",
                   std::make_unique<detect::CascadeGate>(
                       std::make_unique<detect::IkaSst>(geometry),
                       detect::CascadeConfig{}),
-                  4000, {"-", 0.0, 0}, {}});
+                  4000 / scale, {"-", 0.0, 0}, {}});
   for (int rep = 0; rep < kRepeats; ++rep) {
     for (Row& r : rows) {
       r.us.push_back(
@@ -199,6 +249,13 @@ void print_summary_table() {
               "the production cascade is %.1fx faster than scoring every "
               "window on this workload\n",
               funnel_us / median_us.back());
+  if (json_path == nullptr) return true;
+  if (!write_json(json_path, quick, rows)) {
+    std::fprintf(stderr, "error: cannot write %s\n", json_path);
+    return false;
+  }
+  std::fprintf(stderr, "# wrote %s\n", json_path);
+  return true;
 }
 
 // The per-window numbers above are single-threaded by §4.3's methodology;
@@ -207,17 +264,17 @@ void print_summary_table() {
 // table scores the same fan-out with the assessment engine's ThreadPool at
 // 1/2/4/8 threads — each KPI keeps its own warm-started scorer, results go
 // into order-indexed slots, so every row computes the identical scores.
-void print_parallel_fanout_table(const obs::Registry* stats) {
+void print_parallel_fanout_table(bool quick, const obs::Registry* stats) {
   std::printf(
       "\n=== Parallel fan-out: %s ===\n\n",
       "one IKA-SST pass over a KPI fleet, wall clock by thread count");
 
-  constexpr std::size_t kKpis = 48;
+  const std::size_t kpis = quick ? 12 : 48;
   constexpr std::size_t kLen = 600;
   std::vector<std::vector<double>> fleet;
-  fleet.reserve(kKpis);
+  fleet.reserve(kpis);
   Rng rng(1234);
-  for (std::size_t i = 0; i < kKpis; ++i) {
+  for (std::size_t i = 0; i < kpis; ++i) {
     workload::VariableParams p;
     workload::KpiStream s(workload::make_variable(p, rng.split()));
     fleet.push_back(workload::render(s, 0, static_cast<MinuteTime>(kLen)));
@@ -270,7 +327,7 @@ void print_parallel_fanout_table(const obs::Registry* stats) {
   std::printf("%s\n", t.to_string().c_str());
   std::printf("(%zu KPIs x %zu minutes, %d interleaved repetitions; "
               "hardware threads available: %u — speedup saturates there)\n",
-              kKpis, kLen, kRepeats, std::thread::hardware_concurrency());
+              kpis, kLen, kRepeats, std::thread::hardware_concurrency());
 }
 
 }  // namespace
@@ -279,13 +336,19 @@ int main(int argc, char** argv) {
   // Pull our telemetry flags out before benchmark::Initialize parses the
   // command line (it owns the remaining flags).
   bool stats = false;
+  bool quick = false;
   const char* stats_json = nullptr;
+  const char* json = nullptr;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
+    } else if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
     } else if (std::strcmp(argv[i], "--stats-json") == 0 && i + 1 < argc) {
       stats_json = argv[++i];
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json = argv[++i];
     } else {
       argv[kept++] = argv[i];
     }
@@ -295,10 +358,10 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  print_summary_table();
+  if (!print_summary_table(quick, json)) return 3;
   const obs::Registry reg;
   const bool want_stats = stats || stats_json != nullptr;
-  print_parallel_fanout_table(want_stats ? &reg : nullptr);
+  print_parallel_fanout_table(quick, want_stats ? &reg : nullptr);
   bench::dump_stats(reg, stats, stats_json);
   return 0;
 }

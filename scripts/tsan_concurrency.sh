@@ -10,7 +10,7 @@
 # assessor, the telemetry registry, the tracer's cross-thread span
 # propagation, the chaos fault grid (dirty feeds through both pipelines,
 # docs/ROBUSTNESS.md), and the warm-start differential suite (stateful
-# scorer lifecycle + blocked Hankel kernel), the verdict journal's
+# scorer lifecycle + Hankel kernel), the verdict journal's
 # writer thread plus its live triage-observer tap, the persistent
 # segment store (WAL writer thread, background compaction, crash-replay
 # recovery — docs/STORAGE.md), and the live telemetry plane (HTTP worker

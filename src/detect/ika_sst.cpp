@@ -81,7 +81,6 @@ IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
       z_(geo_.window()),
       future_op_(std::vector<double>(geo_.half()), geo_.omega, geo_.omega),
       past_op_(std::vector<double>(geo_.half()), geo_.omega, geo_.omega),
-      block_scratch_(future_op_.count() * geo_.eta),
       y_(geo_.omega, geo_.eta),
       t_(geo_.eta, geo_.eta),
       next_(geo_.omega, geo_.eta),
@@ -104,10 +103,8 @@ std::span<const double> IkaSst::ritz_iterate(int iterations) {
   const std::size_t omega = geo_.omega;
   const std::size_t eta = geo_.eta;
   for (int it = 0; it < iterations; ++it) {
-    // Y = C·B through the blocked Hankel kernel — bit-identical to
-    // column-at-a-time applies, just one strided pass.
-    future_op_.apply_block(future_basis_.data(), y_.data(), eta,
-                           block_scratch_);
+    // Y = C·B, one Hankel Gram product per column of B.
+    future_op_.apply_block(future_basis_.data(), y_.data(), eta);
     // T = Bᵀ Y (eta x eta, symmetric), eigendecomposed: Q and the Ritz
     // values (non-increasing estimates of C's leading eigenvalues).
     for (std::size_t a = 0; a < eta; ++a) {
@@ -121,12 +118,14 @@ std::span<const double> IkaSst::ritz_iterate(int iterations) {
       }
     }
     linalg::sym_eigen(t_, ritz_values_, ritz_vectors_);
-    // B <- orth(Y·Q).
+    // B <- orth(Y·Q), each entry summed in a register in ascending a.
     for (std::size_t j = 0; j < eta; ++j) {
-      for (std::size_t i = 0; i < omega; ++i) next_(i, j) = 0.0;
-      for (std::size_t a = 0; a < eta; ++a) {
-        const double q = ritz_vectors_(a, j);
-        for (std::size_t i = 0; i < omega; ++i) next_(i, j) += y_(i, a) * q;
+      for (std::size_t i = 0; i < omega; ++i) {
+        double v = 0.0;
+        for (std::size_t a = 0; a < eta; ++a) {
+          v += y_(i, a) * ritz_vectors_(a, j);
+        }
+        next_(i, j) = v;
       }
     }
     orthonormalize(next_);

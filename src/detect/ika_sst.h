@@ -23,6 +23,13 @@
 // accurate. Non-consecutive windows are still correct — the iteration
 // re-converges — just marginally slower.
 //
+// Both Gram products run on one Hankel kernel (linalg/hankel.cpp) that
+// keeps four independent sums in registers per pass, and the Ritz rotation
+// Y·Q sums each entry in a register. Neither splits or reorders a sum:
+// each starts at +0.0 and adds its terms in the order of the plain loops,
+// so every score is those loops' bit for bit (detect_sst_warmstart_test
+// pins the kernel against them and every score against a golden hash).
+//
 // Scoring a window allocates nothing. Every buffer a window needs — the
 // standardized window, the two Hankel operators (refilled in place), the
 // block product C·B, the Rayleigh-Ritz matrix T and its eigenpairs, the
@@ -98,7 +105,6 @@ class IkaSst final : public ChangeScorer {
   std::vector<double> z_;  ///< the standardized window
   linalg::HankelGramOperator future_op_;
   linalg::HankelGramOperator past_op_;
-  std::vector<double> block_scratch_;  ///< apply_block's Bᵀ·X
   linalg::Matrix y_;                   ///< C·B
   linalg::Matrix t_;                   ///< Bᵀ·C·B, clobbered by its solve
   linalg::Matrix next_;                ///< the rotated basis

@@ -18,16 +18,14 @@ ConfusionMatrix MethodResult::total() const {
   return out;
 }
 
-namespace {
-
-// CPU time of the calling thread: a per-window cost a shared host's steal
-// does not inflate.
 double thread_cpu_micros() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) * 1e6 +
          static_cast<double>(ts.tv_nsec) / 1e3;
 }
+
+namespace {
 
 std::uint64_t item_weight(const EvalDataset& ds, const ItemTruth& item,
                           std::uint64_t negative_scale) {

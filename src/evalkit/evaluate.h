@@ -58,6 +58,10 @@ MethodResult evaluate_funnel(const EvalDataset& ds,
                              const core::FunnelConfig& config,
                              std::uint64_t negative_scale = 1);
 
+/// CPU time of the calling thread in microseconds: a per-window cost that a
+/// shared host's steal does not inflate.
+double thread_cpu_micros();
+
 /// Mean per-window scoring cost in microseconds of the calling thread's CPU
 /// time, measured by sliding the scorer across `series` until at least
 /// `min_total_scores` scores have been produced (Table 2's "run time per

@@ -32,11 +32,19 @@ constexpr std::size_t hankel_span(std::size_t omega, std::size_t count) {
 /// raw window, computed directly from the samples without forming B or
 /// B·Bᵀ. Cost per apply is O(omega * count) multiply-adds.
 ///
+/// Both products are correlations of the window with a vector, and one
+/// kernel computes them: t[j] = Σ_i window[j + i]·x[i], then
+/// y[i] = Σ_j window[j + i]·t[j]. Each sum starts at +0.0 and adds its
+/// products in ascending index order, the order of the plain double loop,
+/// so the result is that loop's bit for bit. The kernel keeps four
+/// independent sums in registers per pass (two SSE2 pairs), so no sum
+/// waits on a store to memory; it never splits or reorders one sum.
+///
 /// The window is copied (it is at most a few dozen samples), so the operator
 /// remains valid after the source buffer changes — important for the online
-/// sliding-window detector. apply() computes Bᵀ·x into a buffer the
-/// operator owns, so one operator must not be applied from two threads at
-/// once.
+/// sliding-window detector. apply() and apply_block() compute Bᵀ·x into a
+/// buffer the operator owns, so one operator must not be applied from two
+/// threads at once.
 class HankelGramOperator final : public LinearOperator {
  public:
   HankelGramOperator(std::span<const double> window, std::size_t omega,
@@ -50,23 +58,22 @@ class HankelGramOperator final : public LinearOperator {
   void apply(std::span<const double> x, std::span<double> y) const override;
 
   /// Y = C X for a block of `cols` vectors stored row-major
-  /// (x[i * cols + b] = X(i, b), i < dim()), one strided pass over the
-  /// window samples for the whole block. The inner loops run unit-stride
-  /// over the block columns, which is what makes the pass SIMD-friendly;
-  /// each accumulator still sums the same products in the same order as a
-  /// column-at-a-time apply(), so the result is bit-identical to it
-  /// (asserted by detect_sst_warmstart_test). `scratch` must hold at least
-  /// count() * cols doubles and is fully overwritten.
+  /// (x[i * cols + b] = X(i, b), i < dim()): apply() on each column's
+  /// strided view, so column b of Y is bit-identical to apply() of
+  /// column b of X.
   void apply_block(std::span<const double> x, std::span<double> y,
-                   std::size_t cols, std::span<double> scratch) const;
+                   std::size_t cols) const;
 
   std::size_t count() const { return count_; }
 
  private:
+  /// apply() on x[0], x[stride], ... into y[0], y[stride], ...
+  void apply_strided(const double* x, double* y, std::size_t stride) const;
+
   std::size_t omega_;
   std::size_t count_;
   Vector window_;
-  mutable Vector t_;  ///< apply()'s Bᵀ·x
+  mutable Vector t_;  ///< Bᵀ·x of the column being applied
 };
 
 }  // namespace funnel::linalg

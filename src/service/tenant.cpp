@@ -316,9 +316,15 @@ void Tenant::quiesce_for_mutation(bool* done) {
   store_->flush();
 }
 
+bool Tenant::journal_failed() {
+  if (journal_ == nullptr || journal_->ok()) return false;
+  quarantine("journal-error: cannot write " + journal_->path());
+  return true;
+}
+
 IngestResult Tenant::ingest(std::string_view body) {
   IngestResult res;
-  if (quarantined_) {
+  if (quarantined_ || journal_failed()) {
     res.quarantined = true;
     return res;
   }
@@ -412,7 +418,7 @@ IngestResult Tenant::ingest(std::string_view body) {
 std::vector<changes::ChangeId> Tenant::register_changes(
     std::string_view body, std::size_t* malformed) {
   std::vector<changes::ChangeId> ids;
-  if (quarantined_) return ids;
+  if (quarantined_ || journal_failed()) return ids;
   bool quiesced = false;
   std::size_t start = 0;
   while (start <= body.size()) {
@@ -516,10 +522,14 @@ std::string Tenant::status_json() {
   return out.str();
 }
 
-void Tenant::checkpoint() {
-  if (!store_->persistent()) return;
+void Tenant::flush() {
   store_->flush();
   if (journal_ != nullptr) journal_->flush();
+}
+
+void Tenant::checkpoint() {
+  if (!store_->persistent()) return;
+  flush();
   // A recovered journal is opened in append mode, so written() counts only
   // this incarnation's events; the checkpoint needs the count from the file
   // START or the next recovery's repair_journal() would truncate the

@@ -113,7 +113,9 @@ class Tenant {
   /// Value "nan" / empty = NaN (a delivered-but-broken reading). Unknown
   /// servers auto-join the tenant topology (durably, via meta.log).
   /// Malformed lines are counted, not fatal — unless one batch exceeds
-  /// max_malformed_per_batch, which quarantines.
+  /// max_malformed_per_batch, which quarantines. A journal that cannot be
+  /// written quarantines too ("journal-error: …"), here and in
+  /// register_changes, before the body is read.
   /// The body reaches the store as one batch append (one WAL group commit,
   /// one dispatcher push), cut only before a line that adds a server so the
   /// lines before it land before the topology changes. The store, the WAL
@@ -143,6 +145,11 @@ class Tenant {
 
   /// One-line status JSON (REQUIRES lock): counters, seq, quarantine.
   std::string status_json();
+
+  /// Barrier (REQUIRES lock): every sample accepted before the call has
+  /// been delivered, and every verdict it finalized written to the journal
+  /// (or dropped by a journal whose writer latched a write error).
+  void flush();
 
   /// flush + checkpoint(watch snapshot, journal event count); no-op for an
   /// in-memory tenant (REQUIRES lock).
@@ -191,6 +198,11 @@ class Tenant {
   /// change-log mutation: callbacks running on the dispatcher thread read
   /// topo_/log_ and must not race a writer (docs/CONCURRENCY.md).
   void quiesce_for_mutation(bool* done);
+  /// A journal that failed to open or latched a write error would let
+  /// verdicts go unrecorded while the tenant keeps answering: quarantine
+  /// with reason "journal-error: …" and return true. One atomic load when
+  /// the journal is healthy.
+  bool journal_failed();
 
   TenantOptions options_;
   const obs::Registry* stats_;

@@ -1,10 +1,21 @@
 // Differential suite for the production SST scorer: the warm-started
 // default IkaSst vs per-window cold restarts of the same scorer, plus the
-// bit-exactness contract of the blocked Hankel kernel it runs on.
+// bit-exactness contract of the Hankel kernel it runs on.
+//
+// The Hankel kernel (linalg/hankel.cpp) computes both Gram products as
+// correlations of the window with a vector and keeps four independent sums
+// in registers per pass. It never splits or reorders one sum: each starts
+// at +0.0 and adds its products in ascending index order, as the plain
+// double loops it replaced did, so its outputs are those loops' bit for
+// bit. Those loops are kept below as the reference.
 //
 // The locked-down invariants:
-//   * HankelGramOperator::apply_block is bit-identical to column-at-a-time
-//     apply().
+//   * HankelGramOperator::apply and apply_block are bit-identical to the
+//     scalar reference loops over every small geometry and over windows of
+//     signed zeros, subnormals, huge values and non-finite samples.
+//   * Every IkaSst score (full, cascaded and cold-restarted, ω 5/9/15, the
+//     three KPI classes) hashes to a constant computed with the scalar
+//     kernel.
 //   * A warm-started scorer tracks a scorer cold-restarted before every
 //     window within a per-window tolerance, and the final alarm verdicts
 //     are byte-identical over the seed corpora and chaos-faulted series.
@@ -20,12 +31,15 @@
 //     funnel::median and funnel::mad over the standardized halves.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -72,34 +86,239 @@ std::vector<double> class_series(tsdb::KpiClass cls, std::uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked Hankel kernel: bit-exactness vs column-at-a-time apply().
+// Hankel kernel: bit-exactness vs the scalar reference loops.
 // ---------------------------------------------------------------------------
 
-TEST(HankelBlockKernel, ApplyBlockBitIdenticalToApply) {
-  Rng rng(314);
-  const std::size_t omega = 9, count = 9, cols = 3;
-  std::vector<double> window(linalg::hankel_span(omega, count));
-  for (double& v : window) v = rng.gaussian(0.0, 3.0);
+// The scalar loop nests the register kernel replaced, kept as its
+// reference. apply(): t = Bᵀx, then y = B·t, each sum in a local.
+void reference_apply(std::span<const double> window, std::size_t omega,
+                     std::size_t count, std::span<const double> x,
+                     std::span<double> y) {
+  std::vector<double> t(count);
+  for (std::size_t j = 0; j < count; ++j) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < omega; ++i) acc += window[j + i] * x[i];
+    t[j] = acc;
+  }
+  for (std::size_t i = 0; i < omega; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < count; ++j) acc += window[j + i] * t[j];
+    y[i] = acc;
+  }
+}
+
+// apply_block(): the blocked nest over a row-major block of `cols` vectors,
+// each sum accumulated in memory, unit-stride over the block columns.
+void reference_apply_block(std::span<const double> window, std::size_t omega,
+                           std::size_t count, std::span<const double> x,
+                           std::span<double> y, std::size_t cols) {
+  std::vector<double> scratch(count * cols, 0.0);
+  for (std::size_t j = 0; j < count; ++j) {
+    double* trow = scratch.data() + j * cols;
+    for (std::size_t i = 0; i < omega; ++i) {
+      const double w = window[j + i];
+      const double* xrow = x.data() + i * cols;
+      for (std::size_t b = 0; b < cols; ++b) trow[b] += w * xrow[b];
+    }
+  }
+  std::fill(y.begin(), y.begin() + omega * cols, 0.0);
+  for (std::size_t i = 0; i < omega; ++i) {
+    double* yrow = y.data() + i * cols;
+    for (std::size_t j = 0; j < count; ++j) {
+      const double w = window[j + i];
+      const double* trow = scratch.data() + j * cols;
+      for (std::size_t b = 0; b < cols; ++b) yrow[b] += w * trow[b];
+    }
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// `got` has the reference's bits, or, where the reference is NaN, is NaN.
+//
+// The one allowance is the sign and payload of a NaN. Where both operands
+// of a multiply or an add are NaN, x86 keeps the first operand's NaN, and
+// the compiler orders the operands of a commutative operation as its
+// register allocation suits: the blocked nest added a sum from memory into
+// its product, and the kernel's register pairs differ among themselves.
+// IkaSst never observes such a NaN: a NaN in C·B makes sym_eigen run out
+// of sweeps (or, with η = 1, Lanczos refuse its seed), and a NaN in the
+// past operator's output ends the QL iteration, whatever the NaN's sign.
+void expect_same(double got, double want, const std::string& where) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << where << ": " << got << " vs NaN";
+  } else {
+    EXPECT_EQ(bits(got), bits(want)) << where << ": " << got << " vs " << want;
+  }
+}
+
+// apply() per column and apply_block() over the whole block against their
+// references, and apply_block() against apply() bit for bit (one kernel,
+// so NaNs included). Returns apply_block()'s outputs.
+std::vector<double> expect_kernel_matches_reference(std::span<const double> window,
+                                            std::size_t omega,
+                                            std::size_t count,
+                                            std::span<const double> x,
+                                            std::size_t cols) {
   const linalg::HankelGramOperator op(window, omega, count);
-
-  std::vector<double> x(omega * cols);
-  for (double& v : x) v = rng.gaussian(0.0, 1.0);
-
-  // Column-at-a-time apply().
-  std::vector<double> expected(omega * cols);
-  std::vector<double> xi(omega), yi(omega);
+  const std::string geometry = "omega " + std::to_string(omega) + " count " +
+                               std::to_string(count) + " cols " +
+                               std::to_string(cols) + " at ";
+  std::vector<double> by_column(omega * cols);
+  std::vector<double> xi(omega), yi(omega), want(omega);
   for (std::size_t b = 0; b < cols; ++b) {
     for (std::size_t i = 0; i < omega; ++i) xi[i] = x[i * cols + b];
     op.apply(xi, yi);
-    for (std::size_t i = 0; i < omega; ++i) expected[i * cols + b] = yi[i];
+    reference_apply(window, omega, count, xi, want);
+    for (std::size_t i = 0; i < omega; ++i) {
+      expect_same(yi[i], want[i],
+                  "apply: " + geometry + std::to_string(i * cols + b));
+      by_column[i * cols + b] = yi[i];
+    }
   }
-
-  std::vector<double> y(omega * cols);
-  std::vector<double> scratch(op.count() * cols);
-  op.apply_block(x, y, cols, scratch);
+  std::vector<double> y(omega * cols), blocked(omega * cols);
+  op.apply_block(x, y, cols);
+  reference_apply_block(window, omega, count, x, blocked, cols);
   for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_EQ(y[i], expected[i]) << "apply_block diverged at " << i;
+    EXPECT_EQ(bits(y[i]), bits(by_column[i]))
+        << "apply_block vs apply: " << geometry << i;
+    expect_same(y[i], blocked[i],
+                "apply_block: " + geometry + std::to_string(i));
   }
+  return y;
+}
+
+TEST(HankelBlockKernel, BitIdenticalToScalarReferenceOverGeometries) {
+  Rng rng(314);
+  std::size_t checked = 0;
+  std::size_t tails = 0;  ///< geometries whose row counts are not 4k
+  for (std::size_t omega = 1; omega <= 16; ++omega) {
+    for (std::size_t count = 1; count <= 16; ++count) {
+      for (std::size_t cols = 1; cols <= 5; ++cols) {
+        std::vector<double> window(linalg::hankel_span(omega, count));
+        for (double& v : window) v = rng.gaussian(0.0, 3.0);
+        std::vector<double> x(omega * cols);
+        for (double& v : x) v = rng.gaussian(0.0, 1.0);
+        checked += expect_kernel_matches_reference(window, omega, count, x,
+                                                   cols).size();
+        if (omega % 4 != 0 || count % 4 != 0) ++tails;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 5u * 16u * 17u / 2u * 16u * 3u);  // Σω · 16 counts · Σcols
+  EXPECT_GT(tails, 0u);
+}
+
+// Windows whose products underflow, overflow, cancel to signed zeros or
+// turn non-finite: every output bit, NaN payloads and zero signs included,
+// must match the reference.
+TEST(HankelBlockKernel, BitIdenticalToScalarReferenceOnSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double min_sub = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> palettes = {
+      {0.0, -0.0},
+      {0.0, -0.0, min_sub, -min_sub, 3.0e-310, -7.5e-320, 1.0e-300},
+      {1e300, -1e300, 3.0, -0.0},
+      {nan, kInf, -kInf, 1.0, 0.0},
+      {nan, 1e300, -1e300, min_sub, -0.0, kInf},
+  };
+  Rng rng(2718);
+  std::size_t nans = 0, infs = 0, zeros = 0, negative_zeros = 0,
+              subnormals = 0, finite = 0;
+  for (const std::vector<double>& palette : palettes) {
+    for (const std::size_t omega : {1, 2, 5, 9, 15}) {
+      for (const std::size_t count : {1, 3, 4, 9, 16}) {
+        for (const std::size_t cols : {1, 3}) {
+          std::vector<double> window(linalg::hankel_span(omega, count));
+          for (double& v : window) {
+            v = rng.uniform() < 0.5
+                    ? palette[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(palette.size()) - 1))]
+                    : rng.gaussian(0.0, 2.0);
+          }
+          std::vector<double> x(omega * cols);
+          for (double& v : x) {
+            v = rng.uniform() < 0.25 ? -0.0 : rng.gaussian(0.0, 1.0);
+          }
+          for (const double v :
+               expect_kernel_matches_reference(window, omega, count, x,
+                                               cols)) {
+            if (std::isnan(v)) {
+              ++nans;
+            } else if (std::isinf(v)) {
+              ++infs;
+            } else if (v == 0.0) {
+              ++(std::signbit(v) ? negative_zeros : zeros);
+            } else if (std::fpclassify(v) == FP_SUBNORMAL) {
+              ++subnormals;
+            } else {
+              ++finite;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Every kind of output the palettes are for occurred, except -0.0: each
+  // sum starts at +0.0, and +0.0 + -0.0 is +0.0.
+  EXPECT_GT(nans, 0u);
+  EXPECT_GT(infs, 0u);
+  EXPECT_GT(zeros, 0u);
+  EXPECT_EQ(negative_zeros, 0u);
+  EXPECT_GT(subnormals, 0u);
+  EXPECT_GT(finite, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden score hash: every score bit of the production scorer.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// FNV-1a over every score (and suppression flag) of a full, a cascaded and
+// a reset-before-every-window scorer, for ω 5, 9 and 15 on the three KPI
+// classes, each series with a level shift and a NaN gap. The constant was
+// computed with the scalar Hankel loops; a kernel that reorders or splits
+// any sum changes it.
+TEST(IkaSstGolden, ScoreBitsMatchScalarKernelHash) {
+  constexpr std::uint64_t kGolden = 0x4410bea6387bfe07ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t windows = 0;
+  for (const std::size_t omega : {5, 9, 15}) {
+    const SstGeometry geo{.omega = omega, .eta = 3};
+    for (const tsdb::KpiClass cls :
+         {tsdb::KpiClass::kSeasonal, tsdb::KpiClass::kStationary,
+          tsdb::KpiClass::kVariable}) {
+      std::vector<double> series =
+          class_series(cls, 40 + omega, 480, 8.0, 300);
+      std::fill(series.begin() + 150, series.begin() + 153,
+                std::numeric_limits<double>::quiet_NaN());
+      const auto span = std::span<const double>(series);
+      const std::size_t w = geo.window();
+      IkaSst full(geo);
+      IkaSst cascaded(geo);
+      IkaSst cold(geo);
+      for (std::size_t i = 0; i + w <= series.size(); ++i) {
+        const std::span<const double> window = span.subspan(i, w);
+        h = fnv1a(h, bits(full.score(window)));
+        bool suppressed = false;
+        h = fnv1a(h, bits(cascaded.score(window, 0.22, &suppressed)));
+        h = fnv1a(h, suppressed ? 1u : 0u);
+        cold.reset();
+        h = fnv1a(h, bits(cold.score(window)));
+        ++windows;
+      }
+    }
+  }
+  EXPECT_GT(windows, 3000u);
+  EXPECT_EQ(h, kGolden) << "score hash 0x" << std::hex << h;
 }
 
 // ---------------------------------------------------------------------------

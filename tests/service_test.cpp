@@ -273,6 +273,35 @@ TEST(Tenant, DirtyFeedTripsQuarantineWithMachineReadableReason) {
   EXPECT_EQ(tenant.quarantine_reason().rfind("dirty-feed", 0), 0u);
 }
 
+// A journal whose writer latched a write error drops every later verdict.
+// The tenant must not keep answering as if they were recorded: the next
+// ingest and the next registration quarantine it with a machine-readable
+// reason, as a failed WAL log() does with "store-error:". /dev/full opens
+// and fails the first flush, like a full disk.
+TEST(Tenant, LatchedJournalQuarantinesWithMachineReadableReason) {
+  TenantOptions opts = small_funnel("t");
+  opts.journal_path = "/dev/full";
+  Tenant tenant(opts);
+  tenant.ingest(sample_lines(0, 46, 1));
+  ASSERT_EQ(tenant.register_changes("45,svc,dark,s0,chg-0\n").size(), 1u);
+  // Past the 20-minute horizon: the watch finalizes and journals a verdict.
+  EXPECT_FALSE(tenant.ingest(sample_lines(46, 100, 2)).quarantined);
+  tenant.flush();  // the verdict's write fails and latches the journal
+  EXPECT_FALSE(tenant.quarantined());  // nothing has read the latch yet
+
+  const IngestResult r = tenant.ingest("svc,s0,cpu,100,10\n");
+  EXPECT_TRUE(r.quarantined);
+  EXPECT_EQ(r.accepted, 0u);
+  EXPECT_TRUE(tenant.quarantined());
+  EXPECT_EQ(tenant.quarantine_reason().rfind("journal-error: ", 0), 0u)
+      << tenant.quarantine_reason();
+  EXPECT_NE(tenant.quarantine_reason().find("/dev/full"), std::string::npos)
+      << tenant.quarantine_reason();
+  EXPECT_TRUE(tenant.register_changes("90,svc,dark,s1,chg-1\n").empty());
+  // The verdict the journal lost is still served from the report.
+  EXPECT_NE(tenant.report_json().find("\"change_id\":0"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Cross-tenant isolation: a neighbour's abuse never alters verdict bytes.
 

@@ -7,9 +7,9 @@
 //      (the shape of a /v1/ingest POST). Both rows write the same bytes.
 //   2. Segment flush latency: one checkpoint() freezing the whole hot set
 //      into an immutable columnar segment (the pause at a natural barrier).
-//   3. Historical read cost, RAM vs mmap: the same day-long window queries
-//      against the hydrated in-memory store and against a cold_reads store
-//      that answers out-of-core from the mmap'd segment.
+//   3. Historical read cost: day-long window queries against the in-memory
+//      series, the one place a store's history is read from (a reopened
+//      store hydrates its segments into memory).
 //
 // The workload is synthetic but shaped like the assessor's: N server
 // metrics, one sample per minute, appended in minute-major order (all
@@ -19,8 +19,8 @@
 // Writes BENCH_persist.json (--json FILE to relocate; --dir DIR for the
 // scratch store) with the host it ran on (hardware threads, build type, git
 // commit). tests/persist_bench_smoke.cmake runs --quick and validates the
-// JSON shape plus sanity bars (positive rates, every WAL record of both rows
-// accounted for).
+// JSON shape plus sanity bars (positive rates and read cost, every WAL
+// record of both rows accounted for).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -87,28 +87,28 @@ WalRow append_minute_batches(const std::string& dir,
   return row;
 }
 
-struct ReadCost {
-  double us_per_window = 0.0;
-  double checksum = 0.0;  ///< keeps the reads from being optimized away
-};
+/// Keeps the window reads from being optimized away.
+volatile double g_read_sink = 0.0;
 
 // Day-long window queries at deterministic offsets, round-robin over the
 // metrics — the shape of a baseline-window read during determination.
-ReadCost read_windows(const tsdb::MetricStore& store,
-                      const std::vector<tsdb::MetricId>& metrics,
-                      MinuteTime minutes, std::size_t windows,
-                      MinuteTime window_minutes) {
+// Returns microseconds per window.
+double read_windows(const tsdb::MetricStore& store,
+                    const std::vector<tsdb::MetricId>& metrics,
+                    MinuteTime minutes, std::size_t windows,
+                    MinuteTime window_minutes) {
   Rng rng(914);
-  ReadCost cost;
+  double checksum = 0.0;
   const double start = now_us();
   for (std::size_t w = 0; w < windows; ++w) {
     const tsdb::MetricId& id = metrics[w % metrics.size()];
     const MinuteTime t0 = rng.uniform_int(0, minutes - window_minutes - 1);
     const std::vector<double> win = store.query(id, t0, t0 + window_minutes);
-    for (std::size_t i = 0; i < win.size(); i += 97) cost.checksum += win[i];
+    for (std::size_t i = 0; i < win.size(); i += 97) checksum += win[i];
   }
-  cost.us_per_window = (now_us() - start) / static_cast<double>(windows);
-  return cost;
+  const double us = (now_us() - start) / static_cast<double>(windows);
+  g_read_sink = checksum;
+  return us;
 }
 
 }  // namespace
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   const std::size_t records = n_metrics * static_cast<std::size_t>(minutes);
 
   std::printf("\n================================================================\n");
-  std::printf("Persistent segment store: WAL, flush, RAM-vs-mmap reads\n");
+  std::printf("Persistent segment store: WAL, flush, window reads\n");
   std::printf("================================================================\n");
   std::printf("workload            %zu metrics x %lld minutes = %zu records\n",
               n_metrics, static_cast<long long>(minutes), records);
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   double append_us = 0.0, flush_ms = 0.0;
   std::uint64_t wal_records = 0, wal_bytes = 0;
   std::size_t segments = 0;
-  ReadCost ram;
+  double ram_us = 0.0;
   {
     tsdb::StoreOptions options;
     options.data_dir = dir;
@@ -172,18 +172,7 @@ int main(int argc, char** argv) {
     flush_ms = (now_us() - t1) / 1000.0;
     segments = store.segment_count();
 
-    ram = read_windows(store, metrics, minutes, windows, window_minutes);
-  }
-
-  // Reopen cold: history stays on the mmap'd segment, queries run
-  // out-of-core and stitch with the (empty) hot tail.
-  ReadCost mmap;
-  {
-    tsdb::StoreOptions options;
-    options.data_dir = dir;
-    options.cold_reads = true;
-    tsdb::MetricStore store(options);
-    mmap = read_windows(store, metrics, minutes, windows, window_minutes);
+    ram_us = read_windows(store, metrics, minutes, windows, window_minutes);
   }
   std::filesystem::remove_all(dir);
 
@@ -207,15 +196,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(batched.bytes), n_metrics);
   std::printf("segment flush       %.1f ms (%zu segment(s))\n", flush_ms,
               segments);
-  std::printf("historical read     RAM %.1f us/window, mmap %.1f us/window "
-              "(%zu windows of %lld min)\n",
-              ram.us_per_window, mmap.us_per_window, windows,
-              static_cast<long long>(window_minutes));
-  if (ram.checksum != mmap.checksum) {
-    std::fprintf(stderr, "error: RAM and mmap reads disagree (%f vs %f)\n",
-                 ram.checksum, mmap.checksum);
-    return 1;
-  }
+  std::printf("historical read     RAM %.1f us/window (%zu windows of %lld "
+              "min)\n",
+              ram_us, windows, static_cast<long long>(window_minutes));
 
   const bench::Provenance host = bench::provenance();
   std::ofstream out(json_path);
@@ -238,8 +221,7 @@ int main(int argc, char** argv) {
       << flush_ms << ",\"segments\":" << segments
       << "},\"read\":{\"windows\":" << windows
       << ",\"window_minutes\":" << window_minutes
-      << ",\"ram_us_per_window\":" << ram.us_per_window
-      << ",\"mmap_us_per_window\":" << mmap.us_per_window << "}}\n";
+      << ",\"ram_us_per_window\":" << ram_us << "}}\n";
   out.close();
   std::fprintf(stderr, "# wrote %s\n", json_path);
   return 0;

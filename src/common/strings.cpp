@@ -28,10 +28,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view delim) 
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string format_fixed(double value, int precision) {
   std::ostringstream os;
   os.setf(std::ios::fixed);

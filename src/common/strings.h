@@ -21,9 +21,6 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Join with a delimiter string.
 std::string join(const std::vector<std::string>& parts, std::string_view delim);
 
-/// True when `s` begins with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
 /// Format a double with fixed precision (helper for table output).
 std::string format_fixed(double value, int precision);
 

@@ -430,10 +430,13 @@ struct CloseFile {
 // Writer-side state: the queue's consumer serializes and commits each
 // drained batch.
 struct Journal::Impl {
-  Impl(std::FILE* f, std::size_t capacity, std::atomic<bool>& failed)
+  /// Events the writer's queue holds before append() blocks.
+  static constexpr std::size_t kQueueCapacity = 4096;
+
+  Impl(std::FILE* f, std::atomic<bool>& failed)
       : file(f),
         failed(failed),
-        queue(capacity, common::Backpressure::kBlock,
+        queue(kQueueCapacity, common::Backpressure::kBlock,
               [this](std::vector<JournalEvent>& batch) { commit(batch); }) {}
 
   void commit(const std::vector<JournalEvent>& batch) {
@@ -485,7 +488,7 @@ Journal::Journal(std::string path, JournalOptions options)
   std::FILE* file = std::fopen(path_.c_str(), options.truncate ? "wb" : "ab");
   failed_.store(file == nullptr, std::memory_order_release);
   if (file != nullptr) {
-    impl_ = std::make_unique<Impl>(file, options.queue_capacity, failed_);
+    impl_ = std::make_unique<Impl>(file, failed_);
   }
 }
 

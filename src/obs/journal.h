@@ -138,7 +138,6 @@ std::uint64_t repair_journal(const std::string& path,
                              std::uint64_t keep_events);
 
 struct JournalOptions {
-  std::size_t queue_capacity = 4096;  ///< clamped to >= 1
   /// false = open in append mode instead of truncating — the crash-restart
   /// path, after repair_journal() has rewound the file to the checkpoint.
   bool truncate = true;

@@ -348,7 +348,12 @@ obs::HttpResponse FunnelService::dispatch(const obs::HttpRequest& req) {
     if (!parse_query_minute(req.query, "now", &now)) {
       return error_response(400, "bad-request", "missing ?now=<minute>");
     }
-    const std::size_t expired = tenant->maintenance(now);
+    std::size_t expired = 0;
+    try {
+      expired = tenant->maintenance(now);
+    } catch (const tsdb::persist::StorageError& e) {
+      return error_response(503, "checkpoint-failed", e.what());
+    }
     std::ostringstream body;
     body << "{\"expired\":" << expired << "}";
     return json_response(200, body.str());

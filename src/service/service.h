@@ -14,7 +14,8 @@
 //   GET  /v1/seq/<tenant>         {"recovered_seq":..,"applied_seq":..} —
 //                                 the crash-resume cursor clients read back
 //   POST /v1/checkpoint/<tenant>  flush + durable checkpoint
-//   POST /v1/maintenance/<tenant>?now=M   expire gap-starved watches
+//   POST /v1/maintenance/<tenant>?now=M   expire gap-starved watches and
+//                                 checkpoint when any expired
 //   POST /v1/quarantine/<tenant>  body = reason (fault-drill hook)
 //   GET  /v1/tenants              tenant list with status
 // plus the plane's own /metrics /stats.json /healthz /readyz /statusz.

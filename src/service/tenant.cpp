@@ -541,7 +541,11 @@ void Tenant::checkpoint() {
 
 std::size_t Tenant::maintenance(MinuteTime now) {
   store_->flush();
-  return online_->expire(now);
+  const std::size_t expired = online_->expire(now);
+  // No WAL record carries an expiry, and recovery rewinds the journal to
+  // the last checkpoint: only a checkpoint makes one survive a restart.
+  if (expired > 0) checkpoint();
+  return expired;
 }
 
 void Tenant::quarantine(std::string reason) {

@@ -156,7 +156,9 @@ class Tenant {
   void checkpoint();
 
   /// flush + FunnelOnline::expire(now): force-finalize gap-starved watches
-  /// (REQUIRES lock). Returns watches finalized.
+  /// (REQUIRES lock), then checkpoint when any expired, so the expiry and
+  /// its journalled verdicts survive a restart. Returns watches finalized;
+  /// throws StorageError when that checkpoint fails.
   std::size_t maintenance(MinuteTime now);
 
   /// Enter quarantine (REQUIRES lock; idempotent — the first reason

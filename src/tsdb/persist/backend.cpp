@@ -1,12 +1,12 @@
 #include "tsdb/persist/backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <utility>
 
 namespace funnel::tsdb::persist {
 
@@ -17,6 +17,9 @@ namespace {
 constexpr char kCheckpointMagic[8] = {'F', 'N', 'L', 'C', 'K', 'P', '1', '\0'};
 constexpr std::uint8_t kCheckpointVersion = 1;
 constexpr char kCheckpointName[] = "checkpoint";
+/// Background compaction starts when the live segment list reaches this
+/// many files.
+constexpr std::size_t kCompactThreshold = 4;
 
 struct CheckpointState {
   std::uint64_t next_epoch = 1;
@@ -89,7 +92,7 @@ bool decode_checkpoint(const std::string& bytes, CheckpointState& out) {
 }  // namespace
 
 PersistBackend::PersistBackend(const BackendOptions& options)
-    : dir_(options.dir), compact_threshold_(options.compact_threshold) {
+    : dir_(options.dir) {
   recover(options);
   compact_thread_ = std::thread([this] { compaction_main(); });
 }
@@ -211,17 +214,9 @@ void PersistBackend::recover(const BackendOptions& options) {
 }
 
 // ---------------------------------------------------------------------------
-// Cold reads.
+// Hydration.
 
-bool PersistBackend::has_cold(const MetricId& id) const {
-  std::shared_lock lock(segments_mutex_);
-  for (const auto& seg : segments_) {
-    if (seg->find(id) != nullptr) return true;
-  }
-  return false;
-}
-
-std::vector<MetricId> PersistBackend::cold_metrics() const {
+std::vector<MetricId> PersistBackend::segment_metrics() const {
   std::vector<MetricId> out;
   {
     std::shared_lock lock(segments_mutex_);
@@ -234,63 +229,23 @@ std::vector<MetricId> PersistBackend::cold_metrics() const {
   return out;
 }
 
-std::optional<std::pair<MinuteTime, MinuteTime>> PersistBackend::cold_bounds(
-    const MetricId& id) const {
+TimeSeries PersistBackend::materialize(const MetricId& id) const {
   std::shared_lock lock(segments_mutex_);
-  std::optional<std::pair<MinuteTime, MinuteTime>> bounds;
+  // The segments holding `id`, in overlay order, and their union range.
+  std::vector<std::pair<const SegmentReader*, const SegmentReader::Entry*>>
+      found;
+  MinuteTime lo = 0, hi = 0;
   for (const auto& seg : segments_) {
-    if (const auto* e = seg->find(id)) {
-      if (!bounds.has_value()) {
-        bounds = {e->lo, e->hi};
-      } else {
-        bounds->first = std::min(bounds->first, e->lo);
-        bounds->second = std::max(bounds->second, e->hi);
-      }
-    }
+    const auto* e = seg->find(id);
+    if (e == nullptr) continue;
+    lo = found.empty() ? e->lo : std::min(lo, e->lo);
+    hi = found.empty() ? e->hi : std::max(hi, e->hi);
+    found.emplace_back(seg.get(), e);
   }
-  return bounds;
-}
-
-void PersistBackend::fill_window(const MetricId& id, MinuteTime t0,
-                                 MinuteTime t1, std::span<double> out) const {
-  std::shared_lock lock(segments_mutex_);
-  for (const auto& seg : segments_) {
-    if (const auto* e = seg->find(id)) {
-      const MinuteTime lo = std::max(t0, e->lo);
-      const MinuteTime hi = std::min(t1, e->hi);
-      if (lo < hi) seg->read_into(*e, t0, t1, out);
-    }
-  }
-}
-
-TimeSeries PersistBackend::materialize(const MetricId& id,
-                                       const TimeSeries* hot) const {
-  const auto bounds = cold_bounds(id);
-  const bool have_hot = hot != nullptr && !hot->empty();
-  if (!bounds.has_value() && !have_hot) return TimeSeries{};
-
-  MinuteTime lo = bounds ? bounds->first
-                         : hot->start_time();
-  MinuteTime hi = bounds ? bounds->second : hot->end_time();
-  if (have_hot) {
-    lo = std::min(lo, hot->start_time());
-    hi = std::max(hi, hot->end_time());
-  }
-
+  if (found.empty()) return TimeSeries{};
   std::vector<double> dense(static_cast<std::size_t>(hi - lo),
                             std::numeric_limits<double>::quiet_NaN());
-  if (bounds.has_value()) fill_window(id, lo, hi, dense);
-  if (have_hot) {
-    // Finite hot samples overlay the segments (they are newer); hot NaN
-    // holes keep whatever the segments hold — a hole means "no tail record
-    // for this minute", not "tail recorded a gap over flushed data"
-    // (upsert_at never turns a finite sample back into NaN).
-    const std::span<const double> hv = hot->values();
-    const auto off = static_cast<std::size_t>(hot->start_time() - lo);
-    for (std::size_t i = 0; i < hv.size(); ++i) {
-      if (!std::isnan(hv[i])) dense[off + i] = hv[i];
-    }
-  }
+  for (const auto& [seg, e] : found) seg->read_into(*e, lo, hi, dense);
   return TimeSeries(lo, std::move(dense));
 }
 
@@ -436,10 +391,9 @@ void PersistBackend::commit_checkpoint(std::vector<SegmentColumn> columns,
 }
 
 void PersistBackend::maybe_kick_compaction_locked() {
-  if (compact_threshold_ == 0) return;
   if (!compact_job_.empty() || compact_result_.has_value()) return;
   std::shared_lock lock(segments_mutex_);
-  if (segments_.size() < compact_threshold_) return;
+  if (segments_.size() < kCompactThreshold) return;
   for (const auto& seg : segments_) compact_job_.push_back(seg.get());
   {
     std::lock_guard slock(state_mutex_);

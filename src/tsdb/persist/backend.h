@@ -31,8 +31,12 @@
 // current segment list into one file and parks the result; the NEXT
 // checkpoint adopts it (swaps the list, deletes the inputs). The segment
 // list therefore mutates only on the checkpointing thread, under a
-// shared_mutex that cold readers hold shared — the whole locking story is
+// shared_mutex that its readers hold shared — the whole locking story is
 // three lines in docs/CONCURRENCY.md.
+//
+// History comes back one way: MetricStore hydrates every segment-resident
+// series into memory at construction (segment_metrics() + materialize()),
+// then replays the WAL tail.
 #pragma once
 
 #include <condition_variable>
@@ -45,7 +49,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/minute_time.h"
@@ -61,9 +64,6 @@ struct BackendOptions {
   std::string dir;
   std::size_t wal_queue_capacity = 4096;
   WalDurability durability = WalDurability::kFlush;
-  /// Kick background compaction when the live segment count reaches this
-  /// (0 disables compaction).
-  std::size_t compact_threshold = 4;
 };
 
 class PersistBackend {
@@ -90,23 +90,14 @@ class PersistBackend {
   /// Torn-tail bytes truncated off the recovered WAL.
   std::uint64_t recovered_wal_skipped_bytes() const { return wal_skipped_; }
 
-  // --- Cold (segment-resident) data --------------------------------------
+  // --- Hydration (segment-resident history) ------------------------------
 
-  bool has_cold(const MetricId& id) const;
   /// Metrics present in any segment, ordered.
-  std::vector<MetricId> cold_metrics() const;
-  /// Segment-side range [lo, hi) of one metric, nullopt when absent.
-  std::optional<std::pair<MinuteTime, MinuteTime>> cold_bounds(
-      const MetricId& id) const;
-  /// Overlay segment samples intersecting [t0, t1) onto `out` (out[k] is
-  /// minute t0+k), ascending segment order so the newest value wins.
-  /// Untouched minutes keep their prior content — pre-fill with NaN.
-  void fill_window(const MetricId& id, MinuteTime t0, MinuteTime t1,
-                   std::span<double> out) const;
-  /// Full stitched series: segments overlaid in order, then the finite
-  /// samples of `hot` (the in-memory tail; nullptr for segments only).
-  /// Empty series when the metric exists nowhere.
-  TimeSeries materialize(const MetricId& id, const TimeSeries* hot) const;
+  std::vector<MetricId> segment_metrics() const;
+  /// One metric's history: the segments overlaid in ascending order, so the
+  /// newest value of a minute wins, over [lowest lo, highest hi) with NaN
+  /// where no segment holds a sample. Empty when no segment holds it.
+  TimeSeries materialize(const MetricId& id) const;
 
   // --- Runtime ------------------------------------------------------------
 
@@ -163,7 +154,6 @@ class PersistBackend {
   std::string segment_path(std::uint64_t epoch) const;
 
   std::string dir_;
-  std::size_t compact_threshold_ = 4;
 
   // Recovery products.
   std::vector<WalRecord> tail_;
@@ -173,7 +163,7 @@ class PersistBackend {
   std::uint64_t wal_skipped_ = 0;
 
   // Live segment list in overlay (ascending-age) order. Mutated only inside
-  // commit_checkpoint, under unique lock; cold readers hold shared.
+  // commit_checkpoint, under unique lock; readers hold shared.
   mutable std::shared_mutex segments_mutex_;
   std::vector<std::unique_ptr<SegmentReader>> segments_;
 

@@ -22,10 +22,10 @@
 // All column offsets are 8-byte multiples (header is 16 bytes, every column
 // is a multiple of 8), though the reader still memcpy's per element rather
 // than aliasing the map. Readers mmap PROT_READ and binary-search the
-// footer index — a historical DiD window touches only the pages its minutes
-// live on, which is the out-of-core story. Files are immutable after the
-// tmp+rename publish: compaction writes a *new* merged file and the old
-// ones are deleted only after a checkpoint stops referencing them.
+// footer index; hydration (a MetricStore reopening its data_dir) and
+// compaction read the columns straight off the map. Files are immutable
+// after the tmp+rename publish: compaction writes a *new* merged file and
+// the old ones are deleted only after a checkpoint stops referencing them.
 #pragma once
 
 #include <cstdint>

@@ -7,20 +7,6 @@
 
 namespace funnel::tsdb {
 
-void TimeSeries::append_at(MinuteTime t, double value) {
-  if (empty() && values_.empty() && t != start_ && size() == 0) {
-    // Allow the first explicit-timestamp append to (re)define the start.
-    start_ = t;
-    values_.push_back(value);
-    return;
-  }
-  FUNNEL_REQUIRE(t >= end_time(), "append_at into the past");
-  while (end_time() < t) {
-    values_.push_back(std::numeric_limits<double>::quiet_NaN());
-  }
-  values_.push_back(value);
-}
-
 TimeSeries::Upsert TimeSeries::upsert_at(MinuteTime t, double value) {
   if (values_.empty()) {
     start_ = t;

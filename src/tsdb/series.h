@@ -34,11 +34,6 @@ class TimeSeries {
   /// Append the sample for minute end_time().
   void append(double value) { values_.push_back(value); }
 
-  /// Append a sample at an explicit minute. Appending at end_time() extends
-  /// the series by one; appending beyond it fills the gap with NaN; appending
-  /// before start or into the past throws.
-  void append_at(MinuteTime t, double value);
-
   /// What upsert_at did with a sample.
   enum class Upsert {
     kAppended,   ///< extended the series (possibly NaN-filling a gap first)
@@ -47,12 +42,14 @@ class TimeSeries {
     kTooOld,     ///< before start_time(); dropped
   };
 
-  /// Order-tolerant append for dirty ingest feeds: at/after end_time() this
-  /// is append_at; inside the covered range it fills NaN holes first-write-
-  /// wins (a duplicate or conflicting re-delivery never overwrites data, so
-  /// any delivery order converges to the same series); before start_time()
-  /// the sample is dropped. Never throws. NaN deliveries for an unseen
-  /// minute are stored as the gap they are.
+  /// Order-tolerant append for dirty ingest feeds: the first sample of an
+  /// empty series defines its start; at/after end_time() the series grows
+  /// to t, NaN-filling any skipped minutes; inside the covered range it
+  /// fills NaN holes first-write-wins (a duplicate or conflicting
+  /// re-delivery never overwrites data, so any delivery order converges to
+  /// the same series); before start_time() the sample is dropped. Never
+  /// throws. NaN deliveries for an unseen minute are stored as the gap they
+  /// are.
   Upsert upsert_at(MinuteTime t, double value);
 
   /// Sample at minute t. Throws InvalidArgument when t is out of range.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <utility>
 
 #include "common/error.h"
@@ -145,16 +144,11 @@ MetricStore::MetricStore(const StoreOptions& options) {
     bopts.dir = options.data_dir;
     bopts.wal_queue_capacity = options.wal_queue_capacity;
     bopts.durability = options.durability;
-    bopts.compact_threshold = options.compact_threshold;
     backend_ = std::make_unique<persist::PersistBackend>(bopts);
-    cold_ = options.cold_reads;
-    if (!cold_) {
-      // Full hydration: rebuild every series from the segments so the store
-      // is indistinguishable from one that never restarted. No locks: the
-      // constructor is single-threaded by definition.
-      for (const MetricId& id : backend_->cold_metrics()) {
-        adopt(id, backend_->materialize(id, nullptr));
-      }
+    // Hydration: rebuild every series from the segments so the store is
+    // indistinguishable from one that never restarted.
+    for (const MetricId& id : backend_->segment_metrics()) {
+      adopt(id, backend_->materialize(id));
     }
     if (!options.hand_off_tail) {
       // Replay the WAL tail in arrival order. No subscriber can exist yet,
@@ -176,10 +170,6 @@ MetricStore::~MetricStore() {
 }
 
 void MetricStore::adopt(const MetricId& id, TimeSeries series) {
-  // In cold mode a segment-resident metric has no shard entry; creating it
-  // "again" would fork a hot series that shadows flushed history.
-  FUNNEL_REQUIRE(!cold_ || !backend_->has_cold(id),
-                 "metric already exists: " + id.to_string());
   const SeriesRef ref = intern(id);
   StoreShard& sh = shard(ref);
   const std::unique_lock<std::shared_mutex> lock(sh.data_mutex);
@@ -195,8 +185,7 @@ void MetricStore::create(const MetricId& id, MinuteTime start) {
 }
 
 bool MetricStore::has(const MetricId& id) const {
-  if (read_hot(id, [](const TimeSeries&) {})) return true;
-  return cold_ && backend_->has_cold(id);
+  return read_if(id, [](const TimeSeries&) {});
 }
 
 namespace {
@@ -388,14 +377,13 @@ void MetricStore::insert(const MetricId& id, TimeSeries series) {
 
 const TimeSeries& MetricStore::series(const MetricId& id) const {
   const TimeSeries* found = nullptr;
-  if (!read_hot(id, [&](const TimeSeries& s) { found = &s; })) {
+  if (!read_if(id, [&](const TimeSeries& s) { found = &s; })) {
     throw NotFound("no such metric: " + id.to_string());
   }
   return *found;
 }
 
 std::size_t MetricStore::metric_count() const {
-  if (cold_) return metrics().size();
   std::size_t n = 0;
   for (const auto& sh : shards_) {
     const std::shared_lock<std::shared_mutex> lock(sh->data_mutex);
@@ -410,14 +398,6 @@ std::vector<MetricId> MetricStore::metrics() const {
     const std::shared_lock<std::shared_mutex> lock(sh->data_mutex);
     for (const SeriesRef ref : sh->refs) out.push_back(table_.entry(ref).id);
   }
-  if (cold_) {
-    // Segment-resident metrics may have no hot entry yet.
-    const std::vector<MetricId> cold = backend_->cold_metrics();
-    out.insert(out.end(), cold.begin(), cold.end());
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
   // Refs are in creation order. Name order keeps downstream iteration
   // (impact_metrics, report items) independent of arrival and shard count.
   std::sort(out.begin(), out.end());
@@ -426,13 +406,6 @@ std::vector<MetricId> MetricStore::metrics() const {
 
 std::vector<MetricId> MetricStore::metrics_of(EntityKind kind,
                                               const std::string& entity) const {
-  if (cold_) {
-    std::vector<MetricId> out;
-    for (const MetricId& id : metrics()) {
-      if (id.kind == kind && id.entity == entity) out.push_back(id);
-    }
-    return out;
-  }
   std::vector<MetricId> out;
   for (const auto& sh : shards_) {
     const std::shared_lock<std::shared_mutex> lock(sh->data_mutex);
@@ -447,47 +420,6 @@ std::vector<MetricId> MetricStore::metrics_of(EntityKind kind,
 
 std::vector<double> MetricStore::query(const MetricId& id, MinuteTime t0,
                                        MinuteTime t1) const {
-  if (cold_) {
-    // Out-of-core window read: only the segment pages holding [t0, t1) plus
-    // the hot tail's intersection are touched — no full materialization.
-    const auto seg = backend_->cold_bounds(id);
-    bool found = false;
-    MinuteTime h0 = 0, h1 = 0;
-    std::vector<double> hot_win;
-    MinuteTime hot_win_start = 0;
-    read_hot(id, [&](const TimeSeries& hot) {
-      if (hot.empty()) return;
-      found = true;
-      h0 = hot.start_time();
-      h1 = hot.end_time();
-      const MinuteTime a = std::max(t0, h0);
-      const MinuteTime b = std::min(t1, h1);
-      if (a < b) {
-        hot_win_start = a;
-        hot_win = hot.slice(a, b);
-      }
-    });
-    if (!seg.has_value() && !found) {
-      throw NotFound("no such metric: " + id.to_string());
-    }
-    MinuteTime lo = seg.has_value() ? seg->first : h0;
-    MinuteTime hi = seg.has_value() ? seg->second : h1;
-    if (found) {
-      lo = std::min(lo, h0);
-      hi = std::max(hi, h1);
-    }
-    FUNNEL_REQUIRE(t0 >= lo && t1 <= hi && t0 <= t1,
-                   "TimeSeries::view range not covered");
-    std::vector<double> out(static_cast<std::size_t>(t1 - t0),
-                            std::numeric_limits<double>::quiet_NaN());
-    if (seg.has_value()) backend_->fill_window(id, t0, t1, out);
-    for (std::size_t i = 0; i < hot_win.size(); ++i) {
-      if (!std::isnan(hot_win[i])) {
-        out[static_cast<std::size_t>(hot_win_start - t0) + i] = hot_win[i];
-      }
-    }
-    return out;
-  }
   return read(id,
               [&](const TimeSeries& s) { return s.slice(t0, t1); });
 }
@@ -690,23 +622,6 @@ std::size_t MetricStore::segment_count() const {
 
 std::uint64_t MetricStore::compactions() const {
   return backend_ != nullptr ? backend_->compactions() : 0;
-}
-
-bool MetricStore::materialize_cold(const MetricId& id, TimeSeries& out) const {
-  TimeSeries hot;
-  // Copy; the stitch runs without the lock.
-  const bool found =
-      read_hot(id, [&](const TimeSeries& series) { hot = series; });
-  TimeSeries stitched =
-      backend_->materialize(id, found && !hot.empty() ? &hot : nullptr);
-  if (found) {
-    // A created-but-empty hot series keeps its start_time semantics.
-    out = stitched.empty() ? std::move(hot) : std::move(stitched);
-    return true;
-  }
-  if (stitched.empty()) return false;
-  out = std::move(stitched);
-  return true;
 }
 
 void MetricStore::deliver(SeriesRef ref, MinuteTime t, double value,

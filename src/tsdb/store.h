@@ -111,9 +111,10 @@ struct StoreOptions {
   // in-memory store; every knob below is then ignored. ---
 
   /// Directory for the WAL + segment files. Set to make the store durable:
-  /// construction recovers whatever a previous process left there (replays
-  /// the WAL tail into memory), append() write-ahead-logs every sample, and
-  /// checkpoint() freezes flushed history into mmap'd columnar segments.
+  /// construction recovers whatever a previous process left there (hydrates
+  /// every segment-resident series into memory, then replays the WAL tail),
+  /// append() write-ahead-logs every sample, and checkpoint() freezes
+  /// flushed history into columnar segments.
   /// Construction throws persist::StorageError when the directory cannot be
   /// opened or holds damage beyond the WAL's torn-tail tolerance.
   std::string data_dir = {};
@@ -123,19 +124,6 @@ struct StoreOptions {
 
   /// WAL MPSC queue capacity (clamped to >= 1).
   std::size_t wal_queue_capacity = 4096;
-
-  /// Background-compact the segment list when it reaches this many files
-  /// (0 disables compaction).
-  std::size_t compact_threshold = 4;
-
-  /// false (default): recovery fully hydrates segment data into RAM — every
-  /// caller behaves exactly as an in-memory store that never crashed.
-  /// true: segment history stays on mmap; reads stitch it with the hot
-  /// in-memory tail on demand (out-of-core mode). series() then surfaces
-  /// only the hot tail — use read()/read_if/query, and note that samples
-  /// older than the hot tail's start are dropped as kTooOld rather than
-  /// late-filled into already-flushed history.
-  bool cold_reads = false;
 
   /// true: recovery does NOT auto-apply the recovered WAL tail; the caller
   /// replays it via recovered_tail() + replay() so it can interleave its
@@ -213,15 +201,6 @@ class MetricStore {
   /// back into this store (the shard lock is held; see docs/CONCURRENCY.md).
   template <typename Fn>
   auto read(const MetricId& id, Fn&& fn) const {
-    if (cold_) {
-      // Out-of-core mode: stitch segments + hot tail into a private scratch
-      // series (no shard lock held while fn runs — the scratch is a copy).
-      TimeSeries scratch;
-      if (!materialize_cold(id, scratch)) {
-        throw NotFound("no such metric: " + id.to_string());
-      }
-      return std::forward<Fn>(fn)(scratch);
-    }
     if (const auto ref = table_.find(id.kind, id.entity, id.kpi)) {
       std::shared_lock<std::shared_mutex> lock(shard(*ref).data_mutex);
       const SeriesTable::Entry& e = table_.entry(*ref);
@@ -234,13 +213,13 @@ class MetricStore {
   /// when the metric is absent. Same reentrancy rule as read().
   template <typename Fn>
   bool read_if(const MetricId& id, Fn&& fn) const {
-    if (cold_) {
-      TimeSeries scratch;
-      if (!materialize_cold(id, scratch)) return false;
-      std::forward<Fn>(fn)(scratch);
-      return true;
-    }
-    return read_hot(id, std::forward<Fn>(fn));
+    const auto ref = table_.find(id.kind, id.entity, id.kpi);
+    if (!ref) return false;
+    std::shared_lock<std::shared_mutex> lock(shard(*ref).data_mutex);
+    const SeriesTable::Entry& e = table_.entry(*ref);
+    if (!e.live) return false;
+    std::forward<Fn>(fn)(std::as_const(e.series));
+    return true;
   }
 
   std::size_t metric_count() const;
@@ -393,18 +372,6 @@ class MetricStore {
   std::uint64_t compactions() const;
 
  private:
-  /// read_if() over the in-memory series only (the hot tail in cold mode).
-  template <typename Fn>
-  bool read_hot(const MetricId& id, Fn&& fn) const {
-    const auto ref = table_.find(id.kind, id.entity, id.kpi);
-    if (!ref) return false;
-    std::shared_lock<std::shared_mutex> lock(shard(*ref).data_mutex);
-    const SeriesTable::Entry& e = table_.entry(*ref);
-    if (!e.live) return false;
-    std::forward<Fn>(fn)(std::as_const(e.series));
-    return true;
-  }
-
   /// A ref's shard, fixed by the ref.
   std::size_t shard_index(SeriesRef ref) const {
     return ref % static_cast<std::uint32_t>(shards_.size());
@@ -433,10 +400,6 @@ class MetricStore {
   /// Async mode: stamp the producer's trace context (and, with a registry,
   /// the enqueue time) on `samples` and queue them in one push.
   void enqueue(std::span<Sample> samples, const obs::Registry* stats);
-
-  /// Cold-mode scratch materialization (segments + hot tail); false when
-  /// the metric exists nowhere.
-  bool materialize_cold(const MetricId& id, TimeSeries& out) const;
 
   /// Snapshot the matching subscriptions for one sample into `hit` (a
   /// buffer the caller reuses across samples) and run their callbacks with
@@ -467,7 +430,6 @@ class MetricStore {
   std::unique_ptr<common::GroupCommitQueue<Sample>> queue_;
 
   std::unique_ptr<persist::PersistBackend> backend_;  ///< null = in-memory
-  bool cold_ = false;  ///< StoreOptions::cold_reads (persistent only)
 };
 
 }  // namespace funnel::tsdb

@@ -127,13 +127,6 @@ TEST(Strings, JoinInvertsSplit) {
   EXPECT_EQ(join({"x"}, "."), "x");
 }
 
-TEST(Strings, StartsWith) {
-  EXPECT_TRUE(starts_with("search.web", "search"));
-  EXPECT_TRUE(starts_with("abc", ""));
-  EXPECT_FALSE(starts_with("ab", "abc"));
-  EXPECT_FALSE(starts_with("xbc", "a"));
-}
-
 TEST(Strings, Formatting) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(2.0, 0), "2");

@@ -2,11 +2,9 @@
 # in --quick mode, then validates the BENCH_persist.json it emits — the
 # file must parse as JSON and carry the three cost blocks docs/STORAGE.md
 # budgets for (WAL append rate per sample and per minute batch, segment
-# flush latency, RAM-vs-mmap window reads), with sane values: positive
+# flush latency, window reads from memory), with sane values: positive
 # throughput, every appended record of both rows accounted for by the WAL,
-# at least one segment, and positive read costs
-# on both sides (the bench itself already asserts the RAM and mmap reads
-# return identical data).
+# at least one segment, and a positive read cost.
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<wal_throughput> -DWORK_DIR=<scratch dir> -P persist_bench_smoke.cmake
@@ -81,20 +79,17 @@ if(jerr)
   message(FATAL_ERROR "segment.flush_ms missing: ${jerr}")
 endif()
 
-# Read block: both sides of the RAM-vs-mmap comparison reported a cost.
-foreach(key ram_us_per_window mmap_us_per_window)
-  string(JSON v ERROR_VARIABLE jerr GET "${json}" read ${key})
-  if(jerr)
-    message(FATAL_ERROR "read.${key} missing: ${jerr}")
-  endif()
-  if(v LESS_EQUAL 0)
-    message(FATAL_ERROR "read.${key} must be > 0, got ${v}")
-  endif()
-endforeach()
+# Read block: the window reads reported a cost.
+string(JSON ram_us ERROR_VARIABLE jerr GET "${json}" read ram_us_per_window)
+if(jerr)
+  message(FATAL_ERROR "read.ram_us_per_window missing: ${jerr}")
+endif()
+if(ram_us LESS_EQUAL 0)
+  message(FATAL_ERROR "read.ram_us_per_window must be > 0, got ${ram_us}")
+endif()
 
 string(JSON rate GET "${json}" wal records_per_s)
 string(JSON batch_rate GET "${json}" wal_batch records_per_s)
-string(JSON mmap_us GET "${json}" read mmap_us_per_window)
 message(STATUS "persist_bench_smoke OK: ${rate} records/s "
                "(batched ${batch_rate}), "
-               "flush ${flush_ms} ms, mmap read ${mmap_us} us/window")
+               "flush ${flush_ms} ms, read ${ram_us} us/window")

@@ -437,6 +437,40 @@ TEST(Tenant, RecoveryAlignsSeqAndPreservesJournalAcrossIncarnations) {
   fs::remove_all(work);
 }
 
+// A maintenance expiry is in no WAL record, and recovery rewinds the
+// journal to the last checkpoint, so maintenance() checkpoints after it
+// expires a watch. A tenant dropped right after it, with no checkpoint of
+// its own (as a SIGKILL leaves it), must come back with the watch gone and
+// the verdict it journalled still in the file.
+TEST(Tenant, MaintenanceExpirySurvivesRestart) {
+  const fs::path work =
+      fs::temp_directory_path() / "funnel_service_maintenance_test";
+  fs::remove_all(work);
+  TenantOptions opts = small_funnel("t");
+  opts.data_dir = (work / "t").string();
+  const fs::path journal = fs::path(opts.data_dir) / "journal.jsonl";
+
+  std::string journal_before;
+  {
+    Tenant tenant(opts);
+    tenant.ingest(sample_lines(0, 46, 1));
+    ASSERT_EQ(tenant.register_changes("45,svc,dark,s0,chg-0\n").size(), 1u);
+    tenant.ingest(sample_lines(46, 50, 2));  // stops short of the horizon
+    EXPECT_EQ(tenant.active_watches(), 1u);
+    EXPECT_EQ(tenant.maintenance(200), 1u);
+    tenant.flush();
+    journal_before = slurp(journal);
+    ASSERT_FALSE(journal_before.empty());
+  }
+  {
+    Tenant tenant(opts);
+    EXPECT_FALSE(tenant.quarantined());
+    EXPECT_EQ(tenant.active_watches(), 0u);
+    EXPECT_EQ(slurp(journal), journal_before);
+  }
+  fs::remove_all(work);
+}
+
 // ---------------------------------------------------------------------------
 // The /v1 HTTP surface end to end (needs the obs HTTP server).
 
@@ -756,6 +790,21 @@ TEST(FunnelService, V1SurfaceServesIngestChangesReportAndStatus) {
   // beta is untouched by alpha's traffic.
   const std::string beta = get(port, "/v1/status/beta");
   EXPECT_NE(body_of(beta).find("\"accepted_samples\":0"), std::string::npos);
+
+  // Maintenance needs ?now; with it, it expires the watch of a change
+  // whose feed stopped short of the horizon.
+  const std::string no_now = post(port, "/v1/maintenance/alpha", "");
+  EXPECT_EQ(status_of(no_now), 400);
+  EXPECT_NE(body_of(no_now).find("bad-request"), std::string::npos)
+      << body_of(no_now);
+  EXPECT_EQ(status_of(post(port, "/v1/changes/alpha",
+                           "95,svc,dark,s1,chg-1\n")),
+            200);
+  const std::string expired =
+      post(port, "/v1/maintenance/alpha?now=1000", "");
+  EXPECT_EQ(status_of(expired), 200);
+  EXPECT_NE(body_of(expired).find("{\"expired\":1}"), std::string::npos)
+      << body_of(expired);
 
   const std::string tenants = get(port, "/v1/tenants");
   EXPECT_NE(body_of(tenants).find("alpha"), std::string::npos);

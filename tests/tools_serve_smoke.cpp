@@ -4,7 +4,8 @@
 // port-file handshake, ingest over /v1, scrape /healthz, /metrics,
 // /stats.json and /readyz over a raw socket, then SIGTERM it and require a
 // clean exit 0. Also the failure contracts: a port that is already bound
-// must exit 3 with a diagnostic, and a malformed numeric flag must exit 2.
+// must exit 3 with a diagnostic, a malformed numeric flag must exit 2, and
+// a --config value that does not parse must exit 3.
 //
 // The daemon path arrives via -DFUNNEL_SERVE_PATH from tests/CMakeLists.
 #include <gtest/gtest.h>
@@ -242,6 +243,35 @@ TEST(ToolsServeSmoke, MalformedFlagsExit2) {
     ASSERT_TRUE(WIFEXITED(status)) << flag[0] << ' ' << flag[1];
     EXPECT_EQ(WEXITSTATUS(status), 2)
         << flag[0] << ' ' << flag[1] << ":\n" << slurp(log);
+  }
+}
+
+TEST(ToolsServeSmoke, MalformedConfigExits3) {
+  // atof once read quota_rate=abc as 0, an unlimited bucket, and
+  // quota_burst=5x as 5, and the daemon served. A value that does not
+  // parse whole now fails the load before the listener binds, naming the
+  // file, the line and the key; the unknown key above it is still ignored.
+  // --max-seconds bounds a daemon that wrongly starts.
+  for (const std::string bad : {"quota_rate=abc", "quota_burst=5x"}) {
+    const std::string key = bad.substr(0, bad.find('='));
+    const std::string config = temp_path("bad.cfg");
+    {
+      std::ofstream out(config);
+      out << "# quotas\nnot_a_key=1\n" << bad << '\n';
+    }
+    const std::string log = temp_path("bad_config.log");
+    const pid_t pid =
+        spawn({FUNNEL_SERVE_PATH, "--port", "auto", "--tenants", "a",
+               "--config", config, "--max-seconds", "2"},
+              log);
+    ASSERT_GT(pid, 0);
+    const int status = await_exit(pid, 20000);
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    const std::string logged = slurp(log);
+    EXPECT_EQ(WEXITSTATUS(status), 3) << bad << ":\n" << logged;
+    EXPECT_NE(logged.find(config + " line 3: bad " + key), std::string::npos)
+        << logged;
+    std::remove(config.c_str());
   }
 }
 

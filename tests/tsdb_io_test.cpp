@@ -1,4 +1,4 @@
-// Tests for the CSV / snapshot serialization of series and stores.
+// Tests for the CSV serialization of series.
 #include "tsdb/io.h"
 
 #include <cmath>
@@ -65,6 +65,20 @@ TEST(SeriesCsv, RejectsMalformedRows) {
     std::istringstream in("5,1.0\n4,1.0\n");  // decreasing minutes
     EXPECT_THROW((void)read_series_csv(in), InvalidArgument);
   }
+  // A minute must parse whole: trailing junk, a fraction, a blank or an
+  // exponent is a bad minute, reported on its line.
+  for (const std::string minute : {"2abc", "3.9", " 5", "1e1"}) {
+    std::istringstream in("0,1.0\n" + minute + ",2.0\n");
+    try {
+      (void)read_series_csv(in);
+      ADD_FAILURE() << "minute '" << minute << "' was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("CSV line 2: bad minute '" + minute + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(SeriesCsv, RejectsDuplicateMinuteWithLineDiagnostic) {
@@ -104,45 +118,6 @@ TEST(SeriesCsv, FileErrorsThrowNotFound) {
   EXPECT_THROW((void)load_series_csv("/no/such/dir/x.csv"), NotFound);
   EXPECT_THROW(save_series_csv("/no/such/dir/x.csv", TimeSeries(0)),
                NotFound);
-}
-
-TEST(StoreSnapshot, RoundTripsAllKindsAndGaps) {
-  MetricStore store;
-  store.insert(server_metric("web-1", "cpu"), TimeSeries(10, {1.0, 2.0}));
-  store.insert(instance_metric("svc@web-1", "pvc"),
-               TimeSeries(0, {5.0, std::nan(""), 7.0}));
-  store.insert(service_metric("svc", "pvc"), TimeSeries(3, {9.0}));
-
-  std::ostringstream out;
-  write_store(out, store);
-
-  MetricStore back;
-  std::istringstream in(out.str());
-  read_store(in, back);
-  EXPECT_EQ(back.metric_count(), 3u);
-  EXPECT_EQ(back.series(server_metric("web-1", "cpu")).start_time(), 10);
-  EXPECT_TRUE(
-      std::isnan(back.series(instance_metric("svc@web-1", "pvc")).at(1)));
-  EXPECT_DOUBLE_EQ(back.series(service_metric("svc", "pvc")).at(3), 9.0);
-}
-
-TEST(StoreSnapshot, RejectsWrongMagicAndTruncation) {
-  {
-    MetricStore store;
-    std::istringstream in("not a snapshot\n");
-    EXPECT_THROW(read_store(in, store), InvalidArgument);
-  }
-  {
-    MetricStore store;
-    std::istringstream in(
-        "# funnel-store-v1\n# metric server web cpu 0 3\n1.0\n2.0\n");
-    EXPECT_THROW(read_store(in, store), InvalidArgument);
-  }
-  {
-    MetricStore store;
-    std::istringstream in("# funnel-store-v1\n# metric gizmo web cpu 0 0\n");
-    EXPECT_THROW(read_store(in, store), InvalidArgument);
-  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Tests for the persistent segment store (src/tsdb/persist): WAL framing
 // (golden frame bytes) and torn-tail recovery at every byte offset, CRC32C
 // known answers and the hardware path against the table loop, dirty-feed
-// replay through upsert_at, segment round-trips and merges, the
-// checkpoint/recover cycle, background compaction, cold (out-of-core)
-// reads, write errors on a full disk, and the StorageError exit contract.
+// replay through upsert_at, segment round-trips and merges, hydration of a
+// checkpointed segment plus its WAL tail, the checkpoint/recover cycle,
+// background compaction, write errors on a full disk, and the StorageError
+// exit contract.
 // The on-disk format under test is docs/STORAGE.md.
 #include "tsdb/persist/backend.h"
 
@@ -507,6 +508,24 @@ StoreOptions persistent_options(const fs::path& dir) {
   return o;
 }
 
+// A recovered store holds exactly its in-memory twin's series: the same
+// ids, count and has(), and every value (NaN where the twin has a gap).
+void expect_same_store(const MetricStore& got, const MetricStore& want) {
+  EXPECT_EQ(got.metric_count(), want.metric_count());
+  ASSERT_EQ(got.metrics(), want.metrics());
+  for (const MetricId& id : want.metrics()) {
+    EXPECT_TRUE(got.has(id)) << id.to_string();
+    got.read(id, [&](const TimeSeries& g) {
+      want.read(id, [&](const TimeSeries& w) {
+        EXPECT_EQ(g.start_time(), w.start_time()) << id.to_string();
+        EXPECT_EQ(g.end_time(), w.end_time()) << id.to_string();
+        expect_values_eq(g.slice(g.start_time(), g.end_time()),
+                         w.slice(w.start_time(), w.end_time()));
+      });
+    });
+  }
+}
+
 TEST(PersistentStore, DirtyFeedReplayMatchesInMemoryStore) {
   const fs::path dir = scratch("dirty_replay");
   MetricStore reference;  // in-memory twin fed the identical dirty stream
@@ -530,14 +549,42 @@ TEST(PersistentStore, DirtyFeedReplayMatchesInMemoryStore) {
 
   MetricStore recovered(persistent_options(dir));
   EXPECT_EQ(recovered.recovered_tail().size(), feed.size());
-  recovered.read(id, [&](const TimeSeries& got) {
-    reference.read(id, [&](const TimeSeries& want) {
-      EXPECT_EQ(got.start_time(), want.start_time());
-      EXPECT_EQ(got.end_time(), want.end_time());
-      expect_values_eq(got.slice(got.start_time(), got.end_time()),
-                       want.slice(want.start_time(), want.end_time()));
-    });
-  });
+  expect_same_store(recovered, reference);
+
+  // Hydration: a 200-minute checkpointed segment of two series, one
+  // missing every third minute, then a 30-minute WAL tail on the other.
+  // Recovery rebuilds the segment into memory and replays the tail; the
+  // result equals a twin fed the same appends, a window across the
+  // segment/tail boundary included.
+  const fs::path hydrated_dir = scratch("hydrated_replay");
+  MetricStore twin;
+  const MetricId a = server_metric("s1", "cpu");
+  const MetricId b = server_metric("s2", "mem");
+  {
+    MetricStore store(persistent_options(hydrated_dir));
+    const auto append = [&](const MetricId& m, MinuteTime t, double v) {
+      store.append(m, t, v);
+      twin.append(m, t, v);
+    };
+    for (MinuteTime t = 0; t < 200; ++t) {
+      append(a, t, std::sin(static_cast<double>(t)));
+      if (t % 3 != 0) append(b, t, static_cast<double>(t) * 0.5);
+    }
+    store.checkpoint();
+    for (MinuteTime t = 200; t < 230; ++t) {
+      append(a, t, std::sin(static_cast<double>(t)));
+    }
+  }
+  MetricStore hydrated(persistent_options(hydrated_dir));
+  EXPECT_EQ(hydrated.segment_count(), 1u);
+  EXPECT_EQ(hydrated.recovered_tail().size(), 30u);
+  expect_same_store(hydrated, twin);
+  const std::vector<double> got_q = hydrated.query(a, 150, 220);
+  const std::vector<double> want_q = twin.query(a, 150, 220);
+  ASSERT_EQ(got_q.size(), want_q.size());
+  for (std::size_t i = 0; i < want_q.size(); ++i) {
+    EXPECT_EQ(got_q[i], want_q[i]) << i;
+  }
 }
 
 TEST(PersistentStore, CheckpointRecoverRoundTripsStateAndMetadata) {
@@ -715,12 +762,11 @@ TEST(PersistentStore, StrayFilesAreDeletedOnRecovery) {
 
 TEST(PersistentStore, CompactionMergesOverlappingSegments) {
   const fs::path dir = scratch("compaction");
-  StoreOptions options = persistent_options(dir);
-  options.compact_threshold = 2;
   const MetricId id = server_metric("s1", "cpu");
-  MetricStore store(options);
-  // Each cycle checkpoints a fresh slice; threshold 2 kicks the background
-  // merge, which the *next* checkpoint adopts.
+  MetricStore store(persistent_options(dir));
+  // Each cycle checkpoints a fresh slice; the fourth segment reaches the
+  // compaction threshold and kicks the background merge, which the *next*
+  // checkpoint adopts.
   MinuteTime t = 0;
   for (int cycle = 0; cycle < 4; ++cycle) {
     for (MinuteTime end = t + 20; t < end; ++t) {
@@ -743,50 +789,6 @@ TEST(PersistentStore, CompactionMergesOverlappingSegments) {
       ASSERT_EQ(s.at(m), static_cast<double>(m)) << "minute " << m;
     }
   });
-}
-
-TEST(PersistentStore, ColdReadsMatchHydratedReads) {
-  const fs::path dir = scratch("cold");
-  const MetricId a = server_metric("s1", "cpu");
-  const MetricId b = server_metric("s2", "mem");
-  {
-    MetricStore store(persistent_options(dir));
-    for (MinuteTime t = 0; t < 200; ++t) {
-      store.append(a, t, std::sin(static_cast<double>(t)));
-      if (t % 3 != 0) store.append(b, t, static_cast<double>(t) * 0.5);
-    }
-    store.checkpoint();
-    for (MinuteTime t = 200; t < 230; ++t) {
-      store.append(a, t, std::sin(static_cast<double>(t)));
-    }
-  }
-
-  MetricStore hot(persistent_options(dir));
-  StoreOptions cold_options = persistent_options(dir);
-  cold_options.cold_reads = true;
-  MetricStore cold(cold_options);
-
-  EXPECT_EQ(hot.metric_count(), cold.metric_count());
-  EXPECT_EQ(hot.metrics(), cold.metrics());
-  EXPECT_TRUE(cold.has(a));
-  EXPECT_TRUE(cold.has(b));
-  for (const MetricId& id : {a, b}) {
-    hot.read(id, [&](const TimeSeries& want) {
-      cold.read(id, [&](const TimeSeries& got) {
-        EXPECT_EQ(got.start_time(), want.start_time());
-        EXPECT_EQ(got.end_time(), want.end_time());
-        expect_values_eq(got.slice(got.start_time(), got.end_time()),
-                         want.slice(want.start_time(), want.end_time()));
-      });
-    });
-  }
-  // query() windows spanning the segment/hot-tail boundary agree too.
-  const auto want_q = hot.query(a, 150, 220);
-  const auto got_q = cold.query(a, 150, 220);
-  ASSERT_EQ(want_q.size(), got_q.size());
-  for (std::size_t i = 0; i < want_q.size(); ++i) {
-    EXPECT_EQ(want_q[i], got_q[i]) << i;
-  }
 }
 
 // Three metrics over 40 minutes with a NaN, a duplicate, a late fill and a

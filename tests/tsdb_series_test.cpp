@@ -30,34 +30,9 @@ TEST(TimeSeries, AtValidatesRange) {
   EXPECT_FALSE(s.contains(12));
 }
 
-TEST(TimeSeries, AppendAtFillsGapsWithNan) {
-  TimeSeries s(0);
-  s.append_at(0, 1.0);
-  s.append_at(3, 2.0);  // minutes 1, 2 become NaN
-  EXPECT_EQ(s.size(), 4u);
-  EXPECT_TRUE(std::isnan(s.at(1)));
-  EXPECT_TRUE(std::isnan(s.at(2)));
-  EXPECT_DOUBLE_EQ(s.at(3), 2.0);
-}
-
-TEST(TimeSeries, AppendAtRejectsPast) {
-  TimeSeries s(0);
-  s.append_at(0, 1.0);
-  s.append_at(1, 2.0);
-  EXPECT_THROW(s.append_at(1, 3.0), InvalidArgument);
-  EXPECT_THROW(s.append_at(0, 3.0), InvalidArgument);
-}
-
-TEST(TimeSeries, FirstExplicitAppendDefinesStart) {
-  TimeSeries s(0);
-  s.append_at(500, 9.0);
-  EXPECT_EQ(s.start_time(), 500);
-  EXPECT_DOUBLE_EQ(s.at(500), 9.0);
-}
-
 TEST(TimeSeries, UpsertToleratesDuplicatesAndLateArrivals) {
-  // The dirty-feed ingest contract: appends past the frontier behave like
-  // append_at; a late sample fills the NaN slot its gap left behind; a
+  // The dirty-feed ingest contract: a sample past the frontier extends the
+  // series, NaN-filling skipped minutes; a late sample fills the NaN slot its gap left behind; a
   // duplicate of a stored value is ignored (first write wins); anything
   // before start_time is too old to place.
   TimeSeries s(0);

@@ -32,12 +32,11 @@
 // Exit codes: 0 clean shutdown, 2 usage (an unknown flag, or a numeric
 // value that does not parse whole or is out of range: --port takes auto or
 // 0-65535, --num-shards at least 1, counts and minutes take no sign), 3
-// environment (an unreadable --config, a bind failure, or a --port-file that
-// cannot be written).
+// environment (an unreadable --config or one with a value that does not
+// parse whole, a bind failure, or a --port-file that cannot be written).
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <chrono>
 #include <fstream>
@@ -152,23 +151,33 @@ bool parse(int argc, char** argv, Options& opt) {
 }
 
 /// key=value quota config ('#' comments, unknown keys ignored so the file
-/// can grow). Returns false when the file cannot be read.
-bool load_quota_config(const std::string& path, QuotaConfig* quota) {
+/// can grow). A known key's value must parse whole, as the --quota-* flags
+/// do. Returns false with a diagnostic in `error` when the file cannot be
+/// read or a value is malformed; `quota` is then partly updated.
+bool load_quota_config(const std::string& path, QuotaConfig* quota,
+                       std::string* error) {
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) {
+    *error = "cannot read " + path;
+    return false;
+  }
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
-    const double value = std::atof(line.c_str() + eq + 1);
-    if (key == "quota_rate") {
-      quota->rate_per_sec = value;
-    } else if (key == "quota_burst") {
-      quota->burst = value;
-    } else if (key == "queue_share") {
-      quota->queue_share = value;
+    double* field = key == "quota_rate"    ? &quota->rate_per_sec
+                    : key == "quota_burst" ? &quota->burst
+                    : key == "queue_share" ? &quota->queue_share
+                                           : nullptr;
+    if (field == nullptr) continue;
+    const std::string value = line.substr(eq + 1);
+    if (!funnel::parse_number(value, *field)) {
+      *error = path + " line " + std::to_string(lineno) + ": bad " + key +
+               " value '" + value + "'";
+      return false;
     }
   }
   return true;
@@ -188,9 +197,10 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (!opt.config_path.empty() &&
-      !load_quota_config(opt.config_path, &opt.quota)) {
-    std::fprintf(stderr, "error: cannot read %s\n", opt.config_path.c_str());
+  if (std::string error; !opt.config_path.empty() &&
+                         !load_quota_config(opt.config_path, &opt.quota,
+                                            &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 3;
   }
 
@@ -253,10 +263,11 @@ int main(int argc, char** argv) {
   while (g_stop == 0) {
     if (g_reload != 0) {
       g_reload = 0;
+      std::string error;
       if (opt.config_path.empty()) {
         std::fprintf(stderr, "# SIGHUP: no --config, nothing to reload\n");
       } else if (QuotaConfig quota = opt.quota;
-                 load_quota_config(opt.config_path, &quota)) {
+                 load_quota_config(opt.config_path, &quota, &error)) {
         service.reload_quotas(quota);
         opt.quota = quota;
         std::fprintf(stderr,
@@ -265,8 +276,9 @@ int main(int argc, char** argv) {
                      opt.config_path.c_str(), quota.rate_per_sec, quota.burst,
                      quota.queue_share);
       } else {
-        std::fprintf(stderr, "# SIGHUP: cannot re-read %s; keeping quotas\n",
-                     opt.config_path.c_str());
+        std::fprintf(stderr,
+                     "# SIGHUP: cannot re-read config (%s); keeping quotas\n",
+                     error.c_str());
       }
     }
     if (opt.max_seconds > 0 &&

@@ -12,7 +12,7 @@
 # docs/ROBUSTNESS.md), and the warm-start differential suite (stateful
 # scorer lifecycle + Hankel kernel), the verdict journal's
 # writer thread plus its live triage-observer tap, the persistent
-# segment store (WAL writer thread, background compaction, crash-replay
+# segment store (WAL writer thread, compacting checkpoints, crash-replay
 # recovery — docs/STORAGE.md), and the live telemetry plane (HTTP worker
 # pool serving Registry snapshots while hot-path recorders run —
 # docs/OBSERVABILITY.md "Live endpoints"), and the

@@ -485,6 +485,12 @@ void FunnelOnline::restore_state(const std::string& blob) {
   const std::uint32_t n_watches = r.get_u32();
   for (std::uint32_t w = 0; w < n_watches && r.ok(); ++w) {
     const changes::ChangeId cid = r.get_u64();
+    // An id past the log is the snapshot outliving the change registration
+    // it names (a torn meta.log tail): damage, like any other in the blob.
+    if (cid >= log_.size()) {
+      throw persist::StorageError(
+          "corrupt watch snapshot: unknown change id " + std::to_string(cid));
+    }
     const changes::SoftwareChange& change = log_.get(cid);
     ChangeWatch watch;
     watch.change_id = cid;

@@ -91,7 +91,8 @@ class FunnelOnline {
   /// overwritten from the snapshot — past determinations consumed store
   /// state that no longer exists and must not be re-derived. Call after
   /// constructing against a recovered store and *before* replaying the WAL
-  /// tail. Throws tsdb::persist::StorageError on a corrupt/unknown blob.
+  /// tail. Throws tsdb::persist::StorageError on a corrupt/unknown blob,
+  /// and on one naming a change id the change log does not hold.
   void restore_state(const std::string& blob);
 
   /// Verdict callbacks run while a sample walks its KPI's watches: they

@@ -12,9 +12,6 @@ namespace {
 /// subsystem check.
 constexpr double kUnhealthyQueueFrac = 0.95;
 
-/// The compaction check fails when the live segment count exceeds this.
-constexpr std::uint64_t kCompactBacklogMax = 16;
-
 double gauge_or(const Snapshot& snap, const std::string& name,
                 double fallback) {
   auto it = snap.gauges.find(name);
@@ -62,20 +59,6 @@ HealthReport evaluate_health(const Snapshot& snap) {
                   "funnel.wal.queue_capacity"),
       queue_check(snap, "journal-writer", "funnel.journal.queue_depth",
                   "funnel.journal.queue_capacity")};
-
-  // Compaction: the background compactor cannot be probed directly from a
-  // snapshot, but its work product can — a segment list far beyond the
-  // compact threshold means it stopped keeping up.
-  HealthCheck compact{"compaction", true, "n/a"};
-  auto segs = snap.gauges.find("funnel.persist.segments");
-  if (segs != snap.gauges.end()) {
-    const auto count = static_cast<std::uint64_t>(segs->second);
-    std::ostringstream os;
-    os << "segments " << count << " (max " << kCompactBacklogMax << ')';
-    compact.detail = os.str();
-    compact.ok = count <= kCompactBacklogMax;
-  }
-  report.checks.push_back(std::move(compact));
   for (const HealthCheck& check : report.checks) {
     report.healthy = report.healthy && check.ok;
   }

@@ -6,8 +6,8 @@
 //   /metrics     Prometheus text exposition of the live Registry
 //   /stats.json  the same snapshot as --stats-json, as application/json
 //   /healthz     deep health: per-subsystem checks (evaluate_health below)
-//                — ingest dispatcher, WAL writer, journal writer,
-//                compaction — plus the host's add_health() contributors;
+//                — ingest dispatcher, WAL writer, journal writer — plus
+//                the host's add_health() contributors;
 //                200 "healthy" / 503 "unhealthy" + one line per check
 //   /readyz      readiness: 200 once set_ready(true) (pipeline constructed
 //                and ingesting), 503 before
@@ -49,11 +49,9 @@ struct HealthReport {
 
 /// Instantaneous per-subsystem checks over a registry snapshot: the ingest
 /// dispatcher, WAL writer and journal writer queues fail at 95% of their
-/// capacity or more, and compaction fails past 16 live segments (the
-/// background compactor is falling behind). Subsystems whose stats are
-/// absent (sync dispatch, no persistence, no journal) pass with detail
-/// "n/a" — absence of a subsystem is not a failure. Pure function of the
-/// snapshot.
+/// capacity or more. Subsystems whose stats are absent (sync dispatch, no
+/// persistence, no journal) pass with detail "n/a" — absence of a
+/// subsystem is not a failure. Pure function of the snapshot.
 HealthReport evaluate_health(const Snapshot& snap);
 
 struct PlaneOptions {

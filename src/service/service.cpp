@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/strings.h"
 
 namespace funnel::service {
 namespace {
@@ -58,21 +59,7 @@ bool parse_query_minute(const std::string& query, std::string_view key,
     start = end == std::string::npos ? query.size() + 1 : end + 1;
     const std::size_t eq = pair.find('=');
     if (eq == std::string_view::npos || pair.substr(0, eq) != key) continue;
-    const std::string_view value = pair.substr(eq + 1);
-    MinuteTime parsed = 0;
-    bool negative = false;
-    std::size_t i = 0;
-    if (!value.empty() && value[0] == '-') {
-      negative = true;
-      i = 1;
-    }
-    if (i >= value.size()) return false;
-    for (; i < value.size(); ++i) {
-      if (value[i] < '0' || value[i] > '9') return false;
-      parsed = parsed * 10 + (value[i] - '0');
-    }
-    *out = negative ? -parsed : parsed;
-    return true;
+    return parse_number(pair.substr(eq + 1), *out);
   }
   return false;
 }
@@ -126,9 +113,14 @@ Tenant& FunnelService::add_tenant(const std::string& name) {
   return add_tenant(options_for(name));
 }
 
+bool valid_tenant_name(std::string_view name) {
+  return !name.empty() && name != "." && name != ".." &&
+         name.find('/') == std::string_view::npos;
+}
+
 Tenant& FunnelService::add_tenant(TenantOptions topts) {
-  if (topts.name.empty() || topts.name.find('/') != std::string::npos) {
-    throw InvalidArgument("tenant name must be non-empty and slash-free: '" +
+  if (!valid_tenant_name(topts.name)) {
+    throw InvalidArgument("tenant name must be a non-empty path component: '" +
                           topts.name + "'");
   }
   // Construct (and possibly crash-recover) outside the registry lock so a
@@ -152,8 +144,8 @@ Tenant* FunnelService::find_tenant(const std::string& name) {
 Tenant* FunnelService::resolve(const std::string& name,
                                bool create_if_dynamic) {
   if (Tenant* t = find_tenant(name)) return t;
-  if (!create_if_dynamic || !options_.allow_dynamic_tenants || name.empty() ||
-      name.find('/') != std::string::npos) {
+  if (!create_if_dynamic || !options_.allow_dynamic_tenants ||
+      !valid_tenant_name(name)) {
     return nullptr;
   }
   try {
@@ -311,6 +303,11 @@ obs::HttpResponse FunnelService::dispatch(const obs::HttpRequest& req) {
     std::size_t malformed = 0;
     const std::vector<changes::ChangeId> ids =
         tenant->register_changes(req.body, &malformed);
+    // A journal or meta.log failure quarantines inside the call, and the
+    // lines from there on were not registered.
+    if (tenant->quarantined()) {
+      return error_response(503, "quarantined", tenant->quarantine_reason());
+    }
     std::ostringstream body;
     body << "{\"registered\":[";
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -346,7 +343,8 @@ obs::HttpResponse FunnelService::dispatch(const obs::HttpRequest& req) {
   if (verb == "maintenance") {
     MinuteTime now = 0;
     if (!parse_query_minute(req.query, "now", &now)) {
-      return error_response(400, "bad-request", "missing ?now=<minute>");
+      return error_response(400, "bad-request",
+                            "missing or malformed ?now=<minute>");
     }
     std::size_t expired = 0;
     try {

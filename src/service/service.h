@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "obs/plane.h"
 #include "service/tenant.h"
@@ -63,6 +64,12 @@ struct ServiceOptions {
   const obs::Registry* stats = nullptr;
 };
 
+/// A tenant name is one <data_root>/<name> path component and one /v1 URL
+/// segment: non-empty, no '/', and neither "." nor "..", which would put
+/// the tenant's files (and recovery's stray sweep) in the data root itself
+/// or its parent.
+bool valid_tenant_name(std::string_view name);
+
 class FunnelService {
  public:
   explicit FunnelService(ServiceOptions options);
@@ -74,7 +81,7 @@ class FunnelService {
   /// Create (or recover, when data_root is set) a tenant before start().
   /// Also callable while serving — tenant creation takes the registry
   /// mutex, lookups share it briefly. Returns the tenant (throws
-  /// InvalidArgument on a duplicate name).
+  /// InvalidArgument on a duplicate or invalid name).
   Tenant& add_tenant(const std::string& name);
   Tenant& add_tenant(TenantOptions options);
 

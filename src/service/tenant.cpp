@@ -155,30 +155,26 @@ void Tenant::open_fresh() {
   sopts.num_shards = options_.num_shards;
   sopts.ingest_queue_capacity = options_.ingest_queue_capacity;
   sopts.backpressure = options_.backpressure;
-  if (!options_.data_dir.empty()) {
-    fs::create_directories(options_.data_dir);
-    sopts.data_dir = options_.data_dir;
-  }
   store_ = std::make_unique<tsdb::MetricStore>(sopts);
   if (!journal_path_.empty()) {
     journal_ = std::make_unique<obs::Journal>(journal_path_);
   }
   wire_online();
-  if (!options_.data_dir.empty()) {
-    meta_ = std::fopen(
-        (fs::path(options_.data_dir) / "meta.log").string().c_str(), "ab");
-  }
+}
+
+std::string Tenant::meta_path() const {
+  return (fs::path(options_.data_dir) / "meta.log").string();
 }
 
 void Tenant::recover() {
-  fs::create_directories(options_.data_dir);
   tsdb::StoreOptions sopts;
   sopts.num_shards = options_.num_shards;
   sopts.ingest_queue_capacity = options_.ingest_queue_capacity;
   sopts.backpressure = options_.backpressure;
   sopts.data_dir = options_.data_dir;
   sopts.hand_off_tail = true;
-  store_ = std::make_unique<tsdb::MetricStore>(sopts);  // may throw
+  // Creates data_dir; may throw.
+  store_ = std::make_unique<tsdb::MetricStore>(sopts);
 
   // Topology + change registrations replay first, in original arrival
   // order, so every ChangeId comes out exactly as it was assigned live —
@@ -219,8 +215,10 @@ void Tenant::recover() {
   }
   recovered_seq_ = store_->recovered_seq();
   applied_seq_ = recovered_seq_;
-  meta_ = std::fopen(
-      (fs::path(options_.data_dir) / "meta.log").string().c_str(), "ab");
+  meta_ = std::fopen(meta_path().c_str(), "ab");
+  if (meta_ == nullptr) {
+    throw tsdb::persist::StorageError("cannot open " + meta_path());
+  }
 }
 
 void Tenant::wire_online() {
@@ -235,18 +233,20 @@ void Tenant::wire_online() {
   });
 }
 
-void Tenant::meta_append(const std::string& line) {
-  if (meta_ == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), meta_);
-  std::fputc('\n', meta_);
+bool Tenant::meta_append(const std::string& line) {
+  if (meta_ == nullptr) return true;
   // fflush before the action that depends on this line (add_server /
   // watch): once in the kernel page cache the line survives SIGKILL, so
   // anything later in the WAL can rely on it being replayable.
-  std::fflush(meta_);
+  const bool ok =
+      std::fwrite(line.data(), 1, line.size(), meta_) == line.size() &&
+      std::fputc('\n', meta_) != EOF && std::fflush(meta_) == 0;
+  if (!ok) quarantine("meta-error: cannot write " + meta_path());
+  return ok;
 }
 
 void Tenant::replay_meta() {
-  std::ifstream in(fs::path(options_.data_dir) / "meta.log");
+  std::ifstream in(meta_path());
   std::string line;
   while (std::getline(in, line)) {
     const std::string_view sv = trim_cr(line);
@@ -392,7 +392,11 @@ IngestResult Tenant::ingest(std::string_view body) {
           ++res.malformed;  // e.g. server claimed by another service
           continue;
         }
-        meta_append("server," + service + "," + server);
+        if (!meta_append("server," + service + "," + server)) {
+          malformed_lines_ += res.malformed;
+          res.quarantined = true;
+          return res;
+        }
       }
       server_known_[ref] = 1;
     }
@@ -476,7 +480,7 @@ std::vector<changes::ChangeId> Tenant::register_changes(
       std::ostringstream meta;
       meta << "change," << time << ',' << service << ',' << f[2] << ','
            << join(change.servers, ';') << ',' << description;
-      meta_append(meta.str());
+      if (!meta_append(meta.str())) return ids;
     }
 
     if (watched_.insert(id).second) {

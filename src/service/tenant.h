@@ -18,11 +18,12 @@
 // docs/STORAGE.md §6).
 //
 // Degradation: a batch carrying more than max_malformed_per_batch broken
-// lines, or any persist::StorageError, quarantines the tenant — active
-// watches force-finalize (undetermined alarms become Cause::kInconclusive
-// with the machine-readable kWatchTimedOut reason), further ingest is
-// refused with the stored reason, and /healthz carries a failing
-// "tenant:<name>" check. Other tenants keep serving.
+// lines, any persist::StorageError, or a meta.log line that cannot be
+// written quarantines the tenant — active watches force-finalize
+// (undetermined alarms become Cause::kInconclusive with the
+// machine-readable kWatchTimedOut reason), further ingest is refused with
+// the stored reason, and /healthz carries a failing "tenant:<name>"
+// check. Other tenants keep serving.
 #pragma once
 
 #include <cstdint>
@@ -191,10 +192,16 @@ class Tenant {
   const TenantOptions& options() const { return options_; }
 
  private:
+  /// The in-memory store, journal and assessor of a tenant with no
+  /// data_dir (or whose recovery failed).
   void open_fresh();
   void recover();
   void wire_online();
-  void meta_append(const std::string& line);
+  std::string meta_path() const;
+  /// Write and flush one meta.log line. When that fails, quarantine with
+  /// "meta-error: cannot write <path>" and return false: the caller must
+  /// not use the line's server or change.
+  bool meta_append(const std::string& line);
   void replay_meta();
   /// Quiesce the dispatcher once per batch before the first topology /
   /// change-log mutation: callbacks running on the dispatcher thread read

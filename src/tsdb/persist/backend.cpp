@@ -17,9 +17,16 @@ namespace {
 constexpr char kCheckpointMagic[8] = {'F', 'N', 'L', 'C', 'K', 'P', '1', '\0'};
 constexpr std::uint8_t kCheckpointVersion = 1;
 constexpr char kCheckpointName[] = "checkpoint";
-/// Background compaction starts when the live segment list reaches this
-/// many files.
+/// A checkpoint whose segment would bring the live list to this many files
+/// compacts: it writes the whole store and replaces the list.
 constexpr std::size_t kCompactThreshold = 4;
+
+std::string segment_name(std::uint64_t epoch) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "seg-%06llu.seg",
+                static_cast<unsigned long long>(epoch));
+  return name;
+}
 
 struct CheckpointState {
   std::uint64_t next_epoch = 1;
@@ -94,36 +101,12 @@ bool decode_checkpoint(const std::string& bytes, CheckpointState& out) {
 PersistBackend::PersistBackend(const BackendOptions& options)
     : dir_(options.dir) {
   recover(options);
-  compact_thread_ = std::thread([this] { compaction_main(); });
-}
-
-PersistBackend::~PersistBackend() {
-  {
-    std::lock_guard lock(compact_mutex_);
-    compact_stop_ = true;
-    compact_cv_.notify_all();
-  }
-  if (compact_thread_.joinable()) compact_thread_.join();
-  // An unadopted compaction output is a stray; recovery would delete it
-  // anyway, but be tidy.
-  if (compact_result_.has_value()) {
-    std::error_code ec;
-    fs::remove(compact_result_->path, ec);
-  }
-  wal_.reset();
 }
 
 std::string PersistBackend::wal_path(std::uint64_t counter) const {
   char name[32];
   std::snprintf(name, sizeof(name), "wal-%06llu.log",
                 static_cast<unsigned long long>(counter));
-  return dir_ + "/" + name;
-}
-
-std::string PersistBackend::segment_path(std::uint64_t epoch) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "seg-%06llu.seg",
-                static_cast<unsigned long long>(epoch));
   return dir_ + "/" + name;
 }
 
@@ -162,37 +145,45 @@ void PersistBackend::recover(const BackendOptions& options) {
   watch_state_ = std::move(ckpt.watch_state);
 
   // Open the referenced segments in checkpoint (overlay) order; the reader
-  // ctor throws StorageError on any damage, which is fatal here.
+  // ctor throws StorageError on any damage, which is fatal here. They stay
+  // open only until the history below is built.
+  std::vector<std::unique_ptr<SegmentReader>> readers;
   for (const std::string& name : ckpt.segment_files) {
-    segments_.push_back(std::make_unique<SegmentReader>(dir_ + "/" + name));
-    for (const auto& e : segments_.back()->entries()) {
+    readers.push_back(std::make_unique<SegmentReader>(dir_ + "/" + name));
+    for (const auto& e : readers.back()->entries()) {
       auto [it, fresh] = flushed_hi_.try_emplace(e.metric, e.hi);
       if (!fresh) it->second = std::max(it->second, e.hi);
     }
   }
+  segments_ = ckpt.segment_files;
 
   // Read the referenced WAL, tolerate (and truncate) a torn tail. A missing
-  // file is the crash-between-checkpoint-and-rotate window: empty tail.
+  // file is the crash-between-checkpoint-and-rotate window: empty tail. The
+  // block frees the read's record vector before the history below is
+  // built, which keeps it out of a reopen's peak footprint.
   const std::string wal_file = dir_ + "/" + ckpt.wal_file;
-  WalReadResult wal = read_wal(wal_file);
-  wal_skipped_ = wal.skipped_bytes;
-  if (wal.ok && wal.skipped_bytes > 0) {
-    fs::resize_file(wal_file, wal.valid_bytes, ec);
-    if (ec) throw StorageError("cannot truncate torn WAL: " + wal_file);
-  }
   std::uint64_t last_seq = checkpoint_seq_;
-  for (WalRecord& rec : wal.records) {
-    // Defensive: a record at or below the checkpoint seq is already in the
-    // segments (cannot happen with the rotation protocol, but replaying it
-    // would be harmless anyway — upsert_at is first-write-wins).
-    if (rec.seq <= checkpoint_seq_) continue;
-    last_seq = std::max(last_seq, rec.seq);
-    tail_.push_back(std::move(rec));
+  {
+    WalReadResult wal = read_wal(wal_file);
+    wal_skipped_ = wal.skipped_bytes;
+    if (wal.ok && wal.skipped_bytes > 0) {
+      fs::resize_file(wal_file, wal.valid_bytes, ec);
+      if (ec) throw StorageError("cannot truncate torn WAL: " + wal_file);
+    }
+    for (WalRecord& rec : wal.records) {
+      // Defensive: a record at or below the checkpoint seq is already in
+      // the segments (cannot happen with the rotation protocol, but
+      // replaying it would be harmless anyway — upsert_at is
+      // first-write-wins).
+      if (rec.seq <= checkpoint_seq_) continue;
+      last_seq = std::max(last_seq, rec.seq);
+      tail_.push_back(std::move(rec));
+    }
   }
 
   // Delete strays: anything with our prefixes that the checkpoint does not
   // reference. Half-published tmp files, pre-crash WAL generations, written-
-  // but-never-adopted segments — none of them is current state.
+  // but-never-committed segments — none of them is current state.
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
     const bool ours = name.ends_with(".tmp") ||
@@ -211,42 +202,26 @@ void PersistBackend::recover(const BackendOptions& options) {
   wopts.durability = options.durability;
   wal_ = std::make_unique<WalWriter>(wal_file, last_seq + 1, wopts);
   if (!wal_->ok()) throw StorageError("cannot open WAL: " + wal_file);
-}
 
-// ---------------------------------------------------------------------------
-// Hydration.
-
-std::vector<MetricId> PersistBackend::segment_metrics() const {
-  std::vector<MetricId> out;
-  {
-    std::shared_lock lock(segments_mutex_);
-    for (const auto& seg : segments_) {
-      for (const auto& e : seg->entries()) out.push_back(e.metric);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-TimeSeries PersistBackend::materialize(const MetricId& id) const {
-  std::shared_lock lock(segments_mutex_);
-  // The segments holding `id`, in overlay order, and their union range.
+  // The history: every segment metric (flushed_hi_'s keys, in metric
+  // order) over the union of its ranges, its segments overlaid oldest
+  // first. The readers close when recover() returns.
   std::vector<std::pair<const SegmentReader*, const SegmentReader::Entry*>>
       found;
-  MinuteTime lo = 0, hi = 0;
-  for (const auto& seg : segments_) {
-    const auto* e = seg->find(id);
-    if (e == nullptr) continue;
-    lo = found.empty() ? e->lo : std::min(lo, e->lo);
-    hi = found.empty() ? e->hi : std::max(hi, e->hi);
-    found.emplace_back(seg.get(), e);
+  for (const auto& [id, hi] : flushed_hi_) {
+    found.clear();
+    MinuteTime lo = hi;
+    for (const auto& seg : readers) {
+      if (const auto* e = seg->find(id)) {
+        lo = std::min(lo, e->lo);
+        found.emplace_back(seg.get(), e);
+      }
+    }
+    std::vector<double> dense(static_cast<std::size_t>(hi - lo),
+                              std::numeric_limits<double>::quiet_NaN());
+    for (const auto& [seg, e] : found) seg->read_into(*e, lo, hi, dense);
+    history_.emplace_back(id, TimeSeries(lo, std::move(dense)));
   }
-  if (found.empty()) return TimeSeries{};
-  std::vector<double> dense(static_cast<std::size_t>(hi - lo),
-                            std::numeric_limits<double>::quiet_NaN());
-  for (const auto& [seg, e] : found) seg->read_into(*e, lo, hi, dense);
-  return TimeSeries(lo, std::move(dense));
 }
 
 // ---------------------------------------------------------------------------
@@ -271,8 +246,14 @@ void PersistBackend::note_dirty(const MetricId& id, MinuteTime t) {
   if (!fresh) it->second = std::min(it->second, t);
 }
 
+bool PersistBackend::compacts_next() const {
+  std::shared_lock lock(segments_mutex_);
+  return segments_.size() + 1 >= kCompactThreshold;
+}
+
 MinuteTime PersistBackend::flush_cut(const MetricId& id,
                                      MinuteTime series_start) const {
+  if (compacts_next()) return series_start;
   std::lock_guard lock(state_mutex_);
   MinuteTime lo = series_start;
   if (const auto it = flushed_hi_.find(id); it != flushed_hi_.end()) {
@@ -297,50 +278,31 @@ void PersistBackend::commit_checkpoint(std::vector<SegmentColumn> columns,
   wal_->flush();
   const std::uint64_t covered_seq = wal_->next_seq() - 1;
 
-  // 2. Adopt a finished compaction: swap the merged reader in for the
-  //    prefix it replaced. Only this thread ever mutates the list.
-  std::vector<std::string> doomed;
-  std::optional<CompactionResult> adopted;
-  {
-    std::lock_guard lock(compact_mutex_);
-    if (compact_result_.has_value()) {
-      adopted = std::move(compact_result_);
-      compact_result_.reset();
-    }
+  // 2. Freeze the cut into a new segment. A compacting cut is the whole
+  //    store, so its segment alone is the next list.
+  const bool compacting = compacts_next();
+  std::vector<std::string> live;
+  if (!compacting) {
+    std::shared_lock lock(segments_mutex_);
+    live = segments_;
   }
-  if (adopted.has_value()) {
-    auto merged = std::make_unique<SegmentReader>(adopted->path);
-    std::unique_lock lock(segments_mutex_);
-    for (std::size_t i = 0; i < adopted->replaced; ++i) {
-      doomed.push_back(segments_[i]->path());
-    }
-    segments_.erase(segments_.begin(),
-                    segments_.begin() + static_cast<std::ptrdiff_t>(
-                                            adopted->replaced));
-    segments_.insert(segments_.begin(), std::move(merged));
-  }
-
-  // 3. Freeze the unflushed cut into a new segment.
-  std::uint64_t new_epoch = 0;
   if (!columns.empty()) {
+    std::uint64_t new_epoch = 0;
     {
       std::lock_guard lock(state_mutex_);
       new_epoch = next_epoch_++;
     }
-    const std::string path = segment_path(new_epoch);
+    live.push_back(segment_name(new_epoch));
+    const std::string path = dir_ + "/" + live.back();
     const std::uint64_t bytes = write_segment(path, new_epoch, columns);
-    auto reader = std::make_unique<SegmentReader>(path);
-    {
-      std::unique_lock lock(segments_mutex_);
-      segments_.push_back(std::move(reader));
-    }
+    const SegmentReader written(path);  // checks its trailer and footer CRC
     if (const obs::Registry* reg = stats_.load(std::memory_order_relaxed)) {
       reg->add("funnel.persist.segments_written");
       reg->add("funnel.persist.segment_bytes", bytes);
     }
   }
 
-  // 4. Commit: the checkpoint names the new state including the NEXT WAL
+  // 3. Commit: the checkpoint names the new state including the NEXT WAL
   //    file; the tmp+rename is the atomic commit point.
   CheckpointState ckpt;
   const std::string old_wal = wal_->path();
@@ -352,23 +314,35 @@ void PersistBackend::commit_checkpoint(std::vector<SegmentColumn> columns,
   ckpt.checkpoint_seq = covered_seq;
   ckpt.journal_events = journal_events;
   ckpt.wal_file = fs::path(wal_path(ckpt.wal_counter)).filename().string();
-  {
-    std::shared_lock lock(segments_mutex_);
-    for (const auto& seg : segments_) {
-      ckpt.segment_files.push_back(
-          fs::path(seg->path()).filename().string());
-    }
-  }
+  ckpt.segment_files = live;
   ckpt.watch_state = std::move(watch_state);
-  AtomicFileWriter out(dir_ + "/" + kCheckpointName);
-  out.write(encode_checkpoint(ckpt));
-  out.publish();
+  try {
+    AtomicFileWriter out(dir_ + "/" + kCheckpointName);
+    out.write(encode_checkpoint(ckpt));
+    out.publish();
+  } catch (const StorageError&) {
+    // No checkpoint names the new segment: remove it now rather than leave
+    // it on disk until the next recovery's stray sweep.
+    std::error_code ec;
+    if (!columns.empty()) fs::remove(dir_ + "/" + live.back(), ec);
+    throw;
+  }
 
-  // 5. Roll forward: new WAL, drop the old one and compacted-away files.
+  std::vector<std::string> replaced;
+  {
+    std::unique_lock lock(segments_mutex_);
+    if (compacting) {
+      replaced = std::move(segments_);
+      ++compactions_done_;
+    }
+    segments_ = std::move(live);
+  }
+
+  // 4. Roll forward: new WAL, drop the old one and the replaced segments.
   wal_->rotate(wal_path(ckpt.wal_counter));
   std::error_code ec;
   fs::remove(old_wal, ec);
-  for (const std::string& path : doomed) fs::remove(path, ec);
+  for (const std::string& name : replaced) fs::remove(dir_ + "/" + name, ec);
 
   {
     std::lock_guard lock(state_mutex_);
@@ -381,66 +355,8 @@ void PersistBackend::commit_checkpoint(std::vector<SegmentColumn> columns,
 
   if (const obs::Registry* reg = stats_.load(std::memory_order_relaxed)) {
     reg->add("funnel.persist.checkpoints");
+    if (compacting) reg->add("funnel.persist.compactions");
     reg->set("funnel.persist.segments", static_cast<double>(segment_count()));
-  }
-
-  // Kick compaction when the list got long; the result lands at the NEXT
-  // checkpoint.
-  std::lock_guard lock(compact_mutex_);
-  maybe_kick_compaction_locked();
-}
-
-void PersistBackend::maybe_kick_compaction_locked() {
-  if (!compact_job_.empty() || compact_result_.has_value()) return;
-  std::shared_lock lock(segments_mutex_);
-  if (segments_.size() < kCompactThreshold) return;
-  for (const auto& seg : segments_) compact_job_.push_back(seg.get());
-  {
-    std::lock_guard slock(state_mutex_);
-    compact_epoch_ = next_epoch_++;
-  }
-  compact_cv_.notify_one();
-}
-
-void PersistBackend::compaction_main() {
-  for (;;) {
-    std::vector<const SegmentReader*> job;
-    std::uint64_t epoch = 0;
-    {
-      std::unique_lock lock(compact_mutex_);
-      compact_cv_.wait(lock,
-                       [&] { return compact_stop_ || !compact_job_.empty(); });
-      if (compact_stop_) return;
-      job = compact_job_;
-      epoch = compact_epoch_;
-    }
-
-    // The inputs are immutable files whose readers stay alive until a
-    // checkpoint adopts this result (adoption is the only path that erases
-    // readers, and it cannot run before the result exists), so reading them
-    // lock-free here is safe.
-    const std::vector<SegmentColumn> merged = merge_segments(job);
-    const std::string path = segment_path(epoch);
-    bool ok = true;
-    try {
-      write_segment(path, epoch, merged);
-    } catch (const StorageError&) {
-      ok = false;  // disk trouble: drop the job, segments stay un-compacted
-    }
-
-    {
-      std::lock_guard lock(compact_mutex_);
-      compact_job_.clear();
-      if (ok) {
-        compact_result_ = CompactionResult{path, job.size()};
-        ++compactions_done_;
-      }
-    }
-    if (ok) {
-      if (const obs::Registry* reg = stats_.load(std::memory_order_relaxed)) {
-        reg->add("funnel.persist.compactions");
-      }
-    }
   }
 }
 
@@ -463,7 +379,7 @@ std::size_t PersistBackend::segment_count() const {
 }
 
 std::uint64_t PersistBackend::compactions() const {
-  std::lock_guard lock(compact_mutex_);
+  std::shared_lock lock(segments_mutex_);
   return compactions_done_;
 }
 

@@ -13,42 +13,39 @@
 // Recovery trusts ONLY what the checkpoint references: open the listed
 // segments (corruption there is fatal — StorageError), read the listed WAL
 // tolerating a torn tail (truncate it to the valid prefix), delete every
-// stray wal-/seg-/tmp file. That rule makes every crash window of the
-// checkpoint protocol safe — a half-published segment or an already-written
-// next-WAL simply does not exist until a checkpoint says so.
+// stray wal-/seg-/tmp file, then overlay each metric's segments into one
+// in-memory series and close them. That rule makes every crash window of
+// the checkpoint protocol safe — a half-published segment or an
+// already-written next-WAL simply does not exist until a checkpoint says so.
 //
 // Checkpoint protocol (caller quiesces producers first; MetricStore wraps
 // this as MetricStore::checkpoint):
 //   1. flush the WAL, capture the covered seq
-//   2. adopt a finished background compaction, if any
-//   3. write the unflushed cut of every series as a new segment (tmp+rename)
-//   4. write the new checkpoint naming the NEXT WAL file (tmp+rename) —
+//   2. write the unflushed cut of every series as a new segment (tmp+rename)
+//   3. write the new checkpoint naming the NEXT WAL file (tmp+rename) —
 //      this rename is the commit point
-//   5. rotate the WAL to the named file; delete the old WAL and any
-//      compacted-away segments
+//   4. rotate the WAL to the named file; delete the old WAL and the
+//      segments a compacting checkpoint replaced
 //
-// Compaction runs on one background thread: it merges a snapshot of the
-// current segment list into one file and parks the result; the NEXT
-// checkpoint adopts it (swaps the list, deletes the inputs). The segment
-// list therefore mutates only on the checkpointing thread, under a
-// shared_mutex that its readers hold shared — the whole locking story is
-// three lines in docs/CONCURRENCY.md.
+// Compaction is a checkpoint: one taken while the live list holds
+// kCompactThreshold - 1 segments cuts every series from its first minute
+// (flush_cut), so its segment holds the whole store and becomes the only
+// live one. The list mutates only on the checkpointing thread; the WAL
+// writer is the one thread the backend runs.
 //
-// History comes back one way: MetricStore hydrates every segment-resident
-// series into memory at construction (segment_metrics() + materialize()),
-// then replays the WAL tail.
+// History comes back one way: MetricStore adopts the recovered series
+// (take_history()) at construction, then replays the WAL tail. No segment
+// is read after that.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/minute_time.h"
@@ -72,7 +69,6 @@ class PersistBackend {
   /// directory cannot be created/opened or holds damage beyond the WAL's
   /// torn-tail tolerance (corrupt checkpoint, corrupt/missing segment).
   explicit PersistBackend(const BackendOptions& options);
-  ~PersistBackend();
 
   PersistBackend(const PersistBackend&) = delete;
   PersistBackend& operator=(const PersistBackend&) = delete;
@@ -89,15 +85,13 @@ class PersistBackend {
   std::uint64_t recovered_journal_events() const { return journal_events_; }
   /// Torn-tail bytes truncated off the recovered WAL.
   std::uint64_t recovered_wal_skipped_bytes() const { return wal_skipped_; }
-
-  // --- Hydration (segment-resident history) ------------------------------
-
-  /// Metrics present in any segment, ordered.
-  std::vector<MetricId> segment_metrics() const;
-  /// One metric's history: the segments overlaid in ascending order, so the
-  /// newest value of a minute wins, over [lowest lo, highest hi) with NaN
-  /// where no segment holds a sample. Empty when no segment holds it.
-  TimeSeries materialize(const MetricId& id) const;
+  /// Every segment-resident series, ordered by metric: its segments
+  /// overlaid oldest first, so the newest value of a minute wins, over
+  /// [lowest lo, highest hi) with NaN where no segment holds a sample.
+  /// Moved out: the first call gets it all, later calls nothing.
+  std::vector<std::pair<MetricId, TimeSeries>> take_history() {
+    return std::exchange(history_, {});
+  }
 
   // --- Runtime ------------------------------------------------------------
 
@@ -110,15 +104,17 @@ class PersistBackend {
   void flush_wal();
 
   /// Record a late fill so the next checkpoint re-flushes from `t` — the
-  /// source of overlapping segments (and the reason compaction exists).
+  /// source of overlapping segments.
   void note_dirty(const MetricId& id, MinuteTime t);
 
   /// First minute of `id` the next checkpoint must flush, given the series
-  /// starts at `series_start`: its flush frontier, lowered by dirty marks.
+  /// starts at `series_start`: its flush frontier, lowered by dirty marks —
+  /// or `series_start` itself when the next checkpoint compacts.
   MinuteTime flush_cut(const MetricId& id, MinuteTime series_start) const;
 
-  /// Run the checkpoint protocol (steps 1-5 above). `columns` is the
-  /// unflushed cut, sorted by metric. Producers must be quiesced; see
+  /// Run the checkpoint protocol (steps 1-4 above). `columns` is the cut
+  /// flush_cut() asked for, sorted by metric; when it compacts, the new
+  /// segment replaces the live list. Producers must be quiesced; see
   /// MetricStore::checkpoint for the caller-facing contract.
   void commit_checkpoint(std::vector<SegmentColumn> columns,
                          std::string watch_state,
@@ -138,20 +134,15 @@ class PersistBackend {
   std::uint64_t wal_records_written() const { return wal_->records_written(); }
   std::uint64_t wal_bytes_written() const { return wal_->bytes_written(); }
   std::size_t segment_count() const;
+  /// Compacting checkpoints committed by this backend.
   std::uint64_t compactions() const;
   const std::string& dir() const { return dir_; }
 
  private:
-  struct CompactionResult {
-    std::string path;
-    std::size_t replaced;  ///< prefix length of the list it merged
-  };
-
   void recover(const BackendOptions& options);
-  void compaction_main();
-  void maybe_kick_compaction_locked();
+  /// True when the next checkpoint replaces the live list.
+  bool compacts_next() const;
   std::string wal_path(std::uint64_t counter) const;
-  std::string segment_path(std::uint64_t epoch) const;
 
   std::string dir_;
 
@@ -161,11 +152,14 @@ class PersistBackend {
   std::string watch_state_;
   std::uint64_t journal_events_ = 0;
   std::uint64_t wal_skipped_ = 0;
+  std::vector<std::pair<MetricId, TimeSeries>> history_;
 
-  // Live segment list in overlay (ascending-age) order. Mutated only inside
+  // Live segment file names in overlay (ascending-age) order, and the
+  // compacting checkpoints committed. Mutated only inside
   // commit_checkpoint, under unique lock; readers hold shared.
   mutable std::shared_mutex segments_mutex_;
-  std::vector<std::unique_ptr<SegmentReader>> segments_;
+  std::vector<std::string> segments_;
+  std::uint64_t compactions_done_ = 0;
 
   // Flush frontiers + dirty marks (state_mutex_). flushed_hi_ is rebuilt
   // from segment footers at recovery.
@@ -177,16 +171,6 @@ class PersistBackend {
   bool crashed_ = false;
 
   std::unique_ptr<WalWriter> wal_;
-
-  // Compaction worker: one job at a time, result parked for adoption.
-  mutable std::mutex compact_mutex_;
-  std::condition_variable compact_cv_;
-  std::vector<const SegmentReader*> compact_job_;  ///< empty = no job
-  std::uint64_t compact_epoch_ = 0;
-  std::optional<CompactionResult> compact_result_;
-  std::uint64_t compactions_done_ = 0;
-  bool compact_stop_ = false;
-  std::thread compact_thread_;  ///< last started, first joined
 
   std::atomic<const obs::Registry*> stats_{nullptr};
 };

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
-#include <limits>
-#include <map>
 #include <utility>
 
 #ifdef __unix__
@@ -202,58 +199,6 @@ void SegmentReader::read_into(const Entry& e, MinuteTime t0, MinuteTime t1,
     if (m >= t1) break;
     out[static_cast<std::size_t>(m - t0)] = value(e, i);
   }
-}
-
-std::vector<SegmentColumn> merge_segments(
-    std::span<const SegmentReader* const> readers) {
-  // Per metric: the union range across all segments and the list of entries
-  // in ascending epoch order (the readers' order).
-  struct Pending {
-    MinuteTime lo = 0;
-    MinuteTime hi = 0;
-    std::vector<std::pair<const SegmentReader*, const SegmentReader::Entry*>>
-        parts;
-  };
-  std::map<MetricId, Pending> by_metric;
-  for (const SegmentReader* reader : readers) {
-    for (const auto& e : reader->entries()) {
-      auto [it, fresh] = by_metric.try_emplace(e.metric);
-      if (fresh) {
-        it->second.lo = e.lo;
-        it->second.hi = e.hi;
-      } else {
-        it->second.lo = std::min(it->second.lo, e.lo);
-        it->second.hi = std::max(it->second.hi, e.hi);
-      }
-      it->second.parts.emplace_back(reader, &e);
-    }
-  }
-
-  std::vector<SegmentColumn> merged;
-  merged.reserve(by_metric.size());
-  std::vector<double> dense;
-  for (auto& [metric, pending] : by_metric) {
-    SegmentColumn col;
-    col.metric = metric;
-    col.lo = pending.lo;
-    col.hi = pending.hi;
-    const auto span = static_cast<std::size_t>(pending.hi - pending.lo);
-    dense.assign(span, std::numeric_limits<double>::quiet_NaN());
-    // Ascending epoch overlay: the newest finite value for a minute wins.
-    // (Upstream ingest is first-write-wins, so overlapping segments never
-    // actually disagree on a finite value — the overlay just de-overlaps.)
-    for (const auto& [reader, entry] : pending.parts) {
-      reader->read_into(*entry, pending.lo, pending.hi, dense);
-    }
-    for (std::size_t i = 0; i < span; ++i) {
-      if (!std::isnan(dense[i])) {
-        col.minutes.push_back(pending.lo + static_cast<MinuteTime>(i));
-        col.values.push_back(dense[i]);
-      }
-    }
-    merged.push_back(std::move(col));
-  }
-  return merged;
 }
 
 }  // namespace funnel::tsdb::persist

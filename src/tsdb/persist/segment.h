@@ -22,10 +22,11 @@
 // All column offsets are 8-byte multiples (header is 16 bytes, every column
 // is a multiple of 8), though the reader still memcpy's per element rather
 // than aliasing the map. Readers mmap PROT_READ and binary-search the
-// footer index; hydration (a MetricStore reopening its data_dir) and
-// compaction read the columns straight off the map. Files are immutable
-// after the tmp+rename publish: compaction writes a *new* merged file and
-// the old ones are deleted only after a checkpoint stops referencing them.
+// footer index; recovery reads each live segment once, straight off the
+// map, to rebuild the store in memory, then closes it. Files are immutable
+// after the tmp+rename publish: a compacting checkpoint writes a *new* file
+// holding the whole store, and the old ones are deleted only after that
+// checkpoint, which stops referencing them, commits.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +97,7 @@ class SegmentReader {
   /// out[k] is minute t0 + k. Minutes with no column entry are left
   /// untouched — callers pre-fill with NaN (or with older-segment data:
   /// applying segments in ascending epoch order makes the newest finite
-  /// value win, the compaction invariant).
+  /// value win, the overlay recovery relies on).
   void read_into(const Entry& e, MinuteTime t0, MinuteTime t1,
                  std::span<double> out) const;
 
@@ -107,13 +108,5 @@ class SegmentReader {
   const unsigned char* map_ = nullptr;
   std::vector<Entry> entries_;
 };
-
-/// Merge several segments (ascending epoch order) into one set of columns —
-/// the compaction kernel. Per metric: range = union of [lo, hi); values =
-/// newest finite value per minute. Because upstream ingest is first-write-
-/// wins, overlapping segments never hold conflicting finite values, so the
-/// merge is a pure de-overlap.
-std::vector<SegmentColumn> merge_segments(
-    std::span<const SegmentReader* const> readers);
 
 }  // namespace funnel::tsdb::persist

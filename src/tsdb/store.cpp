@@ -145,10 +145,10 @@ MetricStore::MetricStore(const StoreOptions& options) {
     bopts.wal_queue_capacity = options.wal_queue_capacity;
     bopts.durability = options.durability;
     backend_ = std::make_unique<persist::PersistBackend>(bopts);
-    // Hydration: rebuild every series from the segments so the store is
-    // indistinguishable from one that never restarted.
-    for (const MetricId& id : backend_->segment_metrics()) {
-      adopt(id, backend_->materialize(id));
+    // Hydration: adopt every series recovery rebuilt from the segments, so
+    // the store is indistinguishable from one that never restarted.
+    for (auto& [id, series] : backend_->take_history()) {
+      adopt(id, std::move(series));
     }
     if (!options.hand_off_tail) {
       // Replay the WAL tail in arrival order. No subscriber can exist yet,

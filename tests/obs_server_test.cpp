@@ -580,7 +580,7 @@ TEST(ObsHealth, EmptySnapshotIsHealthyWithAbsentSubsystems) {
   Registry reg;
   const HealthReport report = evaluate_health(reg.snapshot());
   EXPECT_TRUE(report.healthy);
-  ASSERT_EQ(report.checks.size(), 4u);
+  ASSERT_EQ(report.checks.size(), 3u);
   for (const HealthCheck& c : report.checks) {
     EXPECT_TRUE(c.ok) << c.name;
     EXPECT_EQ(c.detail, "n/a") << c.name;
@@ -590,7 +590,6 @@ TEST(ObsHealth, EmptySnapshotIsHealthyWithAbsentSubsystems) {
   EXPECT_NE(text.find("ok ingest-dispatcher n/a"), std::string::npos);
   EXPECT_NE(text.find("ok wal-writer n/a"), std::string::npos);
   EXPECT_NE(text.find("ok journal-writer n/a"), std::string::npos);
-  EXPECT_NE(text.find("ok compaction n/a"), std::string::npos);
 }
 
 TEST(ObsHealth, SaturatedQueueFailsItsSubsystemCheck) {
@@ -609,15 +608,6 @@ TEST(ObsHealth, SaturatedQueueFailsItsSubsystemCheck) {
   // The healthy WAL queue still passes, with its evidence.
   EXPECT_NE(text.find("ok wal-writer queue 3/512"), std::string::npos)
       << text;
-}
-
-TEST(ObsHealth, CompactionBacklogFailsWhenSegmentsPileUp) {
-  Registry reg;
-  reg.set("funnel.persist.segments", 40.0);
-  EXPECT_FALSE(evaluate_health(reg.snapshot()).healthy);
-  // A backlog at the limit (16 live segments) passes.
-  reg.set("funnel.persist.segments", 16.0);
-  EXPECT_TRUE(evaluate_health(reg.snapshot()).healthy);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,6 +19,7 @@
 #include <bit>
 #include <cerrno>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -471,6 +473,138 @@ TEST(Tenant, MaintenanceExpirySurvivesRestart) {
   fs::remove_all(work);
 }
 
+// A power loss can keep a checkpoint (it is fsync'd) and lose the meta.log
+// line of the change its watch snapshot names (that line is only
+// fflush'd). Recovery must bring this tenant up quarantined instead of
+// throwing out of the constructor and taking the daemon's other tenants
+// down with it.
+TEST(Tenant, SnapshotNamingAnUnknownChangeQuarantines) {
+  const fs::path work =
+      fs::temp_directory_path() / "funnel_service_unknown_change_test";
+  fs::remove_all(work);
+  TenantOptions opts = small_funnel("t");
+  opts.data_dir = (work / "t").string();
+  {
+    Tenant tenant(opts);
+    tenant.ingest(sample_lines(0, 46, 1));
+    ASSERT_EQ(tenant.register_changes("45,svc,dark,s0,chg-0\n").size(), 1u);
+    EXPECT_EQ(tenant.active_watches(), 1u);  // in the snapshot below
+    tenant.checkpoint();
+  }
+  const fs::path meta = fs::path(opts.data_dir) / "meta.log";
+  std::string kept;
+  {
+    std::ifstream in(meta);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("change,", 0) != 0) kept += line + '\n';
+    }
+  }
+  std::ofstream(meta, std::ios::trunc) << kept;
+
+  Tenant tenant(opts);
+  EXPECT_TRUE(tenant.quarantined());
+  EXPECT_EQ(tenant.quarantine_reason(),
+            "recovery-failed: corrupt watch snapshot: unknown change id 0");
+  EXPECT_TRUE(tenant.ingest(sample_lines(46, 50, 2)).quarantined);
+  fs::remove_all(work);
+}
+
+// A meta.log that does not open (a directory in its way) fails recovery:
+// without it no server or change the tenant learns could be recovered. So
+// does a file where the data_dir should be, with the store's StorageError
+// rather than a filesystem_error out of the constructor.
+TEST(Tenant, UnopenableMetaLogQuarantines) {
+  const fs::path work =
+      fs::temp_directory_path() / "funnel_service_meta_open_test";
+  TenantOptions opts = small_funnel("t");
+  opts.data_dir = (work / "t").string();
+  const fs::path meta = fs::path(opts.data_dir) / "meta.log";
+  for (const bool file_as_data_dir : {false, true}) {
+    fs::remove_all(work);
+    if (file_as_data_dir) {
+      fs::create_directories(work);
+      std::ofstream(opts.data_dir) << "not a directory\n";
+    } else {
+      fs::create_directories(meta);
+    }
+    Tenant tenant(opts);
+    EXPECT_TRUE(tenant.quarantined()) << file_as_data_dir;
+    EXPECT_EQ(tenant.quarantine_reason(),
+              file_as_data_dir
+                  ? "recovery-failed: cannot open data dir: " + opts.data_dir
+                  : "recovery-failed: cannot open " + meta.string());
+    const IngestResult r = tenant.ingest(sample_lines(0, 46, 1));
+    EXPECT_TRUE(r.quarantined);
+    EXPECT_EQ(r.accepted, 0u);
+    EXPECT_TRUE(tenant.register_changes("45,svc,dark,s0,chg-0\n").empty());
+  }
+  fs::remove_all(work);
+}
+
+// Holds every file this process writes to at most `bytes` (RLIMIT_FSIZE),
+// with SIGXFSZ ignored so a write past it fails with EFBIG instead of
+// killing the process; restores both on destruction.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(std::uintmax_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit low = saved_;
+    low.rlim_cur = static_cast<rlim_t>(bytes);
+    ::setrlimit(RLIMIT_FSIZE, &low);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*handler_)(int) = SIG_DFL;
+};
+
+// A meta.log line that does not reach the file would leave its server or
+// change out of every later recovery: the tenant quarantines before the
+// server's sample reaches the store or the change is watched. The write
+// fails at meta.log's current end, where the file size limit stops it.
+TEST(Tenant, FailedMetaWriteQuarantines) {
+  const fs::path work =
+      fs::temp_directory_path() / "funnel_service_meta_write_test";
+  for (const bool server_line : {true, false}) {
+    fs::remove_all(work);
+    TenantOptions opts = small_funnel("t");
+    opts.data_dir = (work / "t").string();
+    const fs::path meta = fs::path(opts.data_dir) / "meta.log";
+    Tenant tenant(opts);
+    ASSERT_EQ(tenant.ingest(sample_lines(0, 46, 1)).accepted, 92u);
+    tenant.flush();
+    IngestResult r;
+    std::vector<changes::ChangeId> ids;
+    {
+      const FileSizeLimit limit(fs::file_size(meta));
+      if (server_line) {
+        r = tenant.ingest("svc,s2,cpu,0,1\n");
+      } else {
+        ids = tenant.register_changes("45,svc,dark,s0,chg-0\n");
+      }
+    }
+    EXPECT_TRUE(tenant.quarantined()) << server_line;
+    EXPECT_EQ(tenant.quarantine_reason(),
+              "meta-error: cannot write " + meta.string());
+    if (server_line) {
+      EXPECT_TRUE(r.quarantined);
+      EXPECT_EQ(r.accepted, 0u);
+      EXPECT_FALSE(tenant.store().has(tsdb::server_metric("s2", "cpu")));
+    } else {
+      EXPECT_TRUE(ids.empty());
+      EXPECT_EQ(tenant.active_watches(), 0u);
+    }
+  }
+  fs::remove_all(work);
+}
+
 // ---------------------------------------------------------------------------
 // The /v1 HTTP surface end to end (needs the obs HTTP server).
 
@@ -797,6 +931,12 @@ TEST(FunnelService, V1SurfaceServesIngestChangesReportAndStatus) {
   EXPECT_EQ(status_of(no_now), 400);
   EXPECT_NE(body_of(no_now).find("bad-request"), std::string::npos)
       << body_of(no_now);
+  // A minute past the 64-bit range is malformed, as on /v1/ingest.
+  const std::string overflow =
+      post(port, "/v1/maintenance/alpha?now=99999999999999999999", "");
+  EXPECT_EQ(status_of(overflow), 400);
+  EXPECT_NE(body_of(overflow).find("bad-request"), std::string::npos)
+      << body_of(overflow);
   EXPECT_EQ(status_of(post(port, "/v1/changes/alpha",
                            "95,svc,dark,s1,chg-1\n")),
             200);
@@ -873,6 +1013,38 @@ TEST(FunnelService, QuarantineAnswers503AndFailsItsHealthCheckOnly) {
   service.stop();
 }
 
+// A tenant can quarantine inside /v1/changes (its journal latched a write
+// error, or a meta.log line failed): the route then answers 503, as
+// /v1/ingest does, not 200 with the lines it never registered.
+TEST(FunnelService, ChangesThatQuarantineTheTenantAnswer503) {
+  ServiceOptions sopts;
+  sopts.tenant_defaults = small_funnel("");
+  FunnelService service(std::move(sopts));
+  TenantOptions opts = small_funnel("t");
+  opts.journal_path = "/dev/full";
+  Tenant& tenant = service.add_tenant(opts);
+  std::string error;
+  ASSERT_TRUE(service.start(&error)) << error;
+  const int port = service.port();
+  EXPECT_EQ(status_of(post(port, "/v1/ingest/t", sample_lines(0, 46, 1))),
+            200);
+  EXPECT_EQ(status_of(post(port, "/v1/changes/t", "45,svc,dark,s0,chg-0\n")),
+            200);
+  EXPECT_EQ(status_of(post(port, "/v1/ingest/t", sample_lines(46, 100, 2))),
+            200);
+  {
+    std::lock_guard<std::mutex> guard(tenant.mutex());
+    tenant.flush();  // the verdict's write fails and latches the journal
+  }
+  const std::string refused =
+      post(port, "/v1/changes/t", "90,svc,dark,s1,chg-1\n");
+  EXPECT_EQ(status_of(refused), 503) << refused;
+  EXPECT_NE(body_of(refused).find("journal-error: cannot write /dev/full"),
+            std::string::npos)
+      << body_of(refused);
+  service.stop();
+}
+
 TEST(FunnelService, DynamicTenantsSpringIntoExistenceOnFirstPost) {
   ServiceOptions sopts;
   sopts.tenant_defaults = small_funnel("");
@@ -889,6 +1061,16 @@ TEST(FunnelService, DynamicTenantsSpringIntoExistenceOnFirstPost) {
   // Dynamic creation is a POST-ingest/changes privilege: GETs still 404.
   EXPECT_EQ(status_of(get(port, "/v1/report/still-nobody")), 404);
   EXPECT_THROW(service.add_tenant("new-tenant"), InvalidArgument);
+  // A name that is not one path component would put the tenant's files,
+  // and recovery's stray sweep, in the data root or its parent.
+  for (const char* name : {".", ".."}) {
+    EXPECT_EQ(status_of(post(port, std::string("/v1/ingest/") + name,
+                             "svc,s,cpu,1,1\n")),
+              404)
+        << name;
+    EXPECT_THROW(service.add_tenant(name), InvalidArgument) << name;
+  }
+  EXPECT_EQ(service.tenant_count(), 1u);
   service.stop();
 }
 

@@ -4,8 +4,9 @@
 // port-file handshake, ingest over /v1, scrape /healthz, /metrics,
 // /stats.json and /readyz over a raw socket, then SIGTERM it and require a
 // clean exit 0. Also the failure contracts: a port that is already bound
-// must exit 3 with a diagnostic, a malformed numeric flag must exit 2, and
-// a --config value that does not parse must exit 3.
+// must exit 3 with a diagnostic, a malformed flag must exit 2, a --config
+// value that does not parse must exit 3, and a tenant whose data_dir is
+// damaged boots quarantined while the others serve.
 //
 // The daemon path arrives via -DFUNNEL_SERVE_PATH from tests/CMakeLists.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -130,6 +132,18 @@ int status_of(const std::string& response) {
   return std::atoi(response.c_str() + 9);
 }
 
+/// Kills and reaps a daemon that runs without a time bound when an
+/// assertion ends the test before its SIGTERM; pid 0 once reaped.
+struct Reaper {
+  pid_t pid = 0;
+  ~Reaper() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+};
+
 TEST(ToolsServeSmoke, ServesTelemetryUntilSigterm) {
   const std::string port_file = temp_path("port");
   const std::string log = temp_path("serve.log");
@@ -139,17 +153,7 @@ TEST(ToolsServeSmoke, ServesTelemetryUntilSigterm) {
                                          "--tenants", "a"};
   const pid_t pid = spawn(args, log);
   ASSERT_GT(pid, 0);
-  // The daemon runs without a time bound: kill it if an assertion below
-  // ends the test before the SIGTERM.
-  struct Reaper {
-    pid_t pid;
-    ~Reaper() {
-      if (pid > 0) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-      }
-    }
-  } reaper{pid};
+  Reaper reaper{pid};
 
   const int port = read_port_file(port_file, 20000);
   ASSERT_GT(port, 0) << "no port-file handshake; daemon log:\n" << slurp(log);
@@ -229,8 +233,9 @@ TEST(ToolsServeSmoke, MalformedFlagsExit2) {
   // daemon that wrongly starts: the case then fails on exit 0 instead of
   // hanging.
   const std::vector<std::vector<std::string>> bad = {
-      {"--num-shards", "0"}, {"--port", "70000"},       {"--port", "-5"},
-      {"--port", "abc"},     {"--queue-capacity", "-1"}, {"--horizon", "1x"}};
+      {"--num-shards", "0"}, {"--port", "70000"},        {"--port", "-5"},
+      {"--port", "abc"},     {"--queue-capacity", "-1"}, {"--horizon", "1x"},
+      {"--tenants", "a/b"},  {"--tenants", "b,b"},      {"--tenants", ".."}};
   for (const std::vector<std::string>& flag : bad) {
     const std::string log = temp_path("malformed.log");
     std::vector<std::string> args = {FUNNEL_SERVE_PATH};
@@ -273,6 +278,78 @@ TEST(ToolsServeSmoke, MalformedConfigExits3) {
         << logged;
     std::remove(config.c_str());
   }
+}
+
+// The daemon boots every tenant before it binds. A tenant whose data_dir
+// is damaged must come up quarantined, not abort the process: here the
+// checkpoint of tenant b names a change whose meta.log line is gone, as a
+// power loss can leave it (the checkpoint is fsync'd, meta.log only
+// fflush'd). Tenant a serves, and /healthz names b.
+TEST(ToolsServeSmoke, DamagedTenantBootsQuarantined) {
+  namespace fs = std::filesystem;
+  const std::string root = temp_path("damaged_root");
+  const std::string port_file = temp_path("damaged_port");
+  const std::string log = temp_path("damaged.log");
+  fs::remove_all(root);
+  const std::vector<std::string> args = {
+      FUNNEL_SERVE_PATH, "--port", "auto", "--port-file", port_file,
+      "--data-root", root, "--tenants", "a,b", "--horizon", "20",
+      "--lookback", "30", "--min-did-window", "6"};
+  std::string feed;
+  for (int t = 0; t < 46; ++t) {
+    for (const char* server : {"s0", "s1"}) {
+      feed += std::string("svc,") + server + ",cpu," + std::to_string(t) +
+              "," + std::to_string(10 + t % 3) + "\n";
+    }
+  }
+  {
+    std::remove(port_file.c_str());
+    Reaper reaper{spawn(args, log)};
+    ASSERT_GT(reaper.pid, 0);
+    const int port = read_port_file(port_file, 20000);
+    ASSERT_GT(port, 0) << slurp(log);
+    for (const std::string tenant : {"a", "b"}) {
+      EXPECT_EQ(status_of(http_post(port, "/v1/ingest/" + tenant, feed)), 200);
+      EXPECT_EQ(status_of(http_post(port, "/v1/changes/" + tenant,
+                                    "45,svc,dark,s0,chg-0\n")),
+                200);
+      EXPECT_EQ(status_of(http_post(port, "/v1/checkpoint/" + tenant, "")),
+                200);
+    }
+    ASSERT_EQ(::kill(reaper.pid, SIGTERM), 0);
+    const int status = await_exit(reaper.pid, 20000);
+    reaper.pid = 0;
+    ASSERT_TRUE(WIFEXITED(status)) << slurp(log);
+    ASSERT_EQ(WEXITSTATUS(status), 0) << slurp(log);
+  }
+
+  const std::string meta = root + "/b/meta.log";
+  std::string kept;
+  {
+    std::ifstream in(meta);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("change,", 0) != 0) kept += line + '\n';
+    }
+  }
+  ASSERT_NE(kept.size(), slurp(meta).size()) << "no change line in " << meta;
+  std::ofstream(meta, std::ios::trunc) << kept;
+
+  std::remove(port_file.c_str());
+  Reaper reaper{spawn(args, log)};
+  ASSERT_GT(reaper.pid, 0);
+  const int port = read_port_file(port_file, 20000);
+  ASSERT_GT(port, 0) << "no port-file handshake; daemon log:\n" << slurp(log);
+  EXPECT_EQ(status_of(http_get(port, "/v1/seq/a")), 200);
+  const std::string health = http_get(port, "/healthz");
+  EXPECT_EQ(status_of(health), 503) << health;
+  EXPECT_NE(health.find("FAIL tenant:b recovery-failed:"), std::string::npos)
+      << health;
+  ASSERT_EQ(::kill(reaper.pid, SIGTERM), 0);
+  const int status = await_exit(reaper.pid, 20000);
+  reaper.pid = 0;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << slurp(log);
+  std::remove(port_file.c_str());
+  fs::remove_all(root);
 }
 
 }  // namespace

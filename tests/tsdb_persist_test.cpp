@@ -1,17 +1,16 @@
 // Tests for the persistent segment store (src/tsdb/persist): WAL framing
 // (golden frame bytes) and torn-tail recovery at every byte offset, CRC32C
 // known answers and the hardware path against the table loop, dirty-feed
-// replay through upsert_at, segment round-trips and merges, hydration of a
-// checkpointed segment plus its WAL tail, the checkpoint/recover cycle,
-// background compaction, write errors on a full disk, and the StorageError
-// exit contract.
+// replay through upsert_at, segment round-trips, hydration of a
+// checkpointed segment plus its WAL tail and of two overlapping segments,
+// the checkpoint/recover cycle, the compacting checkpoint, write errors on
+// a full disk, and the StorageError exit contract.
 // The on-disk format under test is docs/STORAGE.md.
 #include "tsdb/persist/backend.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -21,7 +20,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -432,37 +430,6 @@ TEST(Segment, RoundTripsSparseColumnsAndWindows) {
   EXPECT_TRUE(std::isnan(out[5]));  // minute 107 was a gap too
 }
 
-TEST(Segment, MergeOverlaysNewestSegmentOverOldest) {
-  const fs::path dir = scratch("segment_merge");
-  SegmentColumn old_col;
-  old_col.metric = server_metric("s1", "cpu");
-  old_col.lo = 100;
-  old_col.hi = 105;
-  old_col.minutes = {100, 101, 102, 104};
-  old_col.values = {1, 2, 3, 5};
-  SegmentColumn new_col;  // overlapping late fill: plugs minute 103
-  new_col.metric = old_col.metric;
-  new_col.lo = 103;
-  new_col.hi = 107;
-  new_col.minutes = {103, 105, 106};
-  new_col.values = {4, 6, 7};
-
-  const std::string p1 = (dir / "seg-000001.seg").string();
-  const std::string p2 = (dir / "seg-000002.seg").string();
-  write_segment(p1, 1, std::vector<SegmentColumn>{old_col});
-  write_segment(p2, 2, std::vector<SegmentColumn>{new_col});
-  SegmentReader r1(p1), r2(p2);
-  const std::vector<const SegmentReader*> readers = {&r1, &r2};
-  const std::vector<SegmentColumn> merged = merge_segments(readers);
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0].lo, 100);
-  EXPECT_EQ(merged[0].hi, 107);
-  const std::vector<MinuteTime> want_m = {100, 101, 102, 103, 104, 105, 106};
-  const std::vector<double> want_v = {1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(merged[0].minutes, want_m);
-  EXPECT_EQ(merged[0].values, want_v);
-}
-
 TEST(Segment, CorruptFooterThrowsStorageError) {
   const fs::path dir = scratch("segment_corrupt");
   const std::string path = (dir / "seg-000001.seg").string();
@@ -585,6 +552,38 @@ TEST(PersistentStore, DirtyFeedReplayMatchesInMemoryStore) {
   for (std::size_t i = 0; i < want_q.size(); ++i) {
     EXPECT_EQ(got_q[i], want_q[i]) << i;
   }
+
+  // Overlap: two checkpoints, the second re-flushing series `a` from a late
+  // fill below the first's frontier, so the two live segments both hold
+  // minutes 40..60 of it. `b` is only in the first segment and `c` only in
+  // the second. A reopen overlays them oldest first and equals the twin.
+  const fs::path overlap_dir = scratch("overlap_replay");
+  MetricStore overlap_twin;
+  const MetricId c = server_metric("s3", "disk");
+  {
+    MetricStore store(persistent_options(overlap_dir));
+    const auto append = [&](const MetricId& m, MinuteTime t, double v) {
+      store.append(m, t, v);
+      overlap_twin.append(m, t, v);
+    };
+    for (MinuteTime t = 0; t < 60; ++t) {
+      if (t != 40) append(a, t, static_cast<double>(t));  // hole at 40
+      if (t % 7 != 0) append(b, t, -static_cast<double>(t));
+    }
+    store.checkpoint();
+    append(a, 40, 4040.0);  // late fill below the frontier
+    for (MinuteTime t = 60; t < 80; ++t) {
+      append(a, t, static_cast<double>(t));
+      if (t != 70) append(c, t, 0.25 * static_cast<double>(t));
+    }
+    store.checkpoint();
+    EXPECT_EQ(store.segment_count(), 2u);
+  }
+  MetricStore overlapped(persistent_options(overlap_dir));
+  EXPECT_EQ(overlapped.segment_count(), 2u);
+  EXPECT_TRUE(overlapped.recovered_tail().empty());
+  expect_same_store(overlapped, overlap_twin);
+  overlapped.read(a, [](const TimeSeries& s) { EXPECT_EQ(s.at(40), 4040.0); });
 }
 
 TEST(PersistentStore, CheckpointRecoverRoundTripsStateAndMetadata) {
@@ -701,6 +700,9 @@ TEST(PersistentStore, FullDiskCheckpointKeepsThePreviousOne) {
     ASSERT_FALSE(fs::is_symlink(dir / "checkpoint"));
     EXPECT_EQ(slurp(dir / "checkpoint"), previous);
     EXPECT_FALSE(fs::exists(fs::symlink_status(dir / "checkpoint.tmp")));
+    // Nor does the segment the failed checkpoint wrote stay behind.
+    EXPECT_FALSE(fs::exists(dir / "seg-000002.seg"));
+    EXPECT_EQ(store.segment_count(), 1u);
   }
   // The previous checkpoint and the WAL after it still hold every sample.
   MetricStore again(persistent_options(dir));
@@ -763,32 +765,52 @@ TEST(PersistentStore, StrayFilesAreDeletedOnRecovery) {
 TEST(PersistentStore, CompactionMergesOverlappingSegments) {
   const fs::path dir = scratch("compaction");
   const MetricId id = server_metric("s1", "cpu");
-  MetricStore store(persistent_options(dir));
-  // Each cycle checkpoints a fresh slice; the fourth segment reaches the
-  // compaction threshold and kicks the background merge, which the *next*
-  // checkpoint adopts.
-  MinuteTime t = 0;
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    for (MinuteTime end = t + 20; t < end; ++t) {
-      store.append(id, t, static_cast<double>(t));
+  const MetricId other = server_metric("s2", "mem");
+  MetricStore twin;
+  {
+    MetricStore store(persistent_options(dir));
+    const auto append = [&](const MetricId& m, MinuteTime t, double v) {
+      store.append(m, t, v);
+      twin.append(m, t, v);
+    };
+    // Each checkpoint cuts a fresh 20-minute slice. Minute 5 stays a hole
+    // until the third slice fills it late, below the frontier, so the
+    // third segment overlaps the first. The fourth segment would bring the
+    // list to four files: that checkpoint writes the whole store instead
+    // and its segment replaces the list.
+    MinuteTime t = 0;
+    for (std::size_t cycle = 1; cycle <= 4; ++cycle) {
+      for (const MinuteTime end = t + 20; t < end; ++t) {
+        if (t != 5) append(id, t, static_cast<double>(t));
+      }
+      if (cycle == 2) {
+        append(other, 30, 1.5);
+        append(other, 32, 3.5);
+      }
+      if (cycle == 3) append(id, 5, 55.0);
+      store.checkpoint();
+      EXPECT_EQ(store.segment_count(), cycle < 4 ? cycle : 1u) << cycle;
+      EXPECT_EQ(store.compactions(), cycle < 4 ? 0u : 1u) << cycle;
     }
-    store.checkpoint();
+    // A late fill below the compacted frontier stays in the WAL tail.
+    append(other, 31, 2.5);
+    append(id, 80, 80.0);
   }
-  // Merges run on a background thread and are adopted by the *next*
-  // checkpoint; keep checkpointing (empty cuts — no new segments) until
-  // the whole overlapping pile has collapsed into one file.
-  for (int i = 0; i < 400 && store.segment_count() > 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    store.checkpoint();
+  std::size_t segment_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    segment_files += entry.path().extension() == ".seg" ? 1 : 0;
   }
-  EXPECT_GE(store.compactions(), 1u);
-  EXPECT_EQ(store.segment_count(), 1u);
-  store.read(id, [&](const TimeSeries& s) {
-    ASSERT_EQ(s.end_time(), t);
-    for (MinuteTime m = 0; m < t; ++m) {
-      ASSERT_EQ(s.at(m), static_cast<double>(m)) << "minute " << m;
-    }
+  EXPECT_EQ(segment_files, 1u);
+
+  MetricStore reopened(persistent_options(dir));
+  EXPECT_EQ(reopened.segment_count(), 1u);
+  EXPECT_EQ(reopened.recovered_tail().size(), 2u);
+  expect_same_store(reopened, twin);
+  reopened.read(id, [](const TimeSeries& s) {
+    EXPECT_EQ(s.at(5), 55.0);
+    EXPECT_EQ(s.end_time(), 81);
   });
+  reopened.read(other, [](const TimeSeries& s) { EXPECT_EQ(s.at(31), 2.5); });
 }
 
 // Three metrics over 40 minutes with a NaN, a duplicate, a late fill and a

@@ -29,11 +29,15 @@
 // GET /v1/seq/<tenant> to learn where to resume. tools/soak_harness drills
 // exactly this loop under fault injection.
 //
-// Exit codes: 0 clean shutdown, 2 usage (an unknown flag, or a numeric
-// value that does not parse whole or is out of range: --port takes auto or
-// 0-65535, --num-shards at least 1, counts and minutes take no sign), 3
-// environment (an unreadable --config or one with a value that does not
-// parse whole, a bind failure, or a --port-file that cannot be written).
+// Exit codes: 0 clean shutdown, 2 usage (an unknown flag, a numeric value
+// that does not parse whole or is out of range: --port takes auto or
+// 0-65535, --num-shards at least 1, counts and minutes take no sign, or a
+// --tenants name that is not one path component — with a '/', "." or
+// ".." — or is named twice), 3 environment (an unreadable
+// --config or one with a value that does not parse whole, a bind failure,
+// or a --port-file that cannot be written). A tenant whose data_dir does
+// not recover boots quarantined; the others serve.
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -116,7 +120,13 @@ bool parse(int argc, char** argv, Options& opt) {
       std::stringstream ss(v);
       std::string name;
       while (std::getline(ss, name, ',')) {
-        if (!name.empty()) opt.tenants.push_back(name);
+        if (name.empty()) continue;
+        if (!funnel::service::valid_tenant_name(name) ||
+            std::find(opt.tenants.begin(), opt.tenants.end(), name) !=
+                opt.tenants.end()) {
+          return false;
+        }
+        opt.tenants.push_back(name);
       }
     } else if (a == "--dynamic-tenants") {
       opt.dynamic_tenants = true;

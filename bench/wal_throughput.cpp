@@ -1,8 +1,9 @@
 // Persistent-store benchmark — the three costs docs/STORAGE.md asks a
 // deployment to budget for:
 //
-//   1. WAL append throughput: records/s and MB/s through the group-commit
-//      writer (the per-sample tax every persistent ingest pays), in two
+//   1. WAL append throughput: records/s and MB/s through the WAL, which
+//      commits (fwrite + fflush) once per append() call on the appending
+//      thread: the per-sample tax every persistent ingest pays, in two
 //      rows: one append() per sample, and one batch append() per minute
 //      (the shape of a /v1/ingest POST). Both rows write the same bytes.
 //   2. Segment flush latency: one checkpoint() freezing the whole hot set
@@ -56,7 +57,8 @@ struct WalRow {
 };
 
 // The batch row: every minute's samples go to the store as one batch, into
-// a fresh store under `dir`, timed to the WAL barrier.
+// a fresh store under `dir`, timed until the last append() returns with its
+// records in the file.
 WalRow append_minute_batches(const std::string& dir,
                              const std::vector<tsdb::MetricId>& metrics,
                              MinuteTime minutes) {
@@ -78,7 +80,6 @@ WalRow append_minute_batches(const std::string& dir,
       }
       store.append(batch);
     }
-    store.wal_flush();
     row.append_us = now_us() - t0;
     row.records = store.wal_records_written();
     row.bytes = store.wal_bytes_written();
@@ -162,7 +163,6 @@ int main(int argc, char** argv) {
         store.append(metrics[m], t, value_at(m, t));
       }
     }
-    store.wal_flush();  // barrier: every record on disk
     append_us = now_us() - t0;
     wal_records = store.wal_records_written();
     wal_bytes = store.wal_bytes_written();

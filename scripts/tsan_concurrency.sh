@@ -4,7 +4,7 @@
 # This is the FUNNEL_SANITIZE=thread ctest job: it configures a dedicated
 # build tree with -DFUNNEL_SANITIZE=thread and runs the tests that exercise
 # shared state across threads — the group-commit queue behind the ingest
-# dispatcher, the WAL writer and the journal writer, the sharded store, the
+# dispatcher and the journal writer, the sharded store, the
 # thread pool, the parallel assessment engine (including the SST hot path:
 # per-slot warm-started scorers reset between KPI streams), the online
 # assessor, the telemetry registry, the tracer's cross-thread span
@@ -12,9 +12,9 @@
 # docs/ROBUSTNESS.md), and the warm-start differential suite (stateful
 # scorer lifecycle + Hankel kernel), the verdict journal's
 # writer thread plus its live triage-observer tap, the persistent
-# segment store (WAL writer thread, compacting checkpoints, crash-replay
-# recovery — docs/STORAGE.md), and the live telemetry plane (HTTP worker
-# pool serving Registry snapshots while hot-path recorders run —
+# segment store (producers committing to one WAL, compacting checkpoints,
+# crash-replay recovery — docs/STORAGE.md), and the live telemetry plane
+# (HTTP worker pool serving Registry snapshots while hot-path recorders run —
 # docs/OBSERVABILITY.md "Live endpoints"), and the
 # multi-tenant service plane (HTTP workers racing ingest/changes/report
 # against per-tenant locks, quotas and quarantine — docs/SERVICE.md).

@@ -1,19 +1,15 @@
 // Bounded multi-producer queue drained in groups by one consumer thread:
-// the one implementation behind the metric store's ingest dispatcher, the
-// WAL writer and the verdict journal (docs/CONCURRENCY.md, "Group-commit
-// queue").
+// the one implementation behind the metric store's ingest dispatcher and
+// the verdict journal (docs/CONCURRENCY.md, "Group-commit queue").
 //
 // Producers push_all() a span of items under one mutex (push() is a span of
 // one). The consumer thread wakes, moves every queued item into a reused
 // batch vector and runs the owner's consumer on the batch with no lock
-// held: one fwrite + fflush per batch for the writers, one notification
+// held: one fwrite + fflush per batch for the journal, one notification
 // pass per batch for the store. One consumer thread means delivery order
 // equals push order.
 //
 // Guarantees (regression-tested in common_group_commit_queue_test):
-//   * push_all() hands each accepted item the next arrival ticket (0, 1, 2,
-//     ...) under the lock, so a ticket-derived field (the WAL seq) follows
-//     delivery order.
 //   * kBlock never loses an item. A span larger than the free room is queued
 //     in chunks: the producer waits for room as often as it needs to, so
 //     the queue never holds more than `capacity` items.
@@ -25,8 +21,6 @@
 //   * await_inflight() returns once the batch in flight at the call (if any)
 //     has been consumed. It counts batches, so a shed cannot end the wait
 //     early. It is a no-op on the consumer thread.
-//   * abandon() stops the consumer without draining: queued items are
-//     discarded and later pushes are refused (the crash simulation).
 //   * The destructor drains whatever is queued, then joins, in every state.
 //
 // Capacity bounds the queued items only. While a batch of up to `capacity`
@@ -63,12 +57,8 @@ class GroupCommitQueue {
 
   /// What push_all() (or push()) did with its items.
   struct Admission {
-    /// false: stopping or abandoned, so the items from the first refused
-    /// one on were discarded.
-    bool accepted = false;
-    std::size_t shed = 0;      ///< queued items kDropOldest shed for room
-    std::uint64_t ticket = 0;  ///< arrival ticket of the first item
-    std::size_t depth = 0;     ///< items queued after the last push
+    std::size_t shed = 0;   ///< queued items kDropOldest shed for room
+    std::size_t depth = 0;  ///< items queued after the last push
   };
 
   /// Starts the consumer thread. `capacity` is clamped to >= 1.
@@ -95,27 +85,13 @@ class GroupCommitQueue {
   GroupCommitQueue& operator=(const GroupCommitQueue&) = delete;
 
   /// push_all() of one item.
-  Admission push(T item) {
-    return push_all(std::span<T>(&item, 1), [](T&, std::uint64_t) {});
-  }
-
-  template <typename Stamp>
-  Admission push(T item, Stamp&& stamp) {
-    return push_all(std::span<T>(&item, 1), std::forward<Stamp>(stamp));
-  }
-
-  /// push_all() without a stamp.
-  Admission push_all(std::span<T> items) {
-    return push_all(items, [](T&, std::uint64_t) {});
-  }
+  Admission push(T item) { return push_all(std::span<T>(&item, 1)); }
 
   /// Enqueue `items` in order (any thread, moving from them), blocking or
-  /// shedding per the policy. `stamp(item, ticket)` runs under the lock
-  /// just before each item is queued. A producer wakes the consumer only
-  /// when a chunk lands in an empty queue, at most once per chunk: the
-  /// consumer waits on nothing else.
-  template <typename Stamp>
-  Admission push_all(std::span<T> items, Stamp&& stamp) {
+  /// shedding per the policy. A producer wakes the consumer only when a
+  /// chunk lands in an empty queue, at most once per chunk: the consumer
+  /// waits on nothing else.
+  Admission push_all(std::span<T> items) {
     Admission a;
     std::unique_lock<std::mutex> lock(mutex_);
     bool wake = queue_.empty();  // the consumer may be waiting for work
@@ -136,12 +112,10 @@ class GroupCommitQueue {
         }
       }
       if (stop_) break;
-      const std::uint64_t ticket = pushed_++;
-      if (queued++ == 0) a.ticket = ticket;
-      stamp(item, ticket);
+      ++pushed_;
+      ++queued;
       queue_.push_back(std::move(item));
     }
-    a.accepted = queued == items.size();
     a.depth = queue_.size();
     lock.unlock();
     if (a.shed > 0) settled_cv_.notify_all();
@@ -150,7 +124,7 @@ class GroupCommitQueue {
   }
 
   /// Barrier: returns once every item pushed before the call has been
-  /// consumed or shed (or discarded by abandon()).
+  /// consumed or shed.
   void flush() {
     if (on_consumer_thread()) return;
     std::unique_lock<std::mutex> lock(mutex_);
@@ -168,29 +142,13 @@ class GroupCommitQueue {
     settled_cv_.wait(lock, [&] { return batches_ >= target; });
   }
 
-  /// Stop the consumer without draining: queued items are discarded, the
-  /// batch in flight finishes, later pushes are refused. Returns after the
-  /// consumer thread has exited. Not callable from the consumer thread.
-  void abandon() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-      removed_ += queue_.size();
-      queue_.clear();
-    }
-    arrival_cv_.notify_one();
-    space_cv_.notify_all();
-    settled_cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
   /// Items queued and not yet drained into a batch.
   std::size_t depth() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return queue_.size();
   }
   std::size_t capacity() const { return capacity_; }
-  /// Items accepted by push_all() so far (the next ticket).
+  /// Items accepted by push_all() so far.
   std::uint64_t pushed() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return pushed_;
@@ -207,8 +165,8 @@ class GroupCommitQueue {
   }
 
  private:
-  // Every ticket below this has been consumed, shed or discarded. Items
-  // leave the queue front in ticket order, so only the batch in flight can
+  // Every item pushed below this count has been consumed or shed. Items
+  // leave the queue front in push order, so only the batch in flight can
   // hold back an item below removed_.
   std::uint64_t settled_below() const {
     return in_batch_ ? batch_begin_ : removed_;
@@ -223,7 +181,7 @@ class GroupCommitQueue {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       arrival_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopped and drained, or abandoned
+      if (queue_.empty()) return;  // stopped and drained
       batch.assign(std::make_move_iterator(queue_.begin()),
                    std::make_move_iterator(queue_.end()));
       queue_.clear();
@@ -252,9 +210,9 @@ class GroupCommitQueue {
   std::condition_variable arrival_cv_;  ///< consumer waiting for work
   std::condition_variable settled_cv_;  ///< flush/await waiters
   std::deque<T> queue_;
-  std::uint64_t pushed_ = 0;       ///< tickets handed out
-  std::uint64_t removed_ = 0;      ///< tickets that left the queue front
-  std::uint64_t batch_begin_ = 0;  ///< first ticket of the batch in flight
+  std::uint64_t pushed_ = 0;       ///< items accepted
+  std::uint64_t removed_ = 0;      ///< items that left the queue front
+  std::uint64_t batch_begin_ = 0;  ///< removed_ before the batch in flight
   std::uint64_t consumed_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t batches_ = 0;  ///< batches consumed

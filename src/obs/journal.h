@@ -16,10 +16,11 @@
 //
 // Design:
 //   * The hot path never blocks on disk. append() enqueues the event on a
-//     common::GroupCommitQueue (the one the metric store's dispatcher and
-//     the WAL writer run on) and its writer thread serializes + writes. A
-//     full queue blocks the producer: the journal is an audit record, so
-//     it never sheds.
+//     common::GroupCommitQueue (the one the metric store's dispatcher runs
+//     on) and its writer thread serializes + writes. A full queue blocks
+//     the producer: the journal is an audit record, so it never sheds.
+//     (The WAL, by contrast, commits on the appending thread: a sample's
+//     record must exist before the sample is applied.)
 //   * One event = one '\n'-terminated line, written by the single writer,
 //     which group-commits: each wakeup drains everything queued and does one
 //     fwrite + fflush. Under steady load a batch is one event, so a crash

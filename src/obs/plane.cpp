@@ -20,7 +20,7 @@ double gauge_or(const Snapshot& snap, const std::string& name,
 
 /// One queue's check: fails at kUnhealthyQueueFrac of its capacity; passes
 /// with detail "n/a" when the subsystem never registered its gauges — sync
-/// dispatch, no persistence, no journal.
+/// dispatch, no journal.
 HealthCheck queue_check(const Snapshot& snap, const char* name,
                         const std::string& depth_stat,
                         const std::string& capacity_stat) {
@@ -55,8 +55,6 @@ HealthReport evaluate_health(const Snapshot& snap) {
   report.checks = {
       queue_check(snap, "ingest-dispatcher", "tsdb.store.queue_depth",
                   "tsdb.store.queue_capacity"),
-      queue_check(snap, "wal-writer", "funnel.wal.queue_depth",
-                  "funnel.wal.queue_capacity"),
       queue_check(snap, "journal-writer", "funnel.journal.queue_depth",
                   "funnel.journal.queue_capacity")};
   for (const HealthCheck& check : report.checks) {

@@ -103,8 +103,9 @@ bool read_request_head(int fd, std::size_t max_bytes, std::string* buf,
 }
 
 /// Scan the head's header lines for Content-Length (case-insensitive name,
-/// as HTTP requires). Returns false on a malformed value (answer 400);
-/// `*length` stays untouched when the header is absent.
+/// as HTTP requires). Returns false on a malformed value or on repeated
+/// headers that disagree, a framing error under RFC 9112 §6.3 (answer
+/// 400); `*length` stays untouched when the header is absent.
 bool parse_content_length(const std::string& buf, std::size_t head_end,
                           std::optional<std::size_t>* length) {
   std::size_t line = buf.find("\r\n") + 2;  // skip the request line
@@ -130,6 +131,7 @@ bool parse_content_length(const std::string& buf, std::size_t head_end,
           }
           value = value * 10 + static_cast<std::size_t>(buf[i] - '0');
         }
+        if (length->has_value() && **length != value) return false;
         *length = value;
       }
     }

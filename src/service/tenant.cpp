@@ -20,21 +20,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Split on `sep`, keeping empty fields (a,,b -> 3 fields).
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 /// Split into at most `max_fields` pieces; the last piece keeps any further
 /// separators verbatim (change descriptions may contain commas).
 std::vector<std::string_view> splitn(std::string_view s, char sep,
@@ -73,15 +58,6 @@ bool split5(std::string_view s, std::array<std::string_view, 5>& fields) {
 std::string_view trim_cr(std::string_view line) {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   return line;
-}
-
-std::string join(const std::vector<std::string>& parts, char sep) {
-  std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) out += sep;
-    out += p;
-  }
-  return out;
 }
 
 /// The fields /v1/report and /v1/status open with, up to the closing quote
@@ -479,13 +455,20 @@ std::vector<changes::ChangeId> Tenant::register_changes(
       // marker can reference its id from the WAL.
       std::ostringstream meta;
       meta << "change," << time << ',' << service << ',' << f[2] << ','
-           << join(change.servers, ';') << ',' << description;
+           << join(change.servers, ";") << ',' << description;
       if (!meta_append(meta.str())) return ids;
     }
 
-    if (watched_.insert(id).second) {
+    if (!watched_.contains(id)) {
       quiesce_for_mutation(&quiesced);
-      online_->watch(id);  // logs the WAL watch marker when persistent
+      try {
+        online_->watch(id);  // logs the WAL watch marker when persistent
+      } catch (const tsdb::persist::StorageError& e) {
+        // The marker is not in the WAL, so the watch was not registered.
+        quarantine(std::string("store-error: ") + e.what());
+        return ids;
+      }
+      watched_.insert(id);
       ++applied_seq_;
     }
     ids.push_back(id);

@@ -117,10 +117,12 @@ class Tenant {
   /// max_malformed_per_batch, which quarantines. A journal that cannot be
   /// written quarantines too ("journal-error: …"), here and in
   /// register_changes, before the body is read.
-  /// The body reaches the store as one batch append (one WAL group commit,
-  /// one dispatcher push), cut only before a line that adds a server so the
+  /// The body reaches the store as one batch append (one WAL commit, one
+  /// dispatcher push), cut only before a line that adds a server so the
   /// lines before it land before the topology changes. The store, the WAL
-  /// and applied_seq end up as one POST per line would leave them.
+  /// and applied_seq end up as one POST per line would leave them. A batch
+  /// whose WAL write fails is not applied and quarantines the tenant
+  /// ("store-error: …").
   /// Each line's (server, kpi) views resolve to the store's SeriesRef with
   /// no allocation once the series is known, and the topology is asked
   /// about a series' server only until it is known there (the topology
@@ -133,7 +135,9 @@ class Tenant {
   /// service). Registration is idempotent on (service, time, description):
   /// a re-sent line reuses the recorded ChangeId, and re-watches only when
   /// no watch marker for it survived — which keeps WAL sequence alignment
-  /// exact across crash/resume (docs/SERVICE.md, "Crash recovery").
+  /// exact across crash/resume (docs/SERVICE.md, "Crash recovery"). A
+  /// watch marker whose WAL write fails quarantines the tenant
+  /// ("store-error: …") and leaves that change unwatched.
   /// Returns the ChangeIds in line order; parse failures count into
   /// `*malformed` when non-null.
   std::vector<changes::ChangeId> register_changes(

@@ -5,7 +5,7 @@
 // view count, response delay...) and service KPIs (aggregations of instance
 // KPIs). A MetricId names one KPI of one entity; the MetricStore interns
 // each name into a dense SeriesRef the first time it sees it and keys its
-// series, WAL queue and subscriptions by that ref.
+// series, WAL entries and subscriptions by that ref.
 #pragma once
 
 #include <compare>

@@ -197,10 +197,8 @@ void PersistBackend::recover(const BackendOptions& options) {
     if (!referenced) fs::remove(entry.path(), ec);
   }
 
-  WalWriterOptions wopts;
-  wopts.queue_capacity = options.wal_queue_capacity;
-  wopts.durability = options.durability;
-  wal_ = std::make_unique<WalWriter>(wal_file, last_seq + 1, wopts);
+  wal_ = std::make_unique<WalWriter>(wal_file, last_seq + 1,
+                                     options.durability);
   if (!wal_->ok()) throw StorageError("cannot open WAL: " + wal_file);
 
   // The history: every segment metric (flushed_hi_'s keys, in metric
@@ -238,8 +236,6 @@ std::uint64_t PersistBackend::log_watch(std::uint64_t change_id) {
   return wal_->log(std::span<WalEntry>(&entry, 1));
 }
 
-void PersistBackend::flush_wal() { wal_->flush(); }
-
 void PersistBackend::note_dirty(const MetricId& id, MinuteTime t) {
   std::lock_guard lock(state_mutex_);
   auto [it, fresh] = dirty_low_.try_emplace(id, t);
@@ -273,9 +269,8 @@ void PersistBackend::commit_checkpoint(std::vector<SegmentColumn> columns,
     if (crashed_) return;
   }
 
-  // 1. Everything logged so far must be durable before any segment claims
-  //    to cover it — the write-ahead invariant.
-  wal_->flush();
+  // 1. The write-ahead invariant: every record logged so far is already in
+  //    the WAL file (log() returns only then), so the segment may cover it.
   const std::uint64_t covered_seq = wal_->next_seq() - 1;
 
   // 2. Freeze the cut into a new segment. A compacting cut is the whole

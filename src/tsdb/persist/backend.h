@@ -20,7 +20,7 @@
 //
 // Checkpoint protocol (caller quiesces producers first; MetricStore wraps
 // this as MetricStore::checkpoint):
-//   1. flush the WAL, capture the covered seq
+//   1. capture the covered seq: every logged record is already written
 //   2. write the unflushed cut of every series as a new segment (tmp+rename)
 //   3. write the new checkpoint naming the NEXT WAL file (tmp+rename) —
 //      this rename is the commit point
@@ -30,14 +30,15 @@
 // Compaction is a checkpoint: one taken while the live list holds
 // kCompactThreshold - 1 segments cuts every series from its first minute
 // (flush_cut), so its segment holds the whole store and becomes the only
-// live one. The list mutates only on the checkpointing thread; the WAL
-// writer is the one thread the backend runs.
+// live one. The list mutates only on the checkpointing thread; the backend
+// runs no thread of its own.
 //
 // History comes back one way: MetricStore adopts the recovered series
 // (take_history()) at construction, then replays the WAL tail. No segment
 // is read after that.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -59,7 +60,6 @@ namespace funnel::tsdb::persist {
 
 struct BackendOptions {
   std::string dir;
-  std::size_t wal_queue_capacity = 4096;
   WalDurability durability = WalDurability::kFlush;
 };
 
@@ -95,13 +95,12 @@ class PersistBackend {
 
   // --- Runtime ------------------------------------------------------------
 
-  /// Append sample records to the WAL in one group-commit push; returns the
-  /// first seq. Each entry's name must outlive its commit. Any thread.
+  /// Append sample records to the WAL in one commit; returns the first seq
+  /// once they are written. Throws StorageError when they are not (see
+  /// WalWriter::log). Any thread.
   std::uint64_t log_records(std::span<WalEntry> entries);
   /// Append one watch-registration marker; returns its seq. Any thread.
   std::uint64_t log_watch(std::uint64_t change_id);
-  /// WAL durability barrier.
-  void flush_wal();
 
   /// Record a late fill so the next checkpoint re-flushes from `t` — the
   /// source of overlapping segments.
@@ -120,8 +119,8 @@ class PersistBackend {
                          std::string watch_state,
                          std::uint64_t journal_events);
 
-  /// Abandon the WAL queue and stop without draining — the simulated kill
-  /// behind the replay-determinism test. After this, log/checkpoint no-op.
+  /// Close the WAL and stop persisting — the simulated kill behind the
+  /// replay-determinism test. After this, log/checkpoint no-op.
   void crash_for_testing();
 
   /// Telemetry (null detaches): wal.* from the writer, plus

@@ -6,8 +6,6 @@
 #include <fstream>
 #include <utility>
 
-#include "common/group_commit_queue.h"
-
 #ifdef __unix__
 #include <unistd.h>
 #endif
@@ -24,8 +22,7 @@ constexpr std::uint32_t kMaxPayload = 1 << 20;
 
 // Append one framed record to `out`: the frame is sized first, then every
 // field is stored in place and the payload's length and CRC32C written into
-// the header. The one frame encoder behind the writer and
-// encode_wal_record().
+// the header. The one frame encoder behind log() and encode_wal_record().
 void append_frame(std::string& out, const WalEntry& r) {
   std::size_t len = 1 + 1 + 8;  // version, type, seq
   switch (r.type) {
@@ -138,148 +135,107 @@ WalReadResult read_wal(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Writer: the queue's consumer encodes each drained batch and commits it.
-
-namespace {
-
-struct CloseFile {
-  void operator()(std::FILE* f) const { std::fclose(f); }
-};
-
-}  // namespace
-
-struct WalWriter::Impl {
-  Impl(std::FILE* f, const WalWriterOptions& options, std::uint64_t first_seq,
-       std::atomic<bool>& failed)
-      : file(f),
-        durability(options.durability),
-        first_seq(first_seq),
-        failed(failed),
-        queue(options.queue_capacity, common::Backpressure::kBlock,
-              [this](std::vector<WalEntry>& batch) { commit(batch); }) {}
-
-  void commit(const std::vector<WalEntry>& batch) {
-    // After a failed write the file may end in a partial frame, and
-    // recovery stops there: a later batch could never be read back.
-    if (failed.load(std::memory_order_acquire)) return;
-    buf.clear();
-    for (const WalEntry& rec : batch) append_frame(buf, rec);
-    const auto commit_start = std::chrono::steady_clock::now();
-    bool written =
-        std::fwrite(buf.data(), 1, buf.size(), file.get()) == buf.size() &&
-        std::fflush(file.get()) == 0;
-#ifdef __unix__
-    if (written && durability == WalDurability::kFsync) {
-      written = ::fsync(::fileno(file.get())) == 0;
-    }
-#endif
-    if (!written) {
-      failed.store(true, std::memory_order_release);
-      return;
-    }
-    records.fetch_add(batch.size(), std::memory_order_relaxed);
-    bytes.fetch_add(buf.size(), std::memory_order_relaxed);
-
-    if (const obs::Registry* reg = stats.load(std::memory_order_relaxed)) {
-      reg->add("funnel.wal.records", batch.size());
-      reg->add("funnel.wal.bytes", buf.size());
-      reg->add("funnel.wal.batches");
-      // One observation per group commit (fwrite + fflush [+ fsync]): the
-      // WAL's fsync latency, which climbs on a degrading disk.
-      reg->observe("funnel.wal.commit_us",
-                   std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - commit_start)
-                       .count());
-      reg->set("funnel.wal.queue_depth", static_cast<double>(queue.depth()));
-    }
-  }
-
-  /// Used by the writer thread. rotate() and crash_for_testing() swap it
-  /// only while that thread is idle (after a flush) or gone (abandoned).
-  std::unique_ptr<std::FILE, CloseFile> file;
-  const WalDurability durability;
-  const std::uint64_t first_seq;  ///< seq of queue ticket 0
-  std::atomic<bool>& failed;      ///< WalWriter::failed_, latched by commit()
-  std::string buf;                ///< writer thread only
-  std::atomic<std::uint64_t> records{0};
-  std::atomic<std::uint64_t> bytes{0};
-  std::atomic<const obs::Registry*> stats{nullptr};
-  /// Last member: destroyed first, so it drains into an open file.
-  common::GroupCommitQueue<WalEntry> queue;
-};
+// Writer: each log() call encodes its records and commits them.
 
 WalWriter::WalWriter(std::string path, std::uint64_t next_seq,
-                     WalWriterOptions options)
-    : path_(std::move(path)) {
-  // "ab": recovery has already truncated the torn tail, so appending after
-  // the valid prefix continues the record stream seamlessly.
-  std::FILE* file = std::fopen(path_.c_str(), "ab");
-  failed_.store(file == nullptr, std::memory_order_release);
-  impl_ = std::make_unique<Impl>(file, options, next_seq, failed_);
-}
+                     WalDurability durability)
+    : path_(std::move(path)),
+      // "ab": recovery has already truncated the torn tail, so appending
+      // after the valid prefix continues the record stream seamlessly.
+      file_(std::fopen(path_.c_str(), "ab")),
+      durability_(durability),
+      next_seq_(next_seq),
+      failed_(file_ == nullptr) {}
 
-WalWriter::~WalWriter() = default;
+bool WalWriter::ok() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return !failed_;
+}
 
 std::uint64_t WalWriter::log(const WalRecord& record) {
   WalEntry entry = entry_of(record);
-  const std::uint64_t seq = log(std::span<WalEntry>(&entry, 1));
-  flush();
-  if (!ok()) throw StorageError("cannot write WAL: " + path_);
-  return seq;
+  return log(std::span<WalEntry>(&entry, 1));
 }
 
 std::uint64_t WalWriter::log(std::span<WalEntry> entries) {
-  if (crashed_.load(std::memory_order_acquire)) return next_seq();
-  if (!ok()) throw StorageError("WAL is not writable: " + path_);
-  const std::uint64_t first = impl_->first_seq;
-  const auto admitted = impl_->queue.push_all(
-      entries,
-      [first](WalEntry& e, std::uint64_t ticket) { e.seq = first + ticket; });
-  return admitted.accepted ? first + admitted.ticket : next_seq();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (crashed_) return next_seq_;
+  if (failed_) throw StorageError("WAL is not writable: " + path_);
+  const std::uint64_t first = next_seq_;
+  buf_.clear();
+  std::uint64_t seq = first;
+  for (WalEntry& e : entries) {
+    e.seq = seq++;
+    append_frame(buf_, e);
+  }
+  const auto commit_start = stats_ != nullptr
+                                ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
+  bool written =
+      std::fwrite(buf_.data(), 1, buf_.size(), file_.get()) == buf_.size() &&
+      std::fflush(file_.get()) == 0;
+#ifdef __unix__
+  if (written && durability_ == WalDurability::kFsync) {
+    written = ::fsync(::fileno(file_.get())) == 0;
+  }
+#endif
+  if (!written) {
+    // The file may now end in a partial frame, and recovery stops there:
+    // a later record could never be read back.
+    failed_ = true;
+    throw StorageError("cannot write WAL: " + path_);
+  }
+  next_seq_ = seq;
+  records_ += entries.size();
+  bytes_ += buf_.size();
+  if (stats_ != nullptr) {
+    stats_->add("funnel.wal.records", entries.size());
+    stats_->add("funnel.wal.bytes", buf_.size());
+    stats_->add("funnel.wal.batches");
+    // One observation per commit (fwrite + fflush [+ fsync]): the WAL's
+    // fsync latency, which climbs on a degrading disk.
+    stats_->observe("funnel.wal.commit_us",
+                    std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - commit_start)
+                        .count());
+  }
+  return first;
 }
 
-void WalWriter::flush() { impl_->queue.flush(); }
-
 std::uint64_t WalWriter::next_seq() const {
-  return impl_->first_seq + impl_->queue.pushed();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return next_seq_;
 }
 
 std::uint64_t WalWriter::records_written() const {
-  return impl_->records.load(std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return records_;
 }
 
 std::uint64_t WalWriter::bytes_written() const {
-  return impl_->bytes.load(std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
 }
 
 void WalWriter::rotate(std::string path) {
-  if (crashed_.load(std::memory_order_acquire)) return;
-  flush();
-  // The queue is empty (flush() above, producers quiesced by the caller),
-  // so the writer thread is idle: its next batch reads `file` only after a
-  // push that happens-after this swap.
-  impl_->file.reset(std::fopen(path.c_str(), "wb"));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (crashed_) return;
+  file_.reset(std::fopen(path.c_str(), "wb"));
   path_ = std::move(path);
-  failed_.store(impl_->file == nullptr, std::memory_order_release);
-  if (impl_->file == nullptr) throw StorageError("cannot open WAL: " + path_);
+  failed_ = file_ == nullptr;
+  if (failed_) throw StorageError("cannot open WAL: " + path_);
 }
 
 void WalWriter::crash_for_testing() {
-  if (crashed_.exchange(true, std::memory_order_acq_rel)) return;
-  impl_->queue.abandon();
-  // Records still queued are abandoned — the loss a real kill inflicts.
-  // (Every completed batch already hit fflush, so closing loses nothing
-  // more; the replay test additionally truncates the file at a random
-  // byte to simulate a tear inside the final flushed batch.)
-  impl_->file.reset();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  crashed_ = true;
+  file_.reset();
 }
 
 void WalWriter::set_stats(const obs::Registry* stats) {
-  impl_->stats.store(stats, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  stats_ = stats;
   if (stats != nullptr) {
-    stats->set("funnel.wal.queue_capacity",
-               static_cast<double>(impl_->queue.capacity()));
-    stats->declare_gauge("funnel.wal.queue_depth");
     stats->declare_counter("funnel.wal.records");
     stats->declare_counter("funnel.wal.bytes");
     stats->declare_counter("funnel.wal.batches");

@@ -7,29 +7,30 @@
 //
 //     [u32 len][u32 crc32c(payload)][payload: len bytes]
 //
-// with a strictly increasing sequence number assigned under the queue lock
-// — the seq ordering IS the arrival ordering, and because upsert_at is
-// first-write-wins, replaying any valid prefix of the WAL reconstructs
+// with a strictly increasing sequence number assigned under the writer's
+// mutex — the seq ordering IS the arrival ordering, and because upsert_at
+// is first-write-wins, replaying any valid prefix of the WAL reconstructs
 // exactly the store state that prefix produced (docs/STORAGE.md §2).
 //
-// The writer runs on the same common::GroupCommitQueue as obs::Journal: one
-// writer thread group-commits — one fwrite + fflush per drained batch,
-// plus an optional fsync per batch (WalDurability::kFsync) for deployments
-// that want power-loss durability rather than process-crash durability.
-// A batch append logs its records with one log(span) push, so one
-// /v1/ingest POST is one group commit; the bytes are those of one log()
-// per record. A queued record (WalEntry) borrows its sample's name from
-// the store's series table instead of copying it; the frame still carries
-// the name, so the file format does not know about interning.
+// log() commits on the calling thread: one fwrite + fflush per call, plus
+// an optional fsync (WalDurability::kFsync) for deployments that want
+// power-loss durability rather than process-crash durability, and it
+// returns only once its records are in the file. A batch append logs its
+// records with one log(span), so one /v1/ingest POST is one commit; the
+// bytes are those of one log() per record. A WalEntry borrows its sample's
+// name from the store's series table for the call instead of copying it;
+// the frame still carries the name, so the file format does not know about
+// interning.
 // A torn tail (crash mid-fwrite) is expected, not corruption: read_wal()
 // stops at the first record whose length or CRC does not check out,
 // reports the exact valid prefix length, and recovery truncates the file
 // there before reopening it for append.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,10 +65,9 @@ struct WalRecord {
   std::uint64_t change_id = 0;
 };
 
-/// One queued record: a WalRecord whose sample name is borrowed. The name
-/// must outlive the record's commit; a MetricStore points it at the
-/// interned name, which lives as long as the store. Encodes to the bytes
-/// of the WalRecord it stands for.
+/// One record to log: a WalRecord whose sample name is borrowed for the
+/// log() call; a MetricStore points it at the interned name. Encodes to
+/// the bytes of the WalRecord it stands for.
 struct WalEntry {
   WalRecordType type = WalRecordType::kSample;
   std::uint64_t seq = 0;
@@ -102,93 +102,88 @@ WalReadResult read_wal(const std::string& path);
 
 /// How hard log() pushes bytes toward the platter.
 enum class WalDurability {
-  kFlush,  ///< fwrite + fflush per batch: survives process crash (default)
-  kFsync,  ///< + fsync per batch: survives power loss; ~10-100x slower
+  kFlush,  ///< fwrite + fflush per commit: survives process crash (default)
+  kFsync,  ///< + fsync per commit: survives power loss; ~10-100x slower
 };
 
-struct WalWriterOptions {
-  std::size_t queue_capacity = 4096;  ///< clamped to >= 1
-  WalDurability durability = WalDurability::kFlush;
-};
-
-/// Group-committing WAL writer: a common::GroupCommitQueue whose consumer
-/// encodes each drained batch into one fwrite + fflush (obs::Journal's
-/// design, binary frames instead of JSONL). log() blocks when the queue is
-/// full — the WAL is the durability record, shedding is not an option.
-/// flush() is the barrier: returns once everything logged before the call
-/// is on disk (per the durability policy).
+/// WAL writer that commits on the calling thread: log() encodes its
+/// records and writes them with one fwrite + fflush (+ fsync under kFsync)
+/// under the writer's mutex, and returns once they are in the file. The
+/// writer runs no thread.
 class WalWriter {
  public:
-  /// Opens `path` for append (recovery truncates the torn tail first) and
-  /// starts the writer thread. Records logged here get sequence numbers
-  /// `next_seq, next_seq+1, ...`. ok() reports whether the file opened.
+  /// Opens `path` for append (recovery truncates the torn tail first).
+  /// Records logged here get sequence numbers `next_seq, next_seq+1, ...`.
+  /// ok() reports whether the file opened.
   WalWriter(std::string path, std::uint64_t next_seq,
-            WalWriterOptions options = {});
-
-  /// Drains, flushes, closes, joins — in every state.
-  ~WalWriter();
+            WalDurability durability = WalDurability::kFlush);
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// False when the file did not open, a rotate() failed, or a batch could
-  /// not be written: a failed fwrite, fflush or (under kFsync) fsync
-  /// latches the writer, drops every later batch unwritten, and makes the
-  /// next log() throw. A successful rotate() starts a fresh file and clears
-  /// the latch.
-  bool ok() const { return !failed_.load(std::memory_order_acquire); }
+  /// False when the file did not open, a rotate() failed, or a commit
+  /// failed: a failed fwrite, fflush or (under kFsync) fsync may leave a
+  /// partial frame at the file's end, where recovery stops reading, so it
+  /// latches the writer and every later log() throws. A successful
+  /// rotate() starts a fresh file and clears the latch.
+  bool ok() const;
+  /// The current file; stable until the next rotate().
   const std::string& path() const { return path_; }
 
-  /// Log a batch in one queue push: each entry gets the next sequence
-  /// number in span order, under the queue lock, so the file holds exactly
-  /// the bytes one push per entry would write. Returns the first entry's
-  /// seq. Blocks while the queue is full; a batch larger than the queue
-  /// capacity waits for room chunk by chunk. Any thread. Throws
-  /// StorageError when !ok(): a record that cannot be written never gets a
-  /// seq. After crash_for_testing() it is a silent no-op.
+  /// Log a batch in one commit: each entry gets the next sequence number
+  /// in span order, so the file holds exactly the bytes one log() per entry
+  /// would write. Returns the first entry's seq once every entry is in the
+  /// file. Any thread; concurrent callers serialize on the writer's mutex.
+  /// Throws StorageError when !ok() or when the commit fails (which latches
+  /// the writer); a record that is not written takes no seq. After
+  /// crash_for_testing() it is a silent no-op.
   std::uint64_t log(std::span<WalEntry> entries);
 
-  /// log() of one record that owns its name, returning its seq once the
-  /// record is written: the queued entry borrows `record`'s name. Throws
-  /// StorageError when the record could not be written.
+  /// log() of one record that owns its name.
   std::uint64_t log(const WalRecord& record);
-
-  /// Barrier: returns once every record logged before the call is written
-  /// and flushed (and fsynced under kFsync).
-  void flush();
 
   /// Seq that the next log() will assign.
   std::uint64_t next_seq() const;
 
-  /// Records written to the file so far (a failed batch counts nothing).
+  /// Records and frame bytes written to the file so far (a failed commit
+  /// counts nothing).
   std::uint64_t records_written() const;
-  /// Frame bytes written to the file so far (a failed batch counts nothing).
   std::uint64_t bytes_written() const;
 
-  /// Atomically switch the log to a new file (checkpoint rotation). Flushes
-  /// and closes the current file, opens `path` truncated, continues the seq
-  /// counter. Callers must quiesce producers first (MetricStore rotates
-  /// under its checkpoint lock). Throws StorageError when `path` cannot be
+  /// Switch the log to a new file (checkpoint rotation): closes the
+  /// current file, opens `path` truncated, continues the seq counter.
+  /// Callers must quiesce producers first, as MetricStore::checkpoint
+  /// requires of its caller. Throws StorageError when `path` cannot be
   /// opened; ok() is then false.
   void rotate(std::string path);
 
-  /// Simulate a crash: stop the writer thread without draining the queue
-  /// and close the file mid-stream. Records still queued are lost exactly
-  /// as they would be in a real kill — the replay-determinism test recovers
-  /// from whatever prefix made it to disk. After this, log()/flush() are
-  /// no-ops.
+  /// Simulate a crash: close the file. Every logged record is already in
+  /// it, as after a real kill; the replay-determinism test appends a torn
+  /// frame itself. After this, log() and rotate() are no-ops.
   void crash_for_testing();
 
   /// Attach a telemetry registry (null detaches): wal.records / wal.bytes /
-  /// wal.batches counters, wal.queue_depth gauge.
+  /// wal.batches counters (one batch per commit) and the wal.commit_us
+  /// histogram.
   void set_stats(const obs::Registry* stats);
 
  private:
-  struct Impl;
+  struct CloseFile {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
+  /// Guards the members below; path() reads path_ between rotations.
+  mutable std::mutex mutex_;
   std::string path_;
-  std::atomic<bool> failed_{false};
-  std::atomic<bool> crashed_{false};
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<std::FILE, CloseFile> file_;
+  const WalDurability durability_;
+  std::uint64_t next_seq_;
+  std::string buf_;  ///< frame scratch, reused across commits
+  std::uint64_t records_ = 0;
+  std::uint64_t bytes_ = 0;
+  const obs::Registry* stats_ = nullptr;
+  bool failed_ = false;
+  bool crashed_ = false;
 };
 
 }  // namespace funnel::tsdb::persist

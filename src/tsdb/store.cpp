@@ -142,7 +142,6 @@ MetricStore::MetricStore(const StoreOptions& options) {
   if (!options.data_dir.empty()) {
     persist::BackendOptions bopts;
     bopts.dir = options.data_dir;
-    bopts.wal_queue_capacity = options.wal_queue_capacity;
     bopts.durability = options.durability;
     backend_ = std::make_unique<persist::PersistBackend>(bopts);
     // Hydration: adopt every series recovery rebuilt from the segments, so
@@ -254,10 +253,11 @@ void MetricStore::append(const MetricId& id, MinuteTime t, double value) {
 void MetricStore::append(std::span<Sample> batch) {
   if (batch.empty()) return;
   if (backend_ != nullptr) {
-    // Write-ahead, one group-commit push for the whole batch: the entries
-    // are queued before the in-memory apply, so any state a crash preserves
-    // is replayable from disk. They borrow the interned names, which live
-    // as long as the store; the scratch is this thread's, reused.
+    // Write-ahead, one commit for the whole batch: the records are in the
+    // file before the in-memory apply, so any state a crash preserves is
+    // replayable from disk, and a failed commit throws before any sample
+    // is applied. The entries borrow the interned names for the call; the
+    // scratch is this thread's, reused.
     thread_local std::vector<persist::WalEntry> entries;
     entries.clear();
     for (const Sample& s : batch) {
@@ -360,7 +360,7 @@ void MetricStore::enqueue(std::span<Sample> samples,
     s.trace_ctx = trace_ctx;
   }
   const auto admitted = queue_->push_all(samples);
-  if (stats != nullptr && admitted.accepted) {
+  if (stats != nullptr) {
     if (admitted.shed > 0) {
       stats->add("tsdb.store.dropped_samples", admitted.shed);
     }
@@ -559,10 +559,6 @@ std::uint64_t MetricStore::recovered_wal_skipped_bytes() const {
 
 std::uint64_t MetricStore::log_watch_marker(std::uint64_t change_id) {
   return backend_ != nullptr ? backend_->log_watch(change_id) : 0;
-}
-
-void MetricStore::wal_flush() {
-  if (backend_ != nullptr) backend_->flush_wal();
 }
 
 void MetricStore::checkpoint(std::string watch_state,

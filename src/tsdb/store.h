@@ -21,7 +21,7 @@
 // asynchronously on a common::GroupCommitQueue whose consumer thread is
 // the dispatcher (StoreOptions::ingest_queue_capacity > 0) so a slow
 // consumer can never stall a producing agent. A batch append (one
-// /v1/ingest POST) pays one WAL push, one lock per shard touched and one
+// /v1/ingest POST) pays one WAL commit, one lock per shard touched and one
 // dispatcher push for the whole batch. Reports derived from this store are
 // byte-identical for every shard count and for sync vs async dispatch
 // (with a flush() barrier) — verified by tsdb_sharded_store_test.
@@ -119,11 +119,8 @@ struct StoreOptions {
   /// opened or holds damage beyond the WAL's torn-tail tolerance.
   std::string data_dir = {};
 
-  /// WAL group-commit durability (fflush vs + fsync per batch).
+  /// WAL durability (fflush vs + fsync per commit).
   persist::WalDurability durability = persist::WalDurability::kFlush;
-
-  /// WAL MPSC queue capacity (clamped to >= 1).
-  std::size_t wal_queue_capacity = 4096;
 
   /// true: recovery does NOT auto-apply the recovered WAL tail; the caller
   /// replays it via recovered_tail() + replay() so it can interleave its
@@ -177,8 +174,8 @@ class MetricStore {
   /// Append a batch, moving from its samples; the store is left as the
   /// same per-sample appends in batch order would leave it, and subscribers
   /// see the same sequence. The whole batch is write-ahead-logged in one
-  /// WAL push (entries borrowing the interned names) before any sample is
-  /// applied. Async mode then upserts under one exclusive lock per shard
+  /// WAL commit before any sample is applied; when that commit throws
+  /// persist::StorageError, no sample is applied. Async mode then upserts under one exclusive lock per shard
   /// touched, adds the tsdb.store.* counters once, and queues the
   /// notifications in batch order with one push; sync mode applies and
   /// delivers sample by sample.
@@ -348,9 +345,9 @@ class MetricStore {
   /// (0 when not persistent).
   std::uint64_t log_watch_marker(std::uint64_t change_id);
 
-  /// WAL durability barrier: everything appended before the call is on disk
-  /// per the durability policy.
-  void wal_flush();
+  /// No-op: every append() returns with its records in the WAL. Kept for
+  /// funnelbench/, which calls it.
+  void wal_flush() {}
 
   /// Freeze flushed history into a new segment and commit a checkpoint
   /// carrying `watch_state` (a FunnelOnline::snapshot_state blob) and the
@@ -360,8 +357,8 @@ class MetricStore {
   void checkpoint(std::string watch_state = {},
                   std::uint64_t journal_events = 0);
 
-  /// Simulate a kill: abandon queued WAL records and stop persisting. The
-  /// store stays usable in memory; the replay-determinism test recovers a
+  /// Simulate a kill: close the WAL and stop persisting. The store stays
+  /// usable in memory; the replay-determinism test recovers a
   /// fresh store from the same data_dir afterwards.
   void crash_for_testing();
 
@@ -414,8 +411,6 @@ class MetricStore {
   /// to, so the exception is swallowed and counted.
   void dispatch(const std::vector<Sample>& batch) const;
 
-  /// Declared before backend_: the WAL writer encodes from these names
-  /// until it has drained.
   SeriesTable table_;
   std::vector<std::unique_ptr<StoreShard>> shards_;
 

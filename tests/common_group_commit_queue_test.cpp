@@ -1,9 +1,9 @@
 // Tests for common::GroupCommitQueue, the one bounded queue behind the
-// metric store's ingest dispatcher, the WAL writer and the verdict journal:
-// FIFO delivery, lossless kBlock under concurrent producers, exact
-// kDropOldest accounting, the flush() barrier, await_inflight(), abandon(),
-// arrival-ticket order, drain-on-destroy, and push_all() batches (one lock
-// per chunk, chunked waits under kBlock, exact sheds under kDropOldest).
+// metric store's ingest dispatcher and the verdict journal: FIFO delivery,
+// lossless kBlock under concurrent producers, exact kDropOldest
+// accounting, the flush() barrier, await_inflight(), drain-on-destroy, and
+// push_all() batches (one lock per chunk, chunked waits under kBlock,
+// exact sheds under kDropOldest).
 // The FUNNEL_SANITIZE=thread job (scripts/tsan_concurrency.sh) runs this
 // suite under ThreadSanitizer.
 #include "common/group_commit_queue.h"
@@ -24,7 +24,7 @@ namespace {
 using Queue = GroupCommitQueue<int>;
 
 // Holds the consumer inside its first batch until released, so a test can
-// fill, overflow or abandon the queue behind a known batch in flight.
+// fill or overflow the queue behind a known batch in flight.
 class Stall {
  public:
   // Call from the consumer: blocks on the first call only.
@@ -78,7 +78,6 @@ TEST(GroupCommitQueue, BlockLosesNothingUnderFourProducers) {
     producers.emplace_back([&q, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         const auto a = q.push(p * kPerProducer + i);
-        ASSERT_TRUE(a.accepted);
         ASSERT_FALSE(a.shed);
         ASSERT_LE(a.depth, 2u);
       }
@@ -111,7 +110,6 @@ TEST(GroupCommitQueue, DropOldestShedsOnlyQueuedItems) {
   EXPECT_EQ(q.depth(), 4u);
   for (int i = 5; i <= 7; ++i) {
     const auto a = q.push(i);
-    EXPECT_TRUE(a.accepted);
     EXPECT_TRUE(a.shed);
     EXPECT_EQ(a.depth, 4u);
   }
@@ -214,66 +212,6 @@ TEST(GroupCommitQueue, AwaitInflightCountsBatchesNotSettledItems) {
   EXPECT_EQ(seen.load(), 3);  // 0, then the two survivors 5 and 6
 }
 
-TEST(GroupCommitQueue, AbandonDiscardsQueuedItemsAndRefusesLaterPushes) {
-  Stall stall;
-  std::vector<int> seen;
-  Queue q(8, Backpressure::kBlock, [&](std::vector<int>& batch) {
-    seen.insert(seen.end(), batch.begin(), batch.end());
-    stall.maybe_wait();
-  });
-  q.push(0);
-  stall.wait_entered();
-  for (int i = 1; i <= 3; ++i) q.push(i);
-  std::atomic<bool> abandoned{false};
-  std::thread killer([&] {
-    q.abandon();  // joins: returns only after the batch in flight ends
-    abandoned.store(true);
-  });
-  while (q.depth() != 0) std::this_thread::yield();
-  settle();
-  EXPECT_FALSE(abandoned.load());
-  stall.release();
-  killer.join();
-  EXPECT_EQ(seen, (std::vector<int>{0}));
-  EXPECT_EQ(q.consumed(), 1u);
-  EXPECT_EQ(q.dropped(), 0u);  // discarded, not shed
-  EXPECT_FALSE(q.push(4).accepted);
-  q.flush();  // nothing pending: returns at once
-  q.await_inflight();
-  EXPECT_EQ(q.pushed(), 4u);
-}
-
-TEST(GroupCommitQueue, TicketsFollowArrivalOrder) {
-  // The stamp runs under the lock, so a ticket written into the item (as
-  // the WAL writes its seq) is strictly increasing in delivery order even
-  // with producers racing.
-  struct Item {
-    std::uint64_t stamped = 0;
-  };
-  std::vector<std::uint64_t> order;  // consumer thread only
-  GroupCommitQueue<Item> q(4, Backpressure::kBlock,
-                           [&](std::vector<Item>& batch) {
-                             for (const Item& it : batch) {
-                               order.push_back(it.stamped);
-                             }
-                           });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&q] {
-      for (int i = 0; i < 250; ++i) {
-        const auto a = q.push(Item{}, [](Item& it, std::uint64_t ticket) {
-          it.stamped = ticket;
-        });
-        ASSERT_TRUE(a.accepted);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.flush();
-  ASSERT_EQ(order.size(), 1000u);
-  for (std::size_t i = 0; i < order.size(); ++i) ASSERT_EQ(order[i], i);
-}
-
 TEST(GroupCommitQueue, DestructorDrainsEverythingQueued) {
   Stall stall;
   std::vector<int> seen;
@@ -292,37 +230,24 @@ TEST(GroupCommitQueue, DestructorDrainsEverythingQueued) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
 }
 
-TEST(GroupCommitQueue, PushAllKeepsOrderAndConsecutiveTickets) {
-  struct Item {
-    int value = 0;
-    std::uint64_t stamped = 0;
-  };
-  std::vector<Item> seen;  // consumer thread only until flush()
-  GroupCommitQueue<Item> q(
-      64, Backpressure::kBlock,
-      [&](std::vector<Item>& batch) {
-        seen.insert(seen.end(), batch.begin(), batch.end());
-      });
-  std::vector<Item> items(10);
-  for (int i = 0; i < 10; ++i) items[i].value = i;
-  const auto stamp = [](Item& it, std::uint64_t t) { it.stamped = t; };
-  const auto first = q.push_all(std::span<Item>(items), stamp);
-  EXPECT_TRUE(first.accepted);
-  EXPECT_EQ(first.ticket, 0u);
-  EXPECT_EQ(first.shed, 0u);
-  for (int i = 0; i < 10; ++i) items[i].value = 10 + i;
-  const auto second = q.push_all(std::span<Item>(items), stamp);
-  EXPECT_TRUE(second.accepted);
-  EXPECT_EQ(second.ticket, 10u);
+TEST(GroupCommitQueue, PushAllKeepsOrder) {
+  std::vector<int> seen;  // consumer thread only until flush()
+  Queue q(64, Backpressure::kBlock, [&](std::vector<int>& batch) {
+    seen.insert(seen.end(), batch.begin(), batch.end());
+  });
+  std::vector<int> items(10);
+  for (int i = 0; i < 10; ++i) items[i] = i;
+  EXPECT_EQ(q.push_all(items).shed, 0u);
+  for (int i = 0; i < 10; ++i) items[i] = 10 + i;
+  q.push_all(items);
   q.flush();
   ASSERT_EQ(seen.size(), 20u);
   for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].value, static_cast<int>(i));
-    EXPECT_EQ(seen[i].stamped, i);
+    EXPECT_EQ(seen[i], static_cast<int>(i));
   }
   EXPECT_EQ(q.pushed(), 20u);
-  // An empty span is a no-op that refuses nothing.
-  EXPECT_TRUE(q.push_all({}).accepted);
+  // An empty span is a no-op.
+  q.push_all({});
   EXPECT_EQ(q.pushed(), 20u);
 }
 
@@ -343,7 +268,6 @@ TEST(GroupCommitQueue, PushAllUnderBlockChunksABatchLargerThanTheCapacity) {
   std::vector<int> items(kItems);
   for (int i = 0; i < kItems; ++i) items[i] = i;
   const auto a = q.push_all(items);
-  EXPECT_TRUE(a.accepted);
   EXPECT_EQ(a.shed, 0u);
   EXPECT_LE(a.depth, kCapacity);
   q.flush();
@@ -370,9 +294,7 @@ TEST(GroupCommitQueue, PushAllUnderDropOldestShedsExactly) {
   q.push(2);
   std::vector<int> items{10, 11, 12, 13, 14};
   const auto a = q.push_all(items);
-  EXPECT_TRUE(a.accepted);
   EXPECT_EQ(a.shed, 3u);
-  EXPECT_EQ(a.ticket, 3u);
   EXPECT_EQ(a.depth, 4u);
   EXPECT_EQ(q.dropped(), 3u);
   stall.release();
@@ -380,22 +302,6 @@ TEST(GroupCommitQueue, PushAllUnderDropOldestShedsExactly) {
   EXPECT_EQ(seen, (std::vector<int>{0, 11, 12, 13, 14}));
   EXPECT_EQ(q.pushed(), 8u);
   EXPECT_EQ(q.consumed() + q.dropped(), q.pushed());
-}
-
-TEST(GroupCommitQueue, PushAllAfterAbandonIsRefused) {
-  std::atomic<int> seen{0};
-  Queue q(8, Backpressure::kBlock, [&](std::vector<int>& batch) {
-    seen.fetch_add(static_cast<int>(batch.size()));
-  });
-  std::vector<int> items{1, 2, 3};
-  EXPECT_TRUE(q.push_all(items).accepted);
-  q.flush();
-  q.abandon();
-  const auto a = q.push_all(items);
-  EXPECT_FALSE(a.accepted);
-  EXPECT_EQ(a.shed, 0u);
-  EXPECT_EQ(q.pushed(), 3u);
-  EXPECT_EQ(seen.load(), 3);
 }
 
 TEST(GroupCommitQueue, ZeroCapacityIsClampedToOne) {

@@ -3,8 +3,9 @@
 // arbitrary point and restarted against the same data_dir must replay the
 // WAL tail and converge to the exact bytes an uninterrupted run produces —
 // same final report JSON, same verdict-journal file. The kill is simulated
-// with MetricStore::crash_for_testing (queued WAL records abandoned, as in
-// a real SIGKILL) plus a torn half-frame appended to the WAL, and the kill
+// with MetricStore::crash_for_testing (the WAL closed as a real SIGKILL
+// leaves it: every logged record is in the file) plus a torn half-frame
+// appended to the WAL, and the kill
 // point is randomized across seeds so the sweep crosses every recovery
 // regime: mid-history (no watch yet), mid-watch (snapshot restore), and
 // post-finalize (journal rewind + re-emission).

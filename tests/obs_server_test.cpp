@@ -243,6 +243,21 @@ TEST(ObsServer, PostBodyErrorLadder411_413_400) {
                 "\r\n\r\nxx")),
             400);
 
+  // Two Content-Length headers that disagree: a framing error (RFC 9112
+  // §6.3), 400 whichever comes last.
+  EXPECT_EQ(status_of(http_exchange(
+                server.port(),
+                "POST /sink HTTP/1.1\r\nHost: t\r\nContent-Length: 3"
+                "\r\nContent-Length: 5\r\n\r\nabcde")),
+            400);
+
+  // An identical repeat frames the body the same way: accepted.
+  EXPECT_EQ(status_of(http_exchange(
+                server.port(),
+                "POST /sink HTTP/1.1\r\nHost: t\r\nContent-Length: 3"
+                "\r\ncontent-length: 3\r\n\r\nabc")),
+            200);
+
   // Body cut short of the declared length (peer half-closes): 400.
   EXPECT_EQ(status_of(http_exchange_halfclose(
                 server.port(),
@@ -580,7 +595,7 @@ TEST(ObsHealth, EmptySnapshotIsHealthyWithAbsentSubsystems) {
   Registry reg;
   const HealthReport report = evaluate_health(reg.snapshot());
   EXPECT_TRUE(report.healthy);
-  ASSERT_EQ(report.checks.size(), 3u);
+  ASSERT_EQ(report.checks.size(), 2u);
   for (const HealthCheck& c : report.checks) {
     EXPECT_TRUE(c.ok) << c.name;
     EXPECT_EQ(c.detail, "n/a") << c.name;
@@ -588,7 +603,6 @@ TEST(ObsHealth, EmptySnapshotIsHealthyWithAbsentSubsystems) {
   const std::string text = report.render();
   EXPECT_EQ(text.substr(0, 8), "healthy\n");
   EXPECT_NE(text.find("ok ingest-dispatcher n/a"), std::string::npos);
-  EXPECT_NE(text.find("ok wal-writer n/a"), std::string::npos);
   EXPECT_NE(text.find("ok journal-writer n/a"), std::string::npos);
 }
 
@@ -596,8 +610,8 @@ TEST(ObsHealth, SaturatedQueueFailsItsSubsystemCheck) {
   Registry reg;
   reg.set("tsdb.store.queue_depth", 1000.0);
   reg.set("tsdb.store.queue_capacity", 1024.0);
-  reg.set("funnel.wal.queue_depth", 3.0);
-  reg.set("funnel.wal.queue_capacity", 512.0);
+  reg.set("funnel.journal.queue_depth", 3.0);
+  reg.set("funnel.journal.queue_capacity", 512.0);
   const HealthReport report = evaluate_health(reg.snapshot());
   EXPECT_FALSE(report.healthy);
   const std::string text = report.render();
@@ -605,8 +619,8 @@ TEST(ObsHealth, SaturatedQueueFailsItsSubsystemCheck) {
   EXPECT_NE(text.find("FAIL ingest-dispatcher queue 1000/1024"),
             std::string::npos)
       << text;
-  // The healthy WAL queue still passes, with its evidence.
-  EXPECT_NE(text.find("ok wal-writer queue 3/512"), std::string::npos)
+  // The healthy journal queue still passes, with its evidence.
+  EXPECT_NE(text.find("ok journal-writer queue 3/512"), std::string::npos)
       << text;
 }
 

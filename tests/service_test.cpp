@@ -605,6 +605,84 @@ TEST(Tenant, FailedMetaWriteQuarantines) {
   fs::remove_all(work);
 }
 
+// The live WAL file of a persistent tenant's data dir.
+fs::path wal_file(const std::string& data_dir) {
+  for (const auto& entry : fs::directory_iterator(data_dir)) {
+    if (entry.path().filename().string().starts_with("wal-")) {
+      return entry.path();
+    }
+  }
+  return {};
+}
+
+// A POST whose WAL commit fails is refused whole: the tenant quarantines,
+// nothing is accepted or applied, and applied_seq stays at the last logged
+// record, so every POST answered 200 is in the WAL. The write fails at the
+// WAL's current end, where the file size limit stops it.
+TEST(Tenant, FailedWalWriteRefusesThePost) {
+  const fs::path work =
+      fs::temp_directory_path() / "funnel_service_wal_write_test";
+  fs::remove_all(work);
+  {
+    TenantOptions opts = small_funnel("t");
+    opts.data_dir = (work / "t").string();
+    Tenant tenant(opts);
+    ASSERT_EQ(tenant.ingest(sample_lines(0, 46, 1)).accepted, 92u);
+    tenant.flush();
+    const std::uint64_t seq = tenant.applied_seq();
+    const fs::path wal = wal_file(opts.data_dir);
+    IngestResult r;
+    {
+      const FileSizeLimit limit(fs::file_size(wal));
+      r = tenant.ingest(sample_lines(46, 47, 1));
+    }
+    EXPECT_TRUE(r.quarantined);
+    EXPECT_EQ(r.accepted, 0u);
+    EXPECT_TRUE(tenant.quarantined());
+    EXPECT_EQ(tenant.quarantine_reason(),
+              "store-error: cannot write WAL: " + wal.string());
+    EXPECT_EQ(tenant.applied_seq(), seq);
+    for (const char* server : {"s0", "s1"}) {
+      tenant.store().read(tsdb::server_metric(server, "cpu"),
+                          [](const tsdb::TimeSeries& s) {
+                            EXPECT_EQ(s.end_time(), 46);
+                          });
+    }
+  }
+  fs::remove_all(work);
+}
+
+// A watch marker that does not reach the WAL leaves its change unwatched:
+// the tenant quarantines (so /v1/changes answers 503) instead of letting
+// the StorageError escape as a 500, and the id is not reported as
+// registered.
+TEST(Tenant, WalErrorDuringRegistrationQuarantines) {
+  const fs::path work =
+      fs::temp_directory_path() / "funnel_service_wal_marker_test";
+  fs::remove_all(work);
+  {
+    TenantOptions opts = small_funnel("t");
+    opts.data_dir = (work / "t").string();
+    Tenant tenant(opts);
+    ASSERT_EQ(tenant.ingest(sample_lines(0, 46, 1)).accepted, 92u);
+    tenant.flush();
+    const std::uint64_t seq = tenant.applied_seq();
+    const fs::path wal = wal_file(opts.data_dir);
+    std::vector<changes::ChangeId> ids;
+    {
+      const FileSizeLimit limit(fs::file_size(wal));
+      ids = tenant.register_changes("45,svc,dark,s0,chg-0\n");
+    }
+    EXPECT_TRUE(ids.empty());
+    EXPECT_TRUE(tenant.quarantined());
+    EXPECT_EQ(tenant.quarantine_reason(),
+              "store-error: cannot write WAL: " + wal.string());
+    EXPECT_EQ(tenant.applied_seq(), seq);
+    EXPECT_EQ(tenant.active_watches(), 0u);
+  }
+  fs::remove_all(work);
+}
+
 // ---------------------------------------------------------------------------
 // The /v1 HTTP surface end to end (needs the obs HTTP server).
 
@@ -678,7 +756,6 @@ IngestOutcome ingest_lines(const fs::path& dir, const std::string& body,
       account(tenant.ingest(body));
     }
     tenant.store().flush();
-    tenant.store().wal_flush();
     out.applied_seq = tenant.applied_seq();
     for (const tsdb::MetricId& id : tenant.store().metrics()) {
       tenant.store().read(id, [&](const tsdb::TimeSeries& s) {
@@ -820,8 +897,8 @@ std::string fleet_minute(MinuteTime t) {
 
 /// Heap allocations per accepted sample over the hour after the first
 /// minute, which grows the topology (the series' own amortized growth is
-/// in the count). Each count spans the ingest and the dispatcher and WAL
-/// work it queued.
+/// in the count). Each count spans the ingest, its WAL commit and the
+/// dispatcher work it queued.
 double allocations_per_sample(Tenant& tenant) {
   constexpr MinuteTime kMinutes = 60;
   EXPECT_EQ(tenant.ingest(fleet_minute(0)).accepted, 900u);
@@ -832,7 +909,6 @@ double allocations_per_sample(Tenant& tenant) {
     const std::size_t before = g_allocations.load();
     accepted += tenant.ingest(body).accepted;
     tenant.store().flush();
-    tenant.store().wal_flush();
     made += g_allocations.load() - before;
   }
   EXPECT_EQ(accepted, static_cast<std::size_t>(kMinutes) * 900u);
@@ -841,7 +917,7 @@ double allocations_per_sample(Tenant& tenant) {
 
 // A known name resolves to its ref without allocating, so what is left is
 // each series' amortized growth (~0.10 per sample) plus the chunks of the
-// dispatcher's and the WAL writer's queues (~0.10 each when in use).
+// dispatcher's queue (~0.10 when in use).
 TEST(Tenant, IngestMakesFewHeapAllocationsPerAcceptedSample) {
   {
     Tenant tenant(small_funnel("memory"));

@@ -247,7 +247,7 @@ string(JSON commits ERROR_VARIABLE jerr GET "${wjson}"
 if(jerr OR commits LESS 1)
   message(FATAL_ERROR "funnel.wal.commit_us histogram empty or missing (${jerr})")
 endif()
-foreach(key "funnel.wal.queue_capacity" "funnel.persist.segments")
+foreach(key "funnel.persist.segments")
   string(JSON val ERROR_VARIABLE jerr GET "${wjson}" gauges "${key}")
   if(jerr)
     message(FATAL_ERROR "stats JSON gauge '${key}' missing (${jerr})")

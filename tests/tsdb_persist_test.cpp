@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <span>
@@ -95,7 +96,6 @@ TEST(Wal, RoundTripsRecordsInSeqOrder) {
         w.log(sample_record("s1", "cpu", 12,
                             std::numeric_limits<double>::quiet_NaN())),
         4u);
-    w.flush();
     EXPECT_EQ(w.next_seq(), 5u);
     EXPECT_EQ(w.records_written(), 4u);
   }
@@ -191,7 +191,7 @@ TEST(Wal, FailedRotateThrowsAndTheWriterStillShutsDown) {
     // A record that cannot reach a file never gets a seq.
     EXPECT_THROW(w.log(sample_record("s1", "cpu", 11, 2.0)), StorageError);
     EXPECT_EQ(w.next_seq(), 2u);
-  }  // destroyed after the failure: drains and joins instead of aborting
+  }
   const WalReadResult rr = read_wal(path);
   ASSERT_EQ(rr.records.size(), 1u);
   EXPECT_EQ(rr.records[0].seq, 1u);
@@ -211,20 +211,20 @@ TEST(Wal, WriteErrorFailsLaterLogs) {
     EXPECT_EQ(w.records_written(), 0u);
     EXPECT_EQ(w.bytes_written(), 0u);
 
-    // Rotating to a writable file (a checkpoint) clears the latch; only
-    // the first record got a seq, so the next one is 2.
+    // Rotating to a writable file (a checkpoint) clears the latch; a
+    // record that was not written took no seq, so the next one is 1.
     const fs::path next = scratch("wal_write_error") / "wal-000002.log";
     w.rotate(next.string());
     EXPECT_TRUE(w.ok());
-    EXPECT_EQ(w.log(sample_record("s1", "cpu", 13, 4.0)), 2u);
+    EXPECT_EQ(w.log(sample_record("s1", "cpu", 13, 4.0)), 1u);
     EXPECT_EQ(w.records_written(), 1u);
     const WalReadResult rr = read_wal(next.string());
     ASSERT_EQ(rr.records.size(), 1u);
-    EXPECT_EQ(rr.records[0].seq, 2u);
+    EXPECT_EQ(rr.records[0].seq, 1u);
   }
   {
-    // A batch log() returns before its commit; the failed commit latches
-    // the writer and the next log() throws.
+    // A batch log() commits before it returns, so its failed commit throws
+    // at once, latches the writer, and the next log() throws too.
     const MetricId id = server_metric("s1", "cpu");
     WalWriter w("/dev/full", /*next_seq=*/1);
     std::vector<WalEntry> batch(3);
@@ -232,9 +232,9 @@ TEST(Wal, WriteErrorFailsLaterLogs) {
       batch[i].metric = &id;
       batch[i].minute = static_cast<MinuteTime>(i);
     }
-    EXPECT_EQ(w.log(std::span<WalEntry>(batch)), 1u);
-    w.flush();
+    EXPECT_THROW(w.log(std::span<WalEntry>(batch)), StorageError);
     EXPECT_FALSE(w.ok());
+    EXPECT_EQ(w.next_seq(), 1u);
     EXPECT_THROW(w.log(std::span<WalEntry>(batch)), StorageError);
     EXPECT_EQ(w.records_written(), 0u);
     EXPECT_EQ(w.bytes_written(), 0u);
@@ -629,7 +629,7 @@ TEST(PersistentStore, CheckpointRecoverRoundTripsStateAndMetadata) {
   });
 }
 
-TEST(PersistentStore, CrashLosesOnlyUnflushedTailAndRecoversCleanly) {
+TEST(PersistentStore, CrashKeepsEveryLoggedRecordAndRecoversCleanly) {
   const fs::path dir = scratch("crash");
   const MetricId id = server_metric("s1", "cpu");
   {
@@ -637,7 +637,6 @@ TEST(PersistentStore, CrashLosesOnlyUnflushedTailAndRecoversCleanly) {
     for (MinuteTime t = 0; t < 30; ++t) {
       store.append(id, t, static_cast<double>(t));
     }
-    store.wal_flush();
     store.crash_for_testing();
     // Appends after the kill exist only in memory; recovery must not see
     // them.
@@ -670,6 +669,25 @@ TEST(PersistentStore, CrashLosesOnlyUnflushedTailAndRecoversCleanly) {
   store.checkpoint();
   MetricStore again(persistent_options(dir));
   again.read(id, [](const TimeSeries& s) { EXPECT_EQ(s.at(30), 30.0); });
+}
+
+// The WAL commits on the appending thread, so a persistent store with
+// synchronous dispatch runs no thread of its own: appending, logging a
+// watch marker and checkpointing leave the process's thread count as is.
+TEST(PersistentStore, RunsNoThreadOfItsOwn) {
+  if (!fs::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
+  const auto threads = [] {
+    return std::distance(fs::directory_iterator("/proc/self/task"),
+                         fs::directory_iterator());
+  };
+  const fs::path dir = scratch("no_thread");
+  const auto before = threads();
+  MetricStore store(persistent_options(dir));
+  EXPECT_EQ(threads(), before);
+  store.append(server_metric("s1", "cpu"), 0, 1.0);
+  store.log_watch_marker(1);
+  store.checkpoint();
+  EXPECT_EQ(threads(), before);
 }
 
 TEST(PersistentStore, FailedWalRotateFailsCheckpointAndLaterAppends) {
@@ -857,14 +875,12 @@ TEST(PersistentStore, BatchAppendWritesPerSampleWalBytesAndReplays) {
       }
       store.append(feed[i].id, feed[i].t, feed[i].value);
     }
-    store.wal_flush();
   }
   std::map<MetricId, std::vector<double>> live;
   {
     StoreOptions options = persistent_options(batch_dir);
     options.num_shards = 4;
     options.ingest_queue_capacity = 8;
-    options.wal_queue_capacity = 16;  // the second batch waits in chunks
     MetricStore store(options);
     std::vector<Sample> batch;
     for (const FeedSample& s : feed) {
@@ -874,7 +890,6 @@ TEST(PersistentStore, BatchAppendWritesPerSampleWalBytesAndReplays) {
     store.append(all.first(half));
     EXPECT_EQ(store.log_watch_marker(7), half + 1);
     store.append(all.subspan(half));
-    store.wal_flush();
     EXPECT_EQ(store.wal_records_written(), feed.size() + 1);
     for (const MetricId& id : store.metrics()) {
       live[id] = store.query(id, 200, 240);
@@ -901,7 +916,6 @@ TEST(PersistentStore, InMemoryStoreKeepsLegacyBehavior) {
   EXPECT_EQ(store.recovered_watch_state(), "");
   store.append(server_metric("s1", "cpu"), 0, 1.0);
   store.checkpoint("ignored", 9);  // must be a no-op, not a crash
-  store.wal_flush();
   EXPECT_EQ(store.wal_records_written(), 0u);
   EXPECT_EQ(store.segment_count(), 0u);
 }

@@ -4,7 +4,7 @@
 // per-metric delivery order, the unsubscribe guarantee, the append/insert
 // contract, the batch append's equivalence to per-sample appends, and the
 // series table (interning creates no series; producers intern new names
-// while the dispatcher and the WAL writer read refs). The
+// while the dispatcher reads refs and their WAL commits encode names). The
 // stress tests here are the ones the FUNNEL_SANITIZE=thread job
 // (scripts/tsan_concurrency.sh) runs under ThreadSanitizer; see
 // docs/CONCURRENCY.md for the model they pin down.
@@ -772,7 +772,8 @@ TEST(ShardedStore, FilterResolvedBeforeItsSeriesExistsStillMatches) {
 }
 
 // Several producers intern new names and append them in batches while the
-// dispatcher delivers the interned names and the WAL writer encodes them:
+// dispatcher delivers the interned names and each producer's WAL commit
+// encodes them:
 // every sample is delivered once under its own name, and the WAL recovers
 // every series. Run under ThreadSanitizer by scripts/tsan_concurrency.sh.
 TEST(ShardedStore, ProducersInternNewNamesWhileDispatcherAndWalReadRefs) {
@@ -784,7 +785,6 @@ TEST(ShardedStore, ProducersInternNewNamesWhileDispatcherAndWalReadRefs) {
   constexpr MinuteTime kMinutes = 4;
   StoreOptions options{.num_shards = 4, .ingest_queue_capacity = 64};
   options.data_dir = dir.string();
-  options.wal_queue_capacity = 64;
   std::atomic<std::size_t> delivered{0};
   std::atomic<std::size_t> mismatched{0};
   std::map<SeriesRef, const MetricId*> names;  // dispatcher thread only
@@ -836,7 +836,6 @@ TEST(ShardedStore, ProducersInternNewNamesWhileDispatcherAndWalReadRefs) {
     done.store(true, std::memory_order_release);
     reader.join();
     store.flush();
-    store.wal_flush();
     EXPECT_EQ(store.metric_count(),
               static_cast<std::size_t>(kProducers * kNamesPerProducer));
     EXPECT_EQ(store.wal_records_written(),

@@ -480,8 +480,7 @@ void declare_core_keys(const obs::Registry& reg) {
   }
   for (const char* g :
        {"funnel.online.active_watches", "funnel.cascade.suppression_ratio",
-        "funnel.journal.queue_depth", "funnel.wal.queue_depth",
-        "funnel.persist.segments"}) {
+        "funnel.journal.queue_depth", "funnel.persist.segments"}) {
     reg.declare_gauge(g);
   }
 }

@@ -21,6 +21,17 @@ void CascadeCounters::record(GateDecision d) {
   }
 }
 
+double cascade_score(IkaSst& scorer, std::span<const double> window,
+                     const CascadeConfig& config, GateDecision& decision) {
+  bool suppressed = false;
+  const double s = scorer.score(window, config.sst_threshold, &suppressed);
+  // IkaSst scores NaN exactly when the window holds non-finite samples.
+  decision = suppressed      ? GateDecision::kVarianceSuppressed
+             : std::isnan(s) ? GateDecision::kDirty
+                             : GateDecision::kScored;
+  return s;
+}
+
 std::vector<double> cascade_score_series(
     IkaSst& scorer, std::span<const double> series,
     const CascadeConfig& config, CascadeCounters* counters,
@@ -34,14 +45,8 @@ std::vector<double> cascade_score_series(
   if (decisions) decisions->reserve(n);
 
   for (std::size_t i = 0; i < n; ++i) {
-    bool suppressed = false;
-    const double s =
-        scorer.score(series.subspan(i, w), config.sst_threshold, &suppressed);
-    // IkaSst scores NaN exactly when the window holds non-finite samples.
-    const GateDecision d = suppressed      ? GateDecision::kVarianceSuppressed
-                           : std::isnan(s) ? GateDecision::kDirty
-                                           : GateDecision::kScored;
-    out.push_back(s);
+    GateDecision d;
+    out.push_back(cascade_score(scorer, series.subspan(i, w), config, d));
     if (decisions) decisions->push_back(d);
     if (counters) counters->record(d);
   }

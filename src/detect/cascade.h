@@ -20,7 +20,8 @@
 // false` stays only as the reference the tests compare against.
 //
 // The batch path exports gate decisions per window and tallies them in
-// CascadeCounters (the assessor's funnel.cascade.* counters).
+// CascadeCounters (the assessor's funnel.cascade.* counters, which count
+// the windows it scores: it stops at the verdict's alarm).
 #pragma once
 
 #include <cstdint>
@@ -57,6 +58,11 @@ struct CascadeCounters {
   /// Count one window's decision (every decision counts a window).
   void record(GateDecision d);
 };
+
+/// One window through the cascade: the score IkaSst::score(window,
+/// config.sst_threshold, ...) gives it, and the gate's decision.
+double cascade_score(IkaSst& scorer, std::span<const double> window,
+                     const CascadeConfig& config, GateDecision& decision);
 
 /// Batch scoring with the cascade: same shape as score_series (out[i] =
 /// score of the window starting at sample i, NaN for dirty windows), with

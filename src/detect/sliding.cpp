@@ -19,67 +19,35 @@ std::vector<double> score_series(ChangeScorer& scorer,
   return out;
 }
 
+ExceedanceRun::ExceedanceRun(const AlarmPolicy& policy) : policy_(policy) {
+  FUNNEL_REQUIRE(policy.persistence >= 1, "persistence must be >= 1");
+  FUNNEL_REQUIRE(policy.effective_patience() >= policy.persistence,
+                 "patience must be >= persistence");
+}
+
+bool ExceedanceRun::push(std::size_t i, double score) {
+  const bool hit = std::isfinite(score) && score > policy_.threshold;
+  if (hit) hits_.push_back({i, score});
+  const std::size_t n = policy_.effective_patience();
+  while (!hits_.empty() && hits_.front().index + n <= i) {
+    hits_.erase(hits_.begin());
+  }
+  return hit && hits_.size() >= policy_.persistence;
+}
+
+Alarm ExceedanceRun::alarm(MinuteTime minute) const {
+  Alarm a;
+  a.minute = minute;
+  a.first_window = hits_.front().index;
+  for (const Hit& h : hits_) a.peak_score = std::max(a.peak_score, h.score);
+  return a;
+}
+
 namespace {
 
-// Incremental k-of-n exceedance tracker shared by the batch scan and the
-// online detector: alarm when at least `persistence` of the last
-// `patience` windows exceeded the threshold AND the current window does.
-class ExceedanceRun {
- public:
-  explicit ExceedanceRun(const AlarmPolicy& policy) : policy_(policy) {
-    FUNNEL_REQUIRE(policy.persistence >= 1, "persistence must be >= 1");
-    FUNNEL_REQUIRE(policy.effective_patience() >= policy.persistence,
-                   "patience must be >= persistence");
-  }
-
-  /// Feed the score of window index `i`; true when the alarm condition is
-  /// met at this window.
-  bool push(std::size_t i, double score) {
-    const bool hit = std::isfinite(score) && score > policy_.threshold;
-    if (hit) hits_.push_back({i, score});
-    const std::size_t n = policy_.effective_patience();
-    while (!hits_.empty() && hits_.front().index + n <= i) {
-      hits_.erase(hits_.begin());
-    }
-    return hit && hits_.size() >= policy_.persistence;
-  }
-
-  std::size_t first_window() const { return hits_.front().index; }
-
-  double peak() const {
-    double p = 0.0;
-    for (const auto& h : hits_) p = std::max(p, h.score);
-    return p;
-  }
-
-  void reset() { hits_.clear(); }
-
- private:
-  struct Hit {
-    std::size_t index;
-    double score;
-  };
-  AlarmPolicy policy_;
-  std::vector<Hit> hits_;  // at most `patience` entries
-};
-
-// Scan for the first qualifying exceedance group starting at or after
-// `from`; `resume` receives the index one past the alarming window.
-std::optional<Alarm> scan(std::span<const double> scores, std::size_t window,
-                          MinuteTime series_start, const AlarmPolicy& policy,
-                          std::size_t from, std::size_t* resume) {
-  ExceedanceRun run(policy);
-  for (std::size_t i = from; i < scores.size(); ++i) {
-    if (run.push(i, scores[i])) {
-      Alarm a;
-      a.first_window = run.first_window();
-      a.peak_score = run.peak();
-      a.minute = series_start + static_cast<MinuteTime>(i + window - 1);
-      if (resume != nullptr) *resume = i + 1;
-      return a;
-    }
-  }
-  return std::nullopt;
+MinuteTime alarm_minute(MinuteTime series_start, std::size_t i,
+                        std::size_t window) {
+  return series_start + static_cast<MinuteTime>(i + window - 1);
 }
 
 }  // namespace
@@ -87,25 +55,29 @@ std::optional<Alarm> scan(std::span<const double> scores, std::size_t window,
 std::optional<Alarm> first_alarm(std::span<const double> scores,
                                  std::size_t window, MinuteTime series_start,
                                  const AlarmPolicy& policy) {
-  return scan(scores, window, series_start, policy, 0, nullptr);
+  ExceedanceRun run(policy);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (run.push(i, scores[i])) {
+      return run.alarm(alarm_minute(series_start, i, window));
+    }
+  }
+  return std::nullopt;
 }
 
 std::vector<Alarm> all_alarms(std::span<const double> scores,
                               std::size_t window, MinuteTime series_start,
                               const AlarmPolicy& policy) {
   std::vector<Alarm> out;
-  std::size_t pos = 0;
-  while (pos < scores.size()) {
-    std::size_t resume = pos;
-    const auto alarm =
-        scan(scores, window, series_start, policy, pos, &resume);
-    if (!alarm) break;
-    out.push_back(*alarm);
+  if (scores.empty()) return out;
+  ExceedanceRun run(policy);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (!run.push(i, scores[i])) continue;
+    out.push_back(run.alarm(alarm_minute(series_start, i, window)));
     // Re-arm immediately: a sustained exceedance keeps firing every
     // `persistence` windows. This matters for attribution — a false-positive
     // run that merges into a genuine post-change response must not swallow
     // the post-change alarm.
-    pos = resume;
+    run.reset();
   }
   return out;
 }
@@ -130,20 +102,32 @@ std::vector<Alarm> alarm_episodes(std::span<const Alarm> alarms,
   return out;
 }
 
-std::optional<Alarm> detect_first(ChangeScorer& scorer,
-                                  std::span<const double> series,
-                                  MinuteTime series_start,
-                                  const AlarmPolicy& policy) {
-  const std::vector<double> scores = score_series(scorer, series);
-  return first_alarm(scores, scorer.window_size(), series_start, policy);
+std::optional<Alarm> score_until_alarm(std::span<const double> series,
+                                       std::size_t window,
+                                       MinuteTime series_start,
+                                       const AlarmPolicy& policy,
+                                       MinuteTime from,
+                                       const WindowScore& score,
+                                       std::vector<double>& scores) {
+  ExceedanceRun run(policy);
+  scores.clear();
+  if (series.size() < window) return std::nullopt;
+  scores.reserve(series.size() - window + 1);
+  for (std::size_t i = 0; i + window <= series.size(); ++i) {
+    scores.push_back(score(series.subspan(i, window)));
+    if (!run.push(i, scores.back())) continue;
+    const MinuteTime minute = alarm_minute(series_start, i, window);
+    if (minute >= from) return run.alarm(minute);
+    // A pre-`from` alarm re-arms the scan, as all_alarms does after every
+    // alarm, so a run straddling `from` still fires a post-`from` alarm.
+    run.reset();
+  }
+  return std::nullopt;
 }
 
 OnlineDetector::OnlineDetector(ChangeScorer& scorer, AlarmPolicy policy,
                                MinuteTime start_minute)
-    : scorer_(scorer), policy_(policy), next_minute_(start_minute) {
-  FUNNEL_REQUIRE(policy_.persistence >= 1, "persistence must be >= 1");
-  FUNNEL_REQUIRE(policy_.effective_patience() >= policy_.persistence,
-                 "patience must be >= persistence");
+    : scorer_(scorer), run_(policy), next_minute_(start_minute) {
   buffer_.reserve(scorer.window_size());
 }
 
@@ -153,24 +137,11 @@ std::optional<Alarm> OnlineDetector::push(double value) {
   buffer_.push_back(value);
   if (buffer_.size() > w) buffer_.erase(buffer_.begin());
   if (alarmed_ || buffer_.size() < w) return std::nullopt;
-
-  const double s = scorer_.score(buffer_);
-  const std::size_t i = windows_scored_++;
-  const bool hit = std::isfinite(s) && s > policy_.threshold;
-  if (hit) hits_.push_back({i, s});
-  const std::size_t n = policy_.effective_patience();
-  while (!hits_.empty() && hits_.front().index + n <= i) {
-    hits_.erase(hits_.begin());
+  if (!run_.push(windows_scored_++, scorer_.score(buffer_))) {
+    return std::nullopt;
   }
-  if (hit && hits_.size() >= policy_.persistence) {
-    alarmed_ = true;
-    Alarm a;
-    a.minute = next_minute_ - 1;
-    a.first_window = hits_.front().index;
-    for (const Hit& h : hits_) a.peak_score = std::max(a.peak_score, h.score);
-    return a;
-  }
-  return std::nullopt;
+  alarmed_ = true;
+  return run_.alarm(next_minute_ - 1);
 }
 
 }  // namespace funnel::detect

@@ -25,6 +25,7 @@
 //     instead of reading it as a clean bill of health.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -68,6 +69,33 @@ struct Alarm {
   double peak_score = 0.0;
 };
 
+/// The k-of-n exceedance rule every scan here runs on (first_alarm,
+/// all_alarms, score_until_alarm, OnlineDetector): alarm when at least
+/// `persistence` of the last `patience` windows exceeded the threshold AND
+/// the current window does.
+class ExceedanceRun {
+ public:
+  explicit ExceedanceRun(const AlarmPolicy& policy);
+
+  /// Feed the score of window index `i`; true when the alarm condition is
+  /// met at this window.
+  bool push(std::size_t i, double score);
+
+  /// The alarm the last push() completed, firing at wall-clock `minute`.
+  Alarm alarm(MinuteTime minute) const;
+
+  /// Forget every exceedance: the next alarm needs a full run again.
+  void reset() { hits_.clear(); }
+
+ private:
+  struct Hit {
+    std::size_t index;
+    double score;
+  };
+  AlarmPolicy policy_;
+  std::vector<Hit> hits_;  ///< at most `patience` entries
+};
+
 /// First alarm over precomputed scores. `series_start` is the minute of
 /// sample 0; `window` the scorer's W. NaN scores break persistence runs.
 std::optional<Alarm> first_alarm(std::span<const double> scores,
@@ -90,11 +118,23 @@ std::vector<Alarm> all_alarms(std::span<const double> scores,
 std::vector<Alarm> alarm_episodes(std::span<const Alarm> alarms,
                                   MinuteTime gap);
 
-/// Convenience: run the scorer and return the first alarm.
-std::optional<Alarm> detect_first(ChangeScorer& scorer,
-                                  std::span<const double> series,
-                                  MinuteTime series_start,
-                                  const AlarmPolicy& policy);
+/// Score of one window (W samples), as ChangeScorer::score gives it.
+using WindowScore = std::function<double(std::span<const double>)>;
+
+/// Streaming detection: score the windows of `series` in order, window i
+/// as `score(series.subspan(i, window))`, and stop at the first alarm that
+/// fires at or after minute `from`. An earlier alarm re-arms the scan as
+/// all_alarms does, so the result is the first alarm of
+/// all_alarms(scores) with minute >= from. `scores` receives what was
+/// scored: the prefix of the full score series up to and including the
+/// alarm's window, or every window when no such alarm fires.
+std::optional<Alarm> score_until_alarm(std::span<const double> series,
+                                       std::size_t window,
+                                       MinuteTime series_start,
+                                       const AlarmPolicy& policy,
+                                       MinuteTime from,
+                                       const WindowScore& score,
+                                       std::vector<double>& scores);
 
 /// Online wrapper: feed samples one at a time; fires at most one alarm.
 /// Mirrors exactly what the batch path computes, enabling the streaming
@@ -115,20 +155,14 @@ class OnlineDetector {
   /// out to predate the software change and must be discarded).
   void rearm() {
     alarmed_ = false;
-    hits_.clear();
+    run_.reset();
   }
 
  private:
-  struct Hit {
-    std::size_t index;
-    double score;
-  };
-
   ChangeScorer& scorer_;
-  AlarmPolicy policy_;
+  ExceedanceRun run_;
   MinuteTime next_minute_;
   std::vector<double> buffer_;
-  std::vector<Hit> hits_;  ///< exceedances within the patience look-back
   std::size_t windows_scored_ = 0;
   bool alarmed_ = false;
 };

@@ -28,7 +28,8 @@ void mark_inconclusive(ItemVerdict& verdict, InconclusiveReason reason) {
 // exposing the factor separates "how novel was the trajectory" from "how
 // hard was it damped" — exactly what an operator asks when challenging a
 // verdict. Side channel only (trace attrs + journal events); never feeds
-// back into scores.
+// back into scores. The peak lies inside the alarm's run, so `scores` need
+// only reach the alarm's window.
 double peak_damp_factor(const detect::SstGeometry& geometry,
                         const detect::Alarm& alarm,
                         const std::vector<double>& slice,
@@ -246,8 +247,12 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   // Per-KPI detection stage (runs on a pool worker in the parallel path —
   // the shard-per-thread registry absorbs the concurrent recording). The
   // span covers scoring + alarm scan only; determination has its own span.
+  // Only an alarm raised at/after the deployment minute is attributable,
+  // and the verdict rests on the first one: the DiD call, the damp factor
+  // and the provenance read no score past its window, so the production
+  // path stops scoring there, as the online detector latches on it.
   std::vector<double> scores;
-  std::vector<detect::Alarm> alarms;
+  std::optional<detect::Alarm> alarm;
   {
     const obs::ScopedTimer span(config_.stats, "funnel.assess.sst_us");
     if (config_.sst_cascade) {
@@ -256,8 +261,15 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
       detect::CascadeConfig cc = config_.cascade;
       cc.sst_threshold = config_.alarm.threshold;
       detect::CascadeCounters counters;
-      scores = detect::cascade_score_series(scorer, slice, cc, &counters,
-                                            nullptr);
+      alarm = detect::score_until_alarm(
+          slice, scorer.window_size(), t0, config_.alarm, tc,
+          [&](std::span<const double> window) {
+            detect::GateDecision d;
+            const double s = detect::cascade_score(scorer, window, cc, d);
+            counters.record(d);
+            return s;
+          },
+          scores);
       if (config_.stats != nullptr) {
         config_.stats->add("funnel.cascade.windows", counters.windows);
         config_.stats->add("funnel.cascade.scored", counters.scored);
@@ -273,17 +285,18 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
         trace_span.attr("cascade.dirty", counters.dirty);
       }
     } else {
+      // The reference: every window scored, then the full alarm scan.
       scores = detect::score_series(scorer, slice);
+      const std::vector<detect::Alarm> alarms = detect::all_alarms(
+          scores, scorer.window_size(), t0, config_.alarm);
+      const auto it = std::find_if(
+          alarms.begin(), alarms.end(),
+          [tc](const detect::Alarm& a) { return a.minute >= tc; });
+      if (it != alarms.end()) alarm = *it;
     }
-    alarms = detect::all_alarms(scores, scorer.window_size(), t0,
-                                config_.alarm);
   }
 
-  // Only alarms raised at/after the deployment minute are attributable.
-  const auto it = std::find_if(
-      alarms.begin(), alarms.end(),
-      [tc](const detect::Alarm& a) { return a.minute >= tc; });
-  if (it == alarms.end()) {
+  if (!alarm) {
     // "No alarm" is only a clean bill of health when the window was clean
     // enough to have caught one: NaN-containing windows score NaN, so a
     // gap can swallow exactly the shift we're looking for.
@@ -305,9 +318,9 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   }
 
   verdict.kpi_change_detected = true;
-  verdict.alarm = *it;
+  verdict.alarm = alarm;
   if (trace_span.active()) {
-    trace_sst_provenance(trace_span, *it, slice, scores, t0);
+    trace_sst_provenance(trace_span, *alarm, slice, scores, t0);
   }
   determine_cause(change, set, metric, config_.did_window, verdict);
   if (trace_span.active()) {
@@ -319,7 +332,7 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   }
   if (journal_on) {
     emit_batch_event(journal, change, verdict,
-                     peak_damp_factor(config_.geometry, *it, slice, scores));
+                     peak_damp_factor(config_.geometry, *alarm, slice, scores));
   }
   return verdict;
 }

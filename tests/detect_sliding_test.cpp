@@ -2,6 +2,7 @@
 // detector's parity with the batch path.
 #include "detect/sliding.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -131,21 +132,69 @@ TEST(AllAlarms, SustainedRunRefiresEveryPersistence) {
   EXPECT_EQ(alarms[1].minute - alarms[0].minute, 3);
 }
 
-TEST(DetectFirst, EndToEndOnSyntheticShift) {
+// The first alarm of a whole series, scored window by window.
+std::optional<Alarm> first_scored_alarm(ChangeScorer& scorer,
+                                        std::span<const double> series,
+                                        const AlarmPolicy& policy) {
+  std::vector<double> scores;
+  return score_until_alarm(
+      series, scorer.window_size(), 0, policy, 0,
+      [&](std::span<const double> w) { return scorer.score(w); }, scores);
+}
+
+TEST(ScoreUntilAlarm, StopsAtFirstAlarmFromMinute) {
+  // Probe scores (window 3, series start 100) 9 9 9 9 9 0 9: alarms of 2
+  // exceedances in 3 windows complete at windows 1 (minute 103), 3 (105)
+  // and 6 (108, first window 4). Without the re-arm after an alarm the
+  // run's leftover exceedances would fire again at window 2 (minute 104).
+  ProbeScorer p;
+  const std::vector<double> xs{9.0, 9.0, 9.0, 9.0, 9.0, 0.0, 9.0, 0.0, 0.0};
+  const AlarmPolicy policy{.threshold = 1.0, .persistence = 2, .patience = 3};
+  const auto all = all_alarms(score_series(p, xs), 3, 100, policy);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[1].minute, 105);
+  const auto score = [&](std::span<const double> w) { return p.score(w); };
+  std::vector<double> scores;
+  // Before the first alarm, between alarms, exactly at one, and inside the
+  // last run: each pre-`from` alarm re-arms the scan as all_alarms does.
+  for (const MinuteTime from : {MinuteTime{0}, MinuteTime{104},
+                                MinuteTime{105}, MinuteTime{106}}) {
+    const auto a = score_until_alarm(xs, 3, 100, policy, from, score, scores);
+    const auto it = std::find_if(all.begin(), all.end(), [&](const Alarm& x) {
+      return x.minute >= from;
+    });
+    ASSERT_TRUE(a.has_value()) << from;
+    EXPECT_EQ(a->minute, it->minute);
+    EXPECT_EQ(a->first_window, it->first_window);
+    EXPECT_EQ(a->peak_score, it->peak_score);
+    // The prefix up to and including the alarm's window, nothing past it.
+    EXPECT_EQ(scores.size(), static_cast<std::size_t>(a->minute - 100 - 1));
+  }
+  // No alarm at or after `from`: every window is scored.
+  EXPECT_FALSE(
+      score_until_alarm(xs, 3, 100, policy, 109, score, scores).has_value());
+  EXPECT_EQ(scores, score_series(p, xs));
+  // Shorter than one window: nothing to score.
+  EXPECT_FALSE(score_until_alarm(std::vector<double>{9.0, 9.0}, 3, 100,
+                                 policy, 0, score, scores)
+                   .has_value());
+  EXPECT_TRUE(scores.empty());
+}
+
+TEST(ScoreUntilAlarm, EndToEndOnSyntheticShift) {
   workload::StationaryParams params;
   workload::KpiStream s(workload::make_stationary(params, Rng(5)));
   s.add_effect(workload::LevelShift{120, 8.0});
   const auto series = workload::render(s, 0, 240);
   ImprovedSst scorer(SstGeometry{.omega = 9, .eta = 3});
-  const auto alarm = detect_first(scorer, series, 0,
-                                  AlarmPolicy{.threshold = 0.4,
-                                              .persistence = 7});
+  const auto alarm = first_scored_alarm(
+      scorer, series, AlarmPolicy{.threshold = 0.4, .persistence = 7});
   ASSERT_TRUE(alarm.has_value());
   EXPECT_GE(alarm->minute, 120);
   EXPECT_LE(alarm->minute, 160);
 }
 
-TEST(DetectFirst, GapStraddlingAlarmWindowSuppressesAlarm) {
+TEST(ScoreUntilAlarm, GapStraddlingAlarmWindowSuppressesAlarm) {
   // The dirty-feed hazard documented in sliding.h: a feed outage that
   // swallows the change transition suppresses the alarm outright — every
   // window overlapping the gap scores NaN, and post-gap windows see only
@@ -160,16 +209,16 @@ TEST(DetectFirst, GapStraddlingAlarmWindowSuppressesAlarm) {
                            .patience = 10};
 
   ImprovedSst clean_scorer(SstGeometry{.omega = 9, .eta = 3});
-  ASSERT_TRUE(detect_first(clean_scorer, series, 0, policy).has_value());
+  ASSERT_TRUE(first_scored_alarm(clean_scorer, series, policy).has_value());
 
   // Gap from just before the shift until well past the would-be alarm
   // minute: the whole transition is invisible.
   for (std::size_t i = 115; i < 175; ++i) series[i] = std::nan("");
   ImprovedSst gapped_scorer(SstGeometry{.omega = 9, .eta = 3});
-  EXPECT_FALSE(detect_first(gapped_scorer, series, 0, policy).has_value());
+  EXPECT_FALSE(first_scored_alarm(gapped_scorer, series, policy).has_value());
 }
 
-TEST(DetectFirst, GapBeforeChangeDoesNotSuppressLaterAlarm) {
+TEST(ScoreUntilAlarm, GapBeforeChangeDoesNotSuppressLaterAlarm) {
   // A gap that heals before the change leaves the alarm intact (merely
   // consuming score positions): detection quality is about the window
   // around the change, not the whole history.
@@ -179,8 +228,8 @@ TEST(DetectFirst, GapBeforeChangeDoesNotSuppressLaterAlarm) {
   auto series = workload::render(s, 0, 280);
   for (std::size_t i = 60; i < 80; ++i) series[i] = std::nan("");
   ImprovedSst scorer(SstGeometry{.omega = 9, .eta = 3});
-  const auto alarm = detect_first(
-      scorer, series, 0,
+  const auto alarm = first_scored_alarm(
+      scorer, series,
       AlarmPolicy{.threshold = 0.4, .persistence = 7, .patience = 10});
   ASSERT_TRUE(alarm.has_value());
   EXPECT_GE(alarm->minute, 150);
@@ -195,8 +244,7 @@ TEST(OnlineDetector, MatchesBatchAlarm) {
   const AlarmPolicy policy{.threshold = 0.4, .persistence = 7};
 
   ImprovedSst batch_scorer(SstGeometry{.omega = 9, .eta = 3});
-  const auto batch =
-      detect_first(batch_scorer, series, 0, policy);
+  const auto batch = first_scored_alarm(batch_scorer, series, policy);
 
   ImprovedSst online_scorer(SstGeometry{.omega = 9, .eta = 3});
   OnlineDetector online(online_scorer, policy, 0);

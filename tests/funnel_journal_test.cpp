@@ -271,11 +271,13 @@ class FunnelJournal : public ::testing::Test {
   }
 
   static std::vector<AssessmentReport> run_window(
-      std::size_t threads, const obs::Journal* journal) {
+      std::size_t threads, const obs::Journal* journal,
+      bool sst_cascade = true) {
     FunnelConfig cfg;
     cfg.baseline_days = 3;  // the short history has no 30-day baseline
     cfg.num_threads = threads;
     cfg.journal = journal;
+    cfg.sst_cascade = sst_cascade;
     const Funnel funnel(cfg, ds_->topo, ds_->log, ds_->store);
     return funnel.assess_window(0, window_end());
   }
@@ -311,17 +313,26 @@ TEST_F(FunnelJournal, ReportsByteIdenticalWithJournalOnOrOff) {
 }
 
 TEST_F(FunnelJournal, SortedJournalByteIdenticalAcrossThreadCounts) {
+  // The reference is the full scan (sst_cascade = false scores every window,
+  // then scans all alarms); the production path stops at each verdict's
+  // alarm, and its journal, sst_damp_factor included, must equal the
+  // reference's at every thread count.
+  struct Run {
+    std::size_t threads;
+    bool sst_cascade;
+  };
   std::vector<std::string> reference;
   std::size_t reference_events = 0;
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  for (const Run run : {Run{1, false}, Run{1, true}, Run{2, true},
+                        Run{8, true}}) {
     const std::string path =
-        temp_path("threads" + std::to_string(threads) + ".jsonl");
+        temp_path("threads" + std::to_string(run.threads) +
+                  (run.sst_cascade ? "" : "-full") + ".jsonl");
     std::size_t expected = 0;
     {
       obs::Journal journal(path);
       ASSERT_TRUE(journal.ok());
-      const auto reports = run_window(threads, &journal);
+      const auto reports = run_window(run.threads, &journal, run.sst_cascade);
       for (const AssessmentReport& r : reports) expected += r.items.size();
       journal.flush();
       EXPECT_EQ(journal.written(), expected);
@@ -337,11 +348,18 @@ TEST_F(FunnelJournal, SortedJournalByteIdenticalAcrossThreadCounts) {
     } else {
       EXPECT_EQ(expected, reference_events);
       EXPECT_EQ(lines, reference)
-          << "journal content changed at threads=" << threads;
+          << "journal content changed at threads=" << run.threads
+          << ", sst_cascade=" << run.sst_cascade;
     }
     std::remove(path.c_str());
   }
   ASSERT_FALSE(reference.empty());
+  EXPECT_TRUE(std::any_of(reference.begin(), reference.end(),
+                          [](const std::string& line) {
+                            return line.find("\"sst_damp_factor\"") !=
+                                   std::string::npos;
+                          }))
+      << "no journalled verdict carries a damp factor";
 }
 
 TEST_F(FunnelJournal, BatchEventsCarryProvenance) {

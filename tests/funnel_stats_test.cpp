@@ -1,5 +1,6 @@
 // Integration tests for pipeline self-telemetry: the counters the assessor
 // and the online engine record must agree with the reports they produce,
+// the cascade counters must count only the windows a verdict reads,
 // reports must stay byte-identical with telemetry on or off (and for every
 // thread count), the online engine must stamp `determined_at` and record
 // time-to-verdict, and the default-on registry must cost < 2% on
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "detect/cascade.h"
+#include "detect/sliding.h"
 #include "evalkit/dataset.h"
 #include "funnel/assessor.h"
 #include "funnel/online.h"
@@ -108,6 +111,51 @@ TEST_F(FunnelStats, BatchCountersMatchReportAggregates) {
   EXPECT_EQ(snap.histograms.at("funnel.assess.did_us").count, detected);
   EXPECT_EQ(snap.histograms.at("funnel.assess.total_us").count,
             reports.size());
+}
+
+TEST_F(FunnelStats, CascadeCountsOnlyTheWindowsAVerdictReads) {
+  // The assessor scores a KPI's windows in order and stops at the verdict's
+  // alarm, the first at or after the change. Recompute each item's full
+  // cascade score series and alarm scan: funnel.cascade.windows must count
+  // the windows up to and including that alarm's, or all of them when the
+  // item has none.
+  obs::Registry reg;
+  const std::vector<AssessmentReport> reports = run_window(1, &reg);
+  const FunnelConfig cfg = config(1, nullptr);
+  detect::CascadeConfig cc = cfg.cascade;
+  cc.sst_threshold = cfg.alarm.threshold;
+  std::uint64_t read = 0;
+  std::uint64_t all = 0;
+  for (const AssessmentReport& r : reports) {
+    const MinuteTime tc = ds_->log.get(r.change_id).time;
+    for (const ItemVerdict& v : r.items) {
+      detect::IkaSst scorer(cfg.geometry, sst_params(cfg));
+      const auto w = static_cast<MinuteTime>(scorer.window_size());
+      MinuteTime t0 = 0;
+      std::vector<double> slice;
+      ds_->store.read(v.metric, [&](const tsdb::TimeSeries& series) {
+        t0 = std::max(series.start_time(), tc - cfg.lookback);
+        const MinuteTime t1 =
+            std::min(series.end_time(), tc + cfg.horizon);
+        if (t1 - t0 >= w) slice = series.slice(t0, t1);
+      });
+      const std::vector<double> scores =
+          detect::cascade_score_series(scorer, slice, cc, nullptr, nullptr);
+      const std::vector<detect::Alarm> alarms =
+          detect::all_alarms(scores, scorer.window_size(), t0, cfg.alarm);
+      const auto it = std::find_if(
+          alarms.begin(), alarms.end(),
+          [tc](const detect::Alarm& a) { return a.minute >= tc; });
+      ASSERT_EQ(v.alarm.has_value(), it != alarms.end()) << v.metric.to_string();
+      all += scores.size();
+      read += it == alarms.end()
+                  ? scores.size()
+                  : static_cast<std::uint64_t>(it->minute - t0 - w + 2);
+    }
+  }
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("funnel.cascade.windows"), read);
+  EXPECT_LT(read, all) << "no verdict's alarm came before its window's end";
 }
 
 TEST_F(FunnelStats, ReportsByteIdenticalWithTelemetryOnOrOff) {

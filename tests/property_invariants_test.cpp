@@ -212,15 +212,11 @@ struct CascadeCase {
   double step = 0.0;   ///< > 0: each value becomes round(value / step)
 };
 
-class CascadeSoundness : public ::testing::TestWithParam<CascadeCase> {};
+constexpr detect::SstGeometry kCascadeGeometry{.omega = 9, .eta = 3};
 
-TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
-  const CascadeCase c = GetParam();
-  constexpr detect::SstGeometry geom{.omega = 9, .eta = 3};
-  const detect::CascadeConfig config;  // threshold 0.22
-
-  // An 8-sigma shift plus a ramp back guarantees genuinely alarming
-  // windows in every class; faults then chew holes in the telemetry.
+// An 8-sigma shift plus a ramp back guarantees genuinely alarming windows
+// in every class; faults then chew holes in the telemetry.
+std::vector<double> render_case(const CascadeCase& c) {
   workload::KpiStream s(workload::make_default(c.cls, Rng(c.seed)));
   s.add_effect(workload::LevelShift{300, c.shift});
   s.add_effect(workload::Ramp{420, 460, -5.0});
@@ -235,12 +231,21 @@ TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
     const auto dv = dirty.values();
     series.assign(dv.begin(), dv.end());
   }
+  return series;
+}
+
+class CascadeSoundness : public ::testing::TestWithParam<CascadeCase> {};
+
+TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
+  const CascadeCase c = GetParam();
+  const detect::CascadeConfig config;  // threshold 0.22
+  const std::vector<double> series = render_case(c);
 
   // The reference is the warm IKA scorer on every window; the cascaded run
   // is a second one through the cascade.
-  detect::IkaSst full(geom);
+  detect::IkaSst full(kCascadeGeometry);
   const auto scores = detect::score_series(full, series);
-  detect::IkaSst gated(geom);
+  detect::IkaSst gated(kCascadeGeometry);
   std::vector<detect::GateDecision> decisions;
   const auto cascaded = detect::cascade_score_series(gated, series, config,
                                                      nullptr, &decisions);
@@ -277,33 +282,121 @@ TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
   EXPECT_GT(suppressed, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ClassesByFaults, CascadeSoundness,
-    ::testing::Values(
-        CascadeCase{tsdb::KpiClass::kStationary, ""},
-        CascadeCase{tsdb::KpiClass::kSeasonal, ""},
-        CascadeCase{tsdb::KpiClass::kVariable, ""},
-        CascadeCase{tsdb::KpiClass::kStationary, "nan=0.02x4"},
-        CascadeCase{tsdb::KpiClass::kSeasonal, "nan=0.02x4"},
-        CascadeCase{tsdb::KpiClass::kVariable, "nan=0.02x4"},
-        CascadeCase{tsdb::KpiClass::kStationary, "drop=0.05"},
-        CascadeCase{tsdb::KpiClass::kSeasonal, "drop=0.05"},
-        CascadeCase{tsdb::KpiClass::kVariable, "drop=0.05"},
-        CascadeCase{tsdb::KpiClass::kStationary, "stuck=0.01x8"},
-        CascadeCase{tsdb::KpiClass::kSeasonal, "stuck=0.01x8"},
-        CascadeCase{tsdb::KpiClass::kVariable, "stuck=0.01x8"},
-        CascadeCase{tsdb::KpiClass::kStationary,
-                    "drop=0.03,nan=0.01x4,stuck=0.005x8"},
-        CascadeCase{tsdb::KpiClass::kSeasonal,
-                    "drop=0.03,nan=0.01x4,stuck=0.005x8"},
-        CascadeCase{tsdb::KpiClass::kVariable,
-                    "drop=0.03,nan=0.01x4,stuck=0.005x8"},
-        // Integer-valued telemetry: window 381's future half holds two
-        // nonzero standardized samples, so the third future direction
-        // collapses to a zero column while rounding leaves its Ritz value
-        // positive. The full scorer must stop at that column, not seed
-        // Lanczos with a zero vector (which throws).
-        CascadeCase{tsdb::KpiClass::kStationary, "", 8, 6.0, 4.0}));
+const CascadeCase kCascadeCases[] = {
+    CascadeCase{tsdb::KpiClass::kStationary, ""},
+    CascadeCase{tsdb::KpiClass::kSeasonal, ""},
+    CascadeCase{tsdb::KpiClass::kVariable, ""},
+    CascadeCase{tsdb::KpiClass::kStationary, "nan=0.02x4"},
+    CascadeCase{tsdb::KpiClass::kSeasonal, "nan=0.02x4"},
+    CascadeCase{tsdb::KpiClass::kVariable, "nan=0.02x4"},
+    CascadeCase{tsdb::KpiClass::kStationary, "drop=0.05"},
+    CascadeCase{tsdb::KpiClass::kSeasonal, "drop=0.05"},
+    CascadeCase{tsdb::KpiClass::kVariable, "drop=0.05"},
+    CascadeCase{tsdb::KpiClass::kStationary, "stuck=0.01x8"},
+    CascadeCase{tsdb::KpiClass::kSeasonal, "stuck=0.01x8"},
+    CascadeCase{tsdb::KpiClass::kVariable, "stuck=0.01x8"},
+    CascadeCase{tsdb::KpiClass::kStationary,
+                "drop=0.03,nan=0.01x4,stuck=0.005x8"},
+    CascadeCase{tsdb::KpiClass::kSeasonal,
+                "drop=0.03,nan=0.01x4,stuck=0.005x8"},
+    CascadeCase{tsdb::KpiClass::kVariable,
+                "drop=0.03,nan=0.01x4,stuck=0.005x8"},
+    // Integer-valued telemetry: window 381's future half holds two
+    // nonzero standardized samples, so the third future direction
+    // collapses to a zero column while rounding leaves its Ritz value
+    // positive. The full scorer must stop at that column, not seed
+    // Lanczos with a zero vector (which throws).
+    CascadeCase{tsdb::KpiClass::kStationary, "", 8, 6.0, 4.0},
+};
+
+INSTANTIATE_TEST_SUITE_P(ClassesByFaults, CascadeSoundness,
+                         ::testing::ValuesIn(kCascadeCases));
+
+// ---- The batch assessor's early stop over the same sweep. ----
+//
+// The assessor scores a KPI's windows in order and stops at the first
+// alarm at or after the change (score_until_alarm). That must be exactly
+// the alarm the full scan picks, the first all_alarms() alarm with
+// minute >= the change over cascade_score_series(), and the scores it
+// computed must be that series' prefix bit for bit: the damp factor and
+// the trace provenance read them. `from` runs over minute 0, every alarm
+// minute (an alarm exactly at `from`, after earlier ones re-armed the
+// scan), the minute after each (the run re-fires into a later alarm) and
+// past the last (no alarm: every window scored).
+
+class EarlyStopExactness : public ::testing::TestWithParam<CascadeCase> {};
+
+TEST_P(EarlyStopExactness, FirstAlarmFromMatchesFullScan) {
+  const std::vector<double> series = render_case(GetParam());
+  const detect::CascadeConfig config;  // threshold 0.22
+  detect::IkaSst full(kCascadeGeometry);
+  const std::size_t w = full.window_size();
+  const std::vector<double> reference =
+      detect::cascade_score_series(full, series, config, nullptr, nullptr);
+
+  // FUNNEL's 7-in-10 rule, plus shorter ones that still alarm, and re-arm,
+  // between the NaN gaps of the dirtiest feeds.
+  std::size_t rearmed = 0;
+  for (const detect::AlarmPolicy policy :
+       {detect::AlarmPolicy{.threshold = config.sst_threshold,
+                            .persistence = 7,
+                            .patience = 10},
+        detect::AlarmPolicy{.threshold = config.sst_threshold,
+                            .persistence = 2,
+                            .patience = 3},
+        detect::AlarmPolicy{.threshold = config.sst_threshold,
+                            .persistence = 1}}) {
+    const std::vector<detect::Alarm> alarms =
+        detect::all_alarms(reference, w, 0, policy);
+    std::vector<MinuteTime> froms{0};
+    for (const detect::Alarm& a : alarms) {
+      froms.push_back(a.minute);
+      froms.push_back(a.minute + 1);
+    }
+    for (const MinuteTime from : froms) {
+      SCOPED_TRACE(::testing::Message() << "persistence "
+                                        << policy.persistence << ", from "
+                                        << from);
+      detect::IkaSst scorer(kCascadeGeometry);
+      detect::CascadeCounters counters;
+      std::vector<double> scores;
+      const auto alarm = detect::score_until_alarm(
+          series, w, 0, policy, from,
+          [&](std::span<const double> window) {
+            detect::GateDecision d;
+            const double s = detect::cascade_score(scorer, window, config, d);
+            counters.record(d);
+            return s;
+          },
+          scores);
+      const auto it = std::find_if(
+          alarms.begin(), alarms.end(),
+          [from](const detect::Alarm& a) { return a.minute >= from; });
+      ASSERT_EQ(alarm.has_value(), it != alarms.end());
+      const std::size_t stop =
+          alarm ? static_cast<std::size_t>(alarm->minute) - w + 2
+                : reference.size();
+      if (alarm) {
+        EXPECT_EQ(alarm->minute, it->minute);
+        EXPECT_EQ(alarm->first_window, it->first_window);
+        EXPECT_EQ(std::memcmp(&alarm->peak_score, &it->peak_score,
+                              sizeof(double)),
+                  0);
+        if (it != alarms.begin()) ++rearmed;
+      }
+      ASSERT_EQ(scores.size(), stop);
+      EXPECT_EQ(counters.windows, stop);
+      EXPECT_EQ(
+          std::memcmp(scores.data(), reference.data(), stop * sizeof(double)),
+          0);
+    }
+  }
+  // The sweep is vacuous unless earlier alarms re-armed the scan.
+  EXPECT_GT(rearmed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ClassesByFaults, EarlyStopExactness,
+                         ::testing::ValuesIn(kCascadeCases));
 
 }  // namespace
 }  // namespace funnel

@@ -9,8 +9,9 @@
 # makes the tool exit non-zero (no silent skips); an unwritable --trace
 # path exits 3. The --data-dir block covers the storage contract
 # (docs/STORAGE.md): a fresh persistent run matches the in-memory stdout
-# byte for byte, a second run recovers the store, a corrupted checkpoint
-# exits 3, and --data-dir outside pipeline mode is bad usage (exit 2). A
+# byte for byte, a second run recovers the store, so does a run on the
+# store funnel_generate --data-dir wrote, a corrupted checkpoint exits 3,
+# and --data-dir outside pipeline mode is bad usage (exit 2). A
 # malformed numeric flag of either tool is bad usage too.
 #
 # Invoked by ctest as:
@@ -200,6 +201,33 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT rout MATCHES "verdict: change has impact")
   message(FATAL_ERROR "recovered run lost the verdict, stdout was: ${rout}")
+endif()
+
+# funnel_generate --data-dir writes the series as one batch and
+# checkpoints; funnel_detect_csv recovers that store and must reach the
+# impact verdict too.
+set(gen_dir "${WORK_DIR}/smoke_gen_store")
+file(REMOVE_RECURSE "${gen_dir}")
+execute_process(
+  COMMAND "${GEN}" --class stationary --minutes 4500 --seed 7
+          --shift ${change_minute},8 --out "${WORK_DIR}/smoke_gen.csv"
+          --data-dir "${gen_dir}"
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "funnel_generate --data-dir failed (${rc}): ${err}")
+endif()
+if(NOT EXISTS "${gen_dir}/checkpoint")
+  message(FATAL_ERROR "funnel_generate --data-dir left no checkpoint")
+endif()
+execute_process(
+  COMMAND "${DET}" "${csv}" --change-minute ${change_minute}
+          --data-dir "${gen_dir}"
+  OUTPUT_VARIABLE gout RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "run on the generated store failed (${rc}): ${err}")
+endif()
+if(NOT gout MATCHES "verdict: change has impact")
+  message(FATAL_ERROR "generated store lost the verdict, stdout was: ${gout}")
 endif()
 
 # Corruption beyond what WAL-tail truncation repairs (a damaged checkpoint)

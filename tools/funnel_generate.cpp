@@ -17,7 +17,7 @@
 // a dirty fixture regenerates bit-identically. The realized fault counts
 // go to stderr.
 //
-// --data-dir DIR additionally streams the finished series into the
+// --data-dir DIR additionally writes the finished series into the
 // persistent segment store (docs/STORAGE.md) under the metric
 // `server:host/kpi` — the id funnel_detect_csv's pipeline mode uses — and
 // checkpoints, so a later `funnel_detect_csv --change-minute T --data-dir
@@ -26,6 +26,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -182,16 +183,20 @@ int main(int argc, char** argv) {
                    out_path.c_str());
     }
     if (!data_dir.empty()) {
-      // Stream sample-by-sample (each one write-ahead-logged), then
-      // checkpoint so the history lands in a columnar segment. Gaps stay
-      // gaps: a NaN minute is appended as NaN, exactly what the CSV holds.
+      // Append the series as one batch (one WAL commit), then checkpoint
+      // so the history lands in a columnar segment. Gaps stay gaps: a NaN
+      // minute is appended as NaN, exactly what the CSV holds.
       tsdb::StoreOptions sopt;
       sopt.data_dir = data_dir;
       tsdb::MetricStore store(sopt);
       const tsdb::MetricId metric = tsdb::server_metric("host", "kpi");
+      const tsdb::SeriesRef ref = store.intern(metric);
+      std::vector<tsdb::Sample> batch;
+      batch.reserve(series.size());
       for (MinuteTime t = series.start_time(); t < series.end_time(); ++t) {
-        store.append(metric, t, series.at(t));
+        batch.push_back({ref, t, series.at(t), {}, {}});
       }
+      store.append(batch);
       store.checkpoint();
       std::fprintf(stderr, "wrote %zu samples to store %s (%s)\n",
                    series.size(), data_dir.c_str(),

@@ -4,14 +4,14 @@
 # This is the FUNNEL_SANITIZE=thread ctest job: it configures a dedicated
 # build tree with -DFUNNEL_SANITIZE=thread and runs the tests that exercise
 # shared state across threads — the group-commit queue behind the ingest
-# dispatcher and the journal writer, the sharded store, the
-# thread pool, the parallel assessment engine (including the SST hot path:
-# per-slot warm-started scorers reset between KPI streams), the online
+# dispatcher, the sharded store, the thread pool, the parallel assessment
+# engine (including the SST hot path: per-slot warm-started scorers reset
+# between KPI streams), the online
 # assessor, the telemetry registry, the tracer's cross-thread span
 # propagation, the chaos fault grid (dirty feeds through both pipelines,
 # docs/ROBUSTNESS.md), and the warm-start differential suite (stateful
-# scorer lifecycle + Hankel kernel), the verdict journal's
-# writer thread plus its live triage-observer tap, the persistent
+# scorer lifecycle + Hankel kernel), the verdict journal (appenders on
+# several threads committing under its mutex), the persistent
 # segment store (producers committing to one WAL, compacting checkpoints,
 # crash-replay recovery — docs/STORAGE.md), and the live telemetry plane
 # (HTTP worker pool serving Registry snapshots while hot-path recorders run —

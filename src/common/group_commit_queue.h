@@ -1,13 +1,12 @@
 // Bounded multi-producer queue drained in groups by one consumer thread:
-// the one implementation behind the metric store's ingest dispatcher and
-// the verdict journal (docs/CONCURRENCY.md, "Group-commit queue").
+// the metric store's ingest dispatcher (docs/CONCURRENCY.md, "Group-commit
+// queue").
 //
 // Producers push_all() a span of items under one mutex (push() is a span of
 // one). The consumer thread wakes, moves every queued item into a reused
 // batch vector and runs the owner's consumer on the batch with no lock
-// held: one fwrite + fflush per batch for the journal, one notification
-// pass per batch for the store. One consumer thread means delivery order
-// equals push order.
+// held: one notification pass per batch for the store. One consumer thread
+// means delivery order equals push order.
 //
 // Guarantees (regression-tested in common_group_commit_queue_test):
 //   * kBlock never loses an item. A span larger than the free room is queued

@@ -65,7 +65,7 @@ void emit_batch_event(const obs::Journal* journal,
                       std::optional<double> damp_factor) {
   obs::JournalEvent event = journal_event(change, verdict, "batch");
   event.sst_damp_factor = damp_factor;
-  journal->append(std::move(event));
+  journal->append(event);
 }
 
 }  // namespace

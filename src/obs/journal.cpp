@@ -8,9 +8,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <utility>
 
-#include "common/group_commit_queue.h"
 #include "common/json.h"
 #include "common/strings.h"
 
@@ -39,8 +39,7 @@ void str_field(std::string& out, std::string_view key, std::string_view value) {
 
 // Numeric fields go through std::to_chars — specified to render exactly the
 // bytes printf's "C"-locale %d / %.17g would, but several times faster, which
-// matters because serialization runs on the writer thread that shares cores
-// with the hot path.
+// matters because serialization runs on the assessing thread.
 
 void int_field(std::string& out, std::string_view key, std::int64_t value) {
   char buf[32];
@@ -427,60 +426,11 @@ struct CloseFile {
 
 }  // namespace
 
-// Writer-side state: the queue's consumer serializes and commits each
-// drained batch.
 struct Journal::Impl {
-  /// Events the writer's queue holds before append() blocks.
-  static constexpr std::size_t kQueueCapacity = 4096;
-
-  Impl(std::FILE* f, std::atomic<bool>& failed)
-      : file(f),
-        failed(failed),
-        queue(kQueueCapacity, common::Backpressure::kBlock,
-              [this](std::vector<JournalEvent>& batch) { commit(batch); }) {}
-
-  void commit(const std::vector<JournalEvent>& batch) {
-    // After a failed write the file may end in a torn line, and a later
-    // batch would be glued onto it.
-    if (failed.load(std::memory_order_acquire)) return;
-    // Group commit: under steady load the writer outruns the producers and
-    // a batch is one event (a crash loses at most the line in flight);
-    // under bursts the batch amortizes the fwrite + fflush so the queue
-    // never backs up.
-    buf.clear();
-    for (const JournalEvent& event : batch) {
-      buf += to_jsonl(event);
-      buf += '\n';
-    }
-    // One fflush per batch: the crash-tolerance story is "lose at most
-    // the batch being written", not "lose a stdio buffer full".
-    if (std::fwrite(buf.data(), 1, buf.size(), file.get()) != buf.size() ||
-        std::fflush(file.get()) != 0) {
-      failed.store(true, std::memory_order_release);
-      return;
-    }
-    written.fetch_add(batch.size(), std::memory_order_relaxed);
-
-    if (observer) {
-      for (const JournalEvent& event : batch) observer(event);
-    }
-
-    if (const Registry* reg = stats.load(std::memory_order_relaxed)) {
-      reg->add("funnel.journal.events", batch.size());
-      reg->add("funnel.journal.bytes", buf.size());
-      reg->set("funnel.journal.queue_depth",
-               static_cast<double>(queue.depth()));
-    }
-  }
-
   std::unique_ptr<std::FILE, CloseFile> file;
-  std::atomic<bool>& failed;  ///< Journal::failed_, latched by commit()
-  std::string buf;            ///< writer thread only
+  std::mutex mutex;  ///< orders the lines; guards the file
   std::atomic<std::uint64_t> written{0};
-  std::function<void(const JournalEvent&)> observer;
   std::atomic<const Registry*> stats{nullptr};
-  /// Last member: destroyed first, so it drains into an open file.
-  common::GroupCommitQueue<JournalEvent> queue;
 };
 
 Journal::Journal(std::string path, JournalOptions options)
@@ -488,22 +438,36 @@ Journal::Journal(std::string path, JournalOptions options)
   std::FILE* file = std::fopen(path_.c_str(), options.truncate ? "wb" : "ab");
   failed_.store(file == nullptr, std::memory_order_release);
   if (file != nullptr) {
-    impl_ = std::make_unique<Impl>(file, failed_);
+    impl_ = std::make_unique<Impl>();
+    impl_->file.reset(file);
   }
 }
 
 Journal::~Journal() = default;
 
-void Journal::append(JournalEvent event) const {
-  if (ok()) impl_->queue.push(std::move(event));
-}
-
-void Journal::flush() const {
-  if (impl_) impl_->queue.flush();
-}
-
-std::uint64_t Journal::appended() const {
-  return impl_ ? impl_->queue.pushed() : 0;
+void Journal::append(const JournalEvent& event) const {
+  if (!ok()) return;
+  std::string line = to_jsonl(event);
+  line += '\n';
+  {
+    const std::lock_guard<std::mutex> lock(impl_->mutex);
+    // After a failed write the file may end in a torn line, and a later
+    // line would be glued onto it.
+    if (!ok()) return;
+    // One fflush per line: a crash loses at most the line being written,
+    // not a stdio buffer full.
+    if (std::fwrite(line.data(), 1, line.size(), impl_->file.get()) !=
+            line.size() ||
+        std::fflush(impl_->file.get()) != 0) {
+      failed_.store(true, std::memory_order_release);
+      return;
+    }
+    impl_->written.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (const Registry* reg = impl_->stats.load(std::memory_order_relaxed)) {
+    reg->add("funnel.journal.events");
+    reg->add("funnel.journal.bytes", line.size());
+  }
 }
 
 std::uint64_t Journal::written() const {
@@ -514,21 +478,9 @@ void Journal::set_stats(const Registry* stats) const {
   if (!impl_) return;
   impl_->stats.store(stats, std::memory_order_relaxed);
   if (stats != nullptr) {
-    stats->set("funnel.journal.queue_capacity",
-               static_cast<double>(impl_->queue.capacity()));
-    stats->declare_gauge("funnel.journal.queue_depth");
     stats->declare_counter("funnel.journal.events");
     stats->declare_counter("funnel.journal.bytes");
   }
-}
-
-void Journal::set_observer(std::function<void(const JournalEvent&)> observer) {
-  if (!impl_) return;
-  // Quiesce first so the writer thread never races the assignment; callers
-  // are told to set the observer before appending or after a flush(), this
-  // flush makes the former safe even mid-stream.
-  flush();
-  impl_->observer = std::move(observer);
 }
 
 }  // namespace funnel::obs

@@ -10,27 +10,23 @@
 // JournalEvent carrying its full decision provenance (change metadata, KPI,
 // verdict + cause, SST peak/damping, DiD fit + control kind, telemetry
 // quality, time-to-verdict), serialized as one JSON line of an append-only
-// JSONL file. The triage layer (src/triage) consumes the stream
-// — live or replayed from disk — to build scorecards, blame rankings and
-// mined rules (docs/TRIAGE.md).
+// JSONL file. The triage layer (src/triage) replays the file to build
+// scorecards, blame rankings and mined rules (docs/TRIAGE.md).
 //
 // Design:
-//   * The hot path never blocks on disk. append() enqueues the event on a
-//     common::GroupCommitQueue (the one the metric store's dispatcher runs
-//     on) and its writer thread serializes + writes. A full queue blocks
-//     the producer: the journal is an audit record, so it never sheds.
-//     (The WAL, by contrast, commits on the appending thread: a sample's
-//     record must exist before the sample is applied.)
-//   * One event = one '\n'-terminated line, written by the single writer,
-//     which group-commits: each wakeup drains everything queued and does one
-//     fwrite + fflush. Under steady load a batch is one event, so a crash
-//     truncates at most the final line; under bursts at most the in-flight
-//     batch tail is lost. read_journal() tolerates (and counts) a truncated
-//     or corrupt trailing line, so replay after a crash never loses the file.
-//   * A failed fwrite or fflush latches the writer, as in the WAL: later
-//     batches are dropped unwritten, written() counts only committed
-//     events, and ok() turns false, so a checkpoint never claims events the
-//     file lacks and the CLI can report the loss.
+//   * append() commits on the calling thread, like the WAL: it renders the
+//     event outside any lock, then writes the line with one fwrite +
+//     fflush under the journal's mutex. A verdict whose append() returned
+//     is in the file (or the journal latched), so the journal starts no
+//     thread and holds no queue.
+//   * One event = one '\n'-terminated line, so a crash loses at most the
+//     line being written. read_journal() tolerates (and counts) a truncated
+//     or corrupt trailing line, so replay after a crash never loses the
+//     file. Appends from several threads land in arrival order.
+//   * A failed fwrite or fflush latches the journal, as in the WAL: later
+//     appends write nothing, written() counts only committed events, and
+//     ok() turns false, so a checkpoint never claims events the file lacks
+//     and the CLI can report the loss.
 //   * The journal is a sink: a `const Journal*` on FunnelConfig, null means
 //     off at zero cost, and assessment reports are byte-identical with the
 //     journal attached or not (regression-tested in funnel_journal_test).
@@ -42,7 +38,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -144,66 +140,51 @@ struct JournalOptions {
   bool truncate = true;
 };
 
-/// Append-only JSONL journal with a bounded queue and one writer thread.
-/// Recording goes through a `const Journal*` (a journal is a sink, like the
-/// registry and tracer); the journal must outlive every component holding
-/// it. flush() is the quiesce barrier: it returns only after every event
-/// appended before the call is serialized, handed to the OS and
-/// fflush()-ed.
+/// Append-only JSONL journal that commits each event on the appending
+/// thread. Recording goes through a `const Journal*` (a journal is a sink,
+/// like the registry and tracer); the journal must outlive every component
+/// holding it.
 class Journal {
  public:
-  /// Opens (truncates) `path` and starts the writer thread. ok() reports
-  /// whether the file opened — callers decide whether that is fatal (the
-  /// CLI exits 3, matching --stats-json/--trace).
+  /// Opens (truncates) `path`. ok() reports whether the file opened —
+  /// callers decide whether that is fatal (the CLI exits 3, matching
+  /// --stats-json/--trace).
   explicit Journal(std::string path, JournalOptions options = {});
 
-  /// Drains the queue, flushes and closes the file, joins the thread.
+  /// Closes the file.
   ~Journal();
 
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// False when the file did not open or a batch could not be written: a
-  /// failed fwrite or fflush latches the writer and drops every later
-  /// batch unwritten. Check it after flush() to learn whether every
-  /// appended event reached the file.
+  /// False when the file did not open or a line could not be written: a
+  /// failed fwrite or fflush latches the journal and every later append()
+  /// writes nothing.
   bool ok() const { return !failed_.load(std::memory_order_acquire); }
   const std::string& path() const { return path_; }
 
-  /// Enqueue one event (any thread). Blocks while the queue is full; never
-  /// touches the disk on the calling thread. No-op when !ok().
-  void append(JournalEvent event) const;
+  /// Write one event as a line and fflush it (any thread). Returns once
+  /// the line is with the OS or the journal has latched. No-op when !ok().
+  void append(const JournalEvent& event) const;
 
-  /// Barrier: returns once every event appended before the call has been
-  /// written + fflush()-ed (or dropped by a latched writer). No-op when the
-  /// file did not open.
-  void flush() const;
+  /// No-op: every append() returns with its line in the file. Kept for
+  /// funnelbench/, which calls it.
+  void flush() const {}
 
-  /// Events accepted by append().
-  std::uint64_t appended() const;
-  /// Events serialized and written to the file so far (a failed batch
-  /// counts nothing).
+  /// Events written to the file so far (a failed write counts nothing).
   std::uint64_t written() const;
 
-  /// Attach a telemetry registry (null detaches): `funnel.journal.events`,
-  /// `funnel.journal.bytes` counters and
-  /// `funnel.journal.queue_depth` / `funnel.journal.queue_capacity` gauges
-  /// (the pair behind the /healthz journal-writer backlog check). The
+  /// Attach a telemetry registry (null detaches): the
+  /// `funnel.journal.events` and `funnel.journal.bytes` counters. The
   /// registry must outlive this journal.
   void set_stats(const Registry* stats) const;
-
-  /// Optional in-process tap, invoked on the writer thread once per written
-  /// event (after serialization, before the next dequeue) — how a live
-  /// triage engine consumes the stream without a disk round-trip. Set
-  /// before the first append() or after a flush(); the callback must not
-  /// call back into this journal.
-  void set_observer(std::function<void(const JournalEvent&)> observer);
 
  private:
   struct Impl;
   std::string path_;
-  std::atomic<bool> failed_{false};  ///< open failure, or latched by a write
-  std::unique_ptr<Impl> impl_;       ///< null when the file did not open
+  /// Open failure, or latched by a write (append() is const: a sink).
+  mutable std::atomic<bool> failed_{false};
+  std::unique_ptr<Impl> impl_;  ///< null when the file did not open
 };
 
 }  // namespace funnel::obs

@@ -18,16 +18,14 @@ double gauge_or(const Snapshot& snap, const std::string& name,
   return it == snap.gauges.end() ? fallback : it->second;
 }
 
-/// One queue's check: fails at kUnhealthyQueueFrac of its capacity; passes
-/// with detail "n/a" when the subsystem never registered its gauges — sync
-/// dispatch, no journal.
-HealthCheck queue_check(const Snapshot& snap, const char* name,
-                        const std::string& depth_stat,
-                        const std::string& capacity_stat) {
-  HealthCheck check{name, true, "n/a"};
-  const double capacity = gauge_or(snap, capacity_stat, 0.0);
+/// The ingest dispatcher's check: fails at kUnhealthyQueueFrac of its
+/// capacity; passes with detail "n/a" when the store never registered its
+/// gauges (sync dispatch).
+HealthCheck dispatcher_check(const Snapshot& snap) {
+  HealthCheck check{"ingest-dispatcher", true, "n/a"};
+  const double capacity = gauge_or(snap, "tsdb.store.queue_capacity", 0.0);
   if (capacity <= 0.0) return check;
-  const double depth = gauge_or(snap, depth_stat, 0.0);
+  const double depth = gauge_or(snap, "tsdb.store.queue_depth", 0.0);
   std::ostringstream os;
   os << "queue " << static_cast<std::uint64_t>(depth) << '/'
      << static_cast<std::uint64_t>(capacity);
@@ -52,14 +50,8 @@ std::string HealthReport::render() const {
 
 HealthReport evaluate_health(const Snapshot& snap) {
   HealthReport report;
-  report.checks = {
-      queue_check(snap, "ingest-dispatcher", "tsdb.store.queue_depth",
-                  "tsdb.store.queue_capacity"),
-      queue_check(snap, "journal-writer", "funnel.journal.queue_depth",
-                  "funnel.journal.queue_capacity")};
-  for (const HealthCheck& check : report.checks) {
-    report.healthy = report.healthy && check.ok;
-  }
+  report.checks = {dispatcher_check(snap)};
+  report.healthy = report.checks.front().ok;
   return report;
 }
 

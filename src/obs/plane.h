@@ -6,8 +6,8 @@
 //   /metrics     Prometheus text exposition of the live Registry
 //   /stats.json  the same snapshot as --stats-json, as application/json
 //   /healthz     deep health: per-subsystem checks (evaluate_health below)
-//                — ingest dispatcher, journal writer — plus
-//                the host's add_health() contributors;
+//                — the ingest dispatcher — plus the host's add_health()
+//                contributors;
 //                200 "healthy" / 503 "unhealthy" + one line per check
 //   /readyz      readiness: 200 once set_ready(true) (pipeline constructed
 //                and ingesting), 503 before
@@ -33,7 +33,7 @@ namespace funnel::obs {
 
 /// One per-subsystem health probe result.
 struct HealthCheck {
-  std::string name;    ///< "ingest-dispatcher", "journal-writer", ...
+  std::string name;    ///< "ingest-dispatcher", "tenant:a", ...
   bool ok = true;
   std::string detail;  ///< human-readable evidence, e.g. "queue 512/1024"
 };
@@ -48,10 +48,9 @@ struct HealthReport {
 };
 
 /// Instantaneous per-subsystem checks over a registry snapshot: the ingest
-/// dispatcher and journal writer queues fail at 95% of their capacity or
-/// more. Subsystems whose stats are absent (sync dispatch, no journal)
-/// pass with detail "n/a" — absence of a subsystem is not a failure. Pure
-/// function of the snapshot.
+/// dispatcher's queue fails at 95% of its capacity or more. Without its
+/// stats (sync dispatch) the check passes with detail "n/a" — absence of a
+/// subsystem is not a failure. Pure function of the snapshot.
 HealthReport evaluate_health(const Snapshot& snap);
 
 struct PlaneOptions {

@@ -509,14 +509,9 @@ std::string Tenant::status_json() {
   return out.str();
 }
 
-void Tenant::flush() {
-  store_->flush();
-  if (journal_ != nullptr) journal_->flush();
-}
-
 void Tenant::checkpoint() {
   if (!store_->persistent()) return;
-  flush();
+  store_->flush();
   // A recovered journal is opened in append mode, so written() counts only
   // this incarnation's events; the checkpoint needs the count from the file
   // START or the next recovery's repair_journal() would truncate the
@@ -548,7 +543,6 @@ void Tenant::quarantine(std::string reason) {
   } catch (const tsdb::persist::StorageError&) {
     // Quarantine must not throw; the durable state simply stays older.
   }
-  if (journal_ != nullptr) journal_->flush();
 }
 
 std::size_t Tenant::active_watches() {

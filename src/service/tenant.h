@@ -151,11 +151,6 @@ class Tenant {
   /// One-line status JSON (REQUIRES lock): counters, seq, quarantine.
   std::string status_json();
 
-  /// Barrier (REQUIRES lock): every sample accepted before the call has
-  /// been delivered, and every verdict it finalized written to the journal
-  /// (or dropped by a journal whose writer latched a write error).
-  void flush();
-
   /// flush + checkpoint(watch snapshot, journal event count); no-op for an
   /// in-memory tenant (REQUIRES lock).
   void checkpoint();

@@ -1,24 +1,20 @@
 // Triage engine — one consumer for the whole verdict-event stream.
 //
 // Wraps the three analyses (scorecards, blame ranking, rule mining) behind
-// a single streaming interface. Two ways to drive it, which must agree
-// exactly (the replay-determinism acceptance test):
+// a single streaming interface, driven by replaying a journal:
 //
-//   live    journal.set_observer([&](const auto& e) { engine.observe(e); })
-//           — events arrive on the journal's writer thread as they are
-//           written; call report() only after journal.flush();
-//   replay  for (auto& e : obs::read_journal(path)) engine.observe(e);
+//   for (auto& e : obs::read_journal(path)) engine.observe(e);
 //
 // observe() folds the event into the scorecards immediately and retains a
 // copy for the two whole-stream analyses (blame clustering and rule mining
 // need the full event set; a day of ~24k-change verdicts is megabytes, not
 // gigabytes — see docs/TRIAGE.md, "Journal sizing"). report() derives
 // everything from sorted state, so two streams of the same event set yield
-// identical reports byte-for-byte through to_json().
+// identical reports byte-for-byte through to_json(), whatever order the
+// assessor's threads wrote the lines in.
 //
-// The engine is single-consumer by design, matching the journal's single
-// writer thread; guard it externally if several threads must feed one
-// engine.
+// The engine is single-consumer by design; guard it externally if several
+// threads must feed one engine.
 #pragma once
 
 #include <cstdint>

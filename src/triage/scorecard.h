@@ -10,11 +10,11 @@
 // stream; the noise-aware per-service baselines of arXiv:2110.03229 are the
 // reason the cards are keyed per service rather than fleet-wide only.
 //
-// A ScorecardBuilder consumes JournalEvents one at a time (live tap or
-// disk replay — the two must agree byte-for-byte, see the determinism test)
-// and folds them into cards keyed by service and by KPI name. All derived
-// numbers are computed from sorted state at read time, so the cards are a
-// pure function of the event *set*, insensitive to arrival order.
+// A ScorecardBuilder consumes JournalEvents one at a time (a journal
+// replay) and folds them into cards keyed by service and by KPI name. All
+// derived numbers are computed from sorted state at read time, so the
+// cards are a pure function of the event *set*, insensitive to arrival
+// order.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,8 @@
 // recovery (a truncated trailing line is skipped and counted, never fatal),
 // assessment reports byte-identical with the journal attached or not, the
 // canonically-sorted journal byte-identical at 1/2/8 threads, the online
-// path stamping source/time-to-verdict, and the live-observer triage tap
-// agreeing byte-for-byte with a disk replay.
+// path stamping source/time-to-verdict, and the journal committing on the
+// appending thread (no thread of its own, a latch on a write error).
 #include "obs/journal.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +25,6 @@
 #include "funnel/assessor.h"
 #include "funnel/online.h"
 #include "funnel/report_json.h"
-#include "triage/engine.h"
 #include "workload/generators.h"
 #include "workload/stream.h"
 
@@ -197,13 +197,11 @@ TEST(JournalWriter, AppendsFromManyThreadsLosslessly) {
         for (int i = 0; i < 50; ++i) {
           obs::JournalEvent e = minimal_event();
           e.change_id = static_cast<std::uint64_t>(t * 1000 + i);
-          journal.append(std::move(e));
+          journal.append(e);
         }
       });
     }
     for (auto& th : threads) th.join();
-    journal.flush();
-    EXPECT_EQ(journal.appended(), 200u);
     EXPECT_EQ(journal.written(), 200u);
   }
   std::size_t bad_lines = 0;
@@ -225,22 +223,45 @@ TEST(JournalWriter, AppendsFromManyThreadsLosslessly) {
 }
 
 TEST(JournalWriter, WriteErrorLatchesAndCountsNothing) {
-  // /dev/full opens and fails every flush with ENOSPC. The failed batch
-  // latches the writer: ok() turns false, later appends are dropped, and
-  // neither written() nor the observer counts an event the file lacks.
+  // /dev/full opens and fails every flush with ENOSPC. The failed append
+  // latches the journal before it returns: ok() turns false, written()
+  // counts nothing, and a later append writes nothing.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   obs::Journal journal("/dev/full");
   ASSERT_TRUE(journal.ok());
-  std::size_t observed = 0;
-  journal.set_observer([&observed](const obs::JournalEvent&) { ++observed; });
   journal.append(minimal_event());
-  journal.flush();
   EXPECT_FALSE(journal.ok());
-  journal.append(full_event());
-  journal.flush();
-  EXPECT_EQ(journal.appended(), 1u);
   EXPECT_EQ(journal.written(), 0u);
-  EXPECT_EQ(observed, 0u);
+  journal.append(full_event());
+  EXPECT_FALSE(journal.ok());
+  EXPECT_EQ(journal.written(), 0u);
+}
+
+// append() commits on the calling thread: opening a journal and appending
+// to it leave the process's thread count as is, and the line is in the
+// file when append() returns.
+TEST(JournalWriter, StartsNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  const auto threads = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator());
+  };
+  const std::string path = temp_path("no_thread.jsonl");
+  const auto before = threads();
+  {
+    obs::Journal journal(path);
+    ASSERT_TRUE(journal.ok());
+    EXPECT_EQ(threads(), before);
+    journal.append(full_event());
+    EXPECT_EQ(threads(), before);
+    EXPECT_EQ(journal.written(), 1u);
+    const auto events = obs::read_journal(path);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0], full_event());
+  }
+  std::remove(path.c_str());
 }
 
 // Batch pipeline fixture: the funnel_trace_test dataset, journaled.
@@ -334,7 +355,6 @@ TEST_F(FunnelJournal, SortedJournalByteIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(journal.ok());
       const auto reports = run_window(run.threads, &journal, run.sst_cascade);
       for (const AssessmentReport& r : reports) expected += r.items.size();
-      journal.flush();
       EXPECT_EQ(journal.written(), expected);
     }
     // Worker threads interleave appends nondeterministically; the event
@@ -396,31 +416,6 @@ TEST_F(FunnelJournal, BatchEventsCarryProvenance) {
   // detections and the DiD fits that adjudicated them.
   EXPECT_GT(detected, 0u);
   EXPECT_GT(with_did, 0u);
-  std::remove(path.c_str());
-}
-
-TEST_F(FunnelJournal, LiveObserverTriageMatchesDiskReplay) {
-  const std::string path = temp_path("tap.jsonl");
-  triage::TriageEngine live;
-  std::string replay_json;
-  {
-    obs::Journal journal(path);
-    ASSERT_TRUE(journal.ok());
-    journal.set_observer(
-        [&live](const obs::JournalEvent& e) { live.observe(e); });
-    run_window(2, &journal);
-    journal.flush();
-  }
-  triage::TriageEngine replayed;
-  for (const obs::JournalEvent& e : obs::read_journal(path)) {
-    replayed.observe(e);
-  }
-  ASSERT_GT(replayed.events(), 0u);
-  EXPECT_EQ(live.events(), replayed.events());
-  // The acceptance bar: a replayed journal reproduces the exact scorecards
-  // and blame ranking the live tap computed, down to the rendered bytes.
-  EXPECT_EQ(triage::to_json(live.report()),
-            triage::to_json(replayed.report()));
   std::remove(path.c_str());
 }
 

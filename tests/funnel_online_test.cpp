@@ -365,7 +365,6 @@ FleetRun run_fleet(const std::set<std::size_t>& watched, bool async) {
     if (t == sc.tc + 30) watch(4);
     if (t == sc.tc + 45) {
       store->flush();
-      journal->flush();
       run.open_at_restore = online->active_watches();
       store->checkpoint(online->snapshot_state(), journal->written());
       online.reset();

@@ -130,7 +130,6 @@ RunResult reference_run(const ReplayScenario& sc, const fs::path& dir) {
         store.append(a.metric, a.t, a.value);
       }
     }
-    journal.flush();
   }
   EXPECT_FALSE(report.empty());
   return {report, slurp(journal_path)};
@@ -168,7 +167,6 @@ RunResult killed_run(const ReplayScenario& sc, const fs::path& dir,
         store.append(a.metric, a.t, a.value);
       }
       if (checkpoint_due(sc, i + 1)) {
-        journal.flush();
         store.checkpoint(online.snapshot_state(), journal.written());
       }
     }
@@ -223,7 +221,6 @@ RunResult killed_run(const ReplayScenario& sc, const fs::path& dir,
         store.append(a.metric, a.t, a.value);
       }
     }
-    journal.flush();
   }
   EXPECT_FALSE(report.empty());
   return {report, slurp(journal_path)};
@@ -276,7 +273,6 @@ TEST(PersistReplay, JournalRepairKeepsExactEventPrefix) {
       e.cause = "no-kpi-change";
       journal.append(e);
     }
-    journal.flush();
   }
   {  // torn trailing line, as a crash would leave
     std::ofstream out(path, std::ios::binary | std::ios::app);

@@ -288,7 +288,9 @@ TEST(Tenant, LatchedJournalQuarantinesWithMachineReadableReason) {
   ASSERT_EQ(tenant.register_changes("45,svc,dark,s0,chg-0\n").size(), 1u);
   // Past the 20-minute horizon: the watch finalizes and journals a verdict.
   EXPECT_FALSE(tenant.ingest(sample_lines(46, 100, 2)).quarantined);
-  tenant.flush();  // the verdict's write fails and latches the journal
+  // Delivery finalizes the verdict, whose write fails and latches the
+  // journal.
+  tenant.store().flush();
   EXPECT_FALSE(tenant.quarantined());  // nothing has read the latch yet
 
   const IngestResult r = tenant.ingest("svc,s0,cpu,100,10\n");
@@ -419,8 +421,8 @@ TEST(Tenant, RecoveryAlignsSeqAndPreservesJournalAcrossIncarnations) {
     const std::string report = tenant.report_json();
     EXPECT_NE(report.find("\"change_id\":1"), std::string::npos);
     EXPECT_EQ(report.find("\"change_id\":0,"), std::string::npos);
-    // checkpoint() flushes the journal: the repaired prefix + the replayed
-    // re-emission must reproduce the pre-shutdown file exactly.
+    // The repaired prefix + the replayed re-emission must reproduce the
+    // pre-shutdown file exactly.
     tenant.checkpoint();
     EXPECT_EQ(slurp(fs::path(opts.data_dir) / "journal.jsonl"),
               journal_after_run1);
@@ -460,7 +462,7 @@ TEST(Tenant, MaintenanceExpirySurvivesRestart) {
     tenant.ingest(sample_lines(46, 50, 2));  // stops short of the horizon
     EXPECT_EQ(tenant.active_watches(), 1u);
     EXPECT_EQ(tenant.maintenance(200), 1u);
-    tenant.flush();
+    tenant.store().flush();
     journal_before = slurp(journal);
     ASSERT_FALSE(journal_before.empty());
   }
@@ -579,7 +581,7 @@ TEST(Tenant, FailedMetaWriteQuarantines) {
     const fs::path meta = fs::path(opts.data_dir) / "meta.log";
     Tenant tenant(opts);
     ASSERT_EQ(tenant.ingest(sample_lines(0, 46, 1)).accepted, 92u);
-    tenant.flush();
+    tenant.store().flush();
     IngestResult r;
     std::vector<changes::ChangeId> ids;
     {
@@ -628,7 +630,7 @@ TEST(Tenant, FailedWalWriteRefusesThePost) {
     opts.data_dir = (work / "t").string();
     Tenant tenant(opts);
     ASSERT_EQ(tenant.ingest(sample_lines(0, 46, 1)).accepted, 92u);
-    tenant.flush();
+    tenant.store().flush();
     const std::uint64_t seq = tenant.applied_seq();
     const fs::path wal = wal_file(opts.data_dir);
     IngestResult r;
@@ -665,7 +667,7 @@ TEST(Tenant, WalErrorDuringRegistrationQuarantines) {
     opts.data_dir = (work / "t").string();
     Tenant tenant(opts);
     ASSERT_EQ(tenant.ingest(sample_lines(0, 46, 1)).accepted, 92u);
-    tenant.flush();
+    tenant.store().flush();
     const std::uint64_t seq = tenant.applied_seq();
     const fs::path wal = wal_file(opts.data_dir);
     std::vector<changes::ChangeId> ids;
@@ -1110,7 +1112,9 @@ TEST(FunnelService, ChangesThatQuarantineTheTenantAnswer503) {
             200);
   {
     std::lock_guard<std::mutex> guard(tenant.mutex());
-    tenant.flush();  // the verdict's write fails and latches the journal
+    // Delivery finalizes the verdict, whose write fails and latches the
+    // journal.
+    tenant.store().flush();
   }
   const std::string refused =
       post(port, "/v1/changes/t", "90,svc,dark,s1,chg-1\n");

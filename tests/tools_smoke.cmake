@@ -252,7 +252,7 @@ endif()
 
 # Persistence counters surface uniformly (docs/OBSERVABILITY.md): a
 # --data-dir run's --stats-json must carry the wal.* counters, the WAL
-# commit-latency histogram, and the queue-capacity gauges /healthz keys on.
+# commit-latency histogram, and the segment-count gauge.
 set(wal_stats "${WORK_DIR}/smoke_wal_stats.json")
 set(wal_dir "${WORK_DIR}/smoke_wal_store")
 file(REMOVE_RECURSE "${wal_dir}")
@@ -281,6 +281,13 @@ foreach(key "funnel.persist.segments")
     message(FATAL_ERROR "stats JSON gauge '${key}' missing (${jerr})")
   endif()
 endforeach()
+# The run logs two WAL batches: the watch marker, then the post-change
+# samples appended as one batch (not one commit per sample).
+string(JSON batches GET "${wjson}" counters "funnel.wal.batches")
+if(NOT batches EQUAL 2)
+  message(FATAL_ERROR "funnel.wal.batches must be 2 (watch marker + one "
+                      "sample batch), got ${batches}")
+endif()
 
 # A numeric flag must parse whole (exit 2, never a silent 0, a wrapped
 # count or an abort): junk values, a sign on a count, and a value that

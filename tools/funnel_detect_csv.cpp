@@ -392,9 +392,15 @@ FileResult assess_file(const std::string& path, const Options& opt,
     finalized = true;
   });
   online.watch(cid);
+  // The post-change samples go in as one batch: one WAL commit, one
+  // dispatcher push (a synchronous store still delivers sample by sample).
+  const tsdb::SeriesRef ref = store.intern(metric);
+  std::vector<tsdb::Sample> batch;
+  batch.reserve(static_cast<std::size_t>(series.end_time() - tc));
   for (MinuteTime t = tc; t < series.end_time(); ++t) {
-    store.append(metric, t, series.at(t));
+    batch.push_back({ref, t, series.at(t), {}, {}});
   }
+  store.append(batch);
   // Barrier: wait until the dispatcher has delivered every queued sample
   // (no-op for a synchronous store) before reading the report.
   store.flush();
@@ -402,7 +408,6 @@ FileResult assess_file(const std::string& path, const Options& opt,
     // End-of-run checkpoint: freeze the streamed history into a segment and
     // record the watch snapshot + journal event count, so a process killed
     // right here resumes from this exact state (docs/STORAGE.md §5).
-    if (journal != nullptr) journal->flush();
     store.checkpoint(online.snapshot_state(),
                      journal != nullptr ? journal->written() : 0);
   }
@@ -453,8 +458,8 @@ FileResult process_file(const std::string& path, const Options& opt,
 void declare_core_keys(const obs::Registry& reg) {
   // A stable key set for dashboards and the ctest smoke check, present
   // even before (or without) the first event of each kind. The WAL /
-  // persistence / journal-backlog family is declared here too so --stats
-  // and --stats-json expose the same keys whether or not the run was
+  // persistence / journal family is declared here too so --stats and
+  // --stats-json expose the same keys whether or not the run was
   // persistent — zeros, not absences, when a subsystem never ran.
   for (const char* c :
        {"funnel.assess.changes_assessed", "funnel.assess.kpis_scored",
@@ -465,8 +470,7 @@ void declare_core_keys(const obs::Registry& reg) {
         "tsdb.store.too_old_dropped", "csv.files_processed",
         "csv.files_failed", "funnel.cascade.windows",
         "funnel.cascade.scored", "funnel.cascade.suppressed_variance",
-        "funnel.cascade.dirty", "funnel.journal.events",
-        "funnel.journal.bytes",
+        "funnel.cascade.dirty", "funnel.journal.events", "funnel.journal.bytes",
         "funnel.wal.records", "funnel.wal.bytes", "funnel.wal.batches",
         "funnel.persist.segments_written", "funnel.persist.segment_bytes",
         "funnel.persist.checkpoints", "funnel.persist.compactions"}) {
@@ -480,7 +484,7 @@ void declare_core_keys(const obs::Registry& reg) {
   }
   for (const char* g :
        {"funnel.online.active_watches", "funnel.cascade.suppression_ratio",
-        "funnel.journal.queue_depth", "funnel.persist.segments"}) {
+        "funnel.persist.segments"}) {
     reg.declare_gauge(g);
   }
 }
@@ -591,9 +595,6 @@ int main(int argc, char** argv) {
   }
 
   if (journal != nullptr) {
-    // Barrier: every appended event is on disk before the count is
-    // reported (and before a consumer launched next reads the file).
-    journal->flush();
     if (!journal->ok()) {  // a write failed: the file lacks events
       std::fprintf(stderr, "error: cannot write %s\n",
                    opt.journal_path.c_str());

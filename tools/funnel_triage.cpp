@@ -17,10 +17,8 @@
 // human-facing markdown digest. Semantics of every number are specified in
 // docs/TRIAGE.md.
 //
-// Replay is deterministic: the same journal always yields byte-identical
-// JSON, and a replayed report equals the one a live engine tapped on the
-// journal's writer thread would have built (the replay-determinism
-// acceptance test in tests/funnel_journal_test.cpp).
+// Replay is deterministic: the same journal, in any line order, always
+// yields byte-identical JSON (TriageEngine.ReportInsensitiveToEventOrder).
 //
 // Knobs: --overlap-window N sets the blame clustering window in minutes
 // (default 60); --min-support / --min-confidence / --max-rules gate the

@@ -1,7 +1,5 @@
 #include "detect/cascade.h"
 
-#include <cmath>
-
 #include "common/error.h"
 
 namespace funnel::detect {
@@ -15,21 +13,13 @@ void CascadeCounters::record(GateDecision d) {
     case GateDecision::kVarianceSuppressed:
       ++suppressed_variance;
       break;
+    case GateDecision::kBoundSuppressed:
+      ++suppressed_bound;
+      break;
     case GateDecision::kScored:
       ++scored;
       break;
   }
-}
-
-double cascade_score(IkaSst& scorer, std::span<const double> window,
-                     const CascadeConfig& config, GateDecision& decision) {
-  bool suppressed = false;
-  const double s = scorer.score(window, config.sst_threshold, &suppressed);
-  // IkaSst scores NaN exactly when the window holds non-finite samples.
-  decision = suppressed      ? GateDecision::kVarianceSuppressed
-             : std::isnan(s) ? GateDecision::kDirty
-                             : GateDecision::kScored;
-  return s;
 }
 
 std::vector<double> cascade_score_series(
@@ -45,8 +35,9 @@ std::vector<double> cascade_score_series(
   if (decisions) decisions->reserve(n);
 
   for (std::size_t i = 0; i < n; ++i) {
-    GateDecision d;
-    out.push_back(cascade_score(scorer, series.subspan(i, w), config, d));
+    GateDecision d = GateDecision::kScored;
+    out.push_back(
+        scorer.score(series.subspan(i, w), config.sst_threshold, &d));
     if (decisions) decisions->push_back(d);
     if (counters) counters->record(d);
   }

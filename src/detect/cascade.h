@@ -8,20 +8,28 @@
 // bound on the score. A window whose factor is already ≤ the alarm
 // threshold cannot produce an exceedance whatever the subspace terms do,
 // so it scores 0 without the past-side Lanczos/QL work
-// (IkaSst::score(window, threshold, suppressed)).
+// (IkaSst::score(window, threshold, decision), kVarianceSuppressed).
+// Inside the past side the scorer stops between directions once the
+// unread ones, each φ ≤ 1, cannot lift the score over the threshold
+// (exit (2), kBoundSuppressed), or once x̂ can only be the novelty floor
+// (exit (1), which returns the score itself); ika_sst.h states both exits
+// and the rounding slack δ that makes them exact.
 //
 // The cascade is exact. The warm future sweep runs on every window,
 // suppressed or not, so the scorer's basis evolves as under score(), and:
 //   * a scored window returns bit for bit what the uncascaded scorer does;
-//   * a suppressed window returns 0 where the uncascaded scorer returns a
-//     value ≤ the threshold.
+//   * a suppressed window, by either gate, returns 0 where the uncascaded
+//     scorer returns a value ≤ the threshold.
 // The alarm hit test is `score > threshold`, so every alarm, peak score and
 // verdict is byte-identical with the cascade on or off. `sst_cascade =
 // false` stays only as the reference the tests compare against.
 //
 // The batch path exports gate decisions per window and tallies them in
 // CascadeCounters (the assessor's funnel.cascade.* counters, which count
-// the windows it scores: it stops at the verdict's alarm).
+// the windows it scores: it stops at the verdict's alarm, or once no alarm
+// can fire any more). `scored` counts the windows whose score was
+// returned, so windows = scored + suppressed_variance + suppressed_bound +
+// dirty.
 #pragma once
 
 #include <cstdint>
@@ -40,29 +48,18 @@ struct CascadeConfig {
   double sst_threshold = 0.22;
 };
 
-/// Per-window outcome of the cascade.
-enum class GateDecision : std::uint8_t {
-  kDirty = 0,               ///< non-finite samples: NaN, only standardized
-  kVarianceSuppressed = 1,  ///< factor ≤ threshold: 0, past side skipped
-  kScored = 2,              ///< full IKA score ran
-};
-
 /// Tallies across one scoring run; aggregated into the stats registry by
 /// the assessor (funnel.cascade.* counters).
 struct CascadeCounters {
   std::uint64_t windows = 0;
   std::uint64_t scored = 0;
   std::uint64_t suppressed_variance = 0;
+  std::uint64_t suppressed_bound = 0;
   std::uint64_t dirty = 0;
 
   /// Count one window's decision (every decision counts a window).
   void record(GateDecision d);
 };
-
-/// One window through the cascade: the score IkaSst::score(window,
-/// config.sst_threshold, ...) gives it, and the gate's decision.
-double cascade_score(IkaSst& scorer, std::span<const double> window,
-                     const CascadeConfig& config, GateDecision& decision);
 
 /// Batch scoring with the cascade: same shape as score_series (out[i] =
 /// score of the window starting at sample i, NaN for dirty windows), with

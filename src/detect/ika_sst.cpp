@@ -135,12 +135,17 @@ std::span<const double> IkaSst::ritz_iterate(int iterations) {
 }
 
 double IkaSst::score(std::span<const double> window, double threshold,
-                     bool* suppressed) {
+                     GateDecision* decision) {
   FUNNEL_REQUIRE(window.size() == geo_.window(),
                  "IkaSst window size mismatch");
-  if (suppressed != nullptr) *suppressed = false;
+  const auto decide = [decision](GateDecision d) {
+    if (decision != nullptr) *decision = d;
+  };
   const std::optional<HalfStats> stats = halves_.standardize(window, z_);
-  if (!stats) return std::numeric_limits<double>::quiet_NaN();
+  if (!stats) {
+    decide(GateDecision::kDirty);
+    return std::numeric_limits<double>::quiet_NaN();
+  }
 
   const std::size_t omega = geo_.omega;
   const std::size_t eta = geo_.eta;
@@ -162,13 +167,17 @@ double IkaSst::score(std::span<const double> window, double threshold,
   // under the threshold settles the window without the past side.
   const double factor = robust_score_factor(*stats);
   if (factor <= threshold) {
-    if (suppressed != nullptr) *suppressed = true;
+    decide(GateDecision::kVarianceSuppressed);
     return 0.0;
   }
 
   // --- Past: phi_i per future direction. ---
   past_op_.assign(past);
+  decide(GateDecision::kScored);
 
+  // The exits' bounds (header comment); threshold −∞ leaves only exit (1).
+  const double floor_bound = geo_.novelty_floor * (1.0 - kExitSlack);
+  const double threshold_bound = threshold * (1.0 - kExitSlack);
   double weighted = 0.0;
   double total_weight = 0.0;
   for (std::size_t i = 0; i < eta; ++i) {
@@ -200,6 +209,20 @@ double IkaSst::score(std::span<const double> window, double threshold,
     const double phi = std::clamp(1.0 - proj2, 0.0, 1.0);
     weighted += lambda * phi;  // Eq. 9
     total_weight += lambda;
+
+    if (i + 1 == eta) break;
+    // u bounds the final weighted / total_weight: every unread φ is ≤ 1.
+    double rest = 0.0;
+    for (std::size_t j = i + 1; j < eta; ++j) {
+      rest += std::max(lambdas[j], 0.0);
+    }
+    const double u = (weighted + rest) / (total_weight + rest);
+    if (u <= floor_bound) return geo_.novelty_floor * factor;  // exit (1)
+    // max(u, floor), not max(floor, u): a NaN u must stay NaN.
+    if (std::max(u, geo_.novelty_floor) * factor <= threshold_bound) {
+      decide(GateDecision::kBoundSuppressed);  // exit (2)
+      return 0.0;
+    }
   }
   if (total_weight <= 0.0) return 0.0;
   const double xhat =

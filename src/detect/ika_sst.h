@@ -30,6 +30,32 @@
 // so every score is those loops' bit for bit (detect_sst_warmstart_test
 // pins the kernel against them and every score against a golden hash).
 //
+// The past side stops as soon as its remaining directions cannot change
+// what the window returns. After direction i the running sums w = Σλφ and
+// t = Σλ are final for the directions read; the unread ones weigh at most
+// R = Σ_{j>i} max(λ_j, 0), summed forward, and each of their φ is at most
+// 1, so u = (w + R)/(t + R) bounds the final w/t (w ≤ t, so the ratio
+// grows with every unread term). Two exits follow, checked in this order:
+//   (1) u ≤ novelty_floor·(1−δ): x̂ is the floor, so the score is
+//       novelty_floor·factor, the bits the full loop returns. It applies on
+//       every entry, score(window) included.
+//   (2) max(u, novelty_floor)·factor ≤ threshold·(1−δ), on the threshold
+//       entry only (score(window) passes −∞): the full score is ≤ the
+//       threshold, so the window returns 0 as suppressed, the contract the
+//       Eq. 11 factor gate already keeps.
+// δ = kExitSlack covers rounding. Both paths share the computed w and t;
+// each computed λφ is ≤ λ (φ ≤ 1, and rounding is monotone), so w ≤ t
+// holds in floating point too. The full loop's w/t and û, the computed
+// u, then each take at most 2η non-negative sums plus one division, every
+// one rounding by a factor within 1 ± ε, ε = 2⁻⁵³, so the full loop's
+// w/t is at most û·(1 + (3η + 5)ε), and the products forming the score
+// and the two bounds add four roundings more. That stays under 1/(1−δ)
+// for every η < 10⁶ (the geometry keeps η < ω), so x̂ after exit (1) is
+// exactly the floor, and the full score after exit (2) is ≤ the
+// threshold. Every comparison reads `x <= bound`, so a NaN never exits. A
+// direction an exit skips is never computed, so a QL non-convergence it
+// would have thrown (never observed) is skipped with it.
+//
 // Scoring a window allocates nothing. Every buffer a window needs — the
 // standardized window, the two Hankel operators (refilled in place), the
 // block product C·B, the Rayleigh-Ritz matrix T and its eigenpairs, the
@@ -41,6 +67,7 @@
 // copies. Every score is bit-identical to the copy-and-select computation.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -51,6 +78,14 @@
 #include "linalg/matrix.h"
 
 namespace funnel::detect {
+
+/// What the threshold-aware IkaSst::score() did with one window.
+enum class GateDecision : std::uint8_t {
+  kDirty = 0,               ///< non-finite samples: NaN, only standardized
+  kVarianceSuppressed = 1,  ///< factor ≤ threshold: 0, past side skipped
+  kScored = 2,              ///< the window's score, bit for bit
+  kBoundSuppressed = 3,     ///< past-side exit (2): 0, rest of it skipped
+};
 
 struct IkaParams {
   /// Power-iteration sweeps on a cold start (no previous basis).
@@ -72,11 +107,17 @@ class IkaSst final : public ChangeScorer {
   /// future sweep exactly as score() does, so the basis evolves the same
   /// whatever the threshold, then computes the Eq. 11 factor. Since
   /// x̂ ≤ 1 the factor bounds the score: when it is ≤ `threshold` the
-  /// window cannot exceed it, so this returns 0 and sets `*suppressed`
-  /// without the past-side Lanczos/QL work. Otherwise it returns exactly
-  /// what score() returns. `suppressed` may be null.
+  /// window cannot exceed it, so this returns 0 without the past-side
+  /// Lanczos/QL work (kVarianceSuppressed). Past-side exit (2) returns 0
+  /// the same way once the unread directions cannot lift the score over
+  /// `threshold` (kBoundSuppressed). Otherwise it returns exactly what
+  /// score() returns: NaN for a window with non-finite samples (kDirty),
+  /// the score otherwise (kScored). `decision` may be null.
   double score(std::span<const double> window, double threshold,
-               bool* suppressed);
+               GateDecision* decision);
+
+  /// δ of the past-side exits (see the header comment).
+  static constexpr double kExitSlack = 1e-9;
 
   const SstGeometry& geometry() const { return geo_; }
   const IkaParams& params() const { return params_; }

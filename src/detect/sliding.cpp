@@ -43,6 +43,17 @@ Alarm ExceedanceRun::alarm(MinuteTime minute) const {
   return a;
 }
 
+bool ExceedanceRun::can_alarm_before(std::size_t i, std::size_t n) const {
+  const std::size_t to_come = n - 1 - i;
+  if (to_come >= policy_.persistence) return true;
+  const std::size_t patience = policy_.effective_patience();
+  const std::size_t first = n > patience ? n - patience : 0;
+  const auto held = static_cast<std::size_t>(
+      std::count_if(hits_.begin(), hits_.end(),
+                    [first](const Hit& h) { return h.index >= first; }));
+  return held + to_come >= policy_.persistence;
+}
+
 namespace {
 
 MinuteTime alarm_minute(MinuteTime series_start, std::size_t i,
@@ -112,15 +123,19 @@ std::optional<Alarm> score_until_alarm(std::span<const double> series,
   ExceedanceRun run(policy);
   scores.clear();
   if (series.size() < window) return std::nullopt;
-  scores.reserve(series.size() - window + 1);
-  for (std::size_t i = 0; i + window <= series.size(); ++i) {
+  const std::size_t n = series.size() - window + 1;
+  scores.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     scores.push_back(score(series.subspan(i, window)));
-    if (!run.push(i, scores.back())) continue;
-    const MinuteTime minute = alarm_minute(series_start, i, window);
-    if (minute >= from) return run.alarm(minute);
-    // A pre-`from` alarm re-arms the scan, as all_alarms does after every
-    // alarm, so a run straddling `from` still fires a post-`from` alarm.
-    run.reset();
+    if (run.push(i, scores.back())) {
+      const MinuteTime minute = alarm_minute(series_start, i, window);
+      if (minute >= from) return run.alarm(minute);
+      // A pre-`from` alarm re-arms the scan, as all_alarms does after
+      // every alarm, so a run straddling `from` still fires a post-`from`
+      // alarm.
+      run.reset();
+    }
+    if (!run.can_alarm_before(i, n)) break;
   }
   return std::nullopt;
 }

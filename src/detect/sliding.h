@@ -84,6 +84,14 @@ class ExceedanceRun {
   /// The alarm the last push() completed, firing at wall-clock `minute`.
   Alarm alarm(MinuteTime minute) const;
 
+  /// Whether a window after `i`, the last one pushed, and before `n` can
+  /// still alarm. Window j ≤ n − 1 tallies the hits in [j − P + 1, j], P
+  /// the patience: at most the n − 1 − j windows of that range before
+  /// n − P, the hits already held in [n − P, i], and the j − i windows
+  /// still to come. So no later window alarms once the held hits in
+  /// [n − P, i] plus n − 1 − i fall short of the persistence.
+  bool can_alarm_before(std::size_t i, std::size_t n) const;
+
   /// Forget every exceedance: the next alarm needs a full run again.
   void reset() { hits_.clear(); }
 
@@ -125,9 +133,12 @@ using WindowScore = std::function<double(std::span<const double>)>;
 /// as `score(series.subspan(i, window))`, and stop at the first alarm that
 /// fires at or after minute `from`. An earlier alarm re-arms the scan as
 /// all_alarms does, so the result is the first alarm of
-/// all_alarms(scores) with minute >= from. `scores` receives what was
-/// scored: the prefix of the full score series up to and including the
-/// alarm's window, or every window when no such alarm fires.
+/// all_alarms(scores) with minute >= from. The scan also stops, with no
+/// alarm, after the first window past which no window of the slice can
+/// complete a run (ExceedanceRun::can_alarm_before): a quiet tail skips
+/// its last persistence − 1 windows. `scores` receives what was scored:
+/// the prefix of the full score series up to and including the window
+/// the scan stopped at.
 std::optional<Alarm> score_until_alarm(std::span<const double> series,
                                        std::size_t window,
                                        MinuteTime series_start,

@@ -250,7 +250,9 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   // Only an alarm raised at/after the deployment minute is attributable,
   // and the verdict rests on the first one: the DiD call, the damp factor
   // and the provenance read no score past its window, so the production
-  // path stops scoring there, as the online detector latches on it.
+  // path stops scoring there, as the online detector latches on it. With
+  // no such alarm the verdict reads no score at all, so the scan also
+  // stops once no later window can complete a run.
   std::vector<double> scores;
   std::optional<detect::Alarm> alarm;
   {
@@ -258,14 +260,13 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
     if (config_.sst_cascade) {
       // The gate must respect the live alarm policy: a window it suppresses
       // has to be provably unable to exceed exactly this threshold.
-      detect::CascadeConfig cc = config_.cascade;
-      cc.sst_threshold = config_.alarm.threshold;
+      const double threshold = config_.alarm.threshold;
       detect::CascadeCounters counters;
       alarm = detect::score_until_alarm(
           slice, scorer.window_size(), t0, config_.alarm, tc,
           [&](std::span<const double> window) {
-            detect::GateDecision d;
-            const double s = detect::cascade_score(scorer, window, cc, d);
+            detect::GateDecision d = detect::GateDecision::kScored;
+            const double s = scorer.score(window, threshold, &d);
             counters.record(d);
             return s;
           },
@@ -275,6 +276,8 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
         config_.stats->add("funnel.cascade.scored", counters.scored);
         config_.stats->add("funnel.cascade.suppressed_variance",
                            counters.suppressed_variance);
+        config_.stats->add("funnel.cascade.suppressed_bound",
+                           counters.suppressed_bound);
         config_.stats->add("funnel.cascade.dirty", counters.dirty);
       }
       if (trace_span.active()) {
@@ -282,6 +285,8 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
         trace_span.attr("cascade.scored", counters.scored);
         trace_span.attr("cascade.suppressed_variance",
                         counters.suppressed_variance);
+        trace_span.attr("cascade.suppressed_bound",
+                        counters.suppressed_bound);
         trace_span.attr("cascade.dirty", counters.dirty);
       }
     } else {

@@ -148,13 +148,18 @@ void FunnelOnline::watch_impl(changes::ChangeId id) {
   for (const tsdb::MetricId& metric : impact_metrics(watch.set, store_)) {
     // Copy the priming window under the shard's reader lock — watch() runs
     // on the control thread and must not race a store that is already
-    // ingesting (docs/CONCURRENCY.md, "Online assessor").
+    // ingesting (docs/CONCURRENCY.md, "Online assessor"). Priming stops
+    // where the live path does: handle_sample feeds the deadline minute's
+    // sample and then finalizes, so a store that already holds minutes
+    // past it must not lend the verdict a later alarm.
     MinuteTime prime_start = 0;
     std::vector<double> prime;
     store_.read(metric, [&](const tsdb::TimeSeries& series) {
       prime_start =
           std::max(series.start_time(), change.time - config_.lookback);
-      prime = series.slice(prime_start, series.end_time());
+      const MinuteTime prime_end = std::max(
+          prime_start, std::min(series.end_time(), watch.deadline + 1));
+      prime = series.slice(prime_start, prime_end);
     });
     MetricWatch mw = make_metric_watch(metric, prime_start);
     // Prime with whatever history is already in the store; pre-change

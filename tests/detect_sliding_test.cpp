@@ -170,7 +170,8 @@ TEST(ScoreUntilAlarm, StopsAtFirstAlarmFromMinute) {
     // The prefix up to and including the alarm's window, nothing past it.
     EXPECT_EQ(scores.size(), static_cast<std::size_t>(a->minute - 100 - 1));
   }
-  // No alarm at or after `from`: every window is scored.
+  // No alarm at or after `from`, but the last run stays live to the end,
+  // so every window is scored.
   EXPECT_FALSE(
       score_until_alarm(xs, 3, 100, policy, 109, score, scores).has_value());
   EXPECT_EQ(scores, score_series(p, xs));
@@ -179,6 +180,45 @@ TEST(ScoreUntilAlarm, StopsAtFirstAlarmFromMinute) {
                                  policy, 0, score, scores)
                    .has_value());
   EXPECT_TRUE(scores.empty());
+}
+
+TEST(ScoreUntilAlarm, RunCompletingInTheLastWindowStillAlarms) {
+  // 7-in-10 over 20 windows (window 3, series start 0): hits in windows
+  // 11..12 and 15..19 complete a run of 7 exceedances among the last 10
+  // windows only at window 19, the last one. The scan must keep scoring
+  // while that run can still complete.
+  ProbeScorer p;
+  std::vector<double> xs(22, 0.0);
+  for (const std::size_t i : {11, 12, 15, 16, 17, 18, 19}) xs[i] = 9.0;
+  const AlarmPolicy policy{.threshold = 1.0, .persistence = 7, .patience = 10};
+  const auto score = [&](std::span<const double> w) { return p.score(w); };
+  std::vector<double> scores;
+  const auto a = score_until_alarm(xs, 3, 0, policy, 0, score, scores);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->minute, 21);
+  EXPECT_EQ(a->first_window, 11u);
+  EXPECT_EQ(scores, score_series(p, xs));
+  // One exceedance fewer, and the run can no longer complete: the scan
+  // stops right after window 15, where the 2 held hits (11, 12) plus the
+  // 4 windows still to come fall short of 7.
+  xs[15] = 0.0;
+  EXPECT_FALSE(score_until_alarm(xs, 3, 0, policy, 0, score, scores));
+  EXPECT_EQ(scores.size(), 16u);
+}
+
+TEST(ScoreUntilAlarm, QuietSeriesStopsPersistenceMinusOneWindowsEarly) {
+  // No window exceeds: once fewer than `persistence` windows remain, none
+  // can complete a run, so the last persistence − 1 are never scored.
+  ProbeScorer p;
+  const std::vector<double> xs(42, 0.0);  // 40 windows
+  const auto score = [&](std::span<const double> w) { return p.score(w); };
+  std::vector<double> scores;
+  for (const std::size_t persistence : {1, 2, 7}) {
+    const AlarmPolicy policy{.threshold = 1.0, .persistence = persistence,
+                             .patience = persistence + 3};
+    EXPECT_FALSE(score_until_alarm(xs, 3, 0, policy, 0, score, scores));
+    EXPECT_EQ(scores.size(), 40u - (persistence - 1)) << persistence;
+  }
 }
 
 TEST(ScoreUntilAlarm, EndToEndOnSyntheticShift) {

@@ -282,15 +282,25 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
   return h;
 }
 
-// FNV-1a over every score (and suppression flag) of a full, a cascaded and
-// a reset-before-every-window scorer, for ω 5, 9 and 15 on the three KPI
-// classes, each series with a level shift and a NaN gap. The constant was
-// computed with the scalar Hankel loops; a kernel that reorders or splits
-// any sum changes it.
+// FNV-1a over every score of a full and a reset-before-every-window
+// scorer, for ω 5, 9 and 15 on the three KPI classes, each series with a
+// level shift and a NaN gap. The constant was computed on the scorer
+// before it had past-side exits, whose scores the scalar Hankel loops
+// pinned; a kernel that reorders or splits any sum changes it, and so does
+// an exit that returns other bits than the full loop.
+//
+// A second hash covers a cascaded scorer's column, each score with its
+// gate decision. It pins where the exits fire; the loop checks what they
+// may return: 0 for a suppressed window, whose full score is ≤ the
+// threshold, and the full score's bits for every other one.
 TEST(IkaSstGolden, ScoreBitsMatchScalarKernelHash) {
-  constexpr std::uint64_t kGolden = 0x4410bea6387bfe07ULL;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  constexpr std::uint64_t kFullColdGolden = 0xb3a6dff1f926d2a5ULL;
+  constexpr std::uint64_t kCascadedGolden = 0xc3b1cb1386225819ULL;
+  constexpr double kThreshold = 0.22;
+  std::uint64_t full_cold = 0xcbf29ce484222325ULL;
+  std::uint64_t cascaded_hash = 0xcbf29ce484222325ULL;
   std::size_t windows = 0;
+  std::size_t bound_suppressed = 0;
   for (const std::size_t omega : {5, 9, 15}) {
     const SstGeometry geo{.omega = omega, .eta = 3};
     for (const tsdb::KpiClass cls :
@@ -307,18 +317,32 @@ TEST(IkaSstGolden, ScoreBitsMatchScalarKernelHash) {
       IkaSst cold(geo);
       for (std::size_t i = 0; i + w <= series.size(); ++i) {
         const std::span<const double> window = span.subspan(i, w);
-        h = fnv1a(h, bits(full.score(window)));
-        bool suppressed = false;
-        h = fnv1a(h, bits(cascaded.score(window, 0.22, &suppressed)));
-        h = fnv1a(h, suppressed ? 1u : 0u);
+        const double f = full.score(window);
+        full_cold = fnv1a(full_cold, bits(f));
+        GateDecision d = GateDecision::kScored;
+        const double c = cascaded.score(window, kThreshold, &d);
+        cascaded_hash = fnv1a(cascaded_hash, bits(c));
+        cascaded_hash = fnv1a(cascaded_hash, static_cast<std::uint64_t>(d));
+        if (d == GateDecision::kVarianceSuppressed ||
+            d == GateDecision::kBoundSuppressed) {
+          EXPECT_EQ(bits(c), bits(0.0)) << "window " << i;
+          EXPECT_LE(f, kThreshold) << "window " << i << " omega " << omega;
+        } else {
+          EXPECT_EQ(bits(c), bits(f)) << "window " << i << " omega " << omega;
+        }
+        if (d == GateDecision::kBoundSuppressed) ++bound_suppressed;
         cold.reset();
-        h = fnv1a(h, bits(cold.score(window)));
+        full_cold = fnv1a(full_cold, bits(cold.score(window)));
         ++windows;
       }
     }
   }
   EXPECT_GT(windows, 3000u);
-  EXPECT_EQ(h, kGolden) << "score hash 0x" << std::hex << h;
+  EXPECT_GT(bound_suppressed, 0u);
+  EXPECT_EQ(full_cold, kFullColdGolden) << "score hash 0x" << std::hex
+                                        << full_cold;
+  EXPECT_EQ(cascaded_hash, kCascadedGolden)
+      << "cascaded hash 0x" << std::hex << cascaded_hash;
 }
 
 // ---------------------------------------------------------------------------
@@ -582,19 +606,19 @@ TEST(IkaSstStorage, NoHeapAllocationPerWindow) {
       cascaded.reset();
       full.reset();
     }
-    bool suppressed = false;
-    const double gated = cascaded.score(span.subspan(i, w), 0.22, &suppressed);
+    GateDecision d = GateDecision::kScored;
+    (void)cascaded.score(span.subspan(i, w), 0.22, &d);
     (void)full.score(span.subspan(i, w));
     const std::size_t made = g_allocations.load() - before;
     if (i == 0) continue;
     allocations += made;
     ++windows;
-    if (std::isnan(gated)) {
+    if (d == GateDecision::kDirty) {
       ++dirty_windows;
-    } else if (suppressed) {
-      ++suppressed_windows;
-    } else {
+    } else if (d == GateDecision::kScored) {
       ++scored_windows;
+    } else {
+      ++suppressed_windows;
     }
   }
   EXPECT_GT(suppressed_windows, 0u);

@@ -189,6 +189,51 @@ TEST(FunnelOnline, PrimingWithExistingPostChangeData) {
   EXPECT_GE(verdicts.size(), 2u);
 }
 
+// The report of one full-launch KPI whose level shifts 20 minutes past the
+// watch's horizon, either streamed after watch() or already in the store
+// when watch() primes; the pre-filled store then gets its minutes from the
+// deadline on again, duplicates, the first of which finalizes the watch as
+// in a re-run of `funnel_detect_csv --data-dir`.
+std::string late_shift_report(bool prefilled) {
+  const FunnelConfig cfg = test_config();
+  topology::ServiceTopology topo;
+  topo.add_server("svc", "host");
+  changes::ChangeLog log;
+  changes::SoftwareChange ch;
+  ch.service = "svc";
+  ch.servers = {"host"};
+  ch.time = 4 * kDay + 300;
+  ch.mode = changes::LaunchMode::kFull;
+  const changes::ChangeId cid = log.record(ch, topo);
+  const MinuteTime deadline = ch.time + cfg.horizon;
+  const MinuteTime end = deadline + 60;
+
+  workload::KpiStream stream(
+      workload::make_stationary(workload::StationaryParams{}, Rng(11)));
+  stream.add_effect(workload::LevelShift{deadline + 20, 8.0});
+  tsdb::MetricStore store;
+  const tsdb::MetricId id = tsdb::server_metric("host", "kpi");
+  workload::materialize(stream, store, id, 0, prefilled ? end : ch.time);
+  FunnelOnline online(cfg, topo, log, store);
+  std::string out;
+  online.on_report([&](const AssessmentReport& r) { out += to_json(r); });
+  online.watch(cid);
+  for (MinuteTime t = prefilled ? deadline : ch.time; t < end; ++t) {
+    store.append(id, t, stream.sample(t));
+  }
+  return out;
+}
+
+TEST(FunnelOnline, PrefilledStoreDecidesAsTheStreamedSamples) {
+  // Priming feeds the detector what the live path would have fed it up to
+  // the watch's deadline and nothing after: a store that already holds
+  // the shift past the horizon must not lend the verdict its alarm.
+  const std::string streamed = late_shift_report(false);
+  ASSERT_NE(streamed, "");
+  EXPECT_EQ(streamed.find("\"alarm\""), std::string::npos) << streamed;
+  EXPECT_EQ(late_shift_report(true), streamed);
+}
+
 TEST(FunnelOnline, UnsubscribesOnDestruction) {
   OnlineScenario sc(0.0);
   EXPECT_EQ(sc.store.subscriber_count(), 0u);

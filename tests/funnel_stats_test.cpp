@@ -115,10 +115,10 @@ TEST_F(FunnelStats, BatchCountersMatchReportAggregates) {
 
 TEST_F(FunnelStats, CascadeCountsOnlyTheWindowsAVerdictReads) {
   // The assessor scores a KPI's windows in order and stops at the verdict's
-  // alarm, the first at or after the change. Recompute each item's full
-  // cascade score series and alarm scan: funnel.cascade.windows must count
-  // the windows up to and including that alarm's, or all of them when the
-  // item has none.
+  // alarm, the first at or after the change, or, without one, once no
+  // later window can complete a run. Recompute each item's full cascade
+  // score series and alarm scan: funnel.cascade.windows must count the
+  // windows up to and including that alarm's, or up to that stop.
   obs::Registry reg;
   const std::vector<AssessmentReport> reports = run_window(1, &reg);
   const FunnelConfig cfg = config(1, nullptr);
@@ -126,6 +126,7 @@ TEST_F(FunnelStats, CascadeCountsOnlyTheWindowsAVerdictReads) {
   cc.sst_threshold = cfg.alarm.threshold;
   std::uint64_t read = 0;
   std::uint64_t all = 0;
+  std::uint64_t quiet_skipped = 0;
   for (const AssessmentReport& r : reports) {
     const MinuteTime tc = ds_->log.get(r.change_id).time;
     for (const ItemVerdict& v : r.items) {
@@ -148,14 +149,37 @@ TEST_F(FunnelStats, CascadeCountsOnlyTheWindowsAVerdictReads) {
           [tc](const detect::Alarm& a) { return a.minute >= tc; });
       ASSERT_EQ(v.alarm.has_value(), it != alarms.end()) << v.metric.to_string();
       all += scores.size();
-      read += it == alarms.end()
-                  ? scores.size()
-                  : static_cast<std::uint64_t>(it->minute - t0 - w + 2);
+      if (it != alarms.end()) {
+        read += static_cast<std::uint64_t>(it->minute - t0 - w + 2);
+      } else {
+        // The scan's tail stop, replayed over the full series' scores;
+        // EarlyStopExactness pins its stop index against an independent
+        // restatement of the rule.
+        std::size_t next = 0;
+        std::vector<double> prefix;
+        EXPECT_FALSE(detect::score_until_alarm(
+            slice, scorer.window_size(), t0, cfg.alarm, tc,
+            [&](std::span<const double>) { return scores[next++]; },
+            prefix));
+        read += prefix.size();
+        quiet_skipped += scores.size() - prefix.size();
+      }
     }
   }
   const obs::Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("funnel.cascade.windows"), read);
+  const auto counter = [&](const char* name) {
+    return snap.counters.at(std::string("funnel.cascade.") + name);
+  };
+  EXPECT_EQ(counter("windows"), read);
   EXPECT_LT(read, all) << "no verdict's alarm came before its window's end";
+  EXPECT_GT(quiet_skipped, 0u) << "no quiet item stopped before its end";
+  // Every window counted lands in exactly one decision, the past side's
+  // bound exit among them.
+  EXPECT_EQ(counter("windows"), counter("scored") +
+                                    counter("suppressed_variance") +
+                                    counter("suppressed_bound") +
+                                    counter("dirty"));
+  EXPECT_GT(counter("suppressed_bound"), 0u);
 }
 
 TEST_F(FunnelStats, ReportsByteIdenticalWithTelemetryOnOrOff) {

@@ -200,9 +200,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DidProperties, ::testing::Range(1, 16));
 // The pre-filter cascade is the production SST path and must agree with
 // the uncascaded warm scorer on every window: a scored window bit for bit,
 // a suppressed one with 0 where the full score is ≤ the threshold (the
-// Eq. 11 factor bounds the score, so only such windows may be suppressed).
-// The gate sits after the warm future sweep, so the basis evolves the same
-// either way; this sweep is what would catch a gate that skipped it.
+// Eq. 11 factor bounds the score, and so does the past side's bound on its
+// unread directions, so only such windows may be suppressed). The gates
+// sit after the warm future sweep, so the basis evolves the same either
+// way; this sweep is what would catch a gate that skipped it.
 
 struct CascadeCase {
   tsdb::KpiClass cls;
@@ -254,6 +255,7 @@ TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
 
   std::size_t alarming = 0;
   std::size_t suppressed = 0;
+  std::size_t bound_suppressed = 0;
   for (std::size_t i = 0; i < scores.size(); ++i) {
     const detect::GateDecision decision = decisions[i];
 
@@ -265,7 +267,9 @@ TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
     if (std::isnan(scores[i])) continue;
 
     if (scores[i] > config.sst_threshold) ++alarming;
-    if (decision == detect::GateDecision::kVarianceSuppressed) {
+    if (decision == detect::GateDecision::kBoundSuppressed) ++bound_suppressed;
+    if (decision == detect::GateDecision::kVarianceSuppressed ||
+        decision == detect::GateDecision::kBoundSuppressed) {
       ++suppressed;
       EXPECT_EQ(cascaded[i], 0.0) << "window " << i;
       EXPECT_LE(scores[i], config.sst_threshold)
@@ -277,9 +281,13 @@ TEST_P(CascadeSoundness, CascadeMatchesFullScorerOnEveryWindow) {
           << scores[i];
     }
   }
-  // The sweep is vacuous unless the workload both alarms and suppresses.
+  // The sweep is vacuous unless the workload both alarms and suppresses,
+  // by both gates (the integer-valued case leaves the bound none to take).
   EXPECT_GT(alarming, 0u);
-  EXPECT_GT(suppressed, 0u);
+  EXPECT_GT(suppressed, bound_suppressed);
+  if (c.step == 0.0) {
+    EXPECT_GT(bound_suppressed, 0u);
+  }
 }
 
 const CascadeCase kCascadeCases[] = {
@@ -322,7 +330,37 @@ INSTANTIATE_TEST_SUITE_P(ClassesByFaults, CascadeSoundness,
 // the trace provenance read them. `from` runs over minute 0, every alarm
 // minute (an alarm exactly at `from`, after earlier ones re-armed the
 // scan), the minute after each (the run re-fires into a later alarm) and
-// past the last (no alarm: every window scored).
+// past the last (no alarm). With no alarm the scan stops once no later
+// window can complete a run; quiet_stop() restates that rule over the
+// reference scores.
+
+// Windows score_until_alarm scores when no alarm at or after `from` fires
+// (every one of `alarms`, all_alarms() over `scores`, fires before it):
+// after window i the scan ends once the hits in [n − patience, i] since the
+// last re-arm, plus the n − 1 − i windows still to come, fall short of the
+// persistence.
+std::size_t quiet_stop(const std::vector<double>& scores,
+                       const std::vector<detect::Alarm>& alarms,
+                       std::size_t w, const detect::AlarmPolicy& policy) {
+  const std::size_t n = scores.size();
+  const std::size_t patience = policy.effective_patience();
+  const std::size_t tail = n > patience ? n - patience : 0;
+  std::size_t counted_from = 0;  // a re-arm forgets every earlier hit
+  auto next = alarms.begin();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (next != alarms.end() &&
+        static_cast<std::size_t>(next->minute) + 1 == i + w) {
+      counted_from = i + 1;
+      ++next;
+    }
+    std::size_t hits = 0;
+    for (std::size_t j = std::max(tail, counted_from); j <= i; ++j) {
+      if (std::isfinite(scores[j]) && scores[j] > policy.threshold) ++hits;
+    }
+    if (hits + (n - 1 - i) < policy.persistence) return i + 1;
+  }
+  return n;
+}
 
 class EarlyStopExactness : public ::testing::TestWithParam<CascadeCase> {};
 
@@ -337,6 +375,7 @@ TEST_P(EarlyStopExactness, FirstAlarmFromMatchesFullScan) {
   // FUNNEL's 7-in-10 rule, plus shorter ones that still alarm, and re-arm,
   // between the NaN gaps of the dirtiest feeds.
   std::size_t rearmed = 0;
+  std::size_t tail_stopped = 0;
   for (const detect::AlarmPolicy policy :
        {detect::AlarmPolicy{.threshold = config.sst_threshold,
                             .persistence = 7,
@@ -363,8 +402,8 @@ TEST_P(EarlyStopExactness, FirstAlarmFromMatchesFullScan) {
       const auto alarm = detect::score_until_alarm(
           series, w, 0, policy, from,
           [&](std::span<const double> window) {
-            detect::GateDecision d;
-            const double s = detect::cascade_score(scorer, window, config, d);
+            detect::GateDecision d = detect::GateDecision::kScored;
+            const double s = scorer.score(window, config.sst_threshold, &d);
             counters.record(d);
             return s;
           },
@@ -375,7 +414,8 @@ TEST_P(EarlyStopExactness, FirstAlarmFromMatchesFullScan) {
       ASSERT_EQ(alarm.has_value(), it != alarms.end());
       const std::size_t stop =
           alarm ? static_cast<std::size_t>(alarm->minute) - w + 2
-                : reference.size();
+                : quiet_stop(reference, alarms, w, policy);
+      if (!alarm && stop < reference.size()) ++tail_stopped;
       if (alarm) {
         EXPECT_EQ(alarm->minute, it->minute);
         EXPECT_EQ(alarm->first_window, it->first_window);
@@ -391,8 +431,10 @@ TEST_P(EarlyStopExactness, FirstAlarmFromMatchesFullScan) {
           0);
     }
   }
-  // The sweep is vacuous unless earlier alarms re-armed the scan.
+  // The sweep is vacuous unless earlier alarms re-armed the scan and some
+  // quiet tail went unscored.
   EXPECT_GT(rearmed, 0u);
+  EXPECT_GT(tail_stopped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ClassesByFaults, EarlyStopExactness,

@@ -10,8 +10,9 @@
 # path exits 3. The --data-dir block covers the storage contract
 # (docs/STORAGE.md): a fresh persistent run matches the in-memory stdout
 # byte for byte, a second run recovers the store, so does a run on the
-# store funnel_generate --data-dir wrote, a corrupted checkpoint exits 3,
-# and --data-dir outside pipeline mode is bad usage (exit 2). A
+# store funnel_generate --data-dir wrote, a re-run over a stored faulted
+# ramp prints and journals what the first run did, a corrupted checkpoint
+# exits 3, and --data-dir outside pipeline mode is bad usage (exit 2). A
 # malformed numeric flag of either tool is bad usage too.
 #
 # Invoked by ctest as:
@@ -64,12 +65,29 @@ foreach(key
     "tsdb.store.appends"
     "funnel.online.samples_ingested"
     "funnel.online.verdicts_confirmed"
-    "pool.tasks_executed")
+    "pool.tasks_executed"
+    "funnel.cascade.windows"
+    "funnel.cascade.scored"
+    "funnel.cascade.suppressed_variance"
+    "funnel.cascade.suppressed_bound"
+    "funnel.cascade.dirty")
   string(JSON val ERROR_VARIABLE jerr GET "${json}" counters "${key}")
   if(jerr)
     message(FATAL_ERROR "stats JSON missing counter '${key}'")
   endif()
 endforeach()
+# Every window the cascade counts lands in exactly one decision.
+string(JSON c_windows GET "${json}" counters "funnel.cascade.windows")
+set(c_sum 0)
+foreach(key scored suppressed_variance suppressed_bound dirty)
+  string(JSON c_val GET "${json}" counters "funnel.cascade.${key}")
+  math(EXPR c_sum "${c_sum} + ${c_val}")
+endforeach()
+if(NOT c_windows EQUAL c_sum)
+  message(FATAL_ERROR "funnel.cascade.windows ${c_windows} != scored + "
+                      "suppressed_variance + suppressed_bound + dirty "
+                      "(${c_sum})")
+endif()
 string(JSON confirmed GET "${json}" counters "funnel.online.verdicts_confirmed")
 if(confirmed LESS 1)
   message(FATAL_ERROR "pipeline confirmed no verdict (counter=${confirmed})")
@@ -228,6 +246,44 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT gout MATCHES "verdict: change has impact")
   message(FATAL_ERROR "generated store lost the verdict, stdout was: ${gout}")
+endif()
+
+# A re-run over a store that already holds the post-change tail primes the
+# watch from the store, and priming stops at the watch's deadline, the
+# last minute the live path feeds: on a faulted ramp whose alarm would come
+# only after the horizon, both runs must print the same verdict and
+# journal the same event (no alarm minute past the determination).
+set(ramp_csv "${WORK_DIR}/smoke_ramp.csv")
+set(ramp_dir "${WORK_DIR}/smoke_ramp_store")
+file(REMOVE_RECURSE "${ramp_dir}")
+execute_process(
+  COMMAND "${GEN}" --class variable --minutes 8640 --seed 12
+          --ramp 4400,4500,5 --faults "drop=0.03,nan=0.01x4,stuck=0.005x8"
+          --out "${ramp_csv}"
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "funnel_generate --ramp failed (${rc}): ${err}")
+endif()
+foreach(run 1 2)
+  file(REMOVE "${WORK_DIR}/smoke_ramp_${run}.jsonl")
+  execute_process(
+    COMMAND "${DET}" "${ramp_csv}" --change-minute 4400
+            --data-dir "${ramp_dir}"
+            --journal "${WORK_DIR}/smoke_ramp_${run}.jsonl"
+    OUTPUT_VARIABLE ramp_out_${run} RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ramp --data-dir run ${run} failed (${rc}): ${err}")
+  endif()
+  file(READ "${WORK_DIR}/smoke_ramp_${run}.jsonl" ramp_journal_${run})
+endforeach()
+if(NOT ramp_out_1 STREQUAL ramp_out_2)
+  message(FATAL_ERROR "a re-run over the stored ramp changed the verdict:\n"
+                      "${ramp_out_1}\nvs\n${ramp_out_2}")
+endif()
+if(ramp_journal_1 STREQUAL "" OR
+   NOT ramp_journal_1 STREQUAL ramp_journal_2)
+  message(FATAL_ERROR "a re-run over the stored ramp journalled another "
+                      "event:\n${ramp_journal_1}\nvs\n${ramp_journal_2}")
 endif()
 
 # Corruption beyond what WAL-tail truncation repairs (a damaged checkpoint)

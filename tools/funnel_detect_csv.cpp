@@ -43,10 +43,12 @@
 // re-inserted — the recovered store provides it. A fresh DIR produces
 // output byte-identical to the in-memory pipeline; a re-run over a store
 // that already holds the post-change tail instead primes the watch through
-// the stored data, so the verdict lands at the horizon (the assessor saw
-// everything at watch time) rather than mid-stream. An unopenable or
-// corrupt-beyond-the-WAL directory exits 3, like the other output files;
-// a torn WAL tail is NOT corruption (recovery truncates it silently).
+// the stored data up to the horizon, never past it, so the detector sees
+// what the first run's did and a determination lands at the horizon (the
+// assessor saw it all at watch time) rather than mid-stream. An
+// unopenable or corrupt-beyond-the-WAL directory exits 3, like the other
+// output files; a torn WAL tail is NOT corruption (recovery truncates it
+// silently).
 //
 // --stats prints the run's self-telemetry (Prometheus text) to stderr;
 // --stats-json FILE writes the JSON snapshot. --trace FILE enables decision
@@ -470,8 +472,8 @@ void declare_core_keys(const obs::Registry& reg) {
         "tsdb.store.too_old_dropped", "csv.files_processed",
         "csv.files_failed", "funnel.cascade.windows",
         "funnel.cascade.scored", "funnel.cascade.suppressed_variance",
-        "funnel.cascade.dirty", "funnel.journal.events", "funnel.journal.bytes",
-        "funnel.wal.records", "funnel.wal.bytes", "funnel.wal.batches",
+        "funnel.cascade.suppressed_bound", "funnel.cascade.dirty",
+        "funnel.journal.events", "funnel.journal.bytes", "funnel.wal.records", "funnel.wal.bytes", "funnel.wal.batches",
         "funnel.persist.segments_written", "funnel.persist.segment_bytes",
         "funnel.persist.checkpoints", "funnel.persist.compactions"}) {
     reg.declare_counter(c);
@@ -489,9 +491,10 @@ void declare_core_keys(const obs::Registry& reg) {
   }
 }
 
-// Derived gauge: fraction of candidate windows the cascade suppressed
-// without the past-side IKA work. Computed from the counters at dump time —
-// suppression is a property of the whole run.
+// Derived gauge: fraction of candidate windows the cascade suppressed,
+// by the Eq. 11 factor gate or by the past-side bound, returning 0 for
+// them without the full past side. Computed from the counters at dump
+// time — suppression is a property of the whole run.
 void set_suppression_ratio(const obs::Registry& reg) {
   const obs::Snapshot snap = reg.snapshot();
   const auto counter = [&](const char* key) -> double {
@@ -499,7 +502,8 @@ void set_suppression_ratio(const obs::Registry& reg) {
     return it == snap.counters.end() ? 0.0 : static_cast<double>(it->second);
   };
   const double windows = counter("funnel.cascade.windows");
-  const double suppressed = counter("funnel.cascade.suppressed_variance");
+  const double suppressed = counter("funnel.cascade.suppressed_variance") +
+                            counter("funnel.cascade.suppressed_bound");
   reg.set("funnel.cascade.suppression_ratio",
           windows > 0.0 ? suppressed / windows : 0.0);
 }
